@@ -26,12 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
-from .rng import path_keys, step_uniforms
+from .rng import path_keys, run_blocks, step_uniforms
 from .tree import encode_int
-from .walks import _worker_count  # shared thread-cap contract
 
 __all__ = [
     "TrigPoly",
@@ -423,7 +423,7 @@ class SolenoidEnsemble:
         return DyadicAngle(int(self.numerators[path, step]), self.level(step))
 
 
-def _solenoid_block(w, n_steps, start_level, start_num, seed, first, count, out):
+def _solenoid_block(w, n_steps, start_level, start_num, seed, out, first, count):
     keys = path_keys(seed, first, count)
     if start_num is None:
         # uniform start: step-0 draw picks a cell of the level grid
@@ -477,22 +477,7 @@ def solenoid_walk(w: TrigPoly, n_steps: int, n_paths: int, seed: int, start=Dyad
     if start_level + n_steps > 62:
         raise ValueError("start level plus steps exceeds 62; numerators would overflow")
     out = np.empty((n_paths, n_steps + 1), dtype=np.uint64)
-    workers = _worker_count()
-    chunk = max(1, -(-n_paths // workers))
-    blocks = [(first, min(chunk, n_paths - first)) for first in range(0, n_paths, chunk)]
-    if workers == 1 or len(blocks) == 1:
-        for first, count in blocks:
-            _solenoid_block(w, n_steps, start_level, start_num, seed, first, count, out)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_solenoid_block, w, n_steps, start_level, start_num, seed, first, count, out)
-                for first, count in blocks
-            ]
-            for fut in futures:
-                fut.result()
+    run_blocks(partial(_solenoid_block, w, n_steps, start_level, start_num, seed, out), n_paths)
     return SolenoidEnsemble(seed=seed, start_level=start_level, numerators=out)
 
 

@@ -58,9 +58,10 @@ def _real_part(value):
 
 
 def _valid_conductance(c) -> bool:
-    if isinstance(c, bool):
+    if isinstance(c, bool) or not isinstance(c, (int, float, Fraction)):
         return False
-    return isinstance(c, (int, float, Fraction)) and c > 0
+    # json parses Infinity and NaN into floats
+    return c > 0 and (not isinstance(c, float) or math.isfinite(c))
 
 
 class WeightedGraph:
@@ -73,7 +74,7 @@ class WeightedGraph:
     * no self-loops,
     * one conductance per unordered pair (no duplicate or conflicting
       edge records),
-    * every conductance strictly positive,
+    * every conductance strictly positive and finite,
     * the graph is connected and every vertex meets at least one edge,
     * the distinguished origin is a vertex.
 
@@ -110,7 +111,7 @@ class WeightedGraph:
             if u == v:
                 raise GraphError(f"self-loop at {u!r}")
             if not _valid_conductance(c):
-                raise GraphError(f"edge ({u!r}, {v!r}) has non-positive conductance {c!r}")
+                raise GraphError(f"edge ({u!r}, {v!r}) has a non-positive or non-finite conductance {c!r}")
             key = (min(index[u], index[v]), max(index[u], index[v]))
             if key in seen:
                 if seen[key] != c:

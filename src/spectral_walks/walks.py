@@ -15,14 +15,13 @@ acceptance threshold is 5 SE.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .graphs import WeightedGraph
-from .rng import derive_key, path_keys, step_uniforms
+from .rng import derive_key, path_keys, run_blocks, step_uniforms
 
 __all__ = [
     "FiniteMarkov",
@@ -50,7 +49,8 @@ class FiniteMarkov:
     """States, a row-stochastic kernel, and an initial measure.
 
     kernel[i, j] = p(states[i] -> states[j]); every row must sum to 1
-    within 1e-12 with nonnegative entries.  mu0 is normalized on input.
+    within 1e-12 with finite nonnegative entries.  mu0 is normalized on
+    input and must be finite too.
     """
 
     __slots__ = ("states", "kernel", "mu0", "index")
@@ -65,6 +65,8 @@ class FiniteMarkov:
         n = len(states)
         if kernel.shape != (n, n):
             raise ValueError("kernel shape does not match the state count")
+        if not np.all(np.isfinite(kernel)):
+            raise ValueError("kernel has a non-finite entry")
         if np.any(kernel < 0):
             raise ValueError("kernel has a negative entry")
         rowdev = np.max(np.abs(kernel.sum(axis=1) - 1.0))
@@ -73,6 +75,8 @@ class FiniteMarkov:
         mu0 = np.array(mu0, dtype=np.float64)
         if mu0.shape != (n,):
             raise ValueError("mu0 length does not match the state count")
+        if not np.all(np.isfinite(mu0)):
+            raise ValueError("mu0 has a non-finite entry")
         if np.any(mu0 < 0):
             raise ValueError("mu0 has a negative entry")
         total = float(mu0.sum())
@@ -235,22 +239,37 @@ class PathEnsemble:
         return FiniteMarkov._as_vector_static(self.states, f)
 
 
-def _worker_count() -> int:
-    env = os.environ.get("SPECTRAL_WALKS_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return 1
+def _sparse_rows(kernel: np.ndarray):
+    """Inverse-CDF tables over the positive entries of each kernel row.
+
+    cum[i, m] is the dense cumulative sum np.cumsum(kernel[i]) taken at the
+    m-th positive column targets[i, m]; rows are padded to the largest
+    out-degree with cum = inf.  The last positive entry of each row is
+    clamped to 1.0, so no draw u < 1 can fall past it onto a
+    zero-probability column.  Counting the entries <= u picks the same
+    state as the dense inverse CDF at every draw where that one takes a
+    positive-probability step.
+    """
+    positive = kernel > 0
+    degree = positive.sum(axis=1)
+    rows, cols = np.nonzero(positive)
+    slot = np.arange(len(rows)) - np.repeat(np.cumsum(degree) - degree, degree)
+    cum = np.full((len(kernel), int(degree.max())), np.inf)
+    cum[rows, slot] = np.cumsum(kernel, axis=1)[rows, cols]
+    cum[np.arange(len(kernel)), degree - 1] = 1.0
+    targets = np.zeros(cum.shape, dtype=np.int32)
+    targets[rows, slot] = cols
+    return cum, targets
 
 
-def _simulate_block(kernel_cum, mu0_cum, n_steps, seed, first, count, out):
+def _simulate_block(cum, targets, mu0_cum, n_steps, seed, out, first, count):
     keys = path_keys(seed, first, count)
     u = step_uniforms(keys, 0)
     state = np.searchsorted(mu0_cum, u, side="right").astype(np.int32)
     out[first : first + count, 0] = state
     for k in range(n_steps):
         u = step_uniforms(keys, k + 1)
-        rows = kernel_cum[state]
-        state = (rows <= u[:, None]).sum(axis=1, dtype=np.int32)
+        state = targets[state, (cum[state] <= u[:, None]).sum(axis=1)]
         out[first : first + count, k + 1] = state
 
 
@@ -258,30 +277,19 @@ def simulate(fm: FiniteMarkov, n_steps: int, n_paths: int, seed: int) -> PathEns
     """Draw n_paths independent trajectories Z_0 .. Z_{n_steps}.
 
     Z_0 ~ mu0 and each step draws from the kernel row of the current
-    state.  Path p consumes only the stream keyed by (seed, p), so the
-    ensemble is bit-identical no matter how the work is chunked.
+    state by the inverse CDF over that row's positive entries, so a step
+    costs O(max out-degree) rather than O(states).  Path p consumes only
+    the stream keyed by (seed, p), so the ensemble is bit-identical no
+    matter how the work is chunked.
     """
     if n_steps < 0 or n_paths < 1:
         raise ValueError("need n_steps >= 0 and n_paths >= 1")
-    kernel_cum = np.cumsum(fm.kernel, axis=1)
-    kernel_cum[:, -1] = 1.0
+    cum, targets = _sparse_rows(fm.kernel)
     mu0_cum = np.cumsum(fm.mu0)
-    mu0_cum[-1] = 1.0
+    # clamp at the last positive entry: no start lands on a zero-mass state
+    mu0_cum[np.flatnonzero(fm.mu0)[-1] :] = 1.0
     out = np.empty((n_paths, n_steps + 1), dtype=np.int32)
-    workers = _worker_count()
-    chunk = max(1, -(-n_paths // workers))
-    blocks = [(first, min(chunk, n_paths - first)) for first in range(0, n_paths, chunk)]
-    if workers == 1 or len(blocks) == 1:
-        for first, count in blocks:
-            _simulate_block(kernel_cum, mu0_cum, n_steps, seed, first, count, out)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_simulate_block, kernel_cum, mu0_cum, n_steps, seed, first, count, out)
-                for first, count in blocks
-            ]
-            for fut in futures:
-                fut.result()
+    run_blocks(partial(_simulate_block, cum, targets, mu0_cum, n_steps, seed, out), n_paths)
     return PathEnsemble(states=fm.states, seed=seed, trajectories=out)
 
 
@@ -365,6 +373,29 @@ class CheckReport:
         return self.max_sigmas <= self.threshold
 
 
+def _grouped_check(states, here, nxt, vec, exact, min_visits) -> CheckReport:
+    """Test E[vec(nxt) | here = i] = exact[i] for every state i.
+
+    One stable sort groups the samples by conditioning state, keeping each
+    group in its original order; states with fewer than min_visits samples
+    are reported in `skipped` rather than tested.
+    """
+    order = np.argsort(here, kind="stable")
+    values = vec[nxt[order]]
+    bounds = np.searchsorted(here[order], np.arange(len(states) + 1))
+    rows = []
+    skipped = []
+    for i, x in enumerate(states):
+        samples = values[bounds[i] : bounds[i + 1]]
+        count = len(samples)
+        if count < min_visits:
+            skipped.append(x)
+            continue
+        se = float(samples.std(ddof=1) / math.sqrt(count))
+        rows.append(CheckRow(label=str(x), estimate=float(samples.mean()), exact=float(exact[i]), se=se))
+    return CheckReport(rows=tuple(rows), skipped=tuple(skipped))
+
+
 def markov_check(ens: PathEnsemble, fm: FiniteMarkov, f, n: int, min_visits: int = 100) -> CheckReport:
     """Per-state test of E[f(Z_{n+1}) | Z_n = x] = (Tf)(x) at a fixed step n.
 
@@ -374,21 +405,8 @@ def markov_check(ens: PathEnsemble, fm: FiniteMarkov, f, n: int, min_visits: int
     if n + 1 > ens.n_steps:
         raise ValueError("ensemble too short for the requested step")
     vec = fm.as_vector(f)
-    exact = fm.kernel @ vec
-    here = ens.trajectories[:, n]
-    nxt = ens.trajectories[:, n + 1]
-    rows = []
-    skipped = []
-    for i, x in enumerate(fm.states):
-        mask = here == i
-        count = int(mask.sum())
-        if count < min_visits:
-            skipped.append(x)
-            continue
-        samples = vec[nxt[mask]]
-        se = float(samples.std(ddof=1) / math.sqrt(count))
-        rows.append(CheckRow(label=str(x), estimate=float(samples.mean()), exact=float(exact[i]), se=se))
-    return CheckReport(rows=tuple(rows), skipped=tuple(skipped))
+    traj = ens.trajectories
+    return _grouped_check(fm.states, traj[:, n], traj[:, n + 1], vec, fm.kernel @ vec, min_visits)
 
 
 def harmonic_solve(fm: FiniteMarkov, boundary: dict) -> dict:
@@ -431,20 +449,8 @@ def martingale_check(ens: PathEnsemble, h, min_visits: int = 100) -> CheckReport
     within threshold; a non-harmonic h is flagged by a large deviation.
     """
     vec = ens.as_vector(h)
-    prev = ens.trajectories[:, :-1].ravel()
-    nxt = ens.trajectories[:, 1:].ravel()
-    rows = []
-    skipped = []
-    for i, x in enumerate(ens.states):
-        mask = prev == i
-        count = int(mask.sum())
-        if count < min_visits:
-            skipped.append(x)
-            continue
-        samples = vec[nxt[mask]]
-        se = float(samples.std(ddof=1) / math.sqrt(count))
-        rows.append(CheckRow(label=str(x), estimate=float(samples.mean()), exact=float(vec[i]), se=se))
-    return CheckReport(rows=tuple(rows), skipped=tuple(skipped))
+    traj = ens.trajectories
+    return _grouped_check(ens.states, traj[:, :-1].ravel(), traj[:, 1:].ravel(), vec, vec, min_visits)
 
 
 def doob_boundary_check(

@@ -61,6 +61,17 @@ class TestValidation:
         with pytest.raises(GraphError):
             load_graph({"vertices": [0, 1], "edges": [{"u": 0, "v": 1, "c": float("nan")}], "origin": 0})
 
+    def test_infinite_conductance_rejected(self, tmp_path):
+        for bad in (float("inf"), -float("inf")):
+            with pytest.raises(GraphError, match="non-finite"):
+                load_graph({"vertices": [0, 1], "edges": [{"u": 0, "v": 1, "c": bad}], "origin": 0})
+        # json parses the bare tokens Infinity and NaN into floats
+        for token in ("Infinity", "NaN"):
+            p = tmp_path / f"{token}.json"
+            p.write_text('{"vertices": [0, 1], "edges": [{"u": 0, "v": 1, "c": %s}], "origin": 0}' % token)
+            with pytest.raises(GraphError, match="conductance"):
+                load_graph(str(p))
+
     def test_duplicate_vertex_rejected(self):
         with pytest.raises(GraphError, match="duplicate"):
             load_graph({"vertices": [0, 0, 1], "edges": [{"u": 0, "v": 1, "c": 1}], "origin": 0})

@@ -1,0 +1,314 @@
+"""Sparse-row transition sampling and the grouped estimator against dense oracles.
+
+The oracles below are the dense formulations the sampler and the checks
+replace: the inverse CDF over the whole cumulative row (clamped at its
+last column), and one full-length mask per conditioning state.  The
+sampler must pick the oracle's state at every draw where the oracle
+takes a positive-probability step, and the checks must return reports
+that compare == to the masked ones.
+"""
+
+import contextlib
+import hashlib
+import io
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from spectral_walks import FiniteMarkov, CheckReport, CheckRow, cli, load_graph, markov_check, martingale_check, simulate
+from spectral_walks import rng, walks
+from spectral_walks.rng import MIN_BLOCK, block_plan, mix64, path_keys, step_uniforms, uniform
+
+_MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_M1 = 0xBF58476D1CE4E5B9
+_M2 = 0x94D049BB133111EB
+
+SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+# ---------------------------------------------------------------- oracles
+
+def dense_cum(kernel):
+    cum = np.cumsum(kernel, axis=1)
+    cum[:, -1] = 1.0
+    return cum
+
+
+def dense_next(kernel, state, u):
+    """The dense inverse CDF: count the cumulative-row entries <= u."""
+    return (dense_cum(kernel)[state] <= u[:, None]).sum(axis=1)
+
+
+def last_positive(kernel):
+    return np.array([np.flatnonzero(row)[-1] for row in kernel])
+
+
+def mask_check(states, here, nxt, vec, exact, min_visits):
+    rows = []
+    skipped = []
+    for i, x in enumerate(states):
+        mask = here == i
+        count = int(mask.sum())
+        if count < min_visits:
+            skipped.append(x)
+            continue
+        samples = vec[nxt[mask]]
+        se = float(samples.std(ddof=1) / np.sqrt(count))
+        rows.append(CheckRow(label=str(x), estimate=float(samples.mean()), exact=float(exact[i]), se=se))
+    return CheckReport(rows=tuple(rows), skipped=tuple(skipped))
+
+
+# ---------------------------------------------------------------- crafted draws
+
+def _unxorshift(z, shift):
+    x = z
+    for _ in range(64 // shift + 1):
+        x = z ^ (x >> shift)
+    return x
+
+
+def unmix64(z):
+    """Inverse of the SplitMix64 finalizer, which is a bijection of 64-bit words."""
+    z = _unxorshift(z, 31)
+    z = z * pow(_M2, -1, 1 << 64) & _MASK
+    z = _unxorshift(z, 27)
+    z = z * pow(_M1, -1, 1 << 64) & _MASK
+    return _unxorshift(z, 30)
+
+
+def seed_for_draw(bits: int, step: int) -> int:
+    """A seed whose path-0 draw at `step` is exactly bits * 2^-53."""
+    key = (unmix64(bits << 11) - (step + 1) * _GOLDEN) & _MASK
+    seed = (unmix64(key) - _GOLDEN) & _MASK
+    assert uniform(seed, 0, step) == bits * 2.0**-53
+    return seed
+
+
+def test_unmix_inverts_mix():
+    for z in (0, 1, _MASK, 0x0123456789ABCDEF, 1 << 63):
+        assert mix64(unmix64(z)) == z and unmix64(mix64(z)) == z
+
+
+# ---------------------------------------------------------------- random chains
+
+@st.composite
+def chains(draw):
+    """Kernels with zero last columns, an absorbing row and a row of degree S - 1."""
+    s = draw(st.integers(3, 9))
+    weights = np.zeros((s, s), dtype=np.int64)
+    skip = draw(st.integers(0, s - 1))
+    for j in range(s):
+        if j != skip:
+            weights[0, j] = draw(st.integers(1, 59))
+    weights[1, 1] = 1
+    for i in range(2, s):
+        top = s if draw(st.booleans()) else s - 1
+        cols = draw(st.lists(st.integers(0, top - 1), min_size=1, max_size=top, unique=True))
+        for j in cols:
+            weights[i, j] = draw(st.integers(1, 59))
+    # p(x, y) = c(x, y) / c(x), as FiniteMarkov.from_graph builds it
+    kernel = weights / weights.sum(axis=1, keepdims=True)
+    mu_w = np.array(draw(st.lists(st.integers(0, 9), min_size=s, max_size=s)), dtype=np.float64)
+    mu_w[draw(st.integers(0, s - 2))] += 1.0
+    return FiniteMarkov(tuple(range(s)), kernel, mu_w / mu_w.sum())
+
+
+class TestSparseSampler:
+    @SETTINGS
+    @given(fm=chains(), seed=st.integers(0, _MASK), n_steps=st.integers(1, 12))
+    def test_matches_dense_oracle(self, fm, seed, n_steps):
+        n_paths = 300
+        traj = simulate(fm, n_steps, n_paths, seed).trajectories
+        keys = path_keys(seed, 0, n_paths)
+        mu0_cum = np.cumsum(fm.mu0)
+        mu0_cum[-1] = 1.0
+        start = np.searchsorted(mu0_cum, step_uniforms(keys, 0), side="right")
+        ok = fm.mu0[start] > 0
+        assert np.array_equal(traj[ok, 0], start[ok])
+        last = last_positive(fm.kernel)
+        for k in range(n_steps):
+            here = traj[:, k]
+            want = dense_next(fm.kernel, here, step_uniforms(keys, k + 1))
+            ok = fm.kernel[here, want] > 0
+            assert np.array_equal(traj[ok, k + 1], want[ok])
+            assert np.array_equal(traj[~ok, k + 1], last[here[~ok]])
+        assert np.all(fm.mu0[traj[:, 0]] > 0)
+        assert np.all(fm.kernel[traj[:, :-1], traj[:, 1:]] > 0)
+
+    @settings(max_examples=15, deadline=None)
+    @given(fm=chains())
+    def test_boundary_draws(self, fm):
+        """Draws on and next to every cumulative value, and the extreme draws 0 and 1 - 2^-53."""
+        cum = dense_cum(fm.kernel)
+        bits = {0, (1 << 53) - 1}
+        for c in cum[cum < 1.0]:
+            b = int(c * 2.0**53)
+            bits.update(x for x in (b - 1, b, b + 1) if 0 <= x < 1 << 53)
+        last = last_positive(fm.kernel)
+        for b in sorted(bits):
+            seed = seed_for_draw(b, 1)
+            u = np.array([b * 2.0**-53])
+            for x in fm.states:
+                got = simulate(fm.with_start(x), 1, 1, seed).trajectories[0, 1]
+                want = int(dense_next(fm.kernel, np.array([x]), u)[0])
+                assert got == (want if fm.kernel[x, want] > 0 else last[x])
+
+    @settings(max_examples=10, deadline=None)
+    @given(fm=chains(), seed=st.integers(0, _MASK), cuts=st.lists(st.integers(1, 2 * MIN_BLOCK + 99), max_size=5))
+    def test_threads_and_block_splits(self, fm, seed, cuts):
+        n_paths = 2 * MIN_BLOCK + 100
+        edges = sorted({0, n_paths, *cuts})
+        plan = [(first, last - first) for first, last in zip(edges[:-1], edges[1:])]
+
+        def run_plan(block, n):
+            for first, count in plan:
+                block(first, count)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("SPECTRAL_WALKS_THREADS", "1")
+            base = simulate(fm, 6, n_paths, seed).trajectories
+            mp.setenv("SPECTRAL_WALKS_THREADS", "2")
+            assert np.array_equal(simulate(fm, 6, n_paths, seed).trajectories, base)
+            mp.setattr(walks, "run_blocks", run_plan)
+            assert np.array_equal(simulate(fm, 6, n_paths, seed).trajectories, base)
+
+
+def clamp_chain():
+    # conductances 1, 4, 1 from state 0 sum in floats to 1 - 2^-53; state 4 is not adjacent to 0
+    g = load_graph({
+        "vertices": [0, 1, 2, 3, 4],
+        "edges": [{"u": 0, "v": 1, "c": 1}, {"u": 0, "v": 2, "c": 4}, {"u": 0, "v": 3, "c": 1},
+                  {"u": 3, "v": 4, "c": 2}],
+        "origin": 0,
+    })
+    return FiniteMarkov.from_graph(g)
+
+
+class TestClamp:
+    def test_last_positive_entry_is_clamped(self):
+        fm = clamp_chain()
+        assert np.cumsum(fm.kernel[0])[3] == 1.0 - 2.0**-53 and fm.kernel[0, 4] == 0.0
+        top = (1 << 53) - 1
+        seed = seed_for_draw(top, 1)
+        # the dense inverse CDF clamped at the last column steps along the non-edge 0 -> 4
+        assert dense_next(fm.kernel, np.array([0]), np.array([top * 2.0**-53]))[0] == 4
+        traj = simulate(fm.with_start(0), 1, 1, seed).trajectories
+        assert traj.tolist() == [[0, 3]]
+
+    def test_start_never_lands_on_zero_mass(self):
+        base = clamp_chain()
+        fm = FiniteMarkov(base.states, base.kernel, np.array([9.0, 18.0, 1.0, 0.0, 0.0]) / 28.0)
+        assert np.cumsum(fm.mu0)[2] == 1.0 - 2.0**-53
+        seed = seed_for_draw((1 << 53) - 1, 0)
+        assert simulate(fm, 0, 1, seed).trajectories.tolist() == [[2]]
+
+
+# ---------------------------------------------------------------- grouped estimator
+
+class TestGroupedEstimator:
+    @SETTINGS
+    @given(fm=chains(), seed=st.integers(0, _MASK), n=st.integers(0, 6), min_visits=st.integers(2, 60),
+           f=st.lists(st.floats(-10, 10, allow_nan=False), min_size=9, max_size=9))
+    def test_reports_equal_mask_oracle(self, fm, seed, n, min_visits, f):
+        ens = simulate(fm, 8, 500, seed)
+        vec = np.array(f[: len(fm)])
+        traj = ens.trajectories
+        want = mask_check(fm.states, traj[:, n], traj[:, n + 1], vec, fm.kernel @ vec, min_visits)
+        assert markov_check(ens, fm, vec, n, min_visits) == want
+        prev, nxt = traj[:, :-1].ravel(), traj[:, 1:].ravel()
+        want = mask_check(fm.states, prev, nxt, vec, vec, min_visits)
+        assert martingale_check(ens, vec, min_visits) == want
+
+
+# ---------------------------------------------------------------- block plan
+
+class TestBlockPlan:
+    def test_benchmark_sizes_keep_their_splits(self, monkeypatch):
+        monkeypatch.setattr(rng.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setenv("SPECTRAL_WALKS_THREADS", "2")
+        for n in (4000, 5000, 20000, 40000):
+            assert block_plan(n) == [(0, n // 2), (n // 2, n // 2)]
+        monkeypatch.setenv("SPECTRAL_WALKS_THREADS", "1")
+        assert block_plan(5000) == [(0, 5000)]
+        monkeypatch.delenv("SPECTRAL_WALKS_THREADS")
+        assert block_plan(40000) == [(0, 40000)]
+
+    def test_threads_capped_at_affinity(self, monkeypatch):
+        monkeypatch.setattr(rng.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setenv("SPECTRAL_WALKS_THREADS", "1000000")
+        plan = block_plan(10**6)
+        assert len(plan) == 3
+        assert sum(c for _, c in plan) == 10**6
+
+    def test_minimum_block_size(self, monkeypatch):
+        monkeypatch.setattr(rng.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        monkeypatch.setenv("SPECTRAL_WALKS_THREADS", "64")
+        assert block_plan(MIN_BLOCK - 1) == [(0, MIN_BLOCK - 1)]
+        plan = block_plan(5 * MIN_BLOCK + 7)
+        assert len(plan) == 5 and min(c for _, c in plan) >= MIN_BLOCK
+        assert [f for f, _ in plan] == [sum(c for _, c in plan[:i]) for i in range(5)]
+
+
+# ---------------------------------------------------------------- golden output
+
+def dyadic_chords(depth=8, chords=128):
+    """A depth-8 dyadic tree (heap numbering) plus 128 chords, conductances 1..59."""
+    n = (1 << (depth + 1)) - 1
+    edges = [{"u": (v - 1) // 2, "v": v, "c": 1 + mix64(v) % 59} for v in range(1, n)]
+    seen = {(e["u"], e["v"]) for e in edges}
+    k = 0
+    while len(edges) < n - 1 + chords:
+        z = mix64(1_000_003 + k)
+        k += 1
+        a, b = sorted((z % n, (z >> 32) % n))
+        if a != b and (a, b) not in seen:
+            seen.add((a, b))
+            edges.append({"u": a, "v": b, "c": 1 + (z >> 16) % 59})
+    return {"vertices": list(range(n)), "edges": edges, "origin": 0}
+
+
+# sha256 of "<exit code>\n" + output bytes, recorded with the dense inverse-CDF sampler
+GOLDEN_CLI = [
+    (["walk", "sim", "--graph", "cycle4.json", "--steps", "8", "--paths", "20000", "--seed", "1"],
+     "dc33bf00c273f87816639d3f623e545292d3ab3e6bae2e54ae9da4e8c12e834e"),
+    (["walk", "sim", "--graph", "cycle4.json", "--steps", "8", "--paths", "20000", "--seed", "2"],
+     "d2f641bc64c8d1c981eaef9beacec6fb7376c0d7235d1bd383fc83994882ddd4"),
+    (["verify", "all", "--seed", "0"], "78aed7da91aca3171901b16102af34f2242fa1cad1a6e73c192ab16632de3c50"),
+    (["verify", "all", "--seed", "1"], "05f358e418b2e70f2103b1dca2f9cc71503b030e25261df376bb870a38e0a8ef"),
+]
+
+# sha256 of the int32 trajectories of simulate(chain, 32, 5000, seed) on dyadic_chords(), by seed,
+# recorded with the dense inverse-CDF sampler.  On a graph this size walk sim's exact side goes
+# through LAPACK, whose last bits depend on the BLAS thread count, so the sampler is pinned here
+GOLDEN_TRAJECTORIES = {
+    1: "8ac550d7e1786472a496124e8f0462063982431e591149382a317557d04f9c92",
+    2: "25fc33071c9cea328685b94111c2ef66329296200ed03fe23c7260a9722bf476",
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_golden_cli_output(threads, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SPECTRAL_WALKS_THREADS", threads)
+    (tmp_path / "cycle4.json").write_text(
+        (Path(__file__).resolve().parents[1] / "examples_data" / "cycle4.json").read_text())
+    changed = []
+    for argv, want in GOLDEN_CLI:
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.run(argv + ["--output", "out.txt"])
+        got = hashlib.sha256(f"{rc}\n".encode() + (tmp_path / "out.txt").read_bytes()).hexdigest()
+        if got != want:
+            changed.append(" ".join(argv))
+    assert not changed
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_golden_trajectories(threads, monkeypatch):
+    monkeypatch.setenv("SPECTRAL_WALKS_THREADS", threads)
+    fm = FiniteMarkov.from_graph(load_graph(dyadic_chords()))
+    for seed, want in GOLDEN_TRAJECTORIES.items():
+        assert hashlib.sha256(simulate(fm, 32, 5000, seed).trajectories.tobytes()).hexdigest() == want

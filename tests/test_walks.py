@@ -78,6 +78,15 @@ class TestFiniteMarkov:
         with pytest.raises(ValueError):
             FiniteMarkov((0, 1), good, np.array([0.5, 0.1]))
 
+    def test_non_finite_rejected(self):
+        good = np.array([[0.5, 0.5], [0.5, 0.5]])
+        for bad in (np.nan, np.inf):
+            # rowdev > 1e-12 is False for a NaN row, so finiteness needs its own check
+            with pytest.raises(ValueError, match="kernel has a non-finite"):
+                FiniteMarkov((0, 1), np.array([[bad, 0.5], [0.5, 0.5]]), np.array([0.5, 0.5]))
+            with pytest.raises(ValueError, match="mu0 has a non-finite"):
+                FiniteMarkov((0, 1), good, np.array([bad, 0.5]))
+
     def test_with_start(self):
         fm = FiniteMarkov.from_graph(cycle4()).with_start(2)
         assert fm.mu0[2] == 1.0 and fm.mu0.sum() == 1.0
