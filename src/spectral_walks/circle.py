@@ -30,7 +30,7 @@ from functools import partial
 
 import numpy as np
 
-from .rng import path_keys, run_blocks, step_uniforms
+from .rng import path_keys, run_blocks, step_bits, step_uniforms
 from .tree import encode_int
 
 __all__ = [
@@ -151,13 +151,57 @@ class TrigPoly:
 
     def __call__(self, t):
         """Evaluate at a scalar or array of positions (complex values)."""
-        arr = np.asarray(t, dtype=np.float64)
-        out = np.zeros(arr.shape, dtype=np.complex128)
-        for k in sorted(self.coeffs):
-            out += complex(self.coeffs[k]) * np.exp((-2j * np.pi * k) * arr)
-        if arr.ndim == 0:
-            return complex(out)
+        re, im = self._evaluate(t, imaginary=True)
+        if re.ndim == 0:
+            return complex(float(re), float(im))
+        out = np.empty(re.shape, dtype=np.complex128)
+        out.real = re
+        out.imag = im
         return out
+
+    def real_part(self, t):
+        """Real part of the value at a scalar or array of positions; no sines for real coefficients."""
+        re, _ = self._evaluate(t, imaginary=False)
+        return float(re) if re.ndim == 0 else re
+
+    def _evaluate(self, t, imaginary: bool):
+        """Real part, and the imaginary part if asked, at finite positions t.
+
+        One cosine per distinct |k|, and one sine only where a term reads
+        it; the -k term reuses both (cos even, sin odd).  Terms accumulate
+        in sorted-k order, so for real coefficients every value equals,
+        bit for bit, the sum of complex(c_k) * exp(-2 pi i k t) in that
+        order: with a zero imaginary part numpy's complex product rounds
+        to c_k cos and c_k sin, and np.cos/np.sin are the parts of np.exp
+        (tests/test_evaluation.py keeps that sum as the oracle).
+        """
+        arr = np.asarray(t, dtype=np.float64)
+        terms = [(k, complex(self.coeffs[k])) for k in sorted(self.coeffs)]
+        with_sine = {abs(k) for k, c in terms if imaginary or c.imag != 0}
+        re = np.zeros(arr.shape)
+        im = np.zeros(arr.shape) if imaginary else None
+        waves = {}
+        for k, c in terms:
+            if k == 0:
+                re += c.real
+                if imaginary:
+                    im += c.imag
+                continue
+            if abs(k) not in waves:
+                theta = (-2.0 * math.pi * abs(k)) * arr
+                waves[abs(k)] = (np.cos(theta), np.sin(theta) if abs(k) in with_sine else None)
+            cos, sin = waves[abs(k)]
+            # theta_{-k} = -theta_k: the sine changes sign with k
+            sign = 1.0 if k > 0 else -1.0
+            if c.imag == 0:
+                re += c.real * cos
+                if imaginary:
+                    im += (sign * c.real) * sin
+            else:
+                re += c.real * cos - (sign * c.imag) * sin
+                if imaginary:
+                    im += (sign * c.real) * sin + c.imag * cos
+        return re, im
 
     def __eq__(self, other):
         return isinstance(other, TrigPoly) and self.coeffs == other.coeffs
@@ -426,10 +470,9 @@ class SolenoidEnsemble:
 def _solenoid_block(w, n_steps, start_level, start_num, seed, out, first, count):
     keys = path_keys(seed, first, count)
     if start_num is None:
-        # uniform start: step-0 draw picks a cell of the level grid
-        u = step_uniforms(keys, 0)
-        cells = np.floor(u * float(1 << start_level))
-        nums = np.minimum(cells, float((1 << start_level) - 1)).astype(np.uint64)
+        # uniform start: the top start_level bits of the step-0 draw name a cell of the level grid
+        bits = step_bits(keys, 0)
+        nums = bits >> np.uint64(64 - start_level) if start_level else np.zeros(count, dtype=np.uint64)
     else:
         nums = np.full(count, start_num, dtype=np.uint64)
     out[first : first + count, 0] = nums
@@ -437,7 +480,7 @@ def _solenoid_block(w, n_steps, start_level, start_num, seed, out, first, count)
         level = start_level + k
         denom = float(1 << (level + 1))
         low = nums.astype(np.float64) / denom
-        p_low = w(low).real
+        p_low = w.real_part(low)
         # p_low > 1 means the complementary branch weight is negative
         if np.any(p_low < -1e-12) or np.any(p_low > 1.0 + 1e-12):
             raise ValueError("negative W sample along the walk")
@@ -462,7 +505,7 @@ def solenoid_walk(w: TrigPoly, n_steps: int, n_paths: int, seed: int, start=Dyad
     if not w.is_real(1e-12):
         raise ValueError("W must be real-valued")
     grid = np.arange(1024, dtype=np.float64) / 1024.0
-    part = w(grid / 2.0).real + w(grid / 2.0 + 0.5).real
+    part = w.real_part(grid / 2.0) + w.real_part(grid / 2.0 + 0.5)
     worst = float(np.max(np.abs(part - 1.0)))
     if worst > 1e-10:
         raise ValueError(f"W branches do not sum to 1 (deviation {worst:.3e}); not a transition weight")

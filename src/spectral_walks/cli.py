@@ -9,7 +9,9 @@ Every run emits a metadata block {version, seed, config} followed by
 named tables, as CSV (default) or JSON.  The config field is a hash of
 the parsed arguments, so identical invocations produce byte-identical
 output; there are no timestamps anywhere.  Exit codes: 0 all checks
-passed, 1 a numeric or statistical check failed, 2 bad input.
+passed, 1 a numeric or statistical check failed, 2 bad input, 3 a
+computation could not finish (no convergence, a residual breach, or
+another arithmetic error).
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ def _emit(meta: dict, tables: list, out_format: str, path) -> None:
         sys.stdout.write(text)
 
 
-def _meta(args, parser_defaults=()) -> dict:
+def _meta(args) -> dict:
     config = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "output")}
     blob = json.dumps(config, sort_keys=True, default=str).encode()
     return {
@@ -357,8 +359,7 @@ def _cmd_solenoid_walk(args) -> int:
                 rows.append([n1, n2, n, est, None, se, None])
                 continue
             exact = ci.solenoid_covariance_exact(w, p1, p2, exact_mu)
-            dev = est - exact
-            sig = 0.0 if dev == 0 else (math.inf if se == 0 else abs(dev) / se)
+            sig = wk.CheckRow(label="", estimate=est, exact=exact, se=se).sigmas
             failed = failed or sig > SIGMA_LIMIT
             rows.append([n1, n2, n, est, exact, se, sig])
     _emit(
@@ -698,6 +699,9 @@ def run(argv) -> int:
     except (GraphError, OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, ArithmeticError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-__all__ = ["mix64", "derive_key", "path_keys", "step_uniforms", "uniform", "block_plan", "run_blocks"]
+__all__ = ["mix64", "derive_key", "path_keys", "step_bits", "step_uniforms", "uniform", "block_plan", "run_blocks"]
 
 # a worker thread gets at least this many paths, so tiny blocks never pay for a thread
 MIN_BLOCK = 1024
@@ -62,11 +62,14 @@ def path_keys(seed: int, first: int, count: int) -> np.ndarray:
     return _mix_array(z)
 
 
+def step_bits(keys: np.ndarray, step: int) -> np.ndarray:
+    """The raw 64-bit draw per key for the given step index, as uint64."""
+    return _mix_array(keys + np.uint64(((step + 1) * _GOLDEN) & _MASK))
+
+
 def step_uniforms(keys: np.ndarray, step: int) -> np.ndarray:
-    """One uniform in [0, 1) per key for the given step index."""
-    z = keys + np.uint64(((step + 1) * _GOLDEN) & _MASK)
-    bits = _mix_array(z) >> np.uint64(11)
-    return bits.astype(np.float64) * _SCALE
+    """One uniform in [0, 1) per key for the given step index: the top 53 bits of step_bits."""
+    return (step_bits(keys, step) >> np.uint64(11)).astype(np.float64) * _SCALE
 
 
 def uniform(seed: int, path: int, step: int) -> float:

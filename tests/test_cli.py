@@ -59,6 +59,22 @@ class TestExitCodes:
         assert rc == 1
         assert "passed,false" in out
 
+    @pytest.mark.parametrize("target, exc, argv", [
+        ("spectral_walks.spectra.eigh", RuntimeError("Jacobi iteration did not converge in 60 sweeps"),
+         ["spectra", "gram", "--words", "1,11"]),
+        ("spectral_walks.walks.stationary_measure", ArithmeticError("stationary solve residual 1e-03 exceeds 1e-12"),
+         ["walk", "sim", "--graph", CYCLE4, "--paths", "10"]),
+    ])
+    def test_solver_failure_is_three(self, capsys, monkeypatch, target, exc, argv):
+        def give_up(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(target, give_up)
+        rc, out, err = invoke(capsys, argv)
+        assert rc == 3
+        assert out == ""
+        assert err == f"error: {exc}\n"
+
     def test_dipole_defect_clean(self, capsys):
         rc, out, _ = invoke(capsys, ["tree", "dipole", "--x", "10", "--depth", "4"])
         assert rc == 0

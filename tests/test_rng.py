@@ -1,8 +1,10 @@
 """Counter-based generator: reference vectors and vector/scalar agreement."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spectral_walks.rng import derive_key, mix64, path_keys, step_uniforms, uniform
+from spectral_walks.rng import derive_key, mix64, path_keys, step_bits, step_uniforms, uniform
 
 MASK = (1 << 64) - 1
 
@@ -59,6 +61,18 @@ def test_step_uniforms_match_scalar():
     for step in (0, 1, 17):
         us = step_uniforms(ks, step)
         assert all(float(us[i]) == uniform(31337, i, step) for i in range(16))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, MASK), st.integers(0, 1 << 40), st.integers(1, 40), st.integers(0, 1 << 20))
+def test_vector_routes_match_scalar(seed, first, count, step):
+    keys = path_keys(seed, first, count)
+    bits = step_bits(keys, step)
+    us = step_uniforms(keys, step)
+    assert bits.dtype == np.uint64 and us.dtype == np.float64
+    for i in range(count):
+        assert int(bits[i]) == mix64(derive_key(seed, first + i) + (step + 1) * 0x9E3779B97F4A7C15)
+        assert float(us[i]) == uniform(seed, first + i, step) == (int(bits[i]) >> 11) * 2.0**-53
 
 
 def test_uniform_range():
