@@ -10,8 +10,11 @@ three constructions checked against each other throughout:
   energy space and inverse Rayleigh quotients of M,
 * the growth law sum_j <xi_j>^2 = |F| with <xi> the coefficient sum.
 
-The eigensolver is a deterministic cyclic Jacobi iteration so repeated
-runs are bit-stable with no dependence on LAPACK build details.
+The eigensolver is Householder tridiagonalization followed by
+implicit-shift QL, written with element-wise numpy operations and
+reductions only (no BLAS or LAPACK call), so repeated runs are
+bit-stable whatever the BLAS build or thread count.  The Gram matrix is
+built from the words' characters in int64 array arithmetic, exactly.
 """
 
 from __future__ import annotations
@@ -44,15 +47,26 @@ __all__ = [
 ]
 
 
+# sweeps allowed per eigenvalue, as in EISPACK tql2
+_QL_ITERATIONS = 30
+
+
 def eigh(matrix):
-    """Eigendecomposition of a real symmetric matrix by cyclic Jacobi sweeps.
+    """Eigendecomposition of a real symmetric matrix by Householder + implicit QL.
 
     Returns (eigenvalues, eigenvectors) with eigenvalues descending and
-    eigenvectors as orthonormal columns.  Convergence is declared when the
-    off-diagonal Frobenius norm falls below 1e-12 times the Frobenius norm
-    of the input; sweep order is fixed, so results are reproducible to the
-    bit.  Each eigenvector's sign is pinned by making its first component
-    of magnitude > 1e-12 positive.
+    eigenvectors as orthonormal columns.  The matrix is split into the
+    connected components of its nonzero pattern, so an eigenvector is
+    exactly zero off its component.  Each component is reduced to
+    tridiagonal form by Householder reflections, and the tridiagonal
+    matrix is diagonalized by implicit-shift QL sweeps with the rotations
+    accumulated into the eigenvectors (the EISPACK tred2/tql2 scheme).  An
+    off-diagonal entry counts as zero once it is at most 2^-52 times the
+    largest |d_k| + |e_k| met so far.  Every step is an element-wise numpy
+    operation or a numpy reduction in a fixed order, with no BLAS or
+    LAPACK call, so the result is reproducible to the bit whatever the
+    BLAS build or thread count.  Each eigenvector's sign is pinned by
+    making its first component of magnitude > 1e-12 positive.
     """
     a = np.array(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -60,63 +74,152 @@ def eigh(matrix):
     n = a.shape[0]
     if n == 0:
         return np.zeros(0), np.zeros((0, 0))
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
     if np.max(np.abs(a - a.T)) > 1e-12:
         raise ValueError("matrix is not symmetric within 1e-12")
     a = (a + a.T) / 2.0
-    fro = float(np.linalg.norm(a))
-    tol = 1e-12 * fro
-    v = np.eye(n)
-    if fro > 0.0:
-        off_mask = ~np.eye(n, dtype=bool)
-        for _ in range(60):
-            # norm of the off-diagonal part, summed directly (a difference of
-            # two large sums would cancel and floor far above tol)
-            off = float(np.linalg.norm(a[off_mask]))
-            if off <= tol:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = a[p, q]
-                    if apq == 0.0:
-                        continue
-                    h = a[q, q] - a[p, p]
-                    if abs(apq) < 1e-36 * abs(h):
-                        t = apq / h  # small-angle limit; theta would overflow
-                    else:
-                        theta = h / (2.0 * apq)
-                        t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                    c = 1.0 / math.sqrt(t * t + 1.0)
-                    s = t * c
-                    app, aqq = a[p, p], a[q, q]
-                    col_p = a[:, p].copy()
-                    col_q = a[:, q].copy()
-                    a[:, p] = c * col_p - s * col_q
-                    a[:, q] = s * col_p + c * col_q
-                    row_p = a[p, :].copy()
-                    row_q = a[q, :].copy()
-                    a[p, :] = c * row_p - s * row_q
-                    a[q, :] = s * row_p + c * row_q
-                    # the 2x2 block is known in closed form; writing it kills roundoff drift
-                    a[p, p] = app - t * apq
-                    a[q, q] = aqq + t * apq
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    vp = v[:, p].copy()
-                    vq = v[:, q].copy()
-                    v[:, p] = c * vp - s * vq
-                    v[:, q] = s * vp + c * vq
-        else:
-            raise RuntimeError("Jacobi iteration did not converge in 60 sweeps")
-    vals = np.diag(a).copy()
+    vals = np.empty(n)
+    rows = np.zeros((n, n))  # row j is the eigenvector for vals[j]
+    start = 0
+    for block in _blocks(a):
+        d, e, z = _tridiagonalize(a[np.ix_(block, block)])
+        _implicit_ql(d, e, z)
+        stop = start + block.size
+        vals[start:stop] = d
+        rows[start:stop, block] = z
+        start = stop
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
-    vecs = v[:, order]
+    vecs = rows[order].T.copy()
     for j in range(n):
         col = vecs[:, j]
         lead = np.nonzero(np.abs(col) > 1e-12)[0]
         if lead.size and col[lead[0]] < 0.0:
             vecs[:, j] = -col
     return vals, vecs
+
+
+def _blocks(a):
+    """Index sets of the connected components of a's nonzero pattern, ascending.
+
+    a is block diagonal up to a permutation along these sets, so each
+    block is solved on its own and its eigenvectors vanish exactly off it.
+    """
+    linked = a != 0.0
+    unseen = np.ones(a.shape[0], dtype=bool)
+    blocks = []
+    while unseen.any():
+        members = np.zeros_like(unseen)
+        members[np.argmax(unseen)] = True
+        frontier = members
+        while frontier.any():
+            frontier = linked[frontier].any(axis=0) & ~members
+            members |= frontier
+        unseen &= ~members
+        blocks.append(np.flatnonzero(members))
+    return blocks
+
+
+def _tridiagonalize(a):
+    """Householder reduction of the symmetric matrix a, overwritten, to Q^T a Q.
+
+    Returns the diagonal d and the off-diagonal e (e[i] couples i and
+    i+1, e[n-1] = 0) as lists, and z = Q^T: row j of z is column j of Q.
+    """
+    n = a.shape[0]
+    e = [0.0] * n
+    reflections = []
+    for i in range(n - 1, 0, -1):
+        # zero row i left of the subdiagonal with P = I - u u^T / h on the leading i x i block
+        row = a[i, :i]
+        scale = float(np.abs(row).sum())
+        if i == 1 or scale == 0.0:
+            e[i - 1] = float(row[-1])
+            continue
+        u = row / scale
+        h = float((u * u).sum())
+        f = float(u[-1])
+        g = -math.copysign(math.sqrt(h), f)
+        e[i - 1] = scale * g
+        h -= f * g
+        u[-1] = f - g
+        block = a[:i, :i]
+        p = (block * u).sum(axis=1) / h
+        q = p - (float((u * p).sum()) / (h + h)) * u
+        block -= np.multiply.outer(u, q)
+        block -= np.multiply.outer(q, u)
+        reflections.append((i, u, h))
+    d = np.diag(a).tolist()
+    # Q = P_{n-1} ... P_2; each P_i touches only the leading i rows and columns
+    z = np.eye(n)
+    for i, u, h in reversed(reflections):
+        block = z[:i, :i]
+        block -= np.multiply.outer((block * u).sum(axis=1), u / h)
+    return d, e, z
+
+
+def _implicit_ql(d, e, z):
+    """Diagonalize the tridiagonal (d, e) in place by implicit-shift QL.
+
+    On return d holds the eigenvalues, unsorted, and each rotation has
+    been applied to a pair of rows of z, so row j of z is the eigenvector
+    for d[j].  Raises RuntimeError when an eigenvalue needs more than
+    _QL_ITERATIONS sweeps.
+    """
+    n = len(d)
+    shift = 0.0
+    tst1 = 0.0
+    for l in range(n):
+        tst1 = max(tst1, abs(d[l]) + abs(e[l]))
+        tol = 2.0 ** -52 * tst1
+        m = l
+        while m < n - 1 and abs(e[m]) > tol:
+            m += 1
+        sweeps = 0
+        while m > l and abs(e[l]) > tol:
+            if sweeps == _QL_ITERATIONS:
+                raise RuntimeError(f"QL iteration did not converge in {_QL_ITERATIONS} sweeps")
+            sweeps += 1
+            g = d[l]
+            p = (d[l + 1] - g) / (2.0 * e[l])
+            r = math.hypot(p, 1.0)
+            if p < 0.0:
+                r = -r
+            d[l] = e[l] / (p + r)
+            d[l + 1] = e[l] * (p + r)
+            dl1 = d[l + 1]
+            h = g - d[l]
+            for i in range(l + 2, n):
+                d[i] -= h
+            shift += h
+            p = d[m]
+            c = c2 = c3 = 1.0
+            el1 = e[l + 1]
+            s = s2 = 0.0
+            # carry is row i+1 of z as rotated so far; row i+1 is final once rotation i is applied
+            carry = z[m].copy()
+            for i in range(m - 1, l - 1, -1):
+                c3 = c2
+                c2 = c
+                s2 = s
+                g = c * e[i]
+                h = c * p
+                r = math.hypot(p, e[i])
+                e[i + 1] = s * r
+                s = e[i] / r
+                c = p / r
+                p = c * d[i] - s * g
+                d[i + 1] = h + s * (c * g + s * d[i])
+                zi = z[i]
+                z[i + 1] = s * zi + c * carry
+                carry = c * zi - s * carry
+            z[l] = carry
+            p = -s * s2 * c3 * el1 * e[l] / dl1
+            e[l] = s * p
+            d[l] = c * p
+        d[l] += shift
+        e[l] = 0.0
 
 
 def _check_words(words):
@@ -136,11 +239,18 @@ def gram_matrix(words) -> np.ndarray:
     """Exact integer Gram matrix of the dipoles {v_x : x in F} in energy form."""
     words = _check_words(words)
     n = len(words)
+    lengths = np.array([len(w) for w in words], dtype=np.int64)
+    width = int(lengths.max())
+    # one row of character codes per word, padded past its end with "2"
+    chars = np.frombuffer("".join(w.ljust(width, "2") for w in words).encode("ascii"), dtype=np.uint8)
+    chars = chars.reshape(n, width)
     m = np.zeros((n, n), dtype=np.int64)
-    for i, x in enumerate(words):
-        for j in range(i, n):
-            m[i, j] = m[j, i] = common_prefix_length(x, words[j])
-    return m
+    agree = np.ones((n, n), dtype=bool)
+    for k in range(width):
+        agree &= chars[:, k, None] == chars[:, k]
+        m += agree
+    # two padded tails also agree; the shorter word's length caps the count
+    return np.minimum(m, np.minimum.outer(lengths, lengths))
 
 
 @dataclass(frozen=True, eq=False)

@@ -60,7 +60,7 @@ class TestExitCodes:
         assert "passed,false" in out
 
     @pytest.mark.parametrize("target, exc, argv", [
-        ("spectral_walks.spectra.eigh", RuntimeError("Jacobi iteration did not converge in 60 sweeps"),
+        ("spectral_walks.spectra.eigh", RuntimeError("QL iteration did not converge in 30 sweeps"),
          ["spectra", "gram", "--words", "1,11"]),
         ("spectral_walks.walks.stationary_measure", ArithmeticError("stationary solve residual 1e-03 exceeds 1e-12"),
          ["walk", "sim", "--graph", CYCLE4, "--paths", "10"]),
