@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .graphs import GraphError, WeightedGraph, load_graph
+from .graphs import GraphError, load_graph
 from . import spectra as sp
 from . import circle as ci
 from . import tree as tr
@@ -217,20 +217,6 @@ def _cmd_spectra_growth(args) -> int:
 
 # ---------------------------------------------------------------- walk
 
-def _distance_from_origin(g: WeightedGraph) -> dict:
-    from collections import deque
-
-    dist = {g.origin: 0}
-    q = deque([g.origin])
-    while q:
-        x = q.popleft()
-        for y, _ in g.adjacency[x]:
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                q.append(y)
-    return dist
-
-
 def _cmd_walk_sim(args) -> int:
     g = load_graph(args.graph)
     fm = wk.FiniteMarkov.from_graph(g)
@@ -242,8 +228,7 @@ def _cmd_walk_sim(args) -> int:
                         abs(float(mu_solve[i]) - float(fm.mu0[i]))])
     ens = wk.simulate(fm, args.steps, args.paths, args.seed)
     delta_o = {v: (1.0 if v == g.origin else 0.0) for v in g.vertices}
-    dist = _distance_from_origin(g)
-    dist_f = {v: float(dist[v]) for v in g.vertices}
+    dist_f = {v: float(g.distance[v]) for v in g.vertices}
     pairs = [("origin", delta_o, "origin", delta_o),
              ("origin", delta_o, "distance", dist_f),
              ("distance", dist_f, "distance", dist_f)]

@@ -84,9 +84,10 @@ class WeightedGraph:
         origin: the distinguished base vertex o.
         adjacency: dict vertex -> tuple of (neighbor, conductance).
         total: dict vertex -> c(x), the sum of conductances at x.
+        distance: dict vertex -> number of edges on a shortest path from the origin.
     """
 
-    __slots__ = ("vertices", "edges", "origin", "adjacency", "total", "index")
+    __slots__ = ("vertices", "edges", "origin", "adjacency", "total", "index", "distance")
 
     def __init__(self, vertices, edges, origin):
         vertices = tuple(vertices)
@@ -125,17 +126,17 @@ class WeightedGraph:
             adjacency[u].append((v, c))
             adjacency[v].append((u, c))
 
-        # connectedness by breadth-first search from the origin
-        reached = {origin}
+        # connectedness and hop distances by breadth-first search from the origin
+        distance = {origin: 0}
         frontier = deque([origin])
         while frontier:
             x = frontier.popleft()
             for y, _ in adjacency[x]:
-                if y not in reached:
-                    reached.add(y)
+                if y not in distance:
+                    distance[y] = distance[x] + 1
                     frontier.append(y)
-        if len(reached) != len(vertices):
-            missing = next(v for v in vertices if v not in reached)
+        if len(distance) != len(vertices):
+            missing = next(v for v in vertices if v not in distance)
             raise GraphError(f"graph is not connected ({missing!r} unreachable from origin)")
         for v in vertices:
             if not adjacency[v]:
@@ -147,6 +148,7 @@ class WeightedGraph:
         self.adjacency = {v: tuple(nbrs) for v, nbrs in adjacency.items()}
         self.total = {v: _accumulate([c for _, c in adjacency[v]]) for v in vertices}
         self.index = index
+        self.distance = distance
 
     def neighbors(self, x):
         """Neighbors of x as a tuple of (vertex, conductance)."""

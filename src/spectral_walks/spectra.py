@@ -15,6 +15,9 @@ implicit-shift QL, written with element-wise numpy operations and
 reductions only (no BLAS or LAPACK call), so repeated runs are
 bit-stable whatever the BLAS build or thread count.  The Gram matrix is
 built from the words' characters in int64 array arithmetic, exactly.
+Every dipole sum sum_x c(x) v_x on tree vertices reads one vertex x word
+table of prefix lengths, built once per call (|V|*|F| common_prefix_length
+calls); float64 c sums in float64, int and Fraction c exactly.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import WeightedGraph, energy_inner, laplacian_apply
-from .tree import check_word, common_prefix_length, dipole_value, tree_graph, words_up_to
+from .tree import check_word, common_prefix_length, dipole_function, tree_graph
 
 __all__ = [
     "GramSpectrum",
@@ -313,24 +316,37 @@ def kl_vectors(gs: GramSpectrum, normalized: bool = False) -> list:
     ]
 
 
+def _prefix_table(words, vertices) -> np.ndarray:
+    """table[i, k] = v_{words[k]}(vertices[i]), one common_prefix_length call per entry."""
+    return np.array([[common_prefix_length(x, y) for x in words] for y in vertices], dtype=np.int64)
+
+
+def _combine(table, coefficients) -> np.ndarray:
+    """Row-wise sum_k coefficients[k] * table[:, k], added in word order from the int 0.
+
+    A float64 array sums in float64; other coefficients sum as Python
+    objects, so int and Fraction sums stay exact at any magnitude.
+    """
+    if not (isinstance(coefficients, np.ndarray) and coefficients.dtype == np.float64):
+        table = table.astype(object)
+    acc = 0
+    for xi, column in zip(coefficients, table.T):
+        acc = acc + xi * column
+    return acc
+
+
 def kl_value(vec: KLVector, y: str) -> float:
     """Evaluate the KL vector at a tree vertex."""
-    acc = 0.0
-    for xi, x in zip(vec.coefficients, vec.words):
-        acc += xi * dipole_value(x, y)
-    return vec.scale * acc
+    return vec.scale * _combine(_prefix_table(vec.words, (y,)), vec.coefficients)[0]
+
+
+def _kl_sample(vec: KLVector, vertices, table) -> dict:
+    return dict(zip(vertices, (vec.scale * _combine(table, vec.coefficients)).tolist()))
 
 
 def kl_vertex_function(vec: KLVector, g: WeightedGraph) -> dict:
     """Sample a KL vector on the vertex set of a truncated tree."""
-    scale = vec.scale
-    out = {}
-    for y in g.vertices:
-        acc = 0.0
-        for xi, x in zip(vec.coefficients, vec.words):
-            acc += xi * common_prefix_length(x, y)
-        out[y] = scale * acc
-    return out
+    return _kl_sample(vec, g.vertices, _prefix_table(vec.words, g.vertices))
 
 
 def dipole_combination(g: WeightedGraph, words, coefficients) -> dict:
@@ -338,13 +354,7 @@ def dipole_combination(g: WeightedGraph, words, coefficients) -> dict:
     words = _check_words(words)
     if len(words) != len(coefficients):
         raise ValueError("one coefficient per word required")
-    out = {}
-    for y in g.vertices:
-        acc = 0  # int seed keeps Fraction coefficients exact
-        for xi, x in zip(coefficients, words):
-            acc += xi * common_prefix_length(x, y)
-        out[y] = acc
-    return out
+    return dict(zip(g.vertices, _combine(_prefix_table(words, g.vertices), coefficients).tolist()))
 
 
 def _tree_for(words, depth=None) -> WeightedGraph:
@@ -365,7 +375,8 @@ def kl_gram_check(gs: GramSpectrum, depth: int | None = None, normalized: bool =
     """
     g = _tree_for(gs.words, depth)
     vecs = kl_vectors(gs, normalized=normalized)
-    sampled = [kl_vertex_function(v, g) for v in vecs]
+    table = _prefix_table(gs.words, g.vertices)
+    sampled = [_kl_sample(v, g.vertices, table) for v in vecs]
     n = len(vecs)
     out = np.zeros((n, n))
     for j in range(n):
@@ -403,6 +414,7 @@ def reciprocity_spectrum(words, depth: int | None = None):
     words = _check_words(words)
     gs = gram_spectrum(words)
     g = _tree_for(words, depth)
+    table = _prefix_table(words, g.vertices)
     n = len(words)
     rows = []
     for j in range(n):
@@ -411,7 +423,7 @@ def reciprocity_spectrum(words, depth: int | None = None):
         norm = float(np.linalg.norm(xi))
         if norm <= 1e-12:
             continue
-        u = dipole_combination(g, words, xi)
+        u = dict(zip(g.vertices, _combine(table, xi).tolist()))
         energy_route = float(rayleigh_energy(g, u))
         coeff_route = float(xi @ xi) / float(xi @ (gs.matrix @ xi))
         rows.append((float(gs.eigenvalues[j]), energy_route, coeff_route))
@@ -448,7 +460,7 @@ def linear_independence_check(words, depth: int | None = None) -> bool:
     """
     words = _check_words(words)
     g = _tree_for(words, depth)
-    dipoles = [{y: common_prefix_length(x, y) for y in g.vertices} for x in words]
+    dipoles = [dipole_function(x, g) for x in words]
     n = len(words)
     m = np.zeros((n, n))
     for i in range(n):

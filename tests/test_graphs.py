@@ -217,3 +217,4 @@ def test_graph_accessors():
     assert set(dict(g.neighbors(0))) == {1, 3}
     assert g.total == {0: 7, 1: 5, 2: 4, 3: 6}
     assert "WeightedGraph" in repr(g)
+    assert g.distance == {0: 0, 1: 1, 2: 2, 3: 1}

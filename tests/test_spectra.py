@@ -1,12 +1,18 @@
 """Gram eigensystems, the reciprocity identities, and the KL apparatus."""
 
+import contextlib
+import hashlib
+import io
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spectral_walks import (
+    WeightedGraph,
+    cli,
     eigh,
     gram_matrix,
     gram_spectrum,
@@ -23,7 +29,10 @@ from spectral_walks import (
     energy_inner,
     laplacian_apply,
 )
+from spectral_walks import spectra
+from spectral_walks.rng import mix64
 from spectral_walks.spectra import kl_value, kl_vertex_function
+from spectral_walks.tree import common_prefix_length
 
 
 class TestEigh:
@@ -205,3 +214,132 @@ def test_spectral_growth_matches_set_size():
     for d in range(1, 5):
         words = words_up_to(d)
         assert abs(spectral_growth(words) - len(words)) <= 1e-8
+
+
+# ---------------------------------------------------------------- dipole kernel
+
+def dipole_oracle(vertices, words, coefficients):
+    """The scalar loop: sum_k coefficients[k] * common_prefix_length(words[k], y), from the int 0."""
+    out = {}
+    for y in vertices:
+        acc = 0
+        for xi, x in zip(coefficients, words):
+            acc += xi * common_prefix_length(x, y)
+        out[y] = acc
+    return out
+
+
+def float_bits(f):
+    return [float(v).hex() for v in f.values()]
+
+
+@st.composite
+def word_sets(draw, max_size=12):
+    """Distinct words of length <= 6 in random order, and a tree at least as deep."""
+    words = draw(st.lists(st.sampled_from(words_up_to(6)), min_size=1, max_size=max_size, unique=True))
+    depth = max(map(len, words)) + draw(st.integers(0, 2))
+    return tuple(words), tree_graph(depth)
+
+
+floats_st = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+
+
+class TestDipoleKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), case=word_sets())
+    def test_float_coefficients_are_bit_identical(self, data, case):
+        words, g = case
+        xi = np.array(data.draw(st.lists(floats_st, min_size=len(words), max_size=len(words))), dtype=np.float64)
+        got = dipole_combination(g, words, xi)
+        want = dipole_oracle(g.vertices, words, xi)
+        assert list(got) == list(g.vertices)
+        assert float_bits(got) == float_bits(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), case=word_sets())
+    def test_exact_coefficients_stay_exact(self, data, case):
+        words, g = case
+        n = len(words)
+        for coeff in (st.integers(-2 ** 70, 2 ** 70), st.fractions(max_denominator=60)):
+            xi = data.draw(st.lists(coeff, min_size=n, max_size=n))
+            got = dipole_combination(g, words, xi)
+            want = dipole_oracle(g.vertices, words, xi)
+            assert got == want
+            assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+
+    def test_no_int64_wrap(self):
+        got = dipole_combination(tree_graph(3), ("11", "111"), [2 ** 62, 2 ** 62])["111"]
+        assert got == 5 * 2 ** 62 and type(got) is int
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=word_sets(max_size=8), normalized=st.booleans())
+    def test_kl_vectors_are_scaled_oracle(self, case, normalized):
+        words, g = case
+        for vec in kl_vectors(gram_spectrum(words), normalized=normalized):
+            want = {y: vec.scale * v for y, v in dipole_oracle(g.vertices, words, vec.coefficients).items()}
+            assert float_bits(kl_vertex_function(vec, g)) == float_bits(want)
+            assert [float(kl_value(vec, y)).hex() for y in g.vertices] == float_bits(want)
+
+    def test_validation(self):
+        with pytest.raises(TypeError):
+            dipole_combination(WeightedGraph([0, 1], [(0, 1, 1)], 0), ("1",), [1])
+        with pytest.raises(ValueError):
+            dipole_combination(WeightedGraph(["", "2"], [("", "2", 1)], ""), ("1",), [1])
+        with pytest.raises(ValueError):
+            dipole_combination(tree_graph(2), ("1", "10"), [1])
+        with pytest.raises(ValueError):
+            dipole_combination(tree_graph(2), ("", "1"), [1, 1])
+
+    @pytest.mark.parametrize("depth", [None, 6])
+    def test_one_table_per_call(self, depth, monkeypatch):
+        calls = [0]
+        inner = spectra.common_prefix_length
+
+        def counted(x, y):
+            calls[0] += 1
+            return inner(x, y)
+
+        monkeypatch.setattr(spectra, "common_prefix_length", counted)
+        words = tuple(words_up_to(4))
+        size = len(tree_graph(depth or 4)) * len(words)
+        spectra.reciprocity_spectrum(words, depth)
+        assert calls[0] == size
+        calls[0] = 0
+        kl_gram_check(gram_spectrum(words), depth)
+        assert calls[0] == size
+
+
+def forty_words(salt):
+    """40 distinct words of length <= 6 in a fixed pseudo-random order."""
+    return sorted(words_up_to(6), key=lambda w: mix64(salt << 32 | int("1" + w, 2)))[:40]
+
+
+# sha256 of "<exit code>\n" + output bytes, recorded with the per-vertex dipole loops
+GOLDEN_CLI = [
+    (["spectra", "gram", "--words", ",".join(forty_words(1))],
+     "bbdbfdc127bb81ae9bab7dc8595454d8a0e626e95a94a4a5b87783b8541176c3"),
+    (["spectra", "gram", "--words", ",".join(forty_words(1)), "--out", "json"],
+     "a02d8cdd1b49dfca36071b00546bf79f959c497a2b84cf74095147d482444bfc"),
+    (["spectra", "gram", "--words", ",".join(forty_words(2)), "--depth", "8"],
+     "3b80409ed68ec2cc83e252420c0ce5f1b7b893991e1dc896499655d68b3e0e48"),
+    (["spectra", "gram", "--words", ",".join(forty_words(2)), "--depth", "8", "--out", "json"],
+     "82bc1240ab1a219e50dd2d827c453f6f6c365cfdf3b64536ff1fb4ba7a9e56ea"),
+    (["spectra", "gram", "--words", ",".join(words_up_to(5))],
+     "fcfae8e28823e0f97b77cf23bedc2555a6d2c05482c7768ac3a7c8944919cd4b"),
+    (["spectra", "gram", "--words", ",".join(words_up_to(5)), "--out", "json"],
+     "36eba50b21177f020f3d69fcedf88277b0d3c834c15619c8eec1de4d7ee0f673"),
+    (["tree", "dipole", "--x", "101101", "--depth", "9", "--out", "json"],
+     "d64f073f0ab605183f0bb8e040fd5fc4a6d470d10c491cd5ce6451404ca9d3dc"),
+]
+
+
+def golden_digest(argv, path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.run(argv + ["--output", str(path)])
+    return hashlib.sha256(f"{rc}\n".encode() + path.read_bytes()).hexdigest()
+
+
+def test_golden_dipole_cli_output(tmp_path):
+    changed = [" ".join(argv[:2] + argv[4:]) for argv, want in GOLDEN_CLI
+               if golden_digest(argv, tmp_path / "out.txt") != want]
+    assert not changed
