@@ -137,10 +137,8 @@ def _cmd_tree_dipole(args) -> int:
         raise ValueError("the root carries no dipole; pick a nonempty word")
     if args.depth < len(x):
         raise ValueError("depth must reach the word")
-    g = tr.tree_graph(args.depth)
-    values = tr.dipole_function(x, g)
-    defect = tr.dipole_defect(x, args.depth)
-    rows = [(_word_label(v, args.out), values[v], defect[v]) for v in g.vertices]
+    defect = tr.dipole_defect(x, args.depth)  # in tree-vertex order
+    rows = [(_word_label(v, args.out), tr.common_prefix_length(x, v), d) for v, d in defect.items()]
     bad = any(r[2] != 0 for r in rows)
     _emit(_meta(args), [("dipole", ["vertex", "value", "defect"], rows)], args.out, args.output)
     return 1 if bad else 0

@@ -415,6 +415,7 @@ def reciprocity_spectrum(words, depth: int | None = None):
     gs = gram_spectrum(words)
     g = _tree_for(words, depth)
     table = _prefix_table(words, g.vertices)
+    matrix = gs.matrix.astype(float)  # one cast, not one per eigenvector
     n = len(words)
     rows = []
     for j in range(n):
@@ -425,7 +426,7 @@ def reciprocity_spectrum(words, depth: int | None = None):
             continue
         u = dict(zip(g.vertices, _combine(table, xi).tolist()))
         energy_route = float(rayleigh_energy(g, u))
-        coeff_route = float(xi @ xi) / float(xi @ (gs.matrix @ xi))
+        coeff_route = float(xi @ xi) / float(xi @ (matrix @ xi))
         rows.append((float(gs.eigenvalues[j]), energy_route, coeff_route))
     return rows
 

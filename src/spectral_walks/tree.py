@@ -46,9 +46,8 @@ def check_word(w: str) -> str:
     """Validate a binary word; returns it unchanged."""
     if not isinstance(w, str):
         raise TypeError(f"word must be a string, got {type(w).__name__}")
-    for ch in w:
-        if ch not in "01":
-            raise ValueError(f"word {w!r} contains a character outside 0/1")
+    if w.strip("01"):
+        raise ValueError(f"word {w!r} contains a character outside 0/1")
     return w
 
 
@@ -153,7 +152,8 @@ def dipole_defect(x: str, depth: int) -> dict:
 def encode_nat(w: str) -> int:
     """Read a word as a nonnegative integer, leftmost character the 2^0 digit."""
     check_word(w)
-    return sum(int(ch) << k for k, ch in enumerate(w))
+    # base 2 is exempt from sys.int_max_str_digits, so any length converts
+    return int(w[::-1], 2) if w else 0
 
 
 def decode_nat(n: int) -> str:
@@ -164,12 +164,7 @@ def decode_nat(n: int) -> str:
     """
     if n < 0:
         raise ValueError("decode_nat takes a nonnegative integer")
-    digits = []
-    m = n
-    while m:
-        digits.append(str(m & 1))
-        m >>= 1
-    return "".join(digits)
+    return bin(n)[:1:-1] if n else ""
 
 
 def sigma_maps(n: int, bit: int) -> int:
@@ -213,7 +208,7 @@ def decode_int(n: int) -> str:
         p = n.bit_length() if n else 0
     else:
         p = (-n - 1).bit_length()
-    return "".join(str((n + (1 << p)) >> k & 1) for k in range(p + 1))
+    return format(n + (1 << p), f"0{p + 1}b")[::-1]
 
 
 def encode_nadic(w: str, base: int, residues) -> int:

@@ -1,9 +1,13 @@
 """Weighted graph axioms and the exact operator identities."""
 
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from spectral_walks import graphs
 from spectral_walks.graphs import (
     GraphError,
     WeightedGraph,
@@ -218,3 +222,83 @@ def test_graph_accessors():
     assert g.total == {0: 7, 1: 5, 2: 4, 3: 6}
     assert "WeightedGraph" in repr(g)
     assert g.distance == {0: 0, 1: 1, 2: 2, 3: 1}
+
+
+# ---------------------------------------------------------------- oracle for the summation rule
+
+class Tally(int):
+    """An int subclass: summed exactly, like int."""
+
+
+def per_term_accumulate(terms):
+    """Reference: the summation rule written as one isinstance test per term."""
+    def exact(t):
+        return isinstance(t, (int, Fraction)) and not isinstance(t, bool)
+
+    if all(exact(t) for t in terms):
+        return sum(terms)
+    if any(isinstance(t, complex) for t in terms):
+        return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    return math.fsum(terms)
+
+
+def edge_loop_energy(g, f1, f2):
+    """Reference: the energy pairing as an explicit loop over edges."""
+    terms = []
+    for u, v, c in g.edges:
+        d1 = f1[u] - f1[v]
+        d2 = f2[u] - f2[v]
+        terms.append(c * d1.conjugate() * d2)
+    return per_term_accumulate(terms)
+
+
+def outcome(fn, *args):
+    """Result type plus exact value or float bits; or the exception type raised."""
+    try:
+        r = fn(*args)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        return ("raises", type(exc))
+    if isinstance(r, complex):
+        return (type(r), r.real.hex(), r.imag.hex())
+    if isinstance(r, float):
+        return (type(r), r.hex())
+    return (type(r), r)
+
+
+NUMBERS = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.booleans(),
+    st.integers(-100, 100).map(Tally),
+    st.fractions(max_denominator=10**6),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.complex_numbers(),
+    st.complex_numbers().map(np.complex128),
+)
+CONDUCTANCES = st.one_of(
+    st.integers(1, 9),
+    st.fractions(min_value=Fraction(1, 7), max_value=7).filter(lambda c: c > 0),
+    st.floats(0.125, 8.0),
+)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestSummationOracle:
+    """The type-set summation rule agrees with the per-term rule in value, type and bits."""
+
+    def test_empty_sum_is_int_zero(self):
+        assert outcome(graphs._accumulate, []) == outcome(per_term_accumulate, []) == (int, 0)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(NUMBERS, max_size=8))
+    def test_accumulate_matches_per_term_rule(self, terms):
+        assert outcome(graphs._accumulate, terms) == outcome(per_term_accumulate, terms)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(CONDUCTANCES, min_size=4, max_size=4),
+           st.lists(NUMBERS, min_size=4, max_size=4),
+           st.lists(NUMBERS, min_size=4, max_size=4))
+    def test_energy_inner_matches_edge_loop(self, cs, a, b):
+        g = square(*cs)
+        f1, f2 = dict(zip(g.vertices, a)), dict(zip(g.vertices, b))
+        assert outcome(energy_inner, g, f1, f2) == outcome(edge_loop_energy, g, f1, f2)

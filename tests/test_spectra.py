@@ -330,6 +330,12 @@ GOLDEN_CLI = [
      "36eba50b21177f020f3d69fcedf88277b0d3c834c15619c8eec1de4d7ee0f673"),
     (["tree", "dipole", "--x", "101101", "--depth", "9", "--out", "json"],
      "d64f073f0ab605183f0bb8e040fd5fc4a6d470d10c491cd5ce6451404ca9d3dc"),
+    (["tree", "dipole", "--x", "101101", "--depth", "12"],
+     "778175bda7821a15b071563399f251dc0de15d4d87345826aaa6e6b47ecfad37"),
+    (["verify", "all", "--seed", "0"],
+     "78aed7da91aca3171901b16102af34f2242fa1cad1a6e73c192ab16632de3c50"),
+    (["tree", "encode", "--word", "0110101"],
+     "cc49ee8105cbc323ddbe4e58cb2c248cf349a92ef2fea5aa0b49413479b904a1"),
 ]
 
 

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spectral_walks import (
     tree_graph,
@@ -186,3 +187,39 @@ class TestEncodings:
             cantor_encode("1", "")
         with pytest.raises(ValueError):
             cantor_encode("", "12")
+
+
+class TestCodecProperties:
+    """Round trips of the base-2 codecs far beyond the 64-bit range."""
+
+    BOUND = 1 << 4096
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, BOUND))
+    def test_nat_round_trip(self, n):
+        w = decode_nat(n)
+        assert encode_nat(w) == n
+        assert not w.endswith("0")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-BOUND, BOUND))
+    def test_int_round_trip(self, n):
+        w = decode_int(n)
+        assert encode_int(w) == n
+        # shortest: p is the least with 0 <= n + 2^p < 2^(p+1)
+        p = len(w) - 1
+        assert p == 0 or not 0 <= n + (1 << (p - 1)) < (1 << p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="01", max_size=4200))
+    def test_nat_canonical_word(self, w):
+        assert decode_nat(encode_nat(w)) == w.rstrip("0")
+
+    @pytest.mark.parametrize("w", ["1_0", " 10", "10\n", "\uff11"])
+    def test_rejects_what_int_accepts(self, w):
+        int(w, 2)  # the builtin parser takes these spellings
+        message = f"word {w!r} contains a character outside 0/1"
+        for codec in (check_word, encode_nat, encode_int):
+            with pytest.raises(ValueError) as exc:
+                codec(w)
+            assert str(exc.value) == message
