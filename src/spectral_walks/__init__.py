@@ -20,6 +20,7 @@ from .graphs import (
     transfer_apply,
     l2_inner,
     energy_inner,
+    energy_gram,
     quadratic_form_l2,
     quadratic_form_energy,
     conductance_mean,

@@ -380,6 +380,7 @@ def _verify_checks(quick: bool, seed: int):
         transfer_apply,
         l2_inner,
         energy_inner,
+        energy_gram,
         quadratic_form_l2,
         quadratic_form_energy,
         conductance_mean,
@@ -420,9 +421,9 @@ def _verify_checks(quick: bool, seed: int):
     add("dipole_defect_identically_zero", ok, f"words up to length {depth - 1}")
     dips = {x: tr.dipole_function(x, tg) for x in words[: 14 if quick else len(words)]}
     ok = True
-    for x, dx in dips.items():
-        for y, dy in dips.items():
-            if energy_inner(tg, dx, dy) != tr.dipole_value(x, y):
+    for x, row in zip(dips, energy_gram(tg, list(dips.values()))):
+        for y, e in zip(dips, row):
+            if e != tr.dipole_value(x, y):
                 ok = False
     add("gram_energy_route_exact", ok)
     ok = True

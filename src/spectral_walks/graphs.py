@@ -2,7 +2,9 @@
 
 A graph here is the discrete carrier for two operators and two inner
 products: the conductance Laplacian, the one-step averaging (transfer)
-operator, the pointwise l2 pairing, and the Dirichlet energy pairing.
+operator, the pointwise l2 pairing, and the Dirichlet energy pairing,
+with energy_gram for the energy pairings of every pair in a list of
+functions at once.
 Vertex functions are plain mappings ``{vertex: value}`` defined on every
 vertex; values may be int, Fraction, float, or complex.  Integer and
 Fraction inputs are carried exactly through every operation; float paths
@@ -16,6 +18,7 @@ import math
 import os
 from collections import deque
 from fractions import Fraction
+from operator import mul
 
 __all__ = [
     "GraphError",
@@ -25,6 +28,7 @@ __all__ = [
     "transfer_apply",
     "l2_inner",
     "energy_inner",
+    "energy_gram",
     "quadratic_form_l2",
     "quadratic_form_energy",
     "conductance_mean",
@@ -40,13 +44,22 @@ def _is_exact(value) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
+_EXACT_TYPES = frozenset((int, Fraction))
+_FLOAT_TYPES = frozenset((float,))
+
+
 def _accumulate(terms):
     """Sum a list of numbers: exact when every term is, compensated otherwise.
 
     The branch is decided once from the set of term types, which makes the
-    same decision as testing every term with isinstance.
+    same decision as testing every term with isinstance; the two common
+    sets, only int/Fraction and only float, are matched first.
     """
     kinds = set(map(type, terms))
+    if kinds <= _EXACT_TYPES:
+        return sum(terms)
+    if kinds <= _FLOAT_TYPES:
+        return math.fsum(terms)
     if all(issubclass(k, (int, Fraction)) and not issubclass(k, bool) for k in kinds):
         return sum(terms)
     if any(issubclass(k, complex) for k in kinds):
@@ -112,13 +125,15 @@ class WeightedGraph:
                 u, v, c = record
             except (TypeError, ValueError):
                 raise GraphError(f"malformed edge record {record!r}") from None
-            if u not in index or v not in index:
+            i = index.get(u)
+            j = index.get(v)
+            if i is None or j is None:
                 raise GraphError(f"edge ({u!r}, {v!r}) has an endpoint that is not a vertex")
-            if u == v:
+            if i == j:
                 raise GraphError(f"self-loop at {u!r}")
             if not _valid_conductance(c):
                 raise GraphError(f"edge ({u!r}, {v!r}) has a non-positive or non-finite conductance {c!r}")
-            key = (min(index[u], index[v]), max(index[u], index[v]))
+            key = (i, j) if i < j else (j, i)
             if key in seen:
                 if seen[key] != c:
                     raise GraphError(
@@ -247,6 +262,24 @@ def energy_inner(g: WeightedGraph, f1, f2):
     _check_function(g, f1)
     _check_function(g, f2)
     return _accumulate([c * (f1[u] - f1[v]).conjugate() * (f2[u] - f2[v]) for u, v, c in g.edges])
+
+
+def energy_gram(g: WeightedGraph, fs) -> list:
+    """Energy pairings of every ordered pair: rows[j][k] == energy_inner(g, fs[j], fs[k]).
+
+    Each function is validated once and its edge differences are formed
+    once; every entry then sums the terms of energy_inner, multiplied in
+    its order (c * conj(fj(u) - fj(v))) * (fk(u) - fk(v)), under its
+    summation rule, so each entry equals energy_inner's to the bit.  All
+    n^2 entries are summed: complex data is Hermitian only in exact
+    arithmetic, so the lower triangle is not a mirror of the upper.
+    """
+    fs = list(fs)
+    for f in fs:
+        _check_function(g, f)
+    left = [[c * (f[u] - f[v]).conjugate() for u, v, c in g.edges] for f in fs]
+    right = [[f[u] - f[v] for u, v, _ in g.edges] for f in fs]
+    return [[_accumulate(list(map(mul, lj, rk))) for rk in right] for lj in left]
 
 
 def quadratic_form_l2(g: WeightedGraph, f):

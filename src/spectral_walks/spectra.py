@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import WeightedGraph, energy_inner, laplacian_apply
+from .graphs import WeightedGraph, energy_gram, energy_inner, laplacian_apply
 from .tree import check_word, common_prefix_length, dipole_function, tree_graph
 
 __all__ = [
@@ -322,16 +322,19 @@ def _prefix_table(words, vertices) -> np.ndarray:
 
 
 def _combine(table, coefficients) -> np.ndarray:
-    """Row-wise sum_k coefficients[k] * table[:, k], added in word order from the int 0.
+    """Row-wise sum_k table[:, k] * coefficients[k], added in word order from the int 0.
 
-    A float64 array sums in float64; other coefficients sum as Python
-    objects, so int and Fraction sums stay exact at any magnitude.
+    coefficients[k] is one number per word, for one vector, or one row per
+    word, for one column per vector; every element gets the same products
+    and additions either way.  A float64 array sums in float64; other
+    coefficients sum as Python objects, so int and Fraction sums stay
+    exact at any magnitude.
     """
     if not (isinstance(coefficients, np.ndarray) and coefficients.dtype == np.float64):
         table = table.astype(object)
     acc = 0
     for xi, column in zip(coefficients, table.T):
-        acc = acc + xi * column
+        acc = acc + np.multiply.outer(column, xi)
     return acc
 
 
@@ -340,13 +343,10 @@ def kl_value(vec: KLVector, y: str) -> float:
     return vec.scale * _combine(_prefix_table(vec.words, (y,)), vec.coefficients)[0]
 
 
-def _kl_sample(vec: KLVector, vertices, table) -> dict:
-    return dict(zip(vertices, (vec.scale * _combine(table, vec.coefficients)).tolist()))
-
-
 def kl_vertex_function(vec: KLVector, g: WeightedGraph) -> dict:
     """Sample a KL vector on the vertex set of a truncated tree."""
-    return _kl_sample(vec, g.vertices, _prefix_table(vec.words, g.vertices))
+    values = vec.scale * _combine(_prefix_table(vec.words, g.vertices), vec.coefficients)
+    return dict(zip(g.vertices, values.tolist()))
 
 
 def dipole_combination(g: WeightedGraph, words, coefficients) -> dict:
@@ -369,21 +369,15 @@ def _tree_for(words, depth=None) -> WeightedGraph:
 def kl_gram_check(gs: GramSpectrum, depth: int | None = None, normalized: bool = False) -> np.ndarray:
     """Energy Gram matrix of the KL vectors, computed on a truncated tree.
 
-    Every inner product goes through graphs.energy_inner, a route that
+    Every inner product goes through graphs.energy_gram, a route that
     never touches the eigendecomposition; the contract is diag(1/lambda_k)
     for the w_k and the identity matrix for the u_k.
     """
     g = _tree_for(gs.words, depth)
     vecs = kl_vectors(gs, normalized=normalized)
-    table = _prefix_table(gs.words, g.vertices)
-    sampled = [_kl_sample(v, g.vertices, table) for v in vecs]
-    n = len(vecs)
-    out = np.zeros((n, n))
-    for j in range(n):
-        for k in range(j, n):
-            val = energy_inner(g, sampled[j], sampled[k])
-            out[j, k] = out[k, j] = float(val)
-    return out
+    columns = _combine(_prefix_table(gs.words, g.vertices), gs.eigenvectors).T
+    sampled = [dict(zip(g.vertices, (v.scale * col).tolist())) for v, col in zip(vecs, columns)]
+    return np.array([list(map(float, row)) for row in energy_gram(g, sampled)])
 
 
 def rayleigh_energy(g: WeightedGraph, u):
@@ -417,14 +411,18 @@ def reciprocity_spectrum(words, depth: int | None = None):
     table = _prefix_table(words, g.vertices)
     matrix = gs.matrix.astype(float)  # one cast, not one per eigenvector
     n = len(words)
-    rows = []
+    kept = []
     for j in range(n):
+        # the mean of each contiguous copy: a column mean of the matrix sums in another order
         xi = gs.eigenvectors[:, j].copy()
         xi -= np.mean(xi)
-        norm = float(np.linalg.norm(xi))
-        if norm <= 1e-12:
-            continue
-        u = dict(zip(g.vertices, _combine(table, xi).tolist()))
+        if float(np.linalg.norm(xi)) > 1e-12:
+            kept.append((j, xi))
+    coefficients = np.array([xi for _, xi in kept]).reshape(len(kept), n).T  # a column per kept vector
+    columns = _combine(table, coefficients).T
+    rows = []
+    for (j, xi), col in zip(kept, columns):
+        u = dict(zip(g.vertices, col.tolist()))
         energy_route = float(rayleigh_energy(g, u))
         coeff_route = float(xi @ xi) / float(xi @ (matrix @ xi))
         rows.append((float(gs.eigenvalues[j]), energy_route, coeff_route))
@@ -455,17 +453,13 @@ def spectral_growth(words) -> float:
 def linear_independence_check(words, depth: int | None = None) -> bool:
     """Whether the dipoles {v_x : x in F} are linearly independent in energy.
 
-    The Gram matrix is recomputed through energy_inner on a truncated
+    The Gram matrix is recomputed through energy_gram on a truncated
     tree (not through the word combinatorics) and passes iff its smallest
     eigenvalue exceeds 1e-10 times its Frobenius norm.
     """
     words = _check_words(words)
     g = _tree_for(words, depth)
     dipoles = [dipole_function(x, g) for x in words]
-    n = len(words)
-    m = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            m[i, j] = m[j, i] = float(energy_inner(g, dipoles[i], dipoles[j]))
+    m = np.array([list(map(float, row)) for row in energy_gram(g, dipoles)])
     vals, _ = eigh(m)
     return bool(vals[-1] > 1e-10 * float(np.linalg.norm(m)))

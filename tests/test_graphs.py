@@ -252,17 +252,22 @@ def edge_loop_energy(g, f1, f2):
     return per_term_accumulate(terms)
 
 
-def outcome(fn, *args):
-    """Result type plus exact value or float bits; or the exception type raised."""
-    try:
-        r = fn(*args)
-    except (ArithmeticError, TypeError, ValueError) as exc:
-        return ("raises", type(exc))
+def value_bits(r):
+    """A number's type plus its exact value or float bits."""
     if isinstance(r, complex):
         return (type(r), r.real.hex(), r.imag.hex())
     if isinstance(r, float):
         return (type(r), r.hex())
     return (type(r), r)
+
+
+def outcome(fn, *args):
+    """value_bits of the result, or the exception type raised."""
+    try:
+        r = fn(*args)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        return ("raises", type(exc))
+    return value_bits(r)
 
 
 NUMBERS = st.one_of(
@@ -302,3 +307,287 @@ class TestSummationOracle:
         g = square(*cs)
         f1, f2 = dict(zip(g.vertices, a)), dict(zip(g.vertices, b))
         assert outcome(energy_inner, g, f1, f2) == outcome(edge_loop_energy, g, f1, f2)
+
+
+# ---------------------------------------------------------------- the batched energy Gram
+
+VALUES = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.booleans(),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=1000),
+    st.floats(-1e6, 1e6),
+    st.floats(-1e6, 1e6).map(np.float64),
+    st.complex_numbers(max_magnitude=1e6),
+)
+# conductance 1 would hide the product order: 1 * x == x
+NON_UNIT_CONDUCTANCES = CONDUCTANCES.filter(lambda c: c != 1)
+
+
+@st.composite
+def cyclic_graphs(draw, conductances=NON_UNIT_CONDUCTANCES):
+    """A connected graph on 3-7 vertices with at least one cycle, in random vertex order."""
+    n = draw(st.integers(3, 7))
+    pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    spanning = set(pairs)
+    others = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in spanning]
+    pairs |= set(draw(st.lists(st.sampled_from(others), min_size=1, max_size=len(others), unique=True)))
+    order = draw(st.permutations(range(n)))
+    edges = [(u, v, draw(conductances)) for u, v in draw(st.permutations(sorted(pairs)))]
+    return WeightedGraph(order, edges, order[0])
+
+
+def pairwise_outcomes(g, fs):
+    """Reference: energy_inner on every ordered pair, row-major; the first exception ends it."""
+    rows = []
+    for fj in fs:
+        row = []
+        for fk in fs:
+            got = outcome(energy_inner, g, fj, fk)
+            if got[0] == "raises":
+                return got
+            row.append(got)
+        rows.append(row)
+    return rows
+
+
+def gram_outcomes(gram, g, fs):
+    try:
+        rows = gram(g, fs)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        return ("raises", type(exc))
+    return [[value_bits(r) for r in row] for row in rows]
+
+
+def mirrored_gram(g, fs):
+    """Mutant: the upper triangle conjugated into the lower one."""
+    rows = [[None] * len(fs) for _ in fs]
+    for j, fj in enumerate(fs):
+        for k in range(j, len(fs)):
+            rows[j][k] = energy_inner(g, fj, fs[k])
+            rows[k][j] = rows[j][k].conjugate()
+    return rows
+
+
+def reversed_product_gram(g, fs):
+    """Mutant: each term multiplied as (d2 * conj d1) * c."""
+    return [[graphs._accumulate([(fk[u] - fk[v]) * (fj[u] - fj[v]).conjugate() * c for u, v, c in g.edges])
+             for fk in fs] for fj in fs]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestEnergyGram:
+    """energy_gram entries equal energy_inner's in value, type and bits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), g=cyclic_graphs(), n=st.integers(0, 4))
+    def test_matches_energy_inner_pairwise(self, data, g, n):
+        fs = [dict(zip(g.vertices, data.draw(st.lists(VALUES, min_size=len(g), max_size=len(g)))))
+              for _ in range(n)]
+        assert gram_outcomes(graphs.energy_gram, g, fs) == pairwise_outcomes(g, fs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), g=cyclic_graphs(), n=st.integers(1, 3))
+    def test_non_finite_values_raise_like_energy_inner(self, data, g, n):
+        wild = st.one_of(VALUES, st.floats(), st.complex_numbers())
+        fs = [dict(zip(g.vertices, data.draw(st.lists(wild, min_size=len(g), max_size=len(g)))))
+              for _ in range(n)]
+        assert gram_outcomes(graphs.energy_gram, g, fs) == pairwise_outcomes(g, fs)
+
+    def test_validates_every_function(self):
+        g = square()
+        ok = {x: 1 for x in g.vertices}
+        with pytest.raises(ValueError, match="vertex set"):
+            graphs.energy_gram(g, [ok, {0: 1}])
+        assert graphs.energy_gram(g, []) == []
+
+    @pytest.mark.parametrize("mutant", [mirrored_gram, reversed_product_gram])
+    def test_oracle_catches_mutants(self, mutant):
+        # complex values on non-unit float conductances: both mutants change some bit
+        rnd = np.random.default_rng(5)
+        caught = 0
+        for _ in range(20):
+            g = square(*rnd.uniform(0.2, 5.0, 4).tolist())
+            fs = [{x: complex(*rnd.normal(size=2)) for x in g.vertices} for _ in range(3)]
+            assert gram_outcomes(graphs.energy_gram, g, fs) == pairwise_outcomes(g, fs)
+            caught += gram_outcomes(mutant, g, fs) != pairwise_outcomes(g, fs)
+        assert caught > 0
+
+
+# ---------------------------------------------------------------- loader axioms on random documents
+
+def reference_load(doc):
+    """Reference: the loader's rules as one plain pass in document order.
+
+    Returns (vertices, edges, adjacency, total, distance) of a valid
+    document, or raises GraphError naming the first broken rule.
+    """
+    for key in ("vertices", "edges", "origin"):
+        if key not in doc:
+            raise GraphError(f"graph document missing {key!r}")
+    records = []
+    for rec in doc["edges"]:
+        if not isinstance(rec, dict) or not {"u", "v", "c"} <= set(rec):
+            raise GraphError(f"malformed edge record {rec!r}")
+        records.append((rec["u"], rec["v"], rec["c"]))
+    vertices = tuple(doc["vertices"])
+    origin = doc["origin"]
+    if len(set(vertices)) != len(vertices):
+        raise GraphError("duplicate vertex ids")
+    if not vertices:
+        raise GraphError("graph has no vertices")
+    if origin not in vertices:
+        raise GraphError(f"origin {origin!r} is not a vertex")
+    position = {v: i for i, v in enumerate(vertices)}
+    adjacency = {v: [] for v in vertices}
+    seen = {}
+    for u, v, c in records:
+        if u not in position or v not in position:
+            raise GraphError(f"edge ({u!r}, {v!r}) has an endpoint that is not a vertex")
+        if u == v:
+            raise GraphError(f"self-loop at {u!r}")
+        valid = (not isinstance(c, bool) and isinstance(c, (int, float, Fraction)) and c > 0
+                 and (not isinstance(c, float) or math.isfinite(c)))
+        if not valid:
+            raise GraphError(f"edge ({u!r}, {v!r}) has a non-positive or non-finite conductance {c!r}")
+        key = frozenset((u, v))
+        if key in seen:
+            if seen[key] != c:
+                raise GraphError(
+                    f"edge ({u!r}, {v!r}) recorded twice with conflicting "
+                    f"conductances {seen[key]!r} and {c!r} (symmetry violation)"
+                )
+            raise GraphError(f"duplicate edge record for ({u!r}, {v!r})")
+        seen[key] = c
+        adjacency[u].append((v, c))
+        adjacency[v].append((u, c))
+    distance = {origin: 0}
+    level = [origin]
+    while level:
+        following = []
+        for x in level:
+            for y, _ in adjacency[x]:
+                if y not in distance:
+                    distance[y] = distance[x] + 1
+                    following.append(y)
+        level = following
+    for v in vertices:
+        if v not in distance:
+            raise GraphError(f"graph is not connected ({v!r} unreachable from origin)")
+    for v in vertices:
+        if not adjacency[v]:
+            raise GraphError(f"isolated vertex {v!r} (c(x) would be zero)")
+    total = {v: per_term_accumulate([c for _, c in adjacency[v]]) for v in vertices}
+    return vertices, tuple(records), {v: tuple(a) for v, a in adjacency.items()}, total, distance
+
+
+def load_outcome(load, doc):
+    """The loaded structure with conductances and totals as exact values or bits, or the message."""
+    try:
+        got = load(doc)
+    except GraphError as exc:
+        return ("GraphError", str(exc))
+    if isinstance(got, WeightedGraph):
+        got = (got.vertices, got.edges, got.adjacency, got.total, got.distance)
+    vertices, edges, adjacency, total, distance = got
+    return (vertices, [(u, v, value_bits(c)) for u, v, c in edges],
+            {x: [(y, value_bits(c)) for y, c in a] for x, a in adjacency.items()},
+            {x: value_bits(t) for x, t in total.items()}, distance)
+
+
+JSON_CONDUCTANCES = st.one_of(st.integers(1, 9), st.floats(0.01, 100.0))
+VERTEX_IDS = st.one_of(st.integers(-50, 50), st.text("abcxyz", min_size=1, max_size=3))
+
+
+@st.composite
+def graph_documents(draw):
+    """A valid document: distinct ids in random order, a spanning tree plus chords, any origin."""
+    ids = draw(st.lists(VERTEX_IDS, min_size=2, max_size=8, unique=True))
+    n = len(ids)
+    pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    others = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in pairs]
+    pairs += draw(st.lists(st.sampled_from(others), max_size=len(others), unique=True)) if others else []
+    edges = []
+    for i, j in draw(st.permutations(pairs)):
+        u, v = (ids[i], ids[j]) if draw(st.booleans()) else (ids[j], ids[i])
+        edges.append({"u": u, "v": v, "c": draw(JSON_CONDUCTANCES)})
+    return {"vertices": ids, "edges": edges, "origin": draw(st.sampled_from(ids))}
+
+
+BAD_CONDUCTANCES = [0, -1, -2.5, 0.0, float("nan"), float("inf"), -float("inf"), True, False, "1", None]
+FAULTS = ("self_loop", "ghost_endpoint", "duplicate", "conflict", "bad_conductance",
+          "disconnected", "isolated", "missing_origin", "origin_not_vertex")
+
+
+def inject(draw, doc, fault):
+    """doc with one fault of the given kind, placed at a random position."""
+    doc = {"vertices": list(doc["vertices"]), "edges": [dict(e) for e in doc["edges"]], "origin": doc["origin"]}
+    edges, ids = doc["edges"], doc["vertices"]
+    ghost = "ghost"
+    at = draw(st.integers(0, len(edges)))
+    # an inserted record may break a later rule too, so the order of the checks shows
+    any_c = st.one_of(JSON_CONDUCTANCES, st.sampled_from(BAD_CONDUCTANCES))
+    if fault == "self_loop":
+        x = draw(st.sampled_from(ids))
+        edges.insert(at, {"u": x, "v": x, "c": draw(any_c)})
+    elif fault == "ghost_endpoint":
+        x = draw(st.sampled_from(ids))
+        u, v = draw(st.sampled_from([(x, ghost), (ghost, x), (ghost, ghost)]))
+        edges.insert(at, {"u": u, "v": v, "c": draw(any_c)})
+    elif fault in ("duplicate", "conflict"):
+        k = draw(st.integers(0, len(edges) - 1))
+        rec = dict(edges[k])
+        if draw(st.booleans()):
+            rec["u"], rec["v"] = rec["v"], rec["u"]
+        if fault == "conflict":
+            rec["c"] = draw(JSON_CONDUCTANCES.filter(lambda c: c != rec["c"]))
+        edges.insert(draw(st.integers(k + 1, len(edges))), rec)
+    elif fault == "bad_conductance":
+        edges[draw(st.integers(0, len(edges) - 1))]["c"] = draw(st.sampled_from(BAD_CONDUCTANCES))
+    elif fault == "disconnected":
+        # a second component of two vertices, placed anywhere in the vertex list
+        ids.insert(draw(st.integers(0, len(ids))), ghost)
+        ids.insert(draw(st.integers(0, len(ids))), ghost + "2")
+        edges.insert(at, {"u": ghost, "v": ghost + "2", "c": draw(JSON_CONDUCTANCES)})
+    elif fault == "isolated":
+        ids.insert(draw(st.integers(0, len(ids))), ghost)
+    elif fault == "missing_origin":
+        del doc["origin"]
+    elif fault == "origin_not_vertex":
+        doc["origin"] = ghost
+    return doc
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestLoaderProperties:
+    """load_graph agrees with the reference on random valid and faulty documents."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=graph_documents())
+    def test_valid_documents_load_like_the_reference(self, doc):
+        got = load_outcome(load_graph, doc)
+        assert got[0] != "GraphError"
+        assert got == load_outcome(reference_load, doc)
+        assert load_graph(doc).index == {v: i for i, v in enumerate(doc["vertices"])}
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), doc=graph_documents(), fault=st.sampled_from(FAULTS))
+    def test_one_fault_raises_the_reference_message(self, data, doc, fault):
+        bad = inject(data.draw, doc, fault)
+        want = load_outcome(reference_load, bad)
+        assert want[0] == "GraphError"
+        assert load_outcome(load_graph, bad) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), doc=graph_documents(),
+           faults=st.lists(st.sampled_from(FAULTS[:5]), min_size=2, max_size=3))
+    def test_first_offending_record_is_named(self, data, doc, faults):
+        # several faulty records: the message names the first in document order
+        for fault in faults:
+            doc = inject(data.draw, doc, fault)
+        want = load_outcome(reference_load, doc)
+        assert want[0] == "GraphError"
+        assert load_outcome(load_graph, doc) == want
+
+    def test_single_vertex_is_isolated(self):
+        with pytest.raises(GraphError, match=r"^isolated vertex 0 \(c\(x\) would be zero\)$"):
+            load_graph({"vertices": [0], "edges": [], "origin": 0})

@@ -309,6 +309,107 @@ class TestDipoleKernel:
         assert calls[0] == size
 
 
+# ---------------------------------------------------------------- the pair loops behind energy_gram
+
+def kl_gram_loop(gs, g, normalized):
+    """Reference: the KL Gram matrix as an upper-triangle loop of energy_inner calls."""
+    sampled = [{y: vec.scale * v for y, v in dipole_oracle(g.vertices, gs.words, vec.coefficients).items()}
+               for vec in kl_vectors(gs, normalized=normalized)]
+    n = len(sampled)
+    out = np.zeros((n, n))
+    for j in range(n):
+        for k in range(j, n):
+            out[j, k] = out[k, j] = float(energy_inner(g, sampled[j], sampled[k]))
+    return out
+
+
+def dipole_gram_loop(words, g):
+    """Reference: the dipole Gram matrix as an upper-triangle loop of energy_inner calls."""
+    dipoles = [{y: common_prefix_length(x, y) for y in g.vertices} for x in words]
+    n = len(words)
+    m = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            m[i, j] = m[j, i] = float(energy_inner(g, dipoles[i], dipoles[j]))
+    return m
+
+
+def reciprocity_loop(words, g):
+    """Reference: reciprocity_spectrum with one dipole sum per eigenvector."""
+    gs = gram_spectrum(words)
+    matrix = gs.matrix.astype(float)
+    rows = []
+    for j in range(len(words)):
+        xi = gs.eigenvectors[:, j].copy()
+        xi -= np.mean(xi)
+        if float(np.linalg.norm(xi)) <= 1e-12:
+            continue
+        u = dipole_oracle(g.vertices, words, xi)
+        rows.append((float(gs.eigenvalues[j]), float(rayleigh_energy(g, u)),
+                     float(xi @ xi) / float(xi @ (matrix @ xi))))
+    return rows
+
+
+def depth_of(g):
+    return max(map(len, g.vertices))
+
+
+@contextlib.contextmanager
+def eigh_inputs():
+    """Record every matrix spectra.eigh receives inside the block."""
+    seen = []
+    inner = spectra.eigh
+
+    def recording(matrix):
+        seen.append(np.array(matrix))
+        return inner(matrix)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "eigh", recording)
+        yield seen
+
+
+class TestPairLoopOracles:
+    """One energy_gram pass and one batched dipole sum give the bits of the per-pair loops."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=word_sets(max_size=10), normalized=st.booleans())
+    def test_kl_gram_check(self, case, normalized):
+        words, g = case
+        gs = gram_spectrum(words)
+        got = kl_gram_check(gs, depth_of(g), normalized=normalized)
+        assert got.dtype == np.float64
+        assert got.tobytes() == kl_gram_loop(gs, g, normalized).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=word_sets(max_size=10))
+    def test_linear_independence_check(self, case):
+        words, g = case
+        with eigh_inputs() as seen:
+            linear_independence_check(words, depth_of(g))
+        assert len(seen) == 1
+        assert seen[0].dtype == np.float64
+        assert seen[0].tobytes() == dipole_gram_loop(words, g).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=word_sets(max_size=10))
+    def test_reciprocity_spectrum(self, case):
+        words, g = case
+        assert reciprocity_spectrum(words, depth_of(g)) == reciprocity_loop(words, g)
+
+    def test_complete_sets(self):
+        for depth in range(1, 5):
+            words = tuple(words_up_to(depth))
+            g = tree_graph(depth)
+            gs = gram_spectrum(words)
+            for normalized in (False, True):
+                assert kl_gram_check(gs, normalized=normalized).tobytes() == kl_gram_loop(gs, g, normalized).tobytes()
+            with eigh_inputs() as seen:
+                linear_independence_check(words)
+            assert seen[0].tobytes() == dipole_gram_loop(words, g).tobytes()
+            assert reciprocity_spectrum(words) == reciprocity_loop(words, g)
+
+
 def forty_words(salt):
     """40 distinct words of length <= 6 in a fixed pseudo-random order."""
     return sorted(words_up_to(6), key=lambda w: mix64(salt << 32 | int("1" + w, 2)))[:40]
@@ -336,6 +437,12 @@ GOLDEN_CLI = [
      "78aed7da91aca3171901b16102af34f2242fa1cad1a6e73c192ab16632de3c50"),
     (["tree", "encode", "--word", "0110101"],
      "cc49ee8105cbc323ddbe4e58cb2c248cf349a92ef2fea5aa0b49413479b904a1"),
+    (["verify", "all", "--quick"],
+     "fa3edfdf27056a579402528bd266ec79e539696f23b3613f02e398a32496b251"),
+    (["verify", "all", "--seed", "1", "--out", "json"],
+     "b404984ffd08209fa52728e4366e5a0387c1aaced47a9ac18c77ee80d4a612e1"),
+    (["spectra", "gram", "--words", ",".join(words_up_to(6))],
+     "af8a9f1524f68fa4c69171fe873e1a8c221887493d41431faf68a9885c757a10"),
 ]
 
 
