@@ -99,6 +99,7 @@ from .circle import (
     solenoid_walk,
     solenoid_covariance_mc,
     solenoid_covariance_exact,
+    product_mean_se,
 )
 from .rng import mix64, derive_key, uniform
 

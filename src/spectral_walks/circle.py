@@ -55,6 +55,7 @@ __all__ = [
     "solenoid_walk",
     "solenoid_covariance_mc",
     "solenoid_covariance_exact",
+    "product_mean_se",
 ]
 
 
@@ -180,6 +181,7 @@ class TrigPoly:
         with_sine = {abs(k) for k, c in terms if imaginary or c.imag != 0}
         re = np.zeros(arr.shape)
         im = np.zeros(arr.shape) if imaginary else None
+        term = np.empty(arr.shape)  # each product lands here, so no term allocates
         waves = {}
         for k, c in terms:
             if k == 0:
@@ -188,15 +190,16 @@ class TrigPoly:
                     im += c.imag
                 continue
             if abs(k) not in waves:
-                theta = (-2.0 * math.pi * abs(k)) * arr
-                waves[abs(k)] = (np.cos(theta), np.sin(theta) if abs(k) in with_sine else None)
+                theta = np.multiply(-2.0 * math.pi * abs(k), arr, out=np.empty(arr.shape))
+                sin = np.sin(theta) if abs(k) in with_sine else None
+                waves[abs(k)] = (np.cos(theta, out=theta), sin)
             cos, sin = waves[abs(k)]
             # theta_{-k} = -theta_k: the sine changes sign with k
             sign = 1.0 if k > 0 else -1.0
             if c.imag == 0:
-                re += c.real * cos
+                re += np.multiply(c.real, cos, out=term)
                 if imaginary:
-                    im += (sign * c.real) * sin
+                    im += np.multiply(sign * c.real, sin, out=term)
             else:
                 re += c.real * cos - (sign * c.imag) * sin
                 if imaginary:
@@ -442,7 +445,12 @@ class DyadicAngle:
 
 @dataclass(frozen=True)
 class SolenoidEnsemble:
-    """Paths of exact dyadic angles; the level grows by one per step."""
+    """Paths of exact dyadic angles; the level grows by one per step.
+
+    numerators[path, step] is the numerator at that step.  solenoid_walk
+    stores one contiguous row per step and passes its transpose, so a
+    step's column (what angles reads) is contiguous in memory.
+    """
 
     seed: int
     start_level: int
@@ -463,11 +471,34 @@ class SolenoidEnsemble:
         """Angle values at one step, as floats (exact up to 53-bit levels)."""
         return self.numerators[:, step].astype(np.float64) / float(1 << self.level(step))
 
+    def evaluate(self, f, step: int) -> np.ndarray:
+        """f at every path's angle at one step: f(angles(step)), one call to f.
+
+        At a step whose level grid is smaller than half the ensemble, f is
+        called on the grid and its values gathered, with the same bits.
+        """
+        level = self.level(step)
+        return _at_dyadics(f, self.numerators[:, step], 1 << level, level)
+
     def angle(self, path: int, step: int) -> DyadicAngle:
         return DyadicAngle(int(self.numerators[path, step]), self.level(step))
 
 
+def _at_dyadics(fn, nums, size, level):
+    """fn at nums / 2^level for numerators nums < size, once per grid point when the grid is the smaller.
+
+    fn must act pointwise; numpy's elementwise ufuncs do not depend on
+    where a value sits in its array, so the gathered values are the
+    direct ones bit for bit.
+    """
+    denom = float(1 << level)
+    if size <= nums.size // 2:
+        return fn(np.arange(size, dtype=np.float64) / denom)[nums]
+    return fn(nums.astype(np.float64) / denom)
+
+
 def _solenoid_block(w, n_steps, start_level, start_num, seed, out, first, count):
+    # out is step-major: row k holds every path's numerator at step k
     keys = path_keys(seed, first, count)
     if start_num is None:
         # uniform start: the top start_level bits of the step-0 draw name a cell of the level grid
@@ -475,19 +506,18 @@ def _solenoid_block(w, n_steps, start_level, start_num, seed, out, first, count)
         nums = bits >> np.uint64(64 - start_level) if start_level else np.zeros(count, dtype=np.uint64)
     else:
         nums = np.full(count, start_num, dtype=np.uint64)
-    out[first : first + count, 0] = nums
+    out[0, first : first + count] = nums
     for k in range(n_steps):
         level = start_level + k
-        denom = float(1 << (level + 1))
-        low = nums.astype(np.float64) / denom
-        p_low = w.real_part(low)
-        # p_low > 1 means the complementary branch weight is negative
-        if np.any(p_low < -1e-12) or np.any(p_low > 1.0 + 1e-12):
+        # the low branch nums / 2^(level+1) lies on a grid of 2^level points
+        p_low = _at_dyadics(w.real_part, nums, 1 << level, level + 1)
+        # p_low > 1 means the complementary branch weight is negative; NaN fails both bounds
+        if not (p_low.min() >= -1e-12 and p_low.max() <= 1.0 + 1e-12):
             raise ValueError("negative W sample along the walk")
         u = step_uniforms(keys, k + 1)
-        go_high = u >= p_low
-        nums = np.where(go_high, nums + np.uint64(1 << level), nums)
-        out[first : first + count, k + 1] = nums
+        # nums < 2^level, so bit `level` is clear and the high branch sets it
+        nums = nums | ((u >= p_low).astype(np.uint64) << np.uint64(level))
+        out[k + 1, first : first + count] = nums
 
 
 def solenoid_walk(w: TrigPoly, n_steps: int, n_paths: int, seed: int, start=DyadicAngle(0, 0)) -> SolenoidEnsemble:
@@ -505,9 +535,10 @@ def solenoid_walk(w: TrigPoly, n_steps: int, n_paths: int, seed: int, start=Dyad
     if not w.is_real(1e-12):
         raise ValueError("W must be real-valued")
     grid = np.arange(1024, dtype=np.float64) / 1024.0
-    part = w.real_part(grid / 2.0) + w.real_part(grid / 2.0 + 0.5)
+    with np.errstate(invalid="ignore", over="ignore"):  # an overflowing W shows as a NaN deviation
+        part = w.real_part(grid / 2.0) + w.real_part(grid / 2.0 + 0.5)
     worst = float(np.max(np.abs(part - 1.0)))
-    if worst > 1e-10:
+    if not worst <= 1e-10:  # a NaN deviation fails too
         raise ValueError(f"W branches do not sum to 1 (deviation {worst:.3e}); not a transition weight")
     if isinstance(start, DyadicAngle):
         start_level = start.level
@@ -519,16 +550,21 @@ def solenoid_walk(w: TrigPoly, n_steps: int, n_paths: int, seed: int, start=Dyad
         start_num = None
     if start_level + n_steps > 62:
         raise ValueError("start level plus steps exceeds 62; numerators would overflow")
-    out = np.empty((n_paths, n_steps + 1), dtype=np.uint64)
+    out = np.empty((n_steps + 1, n_paths), dtype=np.uint64)
     run_blocks(partial(_solenoid_block, w, n_steps, start_level, start_num, seed, out), n_paths)
-    return SolenoidEnsemble(seed=seed, start_level=start_level, numerators=out)
+    return SolenoidEnsemble(seed=seed, start_level=start_level, numerators=out.T)
 
 
 def solenoid_covariance_mc(ens: SolenoidEnsemble, f1: TrigPoly, f2: TrigPoly, n: int):
     """Ensemble estimate of E[f1(Z_n) f2(Z_{n+1})] (real part); returns (estimate, SE)."""
     if n < 0 or n + 1 > ens.n_steps:
         raise ValueError("need 0 <= n <= n_steps - 1")
-    samples = (f1(ens.angles(n)) * f2(ens.angles(n + 1))).real
+    return product_mean_se(ens.evaluate(f1, n), ens.evaluate(f2, n + 1))
+
+
+def product_mean_se(values1: np.ndarray, values2: np.ndarray):
+    """Mean of the real part of values1 * values2 over paths, and its standard error."""
+    samples = (values1 * values2).real
     est = float(samples.mean())
     se = float(samples.std(ddof=1) / math.sqrt(len(samples)))
     return est, se

@@ -137,8 +137,10 @@ def _cmd_tree_dipole(args) -> int:
         raise ValueError("the root carries no dipole; pick a nonempty word")
     if args.depth < len(x):
         raise ValueError("depth must reach the word")
-    defect = tr.dipole_defect(x, args.depth)  # in tree-vertex order
-    rows = [(_word_label(v, args.out), tr.common_prefix_length(x, v), d) for v, d in defect.items()]
+    g = tr.tree_graph(args.depth)
+    dipole = tr.dipole_function(x, g)
+    defect = tr._dipole_defect(x, g, dipole)  # in tree-vertex order
+    rows = [(_word_label(v, args.out), dipole[v], d) for v, d in defect.items()]
     bad = any(r[2] != 0 for r in rows)
     _emit(_meta(args), [("dipole", ["vertex", "value", "defect"], rows)], args.out, args.output)
     return 1 if bad else 0
@@ -306,6 +308,34 @@ def _cos_poly(freq: int) -> ci.TrigPoly:
     return ci.TrigPoly({freq: Fraction(1, 2), -freq: Fraction(1, 2)})
 
 
+def _load_filter(path) -> ci.TrigPoly:
+    """W = |m|^2 of a dyadic filter file {"a": [taps], "degree": 2}; bad documents raise ValueError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict) or "a" not in doc:
+        raise ValueError("filter file must be a JSON object with an \"a\" array")
+    taps = doc["a"]
+    if not isinstance(taps, list):
+        raise ValueError(f"filter taps \"a\" must be an array, got {type(taps).__name__}")
+    if not taps:
+        raise ValueError("filter taps \"a\" are empty")
+    for i, c in enumerate(taps):
+        if isinstance(c, bool) or not isinstance(c, (int, float)):
+            raise ValueError(f"filter tap a[{i}] is not a number: {c!r}")
+        try:
+            finite = math.isfinite(c)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
+            raise ValueError(f"filter tap a[{i}] is not finite: {c!r}")
+    degree = doc.get("degree", 2)
+    if isinstance(degree, bool) or not isinstance(degree, int):
+        raise ValueError(f"filter degree must be an integer, got {degree!r}")
+    if degree != 2:
+        raise ValueError("solenoid walks are dyadic; the filter degree must be 2")
+    return ci.w_from_filter(tuple(taps))
+
+
 def _cmd_solenoid_walk(args) -> int:
     if args.w == "haar":
         w = ci.w_from_filter(ci.haar_filter())
@@ -316,13 +346,7 @@ def _cmd_solenoid_walk(args) -> int:
         default_start = 10
         exact_mu = "lebesgue"
     else:
-        with open(args.w, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict) or "a" not in doc:
-            raise ValueError("filter file must be a JSON object with an \"a\" array")
-        if int(doc.get("degree", 2)) != 2:
-            raise ValueError("solenoid walks are dyadic; the filter degree must be 2")
-        w = ci.w_from_filter(tuple(doc["a"]))
+        w = _load_filter(args.w)
         default_start = ci.DyadicAngle(0, 0)
         exact_mu = None
     start = args.start_level if args.start_level is not None else default_start
@@ -333,11 +357,21 @@ def _cmd_solenoid_walk(args) -> int:
     f2 = _cos_poly(2)
     pairs = [("cos1", f1, "cos1", f1), ("cos1", f1, "cos2", f2), ("cos2", f2, "cos2", f2)]
     lags = sorted({0, args.steps // 2, args.steps - 1} & set(range(args.steps)))
+    # the same (estimate, se) as solenoid_covariance_mc per pair, with each
+    # f evaluated once per step and at most two value arrays alive at once
+    moments = {}
+    for n in lags:
+        cos1_here = ens.evaluate(f1, n)
+        moments["cos1", "cos1", n] = ci.product_mean_se(cos1_here, ens.evaluate(f1, n + 1))
+        cos2_there = ens.evaluate(f2, n + 1)
+        moments["cos1", "cos2", n] = ci.product_mean_se(cos1_here, cos2_there)
+        del cos1_here
+        moments["cos2", "cos2", n] = ci.product_mean_se(ens.evaluate(f2, n), cos2_there)
     rows = []
     failed = False
     for n1, p1, n2, p2 in pairs:
         for n in lags:
-            est, se = ci.solenoid_covariance_mc(ens, p1, p2, n)
+            est, se = moments[n1, n2, n]
             if exact_mu is None:
                 rows.append([n1, n2, n, est, None, se, None])
                 continue
@@ -413,13 +447,13 @@ def _verify_checks(quick: bool, seed: int):
     depth = 4 if quick else 6
     words = tr.words_up_to(depth - 1)
     tg = tr.tree_graph(depth)
+    dips = {x: tr.dipole_function(x, tg) for x in words}  # 14 words in the quick pass
     ok = True
-    for x in words:
-        if any(v != 0 for v in tr.dipole_defect(x, depth).values()):
+    for x, dx in dips.items():
+        if any(v != 0 for v in tr._dipole_defect(x, tg, dx).values()):
             ok = False
             break
     add("dipole_defect_identically_zero", ok, f"words up to length {depth - 1}")
-    dips = {x: tr.dipole_function(x, tg) for x in words[: 14 if quick else len(words)]}
     ok = True
     for x, row in zip(dips, energy_gram(tg, list(dips.values()))):
         for y, e in zip(dips, row):

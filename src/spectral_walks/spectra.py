@@ -332,9 +332,15 @@ def _combine(table, coefficients) -> np.ndarray:
     """
     if not (isinstance(coefficients, np.ndarray) and coefficients.dtype == np.float64):
         table = table.astype(object)
-    acc = 0
+    acc = term = None
     for xi, column in zip(coefficients, table.T):
-        acc = acc + np.multiply.outer(column, xi)
+        if acc is None:
+            term = np.multiply.outer(column, xi)
+            # zeros of the term's dtype: 0 + (-0.0) is +0.0, as from the int 0
+            acc = np.zeros_like(term)
+        else:
+            np.multiply.outer(column, xi, out=term)
+        acc += term
     return acc
 
 

@@ -141,7 +141,12 @@ def dipole_defect(x: str, depth: int) -> dict:
     g = tree_graph(depth)
     if len(x) > depth:
         raise ValueError(f"word {x!r} lies below the depth-{depth} cut")
-    lap = laplacian_apply(g, dipole_function(x, g))
+    return _dipole_defect(x, g, dipole_function(x, g))
+
+
+def _dipole_defect(x: str, g: WeightedGraph, dipole: dict) -> dict:
+    """dipole_defect on a tree g that reaches x, given dipole = dipole_function(x, g)."""
+    lap = laplacian_apply(g, dipole)
     out = {}
     for y in g.vertices:
         expected = (1 if y == x else 0) - (1 if y == ORIGIN else 0)
