@@ -474,26 +474,32 @@ class SolenoidEnsemble:
     def evaluate(self, f, step: int) -> np.ndarray:
         """f at every path's angle at one step: f(angles(step)), one call to f.
 
-        At a step whose level grid is smaller than half the ensemble, f is
-        called on the grid and its values gathered, with the same bits.
+        f is any pointwise callable, such as a TrigPoly or its real_part.
+        When the numerators occupy a range of at most half as many
+        integers as there are paths, f is called on that range and its
+        values gathered, with the same bits.
         """
-        level = self.level(step)
-        return _at_dyadics(f, self.numerators[:, step], 1 << level, level)
+        return _at_dyadics(f, self.numerators[:, step], self.level(step))
 
     def angle(self, path: int, step: int) -> DyadicAngle:
         return DyadicAngle(int(self.numerators[path, step]), self.level(step))
 
 
-def _at_dyadics(fn, nums, size, level):
-    """fn at nums / 2^level for numerators nums < size, once per grid point when the grid is the smaller.
+def _at_dyadics(fn, nums, level):
+    """fn at nums / 2^level, once per integer of the occupied range [lo, hi] when that range is the smaller.
 
     fn must act pointwise; numpy's elementwise ufuncs do not depend on
-    where a value sits in its array, so the gathered values are the
-    direct ones bit for bit.
+    where a value sits in its array, and the range is converted from
+    uint64 like the numerators themselves (the same integer gives the
+    same float, above 2^53 too), so the gathered values are the direct
+    ones bit for bit.
     """
     denom = float(1 << level)
-    if size <= nums.size // 2:
-        return fn(np.arange(size, dtype=np.float64) / denom)[nums]
+    if nums.size >= 2:
+        lo, hi = int(nums.min()), int(nums.max())
+        if hi - lo < nums.size // 2:
+            grid = np.arange(lo, hi + 1, dtype=np.uint64).astype(np.float64) / denom
+            return fn(grid)[(nums - np.uint64(lo)).astype(np.intp)]
     return fn(nums.astype(np.float64) / denom)
 
 
@@ -509,14 +515,20 @@ def _solenoid_block(w, n_steps, start_level, start_num, seed, out, first, count)
     out[0, first : first + count] = nums
     for k in range(n_steps):
         level = start_level + k
-        # the low branch nums / 2^(level+1) lies on a grid of 2^level points
-        p_low = _at_dyadics(w.real_part, nums, 1 << level, level + 1)
+        # the low branch of nums / 2^level is nums / 2^(level+1)
+        p_low = _at_dyadics(w.real_part, nums, level + 1)
+        lowest, highest = p_low.min(), p_low.max()
         # p_low > 1 means the complementary branch weight is negative; NaN fails both bounds
-        if not (p_low.min() >= -1e-12 and p_low.max() <= 1.0 + 1e-12):
+        if not (lowest >= -1e-12 and highest <= 1.0 + 1e-12):
             raise ValueError("negative W sample along the walk")
-        u = step_uniforms(keys, k + 1)
-        # nums < 2^level, so bit `level` is clear and the high branch sets it
-        nums = nums | ((u >= p_low).astype(np.uint64) << np.uint64(level))
+        # nums < 2^level, so bit `level` is clear and the high branch sets it.  A draw
+        # u in [0, 1 - 2^-53] goes high iff u >= p_low, so a step where every branch
+        # is certain draws nothing; draws are keyed by step, so no other draw moves
+        if highest <= 0.0:  # every path goes high
+            nums = nums | np.uint64(1 << level)
+        elif lowest < 1.0:  # else every path goes low and nums stays
+            u = step_uniforms(keys, k + 1)
+            nums = nums | ((u >= p_low).astype(np.uint64) << np.uint64(level))
         out[k + 1, first : first + count] = nums
 
 
@@ -529,6 +541,11 @@ def solenoid_walk(w: TrigPoly, n_steps: int, n_paths: int, seed: int, start=Dyad
     start may be a DyadicAngle (deterministic) or an integer level L,
     meaning uniform on the 2^L-point grid.  Levels are capped so that
     numerators stay inside 64 bits.
+
+    Each step evaluates W once per integer of the occupied numerator
+    range when that range is at most half the block, and draws no
+    uniforms when every branch is certain (all p_low >= 1 or all <= 0);
+    draws are keyed by (path, step), so neither moves a numerator.
     """
     if n_steps < 0 or n_paths < 1:
         raise ValueError("need n_steps >= 0 and n_paths >= 1")

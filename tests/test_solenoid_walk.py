@@ -1,12 +1,16 @@
 """The solenoid walk's layout, its evaluation counts, and the filter-file loader.
 
-The walk stores its numerators step-major and sets the high-branch bit
-with an OR; the CLI evaluates each (f, step) pair once.  None of this may
+The walk stores its numerators step-major, sets the high-branch bit with
+an OR, evaluates W once per integer of the occupied numerator range and
+draws nothing on a step whose branches are all certain; the CLI
+evaluates the real part of each (f, step) pair once.  None of this may
 move a drawn value or an output byte, so the oracles below are the
-path-major np.where walk and solenoid_covariance_mc, compared bit for bit.
+path-major np.where walk, direct evaluation, solenoid_covariance_mc and
+sha256 pins recorded before any of it, compared bit for bit.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -16,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from spectral_walks import (
@@ -24,17 +28,20 @@ from spectral_walks import (
     TrigPoly,
     cli,
     four_tap_filter,
+    haar_filter,
     solenoid_covariance_mc,
     solenoid_walk,
     w_from_filter,
 )
-from spectral_walks import spectra, tree
+from spectral_walks import circle, spectra, tree
 from spectral_walks.circle import _at_dyadics
-from spectral_walks.rng import path_keys, step_bits, step_uniforms
+from spectral_walks.rng import block_plan, path_keys, step_bits, step_uniforms
 
 SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 HALF = TrigPoly.constant(Fraction(1, 2))
+HAAR = w_from_filter(haar_filter())
+FOUR_TAP = w_from_filter(four_tap_filter())
 COS1 = TrigPoly({1: Fraction(1, 2), -1: Fraction(1, 2)})
 COS2 = TrigPoly({2: Fraction(1, 2), -2: Fraction(1, 2)})
 
@@ -66,16 +73,28 @@ weights = st.builds(
     st.floats(-0.5, 0.5),
 ).filter(lambda w: abs(w.coefficient(1)) + abs(w.coefficient(3)) <= 0.25)
 
+# weights whose branch is certain at 0: Haar's W(0) = 1 (every path stays at 0),
+# 1/2 - cos(2 pi t)/2 is 0 there (every path goes high), and the float four-tap's
+# W(0) = 1 - 2^-52 leaves the draw in play
+ANTI_HAAR = TrigPoly({0: Fraction(1, 2), 1: Fraction(-1, 4), -1: Fraction(-1, 4)})
+certain_at_zero = st.sampled_from([HAAR, ANTI_HAAR, FOUR_TAP])
+
 
 # ---------------------------------------------------------------- layout and branch step
 
 class TestStepMajorWalk:
     @SETTINGS
-    @given(weights, st.integers(0, 12), st.integers(0, 20), st.integers(1, 3000),
-           st.integers(0, (1 << 64) - 1), st.sampled_from(["1", "2"]), st.booleans())
-    def test_bits_equal_the_path_major_walk(self, w, n_steps, start_level, n_paths, seed, threads, uniform):
-        start = start_level if uniform else DyadicAngle(seed % (1 << start_level), start_level)
-        want = path_major_walk(w, n_steps, n_paths, seed, start_level, None if uniform else start.numerator)
+    @given(st.one_of(weights, certain_at_zero), st.integers(0, 12), st.integers(0, 20), st.integers(1, 3000),
+           st.integers(0, (1 << 64) - 1), st.sampled_from(["1", "2"]), st.sampled_from(["uniform", "point", "zero"]))
+    def test_bits_equal_the_path_major_walk(self, w, n_steps, start_level, n_paths, seed, threads, start_kind):
+        if start_kind == "uniform":
+            start = start_level
+        elif start_kind == "point":
+            start = DyadicAngle(seed % (1 << start_level), start_level)
+        else:
+            start, start_level = DyadicAngle(0, 0), 0
+        want = path_major_walk(w, n_steps, n_paths, seed, start_level,
+                               None if start_kind == "uniform" else start.numerator)
         old = os.environ.get("SPECTRAL_WALKS_THREADS")
         os.environ["SPECTRAL_WALKS_THREADS"] = threads
         try:
@@ -102,20 +121,93 @@ class TestStepMajorWalk:
     @given(st.dictionaries(st.integers(-6, 6), st.floats(-4, 4), max_size=6),
            st.integers(0, 14), st.integers(1, 4000), st.integers(0, 2**32))
     def test_grid_evaluation_is_bitwise_direct(self, coeffs, level, size, seed):
-        # at most 2^level numerators below 2^level: the grid route is taken whenever it is the smaller
+        # numerators spread over the whole level grid: the range route is taken whenever it is the smaller
         f = TrigPoly(coeffs)
         nums = np.random.default_rng(seed).integers(0, 1 << level, size).astype(np.uint64)
         direct = nums.astype(np.float64) / float(1 << level)
-        assert _at_dyadics(f, nums, 1 << level, level).tobytes() == f(direct).tobytes()
-        assert _at_dyadics(f.real_part, nums, 1 << level, level + 1).tobytes() == \
-            f.real_part(direct / 2.0).tobytes()
+        assert _at_dyadics(f, nums, level).tobytes() == f(direct).tobytes()
+        assert _at_dyadics(f.real_part, nums, level + 1).tobytes() == f.real_part(direct / 2.0).tobytes()
+
+    @SETTINGS
+    @given(st.dictionaries(st.integers(-6, 6), st.complex_numbers(max_magnitude=4, allow_nan=False), max_size=5),
+           st.integers(0, 62), st.integers(1, 3000), st.sampled_from(["equal", "low", "high"]),
+           st.integers(1, 1 << 62), st.integers(0, 2**32))
+    @example({1: 0.5, -1: 0.5, 3: 0.25}, 62, 3000, "high", 1400, 0)
+    @example({1: 0.5, -1: 0.5, 3: 0.25}, 58, 3000, "high", 700, 1)
+    @example({2: 1.0}, 55, 2000, "low", 900, 2)
+    def test_range_grid_is_bitwise_direct(self, coeffs, level, size, cluster, width, seed):
+        # clustered numerators: one value, a band at 0, a band just below 2^level;
+        # above level 53 neighbouring integers share a float, so only an integer grid matches
+        f = TrigPoly(coeffs)
+        rng = np.random.default_rng(seed)
+        width = min(width, 1 << level)
+        if cluster == "equal":
+            nums = np.full(size, int(rng.integers(0, 1 << level, dtype=np.uint64)), dtype=np.uint64)
+        else:
+            offsets = rng.integers(0, width, size, dtype=np.uint64)
+            nums = offsets if cluster == "low" else np.uint64((1 << level) - 1) - offsets
+        direct = nums.astype(np.float64) / float(1 << level)
+        lo, hi = int(nums.min()), int(nums.max())
+        for fn, want in ((f, f(direct)), (f.real_part, f.real_part(direct))):
+            sizes = []
+
+            def counted(t):
+                sizes.append(np.size(t))
+                return fn(t)
+
+            assert _at_dyadics(counted, nums, level).tobytes() == want.tobytes()
+            assert sizes == [hi - lo + 1 if hi - lo < size // 2 else size]
 
     def test_evaluate_matches_angles_at_every_step(self):
-        w = w_from_filter(four_tap_filter())
-        ens = solenoid_walk(w, 16, 5000, 3, start=2)
-        for k in range(17):
-            for f in (COS1, COS2, w):
-                assert ens.evaluate(f, k).tobytes() == f(ens.angles(k)).tobytes()
+        for start in (2, DyadicAngle(0, 0), DyadicAngle(3, 5)):
+            ens = solenoid_walk(FOUR_TAP, 16, 5000, 3, start=start)
+            for k in range(17):
+                for f in (COS1, COS2, FOUR_TAP):
+                    assert ens.evaluate(f, k).tobytes() == f(ens.angles(k)).tobytes()
+                    assert ens.evaluate(f.real_part, k).tobytes() == f.real_part(ens.angles(k)).tobytes()
+
+
+class TestCertainSteps:
+    """A step whose branches are all certain draws no uniforms; the others draw once per block."""
+
+    def drawn_steps(self, monkeypatch, w, n_steps, start=DyadicAngle(0, 0)):
+        steps = []
+        inner = circle.step_uniforms
+
+        def counted(keys, step):
+            steps.append(step)
+            return inner(keys, step)
+
+        monkeypatch.setattr(circle, "step_uniforms", counted)
+        monkeypatch.setenv("SPECTRAL_WALKS_THREADS", "1")
+        ens = solenoid_walk(w, n_steps, 3000, 1, start=start)
+        return steps, ens
+
+    def test_haar_from_zero_draws_nothing(self, monkeypatch):
+        steps, ens = self.drawn_steps(monkeypatch, HAAR, 40)
+        assert steps == []
+        assert not ens.numerators.any()
+
+    def test_four_tap_from_zero_draws_every_step(self, monkeypatch):
+        # W(0) = 1 - 2^-52 < 1: a draw of 1 - 2^-52 or above would still go high
+        assert FOUR_TAP.real_part(0.0) == 1.0 - 2.0**-52
+        steps, _ = self.drawn_steps(monkeypatch, FOUR_TAP, 40)
+        assert steps == list(range(1, 41))
+
+    def test_certain_high_step_draws_nothing(self, monkeypatch):
+        # W(0) = 0 sends every path to 1/2, where W(1/4) = 1/2 leaves the draws in play
+        steps, ens = self.drawn_steps(monkeypatch, ANTI_HAAR, 6)
+        assert steps == list(range(2, 7))
+        assert (ens.numerators[:, 1] == 1).all()
+
+    def test_each_block_draws_once_per_uncertain_step(self, monkeypatch):
+        steps, _ = self.drawn_steps(monkeypatch, HALF, 5, start=3)
+        assert steps == list(range(1, 6))
+        monkeypatch.setenv("SPECTRAL_WALKS_THREADS", "2")
+        steps.clear()
+        solenoid_walk(HAAR, 5, 3000, 1)
+        solenoid_walk(HALF, 5, 3000, 1, start=3)
+        assert sorted(steps) == sorted(list(range(1, 6)) * len(block_plan(3000)))
 
 
 class TestNonFiniteWeights:
@@ -157,20 +249,56 @@ def four_tap_file(tmp_path):
 class TestCovarianceTable:
     @pytest.mark.parametrize("w_arg", ["half", "file"])
     def test_twelve_evaluations_for_three_lags(self, w_arg, four_tap_file, monkeypatch):
-        calls = []
-        inner = TrigPoly.__call__
+        calls, complex_calls = [], []
+        inner_real, inner_call = TrigPoly.real_part, TrigPoly.__call__
 
-        def counted(self, t):
-            calls.append(np.size(t))
-            return inner(self, t)
+        def counted_real(self, t):
+            if self in (COS1, COS2):  # the walk reads W through real_part too
+                calls.append(np.size(t))
+            return inner_real(self, t)
 
-        monkeypatch.setattr(TrigPoly, "__call__", counted)
+        def counted_call(self, t):
+            complex_calls.append(np.size(t))
+            return inner_call(self, t)
+
+        monkeypatch.setattr(TrigPoly, "real_part", counted_real)
+        monkeypatch.setattr(TrigPoly, "__call__", counted_call)
         w = four_tap_file if w_arg == "file" else "half"
         rc, out, _ = run_cli(["solenoid", "walk", "--w", w, "--steps", "8", "--paths", "3000",
                               "--start-level", "12", "--seed", "4"])
         assert rc in (0, 1)
-        # lags 0, 4, 7: cos1 and cos2 at steps n and n + 1 each, once
+        # lags 0, 4, 7: the real parts of cos1 and cos2 at steps n and n + 1 each, once
         assert len(calls) == 12
+        assert complex_calls == []
+        assert sum(1 for line in out.splitlines() if line.startswith("cos")) == 9
+
+    @pytest.mark.parametrize("start", [0, 10, 40, 53, 55, 59])
+    def test_cos_polys_have_a_positive_zero_imaginary_part(self, start):
+        # the -k and k terms add -c sin and c sin: x + (-x) is +0.0, so the real
+        # part alone carries every bit of (v1 * v2).real
+        n_steps = 62 - start
+        for w in (FOUR_TAP, HALF):
+            ens = solenoid_walk(w, n_steps, 2000, 5, start=start)
+            for k in range(n_steps + 1):
+                for freq in (1, 2):
+                    f = cli._cos_poly(freq)
+                    values = f(ens.angles(k))
+                    assert (values.imag == 0.0).all() and not np.signbit(values.imag).any()
+                    assert values.real.tobytes() == f.real_part(ens.angles(k)).tobytes()
+
+    @pytest.mark.parametrize("w_arg", ["haar", "half"])
+    def test_one_exact_value_per_pair(self, w_arg, monkeypatch):
+        calls = []
+        inner = circle.solenoid_covariance_exact
+
+        def counted(*args):
+            calls.append(args[1:3])
+            return inner(*args)
+
+        monkeypatch.setattr(circle, "solenoid_covariance_exact", counted)
+        rc, out, _ = run_cli(["solenoid", "walk", "--w", w_arg, "--steps", "8", "--paths", "3000", "--seed", "4"])
+        assert rc in (0, 1)
+        assert calls == [(COS1, COS1), (COS1, COS2), (COS2, COS2)]
         assert sum(1 for line in out.splitlines() if line.startswith("cos")) == 9
 
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -193,6 +321,34 @@ class TestCovarianceTable:
         for n1, n2, n, est, _, se, _ in rows:
             e, s = solenoid_covariance_mc(ens, polys[n1], polys[n2], n)
             assert (float(est).hex(), float(se).hex()) == (e.hex(), s.hex())
+
+
+# sha256 of "<exit code>\n" + output bytes of the solenoid_fir benchmark's three
+# invocations (40 steps, 40000 paths, seed 1, default starts), recorded before the
+# walk evaluated W on the occupied range, skipped certain draws and the CLI took
+# real parts; the four-tap and haar walks start at DyadicAngle(0, 0), where every
+# path stays
+GOLDEN_SOLENOID_FIR = {
+    "four_tap.json": "a3e413fe53293d45d81ecbc2de000f090946f5f006e6d328b8488549b4a09c31",
+    "haar": "f5756a0423adc165cdd4a3702cc9593d5210e4cbff99defaec30cee257d0fe33",
+    "half": "59f3ac247e3db2d645c664f9791520beb16806111f681267c1fcc0c9fc80712c",
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_golden_solenoid_fir(threads, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SPECTRAL_WALKS_THREADS", threads)
+    (tmp_path / "four_tap.json").write_text(json.dumps({"a": list(four_tap_filter().taps), "degree": 2}))
+    changed = []
+    for w_arg, want in GOLDEN_SOLENOID_FIR.items():
+        argv = ["solenoid", "walk", "--w", w_arg, "--steps", "40", "--paths", "40000", "--seed", "1"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.run(argv + ["--output", "out.txt"])
+        got = hashlib.sha256(f"{rc}\n".encode() + (tmp_path / "out.txt").read_bytes()).hexdigest()
+        if got != want:
+            changed.append(w_arg)
+    assert not changed
 
 
 # ---------------------------------------------------------------- the filter-file loader

@@ -2,9 +2,12 @@
 
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spectral_walks import (
     FiniteMarkov,
@@ -96,6 +99,92 @@ class TestFiniteMarkov:
         f = fm.as_vector({0: 1.0, 1: 0.0, 2: 0.0, 3: 0.0})
         tf = fm.transfer(f)
         assert np.allclose(tf, fm.kernel @ f)
+
+
+CONDUCTANCES = st.one_of(st.integers(1, 9), st.fractions(Fraction(1, 50), 20).filter(lambda c: c > 0),
+                         st.floats(0.01, 100.0))
+
+
+@st.composite
+def graphs(draw):
+    """A valid graph: a random spanning tree on 2-8 vertices plus random chords."""
+    n = draw(st.integers(2, 8))
+    pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    others = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in pairs]
+    pairs += draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+    edges = [{"u": i, "v": j, "c": draw(CONDUCTANCES)} for i, j in pairs]
+    return load_graph({"vertices": list(range(n)), "edges": edges, "origin": 0})
+
+
+MU0_FAULTS = ("nan", "inf", "-inf", "negative", "too_long", "too_short", "dict_keys", "sum")
+
+
+class TestFromGraphProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(graphs())
+    def test_kernel_is_conductance_over_total(self, g):
+        fm = FiniteMarkov.from_graph(g)
+        want = np.zeros((len(g.vertices), len(g.vertices)))
+        for u, v, c in g.edges:
+            want[u, v] = float(c) / float(g.total[u])
+            want[v, u] = float(c) / float(g.total[v])
+        assert fm.kernel.tobytes() == want.tobytes()
+        assert fm.states == g.vertices
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs())
+    def test_default_start_is_total_over_sum(self, g):
+        fm = FiniteMarkov.from_graph(g)
+        totals = [Fraction(g.total[x]) for x in g.vertices]
+        n = len(totals)
+        for got, t in zip(fm.mu0, totals):
+            exact = t / sum(totals)
+            # float(c(x)), an n-term sum, a division and the renormalization
+            assert abs(Fraction(float(got)) - exact) <= (n + 3) * 2.0**-53 * exact
+        assert abs(float(fm.mu0.sum()) - 1.0) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs(), st.data())
+    def test_a_valid_start_is_kept(self, g, data):
+        weights = data.draw(st.lists(st.integers(0, 5), min_size=len(g.vertices), max_size=len(g.vertices))
+                            .filter(lambda ws: sum(ws) > 0))
+        mu0 = np.array(weights, dtype=np.float64) / sum(weights)
+        assume(abs(float(mu0.sum()) - 1.0) <= 1e-12)
+        as_dict = data.draw(st.booleans())
+        fm = FiniteMarkov.from_graph(g, dict(zip(g.vertices, mu0)) if as_dict else mu0)
+        assert fm.mu0.tobytes() == (mu0 / float(mu0.sum())).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(), st.sampled_from(MU0_FAULTS), st.data())
+    def test_a_bad_start_raises(self, g, fault, data):
+        n = len(g.vertices)
+        mu0 = [1.0 / n] * n
+        at = data.draw(st.integers(0, n - 1))
+        if fault in ("nan", "inf", "-inf"):
+            mu0[at] = float(fault)
+            want = "mu0 has a non-finite entry"
+        elif fault == "negative":
+            mu0[at] = -data.draw(st.floats(1e-300, 10.0))
+            want = "mu0 has a negative entry"
+        elif fault == "too_long":
+            mu0.append(0.0)
+            want = "function length does not match the state count"
+        elif fault == "too_short":
+            del mu0[at]
+            want = "function length does not match the state count"
+        elif fault == "dict_keys":
+            mu0 = dict(zip(g.vertices, mu0))
+            del mu0[g.vertices[at]]
+            if data.draw(st.booleans()):
+                mu0["ghost"] = 0.0
+            want = "function does not match the state set"
+        else:
+            mu0[at] += data.draw(st.sampled_from([1e-9, -1e-9, 0.5, 7.0]))
+            want = "mu0 does not sum to 1"
+        if data.draw(st.booleans()) and not isinstance(mu0, dict):
+            mu0 = np.array(mu0)
+        with pytest.raises(ValueError, match=want):
+            FiniteMarkov.from_graph(g, mu0)
 
 
 class TestStructure:
