@@ -495,11 +495,10 @@ def _at_dyadics(fn, nums, level):
     ones bit for bit.
     """
     denom = float(1 << level)
-    if nums.size >= 2:
-        lo, hi = int(nums.min()), int(nums.max())
-        if hi - lo < nums.size // 2:
-            grid = np.arange(lo, hi + 1, dtype=np.uint64).astype(np.float64) / denom
-            return fn(grid)[(nums - np.uint64(lo)).astype(np.intp)]
+    lo, hi = int(nums.min()), int(nums.max())
+    if hi - lo < nums.size // 2:
+        grid = np.arange(lo, hi + 1, dtype=np.uint64).astype(np.float64) / denom
+        return fn(grid)[(nums - np.uint64(lo)).astype(np.intp)]
     return fn(nums.astype(np.float64) / denom)
 
 
@@ -517,16 +516,14 @@ def _solenoid_block(w, n_steps, start_level, start_num, seed, out, first, count)
         level = start_level + k
         # the low branch of nums / 2^level is nums / 2^(level+1)
         p_low = _at_dyadics(w.real_part, nums, level + 1)
-        lowest, highest = p_low.min(), p_low.max()
+        lowest = p_low.min()
         # p_low > 1 means the complementary branch weight is negative; NaN fails both bounds
-        if not (lowest >= -1e-12 and highest <= 1.0 + 1e-12):
+        if not (lowest >= -1e-12 and p_low.max() <= 1.0 + 1e-12):
             raise ValueError("negative W sample along the walk")
         # nums < 2^level, so bit `level` is clear and the high branch sets it.  A draw
-        # u in [0, 1 - 2^-53] goes high iff u >= p_low, so a step where every branch
-        # is certain draws nothing; draws are keyed by step, so no other draw moves
-        if highest <= 0.0:  # every path goes high
-            nums = nums | np.uint64(1 << level)
-        elif lowest < 1.0:  # else every path goes low and nums stays
+        # u in [0, 1 - 2^-53] goes high iff u >= p_low, so a step where every path
+        # goes low for certain draws nothing; draws are keyed by step, so no other draw moves
+        if lowest < 1.0:
             u = step_uniforms(keys, k + 1)
             nums = nums | ((u >= p_low).astype(np.uint64) << np.uint64(level))
         out[k + 1, first : first + count] = nums
@@ -544,7 +541,7 @@ def solenoid_walk(w: TrigPoly, n_steps: int, n_paths: int, seed: int, start=Dyad
 
     Each step evaluates W once per integer of the occupied numerator
     range when that range is at most half the block, and draws no
-    uniforms when every branch is certain (all p_low >= 1 or all <= 0);
+    uniforms when every path goes low for certain (all p_low >= 1);
     draws are keyed by (path, step), so neither moves a numerator.
     """
     if n_steps < 0 or n_paths < 1:

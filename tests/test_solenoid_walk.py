@@ -74,7 +74,7 @@ weights = st.builds(
 ).filter(lambda w: abs(w.coefficient(1)) + abs(w.coefficient(3)) <= 0.25)
 
 # weights whose branch is certain at 0: Haar's W(0) = 1 (every path stays at 0),
-# 1/2 - cos(2 pi t)/2 is 0 there (every path goes high), and the float four-tap's
+# 1/2 - cos(2 pi t)/2 is 0 there (every draw goes high), and the float four-tap's
 # W(0) = 1 - 2^-52 leaves the draw in play
 ANTI_HAAR = TrigPoly({0: Fraction(1, 2), 1: Fraction(-1, 4), -1: Fraction(-1, 4)})
 certain_at_zero = st.sampled_from([HAAR, ANTI_HAAR, FOUR_TAP])
@@ -168,7 +168,7 @@ class TestStepMajorWalk:
 
 
 class TestCertainSteps:
-    """A step whose branches are all certain draws no uniforms; the others draw once per block."""
+    """A step where every path goes low for certain draws no uniforms; the others draw once per block."""
 
     def drawn_steps(self, monkeypatch, w, n_steps, start=DyadicAngle(0, 0)):
         steps = []
@@ -193,12 +193,6 @@ class TestCertainSteps:
         assert FOUR_TAP.real_part(0.0) == 1.0 - 2.0**-52
         steps, _ = self.drawn_steps(monkeypatch, FOUR_TAP, 40)
         assert steps == list(range(1, 41))
-
-    def test_certain_high_step_draws_nothing(self, monkeypatch):
-        # W(0) = 0 sends every path to 1/2, where W(1/4) = 1/2 leaves the draws in play
-        steps, ens = self.drawn_steps(monkeypatch, ANTI_HAAR, 6)
-        assert steps == list(range(2, 7))
-        assert (ens.numerators[:, 1] == 1).all()
 
     def test_each_block_draws_once_per_uncertain_step(self, monkeypatch):
         steps, _ = self.drawn_steps(monkeypatch, HALF, 5, start=3)
