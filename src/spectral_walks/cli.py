@@ -227,8 +227,8 @@ def _cmd_walk_sim(args) -> int:
                         float(mu_solve[i]), float(fm.mu0[i]),
                         abs(float(mu_solve[i]) - float(fm.mu0[i]))])
     ens = wk.simulate(fm, args.steps, args.paths, args.seed)
-    delta_o = {v: (1.0 if v == g.origin else 0.0) for v in g.vertices}
-    dist_f = {v: float(g.distance[v]) for v in g.vertices}
+    delta_o = fm.as_vector({v: (1.0 if v == g.origin else 0.0) for v in g.vertices})
+    dist_f = fm.as_vector({v: float(g.distance[v]) for v in g.vertices})
     pairs = [("origin", delta_o, "origin", delta_o),
              ("origin", delta_o, "distance", dist_f),
              ("distance", dist_f, "distance", dist_f)]

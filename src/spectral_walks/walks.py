@@ -91,11 +91,11 @@ class FiniteMarkov:
     def from_graph(cls, g: WeightedGraph, mu0=None) -> "FiniteMarkov":
         """The conductance-driven walk on g; default start is c(x)/sum c."""
         n = len(g.vertices)
+        arcs = [(i, g.index[y], float(c) / float(g.total[x]))
+                for i, x in enumerate(g.vertices) for y, c in g.adjacency[x]]
+        rows, cols, probs = zip(*arcs)
         kernel = np.zeros((n, n))
-        for i, x in enumerate(g.vertices):
-            cx = float(g.total[x])
-            for y, c in g.adjacency[x]:
-                kernel[i, g.index[y]] = float(c) / cx
+        kernel[rows, cols] = probs
         if mu0 is None:
             weights = np.array([float(g.total[x]) for x in g.vertices])
             mu0 = weights / weights.sum()
@@ -132,24 +132,27 @@ class FiniteMarkov:
         return len(self.states)
 
 
-def _reachable(adj_rows, start: int) -> set:
-    seen = {start}
-    stack = [start]
-    while stack:
-        i = stack.pop()
-        for j in adj_rows[i]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return seen
+def _bfs_levels(arcs: np.ndarray) -> np.ndarray:
+    """Breadth-first level of every state from state 0 along a boolean arc matrix; -1 if unreached.
+
+    One frontier step ORs the arc rows of the whole frontier, so each
+    state's row is read once and a level costs a single array pass.
+    """
+    level = np.full(len(arcs), -1)
+    frontier = np.zeros(len(arcs), dtype=bool)
+    frontier[0] = True
+    depth = 0
+    while frontier.any():
+        level[frontier] = depth
+        frontier = arcs[frontier].any(axis=0) & (level < 0)
+        depth += 1
+    return level
 
 
 def is_irreducible(fm: FiniteMarkov) -> bool:
     """True when every state reaches every other along positive-probability arcs."""
-    n = len(fm.states)
-    fwd = [np.nonzero(fm.kernel[i] > 0)[0] for i in range(n)]
-    bwd = [np.nonzero(fm.kernel[:, i] > 0)[0] for i in range(n)]
-    return len(_reachable(fwd, 0)) == n and len(_reachable(bwd, 0)) == n
+    positive = fm.kernel > 0
+    return bool(np.all(_bfs_levels(positive) >= 0) and np.all(_bfs_levels(positive.T) >= 0))
 
 
 def is_aperiodic(fm: FiniteMarkov) -> bool:
@@ -159,24 +162,11 @@ def is_aperiodic(fm: FiniteMarkov) -> bool:
     level[i] + 1 - level[j] over all positive arcs i -> j inside the
     reached component.  Meaningful for irreducible kernels.
     """
-    level = {0: 0}
-    order = [0]
-    head = 0
-    while head < len(order):
-        i = order[head]
-        head += 1
-        for j in np.nonzero(fm.kernel[i] > 0)[0]:
-            j = int(j)
-            if j not in level:
-                level[j] = level[i] + 1
-                order.append(j)
-    g = 0
-    for i in level:
-        for j in np.nonzero(fm.kernel[i] > 0)[0]:
-            j = int(j)
-            if j in level:
-                g = math.gcd(g, abs(level[i] + 1 - level[j]))
-    return g == 1
+    positive = fm.kernel > 0
+    level = _bfs_levels(positive)
+    # every arc out of a reached state ends at a reached state
+    i, j = np.nonzero(positive & (level >= 0)[:, None])
+    return int(np.gcd.reduce(np.abs(level[i] + 1 - level[j]))) == 1
 
 
 def stationary_measure(fm: FiniteMarkov) -> np.ndarray:
@@ -242,34 +232,45 @@ class PathEnsemble:
 def _sparse_rows(kernel: np.ndarray):
     """Inverse-CDF tables over the positive entries of each kernel row.
 
-    cum[i, m] is the dense cumulative sum np.cumsum(kernel[i]) taken at the
-    m-th positive column targets[i, m]; rows are padded to the largest
-    out-degree with cum = inf.  The last positive entry of each row is
-    clamped to 1.0, so no draw u < 1 can fall past it onto a
+    Row i of cum holds the running sums of the positive entries of
+    kernel[i] in column order, and the flat table targets holds their
+    columns: targets[i * width + m] is the column of the m-th one.  The
+    width is the largest out-degree rounded up to a multiple of 8, so a row
+    of `cum <= u` flags is a whole number of 64-bit words; cum is inf past
+    each row's degree.  The sums equal the dense np.cumsum(kernel[i]) at
+    those columns bit for bit: the dense sum only adds +0.0 in between,
+    which leaves a sum >= 0 unchanged.  The last positive entry of each row
+    is clamped to 1.0, so no draw u < 1 can fall past it onto a
     zero-probability column.  Counting the entries <= u picks the same
     state as the dense inverse CDF at every draw where that one takes a
     positive-probability step.
     """
     positive = kernel > 0
     degree = positive.sum(axis=1)
+    width = -(-int(degree.max()) // 8) * 8
     rows, cols = np.nonzero(positive)
     slot = np.arange(len(rows)) - np.repeat(np.cumsum(degree) - degree, degree)
-    cum = np.full((len(kernel), int(degree.max())), np.inf)
-    cum[rows, slot] = np.cumsum(kernel, axis=1)[rows, cols]
+    probs = np.zeros((len(kernel), width))
+    probs[rows, slot] = kernel[rows, cols]
+    cum = np.cumsum(probs, axis=1)
+    cum[np.arange(width) >= degree[:, None]] = np.inf
     cum[np.arange(len(kernel)), degree - 1] = 1.0
-    targets = np.zeros(cum.shape, dtype=np.int32)
-    targets[rows, slot] = cols
+    targets = np.zeros(cum.size, dtype=np.intp)
+    targets[rows * width + slot] = cols
     return cum, targets
 
 
 def _simulate_block(cum, targets, mu0_cum, n_steps, seed, out, first, count):
     keys = path_keys(seed, first, count)
     u = step_uniforms(keys, 0)
-    state = np.searchsorted(mu0_cum, u, side="right").astype(np.int32)
+    state = np.searchsorted(mu0_cum, u, side="right")
     out[first : first + count, 0] = state
+    width = cum.shape[1]
     for k in range(n_steps):
         u = step_uniforms(keys, k + 1)
-        state = targets[state, (cum[state] <= u[:, None]).sum(axis=1)]
+        below = cum.take(state, axis=0) <= u[:, None]
+        hits = np.bitwise_count(below.view(np.uint64)).sum(axis=1, dtype=np.intp)
+        state = targets[state * width + hits]
         out[first : first + count, k + 1] = state
 
 
@@ -278,9 +279,13 @@ def simulate(fm: FiniteMarkov, n_steps: int, n_paths: int, seed: int) -> PathEns
 
     Z_0 ~ mu0 and each step draws from the kernel row of the current
     state by the inverse CDF over that row's positive entries, so a step
-    costs O(max out-degree) rather than O(states).  Path p consumes only
-    the stream keyed by (seed, p), so the ensemble is bit-identical no
-    matter how the work is chunked.
+    costs O(max out-degree) rather than O(states).  A step gathers each
+    path's padded row of cumulative sums with `take`, compares it with the
+    path's draw, counts the hits by a popcount of the flags viewed as
+    64-bit words, and reads the next state from the flat target table at
+    state * width + hits.  Path p consumes only the stream keyed by
+    (seed, p), so the ensemble is bit-identical no matter how the work is
+    chunked.
     """
     if n_steps < 0 or n_paths < 1:
         raise ValueError("need n_steps >= 0 and n_paths >= 1")
@@ -378,9 +383,13 @@ def _grouped_check(states, here, nxt, vec, exact, min_visits) -> CheckReport:
 
     One stable sort groups the samples by conditioning state, keeping each
     group in its original order; states with fewer than min_visits samples
-    are reported in `skipped` rather than tested.
+    are reported in `skipped` rather than tested.  With at most 65536
+    states the labels are sorted as uint16, which numpy sorts stably by
+    radix; a stable sort has exactly one result, the permutation that
+    orders by label and then by position, so the groups are the same as
+    from sorting the wider labels.
     """
-    order = np.argsort(here, kind="stable")
+    order = np.argsort(here.astype(np.uint16) if len(states) <= 1 << 16 else here, kind="stable")
     values = vec[nxt[order]]
     bounds = np.searchsorted(here[order], np.arange(len(states) + 1))
     rows = []

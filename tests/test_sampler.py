@@ -1,11 +1,13 @@
 """Sparse-row transition sampling and the grouped estimator against dense oracles.
 
-The oracles below are the dense formulations the sampler and the checks
+The oracles below are the formulations the sampler and the checks
 replace: the inverse CDF over the whole cumulative row (clamped at its
-last column), and one full-length mask per conditioning state.  The
-sampler must pick the oracle's state at every draw where the oracle
-takes a positive-probability step, and the checks must return reports
-that compare == to the masked ones.
+last column), the row-indexed step over unpadded sparse tables, and one
+full-length mask per conditioning state.  The sampler must pick the
+dense oracle's state at every draw where that one takes a
+positive-probability step and the row-indexed oracle's state at every
+draw, and the checks must return reports that compare == to the masked
+ones.
 """
 
 import contextlib
@@ -41,6 +43,35 @@ def dense_cum(kernel):
 def dense_next(kernel, state, u):
     """The dense inverse CDF: count the cumulative-row entries <= u."""
     return (dense_cum(kernel)[state] <= u[:, None]).sum(axis=1)
+
+
+def row_tables(kernel):
+    """(S, max out-degree) tables: the dense cumulative row at each positive column, and that column."""
+    positive = kernel > 0
+    degree = positive.sum(axis=1)
+    cum = np.full((len(kernel), degree.max()), np.inf)
+    targets = np.zeros(cum.shape, dtype=np.int32)
+    for i, row in enumerate(np.cumsum(kernel, axis=1)):
+        cols = np.flatnonzero(positive[i])
+        cum[i, : len(cols)] = row[cols]
+        cum[i, len(cols) - 1] = 1.0
+        targets[i, : len(cols)] = cols
+    return cum, targets
+
+
+def row_indexed_walk(fm, n_steps, n_paths, seed):
+    """Trajectories stepped by targets[state, (cum[state] <= u[:, None]).sum(axis=1)] on row_tables."""
+    cum, targets = row_tables(fm.kernel)
+    keys = path_keys(seed, 0, n_paths)
+    mu0_cum = np.cumsum(fm.mu0)
+    mu0_cum[np.flatnonzero(fm.mu0)[-1] :] = 1.0
+    state = np.searchsorted(mu0_cum, step_uniforms(keys, 0), side="right")
+    out = [state]
+    for k in range(n_steps):
+        u = step_uniforms(keys, k + 1)
+        state = targets[state, (cum[state] <= u[:, None]).sum(axis=1)]
+        out.append(state)
+    return np.stack(out, axis=1)
 
 
 def last_positive(kernel):
@@ -115,6 +146,41 @@ def chains(draw):
     mu_w = np.array(draw(st.lists(st.integers(0, 9), min_size=s, max_size=s)), dtype=np.float64)
     mu_w[draw(st.integers(0, s - 2))] += 1.0
     return FiniteMarkov(tuple(range(s)), kernel, mu_w / mu_w.sum())
+
+
+@st.composite
+def wide_chains(draw):
+    """Kernels with out-degrees up to 24, so a row of flags spans up to three words; some rows hold a 1e-300 entry."""
+    s = draw(st.integers(10, 30))
+    kernel = np.zeros((s, s))
+    for i in range(s):
+        wide = i == 0 or draw(st.booleans())
+        degree = draw(st.integers(9, min(24, s)) if wide else st.integers(1, 8))
+        cols = draw(st.lists(st.integers(0, s - 1), min_size=degree, max_size=degree, unique=True))
+        weights = np.array(draw(st.lists(st.integers(1, 59), min_size=degree, max_size=degree)), dtype=np.float64)
+        tiny = draw(st.integers(0, degree - 1)) if degree > 1 and draw(st.booleans()) else None
+        if tiny is not None:
+            weights[tiny] = 0.0
+        kernel[i, cols] = weights / weights.sum()
+        if tiny is not None:
+            kernel[i, cols[tiny]] = 1e-300
+    mu_w = np.array(draw(st.lists(st.integers(0, 9), min_size=s, max_size=s)), dtype=np.float64)
+    mu_w[draw(st.integers(0, s - 1))] += 1.0
+    return FiniteMarkov(tuple(range(s)), kernel, mu_w / mu_w.sum())
+
+
+class TestPaddedStep:
+    @SETTINGS
+    @given(fm=st.one_of(chains(), wide_chains()), seed=st.integers(0, _MASK), n_steps=st.integers(1, 12))
+    def test_matches_row_indexed_step(self, fm, seed, n_steps):
+        cum, targets = walks._sparse_rows(fm.kernel)
+        want_cum, want_targets = row_tables(fm.kernel)
+        degree = want_cum.shape[1]
+        assert cum.shape == (len(fm), -(-degree // 8) * 8) and targets.shape == (cum.size,)
+        assert cum[:, :degree].tobytes() == want_cum.tobytes() and np.all(cum[:, degree:] == np.inf)
+        assert np.array_equal(targets.reshape(cum.shape)[:, :degree][want_cum < np.inf], want_targets[want_cum < np.inf])
+        traj = simulate(fm, n_steps, 300, seed).trajectories
+        assert np.array_equal(traj, row_indexed_walk(fm, n_steps, 300, seed))
 
 
 class TestSparseSampler:
@@ -222,6 +288,19 @@ class TestGroupedEstimator:
         prev, nxt = traj[:, :-1].ravel(), traj[:, 1:].ravel()
         want = mask_check(fm.states, prev, nxt, vec, vec, min_visits)
         assert martingale_check(ens, vec, min_visits) == want
+
+
+    def test_more_than_65536_states_sort_wide_labels(self):
+        rs = np.random.default_rng(7)
+        here, nxt = rs.integers(0, 40, 3000), rs.integers(0, 40, 3000)
+        vec, exact = rs.random(70000), rs.random(70000)
+        narrow = walks._grouped_check(tuple(range(40)), here, nxt, vec, exact, 50)
+        wide = walks._grouped_check(tuple(range(70000)), here, nxt, vec, exact, 50)
+        assert wide.rows == narrow.rows and wide.skipped == narrow.skipped + tuple(range(40, 70000))
+        # labels from 65500 up: in 16 bits the ones past 65535 would wrap and sort first
+        high = here + 65500
+        want = mask_check(tuple(range(70000)), high, nxt, vec, exact, 50)
+        assert walks._grouped_check(tuple(range(70000)), high, nxt, vec, exact, 50) == want
 
 
 # ---------------------------------------------------------------- block plan

@@ -187,7 +187,76 @@ class TestFromGraphProperties:
             FiniteMarkov.from_graph(g, mu0)
 
 
+def reach_by_rows(rows, start):
+    seen = {start}
+    stack = [start]
+    while stack:
+        i = stack.pop()
+        for j in rows[i]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return seen
+
+
+def irreducible_by_rows(kernel):
+    """Depth-first search over per-row and per-column np.nonzero lists, both ways from state 0."""
+    n = len(kernel)
+    fwd = [np.nonzero(kernel[i] > 0)[0] for i in range(n)]
+    bwd = [np.nonzero(kernel[:, i] > 0)[0] for i in range(n)]
+    return len(reach_by_rows(fwd, 0)) == n and len(reach_by_rows(bwd, 0)) == n
+
+
+def aperiodic_by_rows(kernel):
+    """Breadth-first levels from state 0, then the gcd of level[i] + 1 - level[j] arc by arc."""
+    level = {0: 0}
+    order = [0]
+    head = 0
+    while head < len(order):
+        i = order[head]
+        head += 1
+        for j in np.nonzero(kernel[i] > 0)[0]:
+            j = int(j)
+            if j not in level:
+                level[j] = level[i] + 1
+                order.append(j)
+    g = 0
+    for i in level:
+        for j in np.nonzero(kernel[i] > 0)[0]:
+            j = int(j)
+            if j in level:
+                g = math.gcd(g, abs(level[i] + 1 - level[j]))
+    return g == 1
+
+
+@st.composite
+def sparse_kernels(draw):
+    """Kernels on 1-12 states with random supports, arcs only from class c to class c + 1 mod d.
+
+    With d > 1 every cycle has length a multiple of d, so the irreducible
+    ones are periodic; random supports make many of them reducible.
+    """
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, min(3, n)))
+    cls = [k % d for k in draw(st.permutations(range(n)))]
+    kernel = np.zeros((n, n))
+    for i in range(n):
+        allowed = [j for j in range(n) if cls[j] == (cls[i] + 1) % d]
+        cols = draw(st.lists(st.sampled_from(allowed), min_size=1, max_size=len(allowed), unique=True))
+        weights = np.array(draw(st.lists(st.integers(1, 9), min_size=len(cols), max_size=len(cols))), dtype=np.float64)
+        kernel[i, cols] = weights / weights.sum()
+    return kernel
+
+
 class TestStructure:
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_kernels())
+    def test_match_per_row_searches(self, kernel):
+        n = len(kernel)
+        fm = FiniteMarkov(tuple(range(n)), kernel, np.full(n, 1.0 / n))
+        assert is_irreducible(fm) is irreducible_by_rows(kernel)
+        assert is_aperiodic(fm) is aperiodic_by_rows(kernel)
+
     def test_irreducible(self):
         assert is_irreducible(FiniteMarkov.from_graph(cycle4()))
         assert not is_irreducible(ruin_chain())
