@@ -73,6 +73,12 @@ def _json_scalar(v) -> str:
     return json.dumps(str(v) if not isinstance(v, str) else v)
 
 
+# exact types whose cell is one call, the same bytes as _cell_csv / _json_scalar give;
+# a subclass (bool, numpy scalars) still takes the general formatter
+_CSV_CELLS = {int: str, str: str}
+_JSON_CELLS = {int: str, str: json.dumps}
+
+
 def _emit(meta: dict, tables: list, out_format: str, path) -> None:
     if out_format == "json":
         parts = ["{\n  \"meta\": {"]
@@ -84,7 +90,8 @@ def _emit(meta: dict, tables: list, out_format: str, path) -> None:
             cols = ", ".join(json.dumps(c) for c in columns)
             rlines = []
             for row in rows:
-                rlines.append("        [" + ", ".join(_json_scalar(v) for v in row) + "]")
+                cells = [_JSON_CELLS.get(type(v), _json_scalar)(v) for v in row]
+                rlines.append("        [" + ", ".join(cells) + "]")
             body = ",\n".join(rlines)
             tparts.append(
                 f"\n    {json.dumps(name)}: {{\n      \"columns\": [{cols}],\n"
@@ -99,7 +106,7 @@ def _emit(meta: dict, tables: list, out_format: str, path) -> None:
             lines.append(f"# table={name}")
             lines.append(",".join(columns))
             for row in rows:
-                lines.append(",".join(_cell_csv(v) for v in row))
+                lines.append(",".join([_CSV_CELLS.get(type(v), _cell_csv)(v) for v in row]))
         text = "\n".join(lines) + "\n"
     if path:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -9,6 +9,21 @@ Vertex functions are plain mappings ``{vertex: value}`` defined on every
 vertex; values may be int, Fraction, float, or complex.  Integer and
 Fraction inputs are carried exactly through every operation; float paths
 accumulate with compensated summation.
+
+laplacian_apply and energy_gram have two routes.  When every conductance
+of the graph and every value of every input function is a Python int
+(``type(v) is int``: bool, numpy integers and int subclasses excluded),
+they run in int64 array arithmetic on the graph's edge arrays, which are
+built once per graph on first use.  Each states an overflow bound,
+checked in Python ints before the route is taken, under which no int64
+partial sum can leave [-2^63, 2^63) in any summation order: every partial
+sum is at most the sum of the absolute values of its terms.  Under that
+bound the int64 result is the exact integer, and it is returned as Python
+ints, so it equals the dict route's in value, type and key order.  All
+other data, and integer data beyond the bound, takes the dict route.
+energy_inner keeps the dict route alone: one pairing is a single pass
+over the edges there, and gathering two functions into arrays costs as
+much on a tree.
 """
 
 from __future__ import annotations
@@ -19,6 +34,8 @@ import os
 from collections import deque
 from fractions import Fraction
 from operator import mul
+
+import numpy as np
 
 __all__ = [
     "GraphError",
@@ -46,6 +63,11 @@ def _is_exact(value) -> bool:
 
 _EXACT_TYPES = frozenset((int, Fraction))
 _FLOAT_TYPES = frozenset((float,))
+_INT_TYPE = frozenset((int,))
+# int64 holds every integer of absolute value below 2^63
+_INT64_LIMIT = 1 << 63
+# WeightedGraph._edge_arrays before its first use
+_UNBUILT = object()
 
 
 def _accumulate(terms):
@@ -105,7 +127,7 @@ class WeightedGraph:
         distance: dict vertex -> number of edges on a shortest path from the origin.
     """
 
-    __slots__ = ("vertices", "edges", "origin", "adjacency", "total", "index", "distance")
+    __slots__ = ("vertices", "edges", "origin", "adjacency", "total", "index", "distance", "_edge_arrays")
 
     def __init__(self, vertices, edges, origin):
         vertices = tuple(vertices)
@@ -169,6 +191,7 @@ class WeightedGraph:
         self.total = {v: _accumulate([c for _, c in adjacency[v]]) for v in vertices}
         self.index = index
         self.distance = distance
+        self._edge_arrays = _UNBUILT
 
     def neighbors(self, x):
         """Neighbors of x as a tuple of (vertex, conductance)."""
@@ -216,9 +239,79 @@ def _check_function(g: WeightedGraph, f) -> None:
         raise ValueError("vertex function does not match the graph's vertex set")
 
 
+def _int_edges(g: WeightedGraph):
+    """The edges as int64 arrays, or None when some conductance is not an int.
+
+    Returns (head, tail, c, c_sum, c_max): the endpoint indices and the
+    conductances in edges order, and, as Python ints, sum_e c_e and
+    max_x c(x) for the route bounds.  None also when the conductances sum
+    to 2^63 or more, where no bound can hold short of all-zero data.
+    Built on the first call for g and kept on it.
+    """
+    arrays = g._edge_arrays
+    if arrays is _UNBUILT:
+        cs = [c for _, _, c in g.edges]
+        arrays = None
+        if set(map(type, cs)) <= _INT_TYPE and sum(cs) < _INT64_LIMIT:
+            head = np.array([g.index[u] for u, _, _ in g.edges], dtype=np.intp)
+            tail = np.array([g.index[v] for _, v, _ in g.edges], dtype=np.intp)
+            arrays = (head, tail, np.array(cs, dtype=np.int64), sum(cs), max(g.total.values()))
+        g._edge_arrays = arrays
+    return arrays
+
+
+def _int_vectors(g: WeightedGraph, fs):
+    """Each function as (int64 values in vertex order, max |value|), or None.
+
+    None unless every value is an int that fits int64; max |value| is a
+    Python int, 2^63 for a value of -2^63.
+    """
+    if not all(set(map(type, f.values())) <= _INT_TYPE for f in fs):
+        return None
+    vectors = []
+    for f in fs:
+        try:
+            values = np.fromiter(map(f.__getitem__, g.vertices), np.int64, len(g.vertices))
+        except OverflowError:
+            return None
+        vectors.append((values, max(int(values.max()), -int(values.min()))))
+    return vectors
+
+
+def _int_laplacian(g: WeightedGraph, f):
+    """Lf in int64 arithmetic as a vertex dict of Python ints, or None off the int route.
+
+    The route needs every conductance and every value of f an int, and
+    2 * M * max_x c(x) < 2^63 with M = max |f|: each edge term
+    c * (f(u) - f(v)) is at most 2 * M * c, and the terms met at x sum in
+    absolute value to at most 2 * M * c(x).  Each term is added onto u
+    and subtracted from v.
+    """
+    edges = _int_edges(g)
+    vectors = None if edges is None else _int_vectors(g, (f,))
+    if vectors is None:
+        return None
+    head, tail, c, _, c_max = edges
+    [(values, m)] = vectors
+    if 2 * m * c_max >= _INT64_LIMIT:
+        return None
+    terms = c * (values[head] - values[tail])
+    out = np.zeros(len(g.vertices), dtype=np.int64)
+    np.add.at(out, head, terms)
+    np.subtract.at(out, tail, terms)
+    return dict(zip(g.vertices, out.tolist()))
+
+
 def laplacian_apply(g: WeightedGraph, f) -> dict:
-    """Apply the conductance Laplacian: (Lf)(x) = sum_{y~x} c(x,y)(f(x) - f(y))."""
+    """Apply the conductance Laplacian: (Lf)(x) = sum_{y~x} c(x,y)(f(x) - f(y)).
+
+    Int data within the bound 2 * M * max_x c(x) < 2^63, with M = max |f|,
+    is applied in int64 (see _int_laplacian) and gives the same ints.
+    """
     _check_function(g, f)
+    out = _int_laplacian(g, f)
+    if out is not None:
+        return out
     out = {}
     for x in g.vertices:
         fx = f[x]
@@ -252,6 +345,32 @@ def l2_inner(g: WeightedGraph, f1, f2):
     return _accumulate([f1[x].conjugate() * f2[x] for x in g.vertices])
 
 
+def _int_gram(g: WeightedGraph, fs):
+    """rows[j][k] = <fs[j], fs[k]>_E in int64 arithmetic, or None off the int route.
+
+    The route needs every conductance and every value an int, and
+    4 * M^2 * sum_e c_e < 2^63 with M = max(1, max |f| over fs), which is
+    4 * M_j * M_k * sum_e c_e < 2^63 for every pair.  Each term
+    c_e * (fj(u) - fj(v)) * (fk(u) - fk(v)) is then at most
+    4 * M^2 * c_e in absolute value, and so is its first factor; a
+    partial sum is at most the sum of the absolute terms.  The edge
+    differences form an int64 matrix D, and the pairings are
+    (D * c) @ D.T; numpy multiplies integer matrices in its own loop,
+    never through BLAS.
+    """
+    edges = _int_edges(g)
+    vectors = None if edges is None else _int_vectors(g, fs)
+    if vectors is None:
+        return None
+    head, tail, c, c_sum, _ = edges
+    bound = max([1, *(m for _, m in vectors)])
+    if 4 * bound * bound * c_sum >= _INT64_LIMIT:
+        return None
+    values = np.array([v for v, _ in vectors], dtype=np.int64).reshape(len(fs), len(g.vertices))
+    d = values[:, head] - values[:, tail]
+    return ((d * c) @ d.T).tolist()
+
+
 def energy_inner(g: WeightedGraph, f1, f2):
     """Dirichlet energy pairing.
 
@@ -268,15 +387,21 @@ def energy_gram(g: WeightedGraph, fs) -> list:
     """Energy pairings of every ordered pair: rows[j][k] == energy_inner(g, fs[j], fs[k]).
 
     Each function is validated once and its edge differences are formed
-    once; every entry then sums the terms of energy_inner, multiplied in
-    its order (c * conj(fj(u) - fj(v))) * (fk(u) - fk(v)), under its
-    summation rule, so each entry equals energy_inner's to the bit.  All
-    n^2 entries are summed: complex data is Hermitian only in exact
-    arithmetic, so the lower triangle is not a mirror of the upper.
+    once.  Int data within the bound 4 * M^2 * sum_e c_e < 2^63, with
+    M = max(1, max |f| over fs), takes the int64 route (see _int_gram):
+    one matrix product of the edge differences, returned as Python ints,
+    the exact values of energy_inner.  Otherwise every entry sums the terms of energy_inner, multiplied in its order
+    (c * conj(fj(u) - fj(v))) * (fk(u) - fk(v)), under its summation rule,
+    so each entry equals energy_inner's to the bit.  All n^2 entries are
+    summed: complex data is Hermitian only in exact arithmetic, so the
+    lower triangle is not a mirror of the upper.
     """
     fs = list(fs)
     for f in fs:
         _check_function(g, f)
+    rows = _int_gram(g, fs)
+    if rows is not None:
+        return rows
     left = [[c * (f[u] - f[v]).conjugate() for u, v, c in g.edges] for f in fs]
     right = [[f[u] - f[v] for u, v, _ in g.edges] for f in fs]
     return [[_accumulate(list(map(mul, lj, rk))) for rk in right] for lj in left]

@@ -16,8 +16,9 @@ reductions only (no BLAS or LAPACK call), so repeated runs are
 bit-stable whatever the BLAS build or thread count.  The Gram matrix is
 built from the words' characters in int64 array arithmetic, exactly.
 Every dipole sum sum_x c(x) v_x on tree vertices reads one vertex x word
-table of prefix lengths, built once per call (|V|*|F| common_prefix_length
-calls); float64 c sums in float64, int and Fraction c exactly.
+table of prefix lengths, built once per call with each word and each
+vertex validated once; float64 c sums in float64, int and Fraction c
+exactly.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import WeightedGraph, energy_gram, energy_inner, laplacian_apply
-from .tree import check_word, common_prefix_length, dipole_function, tree_graph
+from .tree import _prefix_length, check_word, common_prefix_length, dipole_function, tree_graph
 
 __all__ = [
     "GramSpectrum",
@@ -317,8 +318,16 @@ def kl_vectors(gs: GramSpectrum, normalized: bool = False) -> list:
 
 
 def _prefix_table(words, vertices) -> np.ndarray:
-    """table[i, k] = v_{words[k]}(vertices[i]), one common_prefix_length call per entry."""
-    return np.array([[common_prefix_length(x, y) for x in words] for y in vertices], dtype=np.int64)
+    """table[i, k] = v_{words[k]}(vertices[i]).
+
+    The first row comes from common_prefix_length, which validates every
+    word; each later vertex is validated once, and its row counts the
+    prefixes without validating the words again.
+    """
+    first, *rest = vertices
+    table = [[common_prefix_length(x, first) for x in words]]
+    table += [[_prefix_length(x, y) for x in words] for y in map(check_word, rest)]
+    return np.array(table, dtype=np.int64)
 
 
 def _combine(table, coefficients) -> np.ndarray:

@@ -72,6 +72,11 @@ def common_prefix_length(x: str, y: str) -> int:
     """Number of shared leading characters, i.e. edges common to both root paths."""
     check_word(x)
     check_word(y)
+    return _prefix_length(x, y)
+
+
+def _prefix_length(x: str, y: str) -> int:
+    """common_prefix_length of two words the caller has already validated."""
     n = 0
     for a, b in zip(x, y):
         if a != b:
@@ -120,11 +125,14 @@ def tree_graph(depth: int, branching: int = 2) -> WeightedGraph:
 
 
 def dipole_function(x: str, g: WeightedGraph) -> dict:
-    """The dipole v_x sampled on the vertex set of a truncated tree."""
+    """The dipole v_x sampled on the vertex set of a truncated tree.
+
+    x is validated once and each vertex once, in vertex order.
+    """
     check_word(x)
     if x == ORIGIN:
         raise ValueError("no dipole is attached to the root")
-    return {y: common_prefix_length(x, y) for y in g.vertices}
+    return {y: _prefix_length(x, check_word(y)) for y in g.vertices}
 
 
 def dipole_defect(x: str, depth: int) -> dict:

@@ -469,12 +469,22 @@ def doob_boundary_check(
 
     Each start state runs its own ensemble on a stream derived from
     (seed, state index), so the whole report is reproducible from seed.
+    The ensemble from x is simulate(fm.with_start(x), N, n_paths, key)
+    draw for draw: the sampler table is built once for all starts, and
+    each start's point-mass CDF puts step 0 at x whatever its draw.
     """
     vec = fm.as_vector(h)
+    if N < 0 or n_paths < 1:
+        raise ValueError("need n_steps >= 0 and n_paths >= 1")
+    cum, targets = _sparse_rows(fm.kernel)
+    out = np.empty((n_paths, N + 1), dtype=np.int32)
+    positions = np.arange(len(fm.states))
     rows = []
     for i, x in enumerate(fm.states):
-        ens = simulate(fm.with_start(x), N, n_paths, derive_key(seed, i))
-        samples = vec[ens.trajectories[:, N]]
+        # the clamped CDF of the point mass at i: 0 before i, 1 from i on
+        start_cum = (positions >= i).astype(np.float64)
+        run_blocks(partial(_simulate_block, cum, targets, start_cum, N, derive_key(seed, i), out), n_paths)
+        samples = vec[out[:, N]]
         se = float(samples.std(ddof=1) / math.sqrt(n_paths))
         rows.append(CheckRow(label=str(x), estimate=float(samples.mean()), exact=float(vec[i]), se=se))
     return CheckReport(rows=tuple(rows))

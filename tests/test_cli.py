@@ -1,10 +1,13 @@
 """The command-line front end, run in-process through cli.run."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from spectral_walks import cli
 from spectral_walks.cli import run
 from spectral_walks import (
     decode_int,
@@ -214,3 +217,26 @@ class TestStatisticalCommands:
         rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
         assert len(rows) > 20
         assert all(r.split(",")[1] == "pass" for r in rows)
+
+
+class TestCellFormatting:
+    """The exact-type fast path of _emit writes the bytes of the general cell formatters."""
+
+    class Label(str):
+        pass
+
+    class Count(int):
+        pass
+
+    ROW = [0, -7, 2**70, "", "-", "10", 'quote " and \\ and é', Label("s"), True, False, None, 0.1, -0.0,
+           float("nan"), float("inf"), Fraction(-3, 7), np.int64(5), np.float64(2.5), Count(4)]
+
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    def test_fast_path_matches_general_formatters(self, capsys, monkeypatch, out_format):
+        tables = [("t", [f"c{k}" for k in range(len(self.ROW))], [self.ROW, self.ROW[::-1]])]
+        cli._emit({"seed": 3, "config": "abc"}, tables, out_format, None)
+        fast = capsys.readouterr().out
+        monkeypatch.setattr(cli, "_CSV_CELLS", {})
+        monkeypatch.setattr(cli, "_JSON_CELLS", {})
+        cli._emit({"seed": 3, "config": "abc"}, tables, out_format, None)
+        assert fast == capsys.readouterr().out

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spectral_walks import graphs
+from spectral_walks.tree import common_prefix_length, dipole_function, tree_graph
 from spectral_walks.graphs import (
     GraphError,
     WeightedGraph,
@@ -591,3 +592,142 @@ class TestLoaderProperties:
     def test_single_vertex_is_isolated(self):
         with pytest.raises(GraphError, match=r"^isolated vertex 0 \(c\(x\) would be zero\)$"):
             load_graph({"vertices": [0], "edges": [], "origin": 0})
+
+
+# ---------------------------------------------------------------- the int64 route of the forms
+
+def dict_laplacian(g, f):
+    """Reference: the dict route of laplacian_apply, one sum per vertex."""
+    return {x: graphs._accumulate([c * (f[x] - f[y]) for y, c in g.adjacency[x]]) for x in g.vertices}
+
+
+def dict_energy_gram(g, fs):
+    """Reference: the dict route of energy_gram, one sum per entry."""
+    left = [[c * (f[u] - f[v]).conjugate() for u, v, c in g.edges] for f in fs]
+    right = [[f[u] - f[v] for u, v, _ in g.edges] for f in fs]
+    return [[graphs._accumulate([a * b for a, b in zip(lj, rk)]) for rk in right] for lj in left]
+
+
+def laplacian_outcome(fn, g, f):
+    """The vertex keys in order with value_bits of each value, or the exception type raised."""
+    try:
+        out = fn(g, f)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        return ("raises", type(exc))
+    return [(x, value_bits(v)) for x, v in out.items()]
+
+
+def form_outcomes(g, fs):
+    """The two forms with an int route on fs, as outcome records comparable across routes."""
+    return [laplacian_outcome(laplacian_apply, g, f) for f in fs], gram_outcomes(graphs.energy_gram, g, fs)
+
+
+def reference_outcomes(g, fs):
+    return [laplacian_outcome(dict_laplacian, g, f) for f in fs], gram_outcomes(dict_energy_gram, g, fs)
+
+
+def alternating(g, m):
+    """+m and -m on the two colour classes of the bipartite square: every edge difference is 2m."""
+    return {x: m if x % 2 == 0 else -m for x in g.vertices}
+
+
+# values not of type int: each must keep the dict route and its result types
+NON_INT_VALUES = st.one_of(
+    st.booleans(),
+    st.integers(-1000, 1000).map(np.int64),
+    st.integers(-100, 100).map(Tally),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=1000),
+    st.floats(-1e6, 1e6),
+    st.complex_numbers(max_magnitude=1e6),
+)
+
+
+@st.composite
+def int_functions(draw, g):
+    """A vertex function of ints bounded by a drawn cap, so both sides of each bound occur."""
+    cap = draw(st.sampled_from([1, 50, 10**6, 2**30, 2**61]))
+    return dict(zip(g.vertices, draw(st.lists(st.integers(-cap, cap), min_size=len(g), max_size=len(g)))))
+
+
+@st.composite
+def mixed_functions(draw, g):
+    """Ints with at least one value of another type mixed in."""
+    f = draw(int_functions(g))
+    for x in draw(st.lists(st.sampled_from(g.vertices), min_size=1, unique=True)):
+        f[x] = draw(NON_INT_VALUES)
+    return f
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestIntRoute:
+    """laplacian_apply's and energy_gram's int64 route gives the dict route's values, types and key order.
+
+    Every other input keeps the dict route.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), g=cyclic_graphs(st.one_of(st.integers(1, 60), st.integers(1, 2**40))),
+           n=st.integers(0, 4))
+    def test_int_data_matches_dict_route(self, data, g, n):
+        fs = [data.draw(int_functions(g)) for _ in range(n)]
+        assert form_outcomes(g, fs) == reference_outcomes(g, fs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), g=cyclic_graphs(st.one_of(st.integers(1, 60), CONDUCTANCES)), n=st.integers(1, 3))
+    def test_mixed_data_matches_dict_route(self, data, g, n):
+        fs = [data.draw(st.one_of(int_functions(g), mixed_functions(g))) for _ in range(n)]
+        assert form_outcomes(g, fs) == reference_outcomes(g, fs)
+
+    def test_tree_dipoles_take_the_int_route(self):
+        g = tree_graph(5)
+        words = ("1", "01", "110", "00101", "0011")
+        dips = [dipole_function(x, g) for x in words]
+        assert graphs._int_laplacian(g, dips[0]) is not None
+        assert graphs._int_gram(g, dips) is not None
+        assert form_outcomes(g, dips) == reference_outcomes(g, dips)
+        assert graphs.energy_gram(g, dips) == [[common_prefix_length(x, y) for y in words] for x in words]
+
+    def test_laplacian_bound(self):
+        g = square()  # c(x) = 7, 5, 4, 6, so (Lf)(0) = 2 * M * 7 exactly for alternating f
+        inside = (2**63 - 1) // 14
+        for m, taken in ((inside, True), (inside + 1, False)):
+            f = alternating(g, m)
+            assert (graphs._int_laplacian(g, f) is not None) == taken
+            assert laplacian_outcome(laplacian_apply, g, f) == laplacian_outcome(dict_laplacian, g, f)
+        assert laplacian_apply(g, alternating(g, inside + 1))[0] == 14 * (inside + 1) >= 2**63
+
+    def test_energy_gram_bound(self):
+        g = square()
+        inside = math.isqrt((2**63 - 1) // 44)  # the diagonal entry of the largest function is 44 M^2
+        for m, taken in ((inside, True), (inside + 1, False)):
+            fs = [alternating(g, 5), alternating(g, m), {x: 0 for x in g.vertices}]
+            assert (graphs._int_gram(g, fs) is not None) == taken
+            assert gram_outcomes(graphs.energy_gram, g, fs) == gram_outcomes(dict_energy_gram, g, fs)
+            assert graphs.energy_gram(g, fs)[1][1] == 44 * m * m
+
+    @pytest.mark.parametrize("value", [2**62, -2**63, 2**63, -2**63 - 1, 2**100])
+    def test_values_near_the_int64_range_keep_the_dict_route(self, value):
+        g = square()
+        fs = [{0: value, 1: 0, 2: -1, 3: 2}]
+        assert graphs._int_laplacian(g, fs[0]) is None
+        assert graphs._int_gram(g, fs) is None
+        assert form_outcomes(g, fs) == reference_outcomes(g, fs)
+
+    @pytest.mark.parametrize("value", [True, np.int64(3), Tally(3), Fraction(3), 3.0, 3 + 0j])
+    def test_other_value_types_keep_the_dict_route(self, value):
+        g = square()
+        fs = [{0: value, 1: 0, 2: -1, 3: 2}, {0: 1, 1: 4, 2: -1, 3: 2}]
+        assert graphs._int_laplacian(g, fs[0]) is None
+        assert graphs._int_gram(g, fs) is None
+        assert form_outcomes(g, fs) == reference_outcomes(g, fs)
+
+    @pytest.mark.parametrize("cs", [(2.0, 3, 1, 5), (Fraction(2), 3, 1, 5), (2**62, 2**62, 1, 1)])
+    def test_other_conductances_keep_the_dict_route(self, cs):
+        g = square(*cs)
+        fs = [{0: 0, 1: 1, 2: -1, 3: 2}, {0: 1, 1: 4, 2: -1, 3: 2}]
+        assert graphs._int_edges(g) is None
+        assert form_outcomes(g, fs) == reference_outcomes(g, fs)
+
+    def test_empty_list(self):
+        g = square()
+        assert graphs.energy_gram(g, []) == dict_energy_gram(g, []) == []

@@ -463,13 +463,13 @@ class TestDipoleReuse:
 
     def test_tree_dipole_reads_each_prefix_length_once(self, monkeypatch):
         calls = []
-        inner = tree.common_prefix_length
+        inner = tree._prefix_length
 
         def counted(x, y):
             calls.append((x, y))
             return inner(x, y)
 
-        monkeypatch.setattr(tree, "common_prefix_length", counted)
+        monkeypatch.setattr(tree, "_prefix_length", counted)
         rc, out, _ = run_cli(["tree", "dipole", "--x", "101", "--depth", "5"])
         assert rc == 0
         assert len(calls) == (1 << 6) - 1

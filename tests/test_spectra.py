@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -290,23 +291,36 @@ class TestDipoleKernel:
         with pytest.raises(ValueError):
             dipole_combination(tree_graph(2), ("", "1"), [1, 1])
 
+    @pytest.mark.parametrize("vertices", [["", "1", "12"], ["12", "1", ""], ["1", "x", "", "2"], ["1", 0, ""]])
+    def test_bad_vertex_raises_like_the_per_entry_table(self, vertices):
+        # reference: common_prefix_length on every (vertex, word) entry in row order
+        g = WeightedGraph(vertices, list(zip(vertices, vertices[1:], [1] * len(vertices))), vertices[-1])
+        words = ("1", "01")
+        with pytest.raises((TypeError, ValueError)) as want:
+            [[common_prefix_length(x, y) for x in words] for y in vertices]
+        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+            dipole_combination(g, words, [1, 2])
+
     @pytest.mark.parametrize("depth", [None, 6])
     def test_one_table_per_call(self, depth, monkeypatch):
-        calls = [0]
-        inner = spectra.common_prefix_length
+        # the first row validates the words through common_prefix_length; later rows count unvalidated
+        calls = {"checked": 0, "raw": 0}
 
-        def counted(x, y):
-            calls[0] += 1
-            return inner(x, y)
+        def counting(kind, inner):
+            def counted(x, y):
+                calls[kind] += 1
+                return inner(x, y)
+            return counted
 
-        monkeypatch.setattr(spectra, "common_prefix_length", counted)
+        monkeypatch.setattr(spectra, "common_prefix_length", counting("checked", spectra.common_prefix_length))
+        monkeypatch.setattr(spectra, "_prefix_length", counting("raw", spectra._prefix_length))
         words = tuple(words_up_to(4))
-        size = len(tree_graph(depth or 4)) * len(words)
+        rest = (len(tree_graph(depth or 4)) - 1) * len(words)
         spectra.reciprocity_spectrum(words, depth)
-        assert calls[0] == size
-        calls[0] = 0
+        assert calls == {"checked": len(words), "raw": rest}
+        calls.update(checked=0, raw=0)
         kl_gram_check(gram_spectrum(words), depth)
-        assert calls[0] == size
+        assert calls == {"checked": len(words), "raw": rest}
 
 
 # ---------------------------------------------------------------- the pair loops behind energy_gram

@@ -1,5 +1,6 @@
 """Binary tree dipoles and the word/integer encodings."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from spectral_walks import (
     encode_nadic,
     cantor_encode,
 )
+from spectral_walks.graphs import WeightedGraph
 from spectral_walks.tree import check_word, common_prefix_length, parent, path_edges
 
 
@@ -78,6 +80,15 @@ def test_dipole_defect_word_below_cut():
         dipole_defect("1010", 3)
     with pytest.raises(ValueError):
         dipole_defect("", 3)
+
+
+@pytest.mark.parametrize("vertices", [["", "1", "12"], ["12", "1", ""], ["1", "x", "", "2"], ["1", 0, ""]])
+def test_dipole_function_rejects_a_bad_vertex_like_common_prefix_length(vertices):
+    g = WeightedGraph(vertices, list(zip(vertices, vertices[1:], [1] * len(vertices))), vertices[-1])
+    with pytest.raises((TypeError, ValueError)) as want:
+        [common_prefix_length("10", y) for y in vertices]
+    with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+        dipole_function("10", g)
 
 
 def test_dipole_energy_norm_is_word_length():

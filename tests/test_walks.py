@@ -9,6 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from spectral_walks import walks
+from spectral_walks.rng import derive_key
 from spectral_walks import (
     FiniteMarkov,
     CheckRow,
@@ -432,3 +434,26 @@ class TestMartingale:
     def test_doob_boundary(self):
         rep = doob_boundary_check(ruin_chain(), {k: k / 4 for k in range(5)}, 12, 3000, 55)
         assert rep.passed
+
+    def test_doob_boundary_matches_per_state_ensembles(self, monkeypatch):
+        # reference: one simulate(fm.with_start(x), ...) per state, on the stream (seed, state index)
+        fm = FiniteMarkov.from_graph(tree_graph(8))
+        h = {x: float(len(x) % 3) - 0.5 for x in fm.states}
+        n_steps, n_paths, seed = 4, 60, 91
+        vec = fm.as_vector(h)
+        want = []
+        for i, x in enumerate(fm.states):
+            ends = vec[simulate(fm.with_start(x), n_steps, n_paths, derive_key(seed, i)).trajectories[:, n_steps]]
+            se = float(ends.std(ddof=1) / math.sqrt(n_paths))
+            want.append((str(x), float(ends.mean()).hex(), float(vec[i]).hex(), se.hex()))
+        tables = []
+        inner = walks._sparse_rows
+
+        def counted(kernel):
+            tables.append(kernel)
+            return inner(kernel)
+
+        monkeypatch.setattr(walks, "_sparse_rows", counted)
+        rep = doob_boundary_check(fm, h, n_steps, n_paths, seed)
+        assert [(r.label, r.estimate.hex(), r.exact.hex(), r.se.hex()) for r in rep.rows] == want
+        assert len(tables) == 1
