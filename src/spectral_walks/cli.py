@@ -17,6 +17,7 @@ another arithmetic error).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -186,7 +187,7 @@ def _cmd_spectra_gram(args) -> int:
         row = [j, float(gs.eigenvalues[j]), gs.coefficient_sum(j), rf[j][1]]
         row.extend(float(gs.eigenvectors[i, j]) for i in range(n))
         eig_rows.append(row)
-    pairs = sp.reciprocity_spectrum(words, args.depth)
+    pairs = sp.reciprocity_spectrum(gs, args.depth)
     rec_rows = [[lam, er, cr, abs(er - cr)] for lam, er, cr in pairs]
     tables = [
         ("gram", ["word"] + list(words), gram_rows),
@@ -205,6 +206,7 @@ def _cmd_spectra_gram(args) -> int:
 def _cmd_spectra_growth(args) -> int:
     if args.max_depth < 1:
         raise ValueError("max depth must be at least 1")
+    tr._check_depth(args.max_depth)  # refused before the first, cheap depths run
     rows = []
     worst = 0.0
     for d in range(1, args.max_depth + 1):
@@ -266,7 +268,13 @@ def _parse_taps(text: str) -> tuple:
         part = part.strip()
         if not part:
             continue
-        taps.append(Fraction(part) if "/" in part else float(part))
+        try:
+            tap = Fraction(part) if "/" in part else float(part)
+        except ZeroDivisionError:
+            raise ValueError(f"filter coefficient {part!r} divides by zero") from None
+        if not math.isfinite(tap):
+            raise ValueError(f"filter coefficient {part!r} is not finite")
+        taps.append(tap)
     if not taps:
         raise ValueError("no filter coefficients given")
     return tuple(taps)
@@ -282,6 +290,8 @@ def _cmd_wavelet_qmf(args) -> int:
 
 
 def _cmd_wavelet_tightness(args) -> int:
+    if not math.isfinite(args.t):
+        raise ValueError(f"--t must be finite, got {args.t!r}")
     defect = ci.tightness_defect(_parse_taps(args.coeffs), args.t, args.K, args.depth)
     rows = [[args.t, args.K, args.depth, defect]]
     _emit(_meta(args), [("tightness", ["t", "K", "depth", "defect"], rows)], args.out, args.output)
@@ -638,7 +648,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="64-bit seed for anything stochastic")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every run."""
     p = argparse.ArgumentParser(
         prog="spectral-walks",
         description="Energy forms, dipole spectra, path-space walks, and wavelet transfer operators.",

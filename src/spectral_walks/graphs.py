@@ -10,11 +10,22 @@ vertex; values may be int, Fraction, float, or complex.  Integer and
 Fraction inputs are carried exactly through every operation; float paths
 accumulate with compensated summation.
 
+A WeightedGraph is stored as arrays.  The constructor checks the edge
+records together as endpoint-index arrays (packed pair keys for
+duplicates, a type-set test for the conductances), finds hop distances
+by a breadth-first search over a table of the arcs leaving each vertex,
+in record order, and sums c(x) in int64 when the conductances are ints
+within a checked bound.  The dict views edges, adjacency, total and
+distance are built from the arrays on first access: they equal the
+record-by-record construction in value, type and per-vertex order, with
+distance listed in vertex order.  A failed check names the first
+offending record, found by a record-by-record search.
+
 laplacian_apply and energy_gram have two routes.  When every conductance
 of the graph and every value of every input function is a Python int
 (``type(v) is int``: bool, numpy integers and int subclasses excluded),
-they run in int64 array arithmetic on the graph's edge arrays, which are
-built once per graph on first use.  Each states an overflow bound,
+they run in int64 array arithmetic on the graph's edge arrays, which the
+constructor builds.  Each states an overflow bound,
 checked in Python ints before the route is taken, under which no int64
 partial sum can leave [-2^63, 2^63) in any summation order: every partial
 sum is at most the sum of the absolute values of its terms.  Under that
@@ -31,7 +42,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections import deque
+from collections.abc import Mapping
 from fractions import Fraction
 from operator import mul
 
@@ -66,8 +77,6 @@ _FLOAT_TYPES = frozenset((float,))
 _INT_TYPE = frozenset((int,))
 # int64 holds every integer of absolute value below 2^63
 _INT64_LIMIT = 1 << 63
-# WeightedGraph._edge_arrays before its first use
-_UNBUILT = object()
 
 
 def _accumulate(terms):
@@ -118,80 +127,137 @@ class WeightedGraph:
     * the graph is connected and every vertex meets at least one edge,
     * the distinguished origin is a vertex.
 
+    The edge records are checked together, as index arrays; when a check
+    fails, the records are searched in order and the message names the
+    first offending one, as a record-by-record check would.  The graph
+    stores its edges as arrays: the endpoint indices of each record and
+    a table of the arcs leaving each vertex, in record order.  edges,
+    adjacency, total and distance are built from them on first access
+    and then kept; they are shared, so callers must not modify them.
+
     Attributes:
         vertices: tuple of vertex ids in a stable caller-given order.
-        edges: tuple of (u, v, c) triples, one per undirected edge.
         origin: the distinguished base vertex o.
-        adjacency: dict vertex -> tuple of (neighbor, conductance).
+        index: dict vertex -> its position in vertices.
+        edges: tuple of (u, v, c) triples, one per undirected edge, in
+            record order.
+        adjacency: dict vertex -> tuple of (neighbor, conductance), in
+            record order.
         total: dict vertex -> c(x), the sum of conductances at x.
-        distance: dict vertex -> number of edges on a shortest path from the origin.
+        distance: dict vertex -> number of edges on a shortest path from
+            the origin, in vertex order.
     """
 
-    __slots__ = ("vertices", "edges", "origin", "adjacency", "total", "index", "distance", "_edge_arrays")
+    __slots__ = ("vertices", "origin", "index", "_records", "_ends", "_arcs", "_starts", "_totals", "_hops",
+                 "_edge_arrays", "_edges", "_adjacency", "_total", "_distance")
 
     def __init__(self, vertices, edges, origin):
         vertices = tuple(vertices)
-        if len(set(vertices)) != len(vertices):
+        n = len(vertices)
+        index = dict(zip(vertices, range(n)))
+        if len(index) != n:
             raise GraphError("duplicate vertex ids")
         if not vertices:
             raise GraphError("graph has no vertices")
-        index = {v: i for i, v in enumerate(vertices)}
         if origin not in index:
             raise GraphError(f"origin {origin!r} is not a vertex")
 
-        adjacency = {v: [] for v in vertices}
-        seen = {}
-        clean = []
-        for record in edges:
-            try:
-                u, v, c = record
-            except (TypeError, ValueError):
-                raise GraphError(f"malformed edge record {record!r}") from None
-            i = index.get(u)
-            j = index.get(v)
-            if i is None or j is None:
-                raise GraphError(f"edge ({u!r}, {v!r}) has an endpoint that is not a vertex")
-            if i == j:
-                raise GraphError(f"self-loop at {u!r}")
-            if not _valid_conductance(c):
-                raise GraphError(f"edge ({u!r}, {v!r}) has a non-positive or non-finite conductance {c!r}")
-            key = (i, j) if i < j else (j, i)
-            if key in seen:
-                if seen[key] != c:
-                    raise GraphError(
-                        f"edge ({u!r}, {v!r}) recorded twice with conflicting "
-                        f"conductances {seen[key]!r} and {c!r} (symmetry violation)"
-                    )
-                raise GraphError(f"duplicate edge record for ({u!r}, {v!r})")
-            seen[key] = c
-            clean.append((u, v, c))
-            adjacency[u].append((v, c))
-            adjacency[v].append((u, c))
+        given = list(edges)
+        records = []
+        try:
+            # on a malformed record, extend keeps the records unpacked before it
+            records.extend((u, v, c) for u, v, c in given)
+        except (TypeError, ValueError):
+            pass
+        m = len(records)
+        if m < len(given):
+            raise GraphError(_first_fault(records, index) or f"malformed edge record {given[m]!r}")
+        us, vs, cs = zip(*records) if records else ((), (), ())
+        try:
+            head = np.fromiter(map(index.get, us), np.intp, m)
+            tail = np.fromiter(map(index.get, vs), np.intp, m)
+        except TypeError:  # index.get gave None, or an endpoint is unhashable
+            raise GraphError(_first_fault(records, index)) from None
+        ints = set(map(type, cs)) <= _INT_TYPE
+        if ((head == tail).any()
+                or not (min(cs, default=1) > 0 if ints else all(map(_valid_conductance, cs)))
+                or _has_repeats(np.minimum(head, tail) * n + np.maximum(head, tail))):
+            raise GraphError(_first_fault(records, index))
 
-        # connectedness and hop distances by breadth-first search from the origin
-        distance = {origin: 0}
-        frontier = deque([origin])
-        while frontier:
-            x = frontier.popleft()
-            for y, _ in adjacency[x]:
-                if y not in distance:
-                    distance[y] = distance[x] + 1
-                    frontier.append(y)
-        if len(distance) != len(vertices):
-            missing = next(v for v in vertices if v not in distance)
-            raise GraphError(f"graph is not connected ({missing!r} unreachable from origin)")
-        for v in vertices:
-            if not adjacency[v]:
-                raise GraphError(f"isolated vertex {v!r} (c(x) would be zero)")
+        # arc 2k runs from u_k to v_k and arc 2k + 1 back; arcs lists them
+        # grouped by the vertex they leave, each group in record order
+        ends = np.empty(2 * m, dtype=np.intp)
+        ends[0::2] = head
+        ends[1::2] = tail
+        arcs = np.argsort(ends, kind="stable")
+        degree = np.bincount(ends, minlength=n)
+        starts = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(degree, out=starts[1:])
+        hops = _hop_counts(ends[arcs ^ 1], starts, degree, index[origin])
+        unreached = np.flatnonzero(hops < 0)
+        if unreached.size:
+            raise GraphError(f"graph is not connected ({vertices[unreached[0]]!r} unreachable from origin)")
+        if not degree.all():
+            raise GraphError(f"isolated vertex {vertices[int(np.argmin(degree))]!r} (c(x) would be zero)")
+
+        # _edge_arrays holds the int route's data: (head, tail, c, c_sum, c_max),
+        # the endpoint indices and int64 conductances in record order, and as
+        # Python ints sum_e c_e and max_x c(x) for the route bounds.  It is None
+        # unless every conductance is an int and their sum is below 2^63; under
+        # that bound no partial sum of positive terms leaves int64, so c(x) is
+        # summed in int64 too.
+        c_sum = sum(cs) if ints else None
+        if c_sum is not None and c_sum < _INT64_LIMIT:
+            c = np.array(cs, dtype=np.int64)
+            totals = np.add.reduceat(c[arcs >> 1], starts[:-1])
+            self._edge_arrays = (head, tail, c, c_sum, int(totals.max()))
+            totals = totals.tolist()
+        else:
+            self._edge_arrays = None
+            arc_cs = list(map(cs.__getitem__, (arcs >> 1).tolist()))
+            bounds = starts.tolist()
+            totals = [_accumulate(arc_cs[a:b]) for a, b in zip(bounds, bounds[1:])]
 
         self.vertices = vertices
-        self.edges = tuple(clean)
         self.origin = origin
-        self.adjacency = {v: tuple(nbrs) for v, nbrs in adjacency.items()}
-        self.total = {v: _accumulate([c for _, c in adjacency[v]]) for v in vertices}
         self.index = index
-        self.distance = distance
-        self._edge_arrays = _UNBUILT
+        self._records = records
+        self._ends = ends
+        self._arcs = arcs
+        self._starts = starts
+        self._totals = totals
+        self._hops = hops
+        self._edges = self._adjacency = self._total = self._distance = None
+
+    @property
+    def edges(self):
+        if self._edges is None:
+            self._edges = tuple(self._records)
+        return self._edges
+
+    @property
+    def adjacency(self):
+        if self._adjacency is None:
+            # (neighbor, c) of each arc, then in the grouped order of _arcs
+            pairs = [None] * len(self._ends)
+            pairs[0::2] = [(v, c) for _, v, c in self._records]
+            pairs[1::2] = [(u, c) for u, _, c in self._records]
+            pairs = list(map(pairs.__getitem__, self._arcs.tolist()))
+            bounds = self._starts.tolist()
+            self._adjacency = {x: tuple(pairs[a:b]) for x, a, b in zip(self.vertices, bounds, bounds[1:])}
+        return self._adjacency
+
+    @property
+    def total(self):
+        if self._total is None:
+            self._total = dict(zip(self.vertices, self._totals))
+        return self._total
+
+    @property
+    def distance(self):
+        if self._distance is None:
+            self._distance = dict(zip(self.vertices, self._hops.tolist()))
+        return self._distance
 
     def neighbors(self, x):
         """Neighbors of x as a tuple of (vertex, conductance)."""
@@ -203,8 +269,69 @@ class WeightedGraph:
     def __repr__(self):
         return (
             f"WeightedGraph({len(self.vertices)} vertices, "
-            f"{len(self.edges)} edges, origin={self.origin!r})"
+            f"{len(self._records)} edges, origin={self.origin!r})"
         )
+
+
+def _first_fault(records, index):
+    """The message for the first (u, v, c) record that breaks an edge rule, or None.
+
+    The records are taken in order, each checked for its endpoints, a
+    self-loop, its conductance, and then against the records before it
+    for a duplicate.
+    """
+    seen = {}
+    for u, v, c in records:
+        i = index.get(u)
+        j = index.get(v)
+        if i is None or j is None:
+            return f"edge ({u!r}, {v!r}) has an endpoint that is not a vertex"
+        if i == j:
+            return f"self-loop at {u!r}"
+        if not _valid_conductance(c):
+            return f"edge ({u!r}, {v!r}) has a non-positive or non-finite conductance {c!r}"
+        key = (i, j) if i < j else (j, i)
+        if key in seen:
+            if seen[key] != c:
+                return (
+                    f"edge ({u!r}, {v!r}) recorded twice with conflicting "
+                    f"conductances {seen[key]!r} and {c!r} (symmetry violation)"
+                )
+            return f"duplicate edge record for ({u!r}, {v!r})"
+        seen[key] = c
+    return None
+
+
+def _hop_counts(targets, starts, degree, source) -> np.ndarray:
+    """Breadth-first hop counts from source over an arc table; -1 where unreached.
+
+    targets[starts[x]:starts[x] + degree[x]] are the vertices one arc away
+    from x.  Each level gathers the arcs of its whole frontier at once.
+    """
+    hops = np.full(len(degree), -1, dtype=np.intp)
+    hops[source] = 0
+    frontier = np.array([source], dtype=np.intp)
+    level = found = 1
+    while frontier.size and found < len(degree):
+        count = degree[frontier]
+        stop = np.cumsum(count)
+        # gather position p of frontier vertex i reads arc starts[i] + p - (stop[i] - count[i])
+        shift = np.repeat(starts[frontier] - stop + count, count)
+        reached = targets[shift + np.arange(shift.size)]
+        reached = np.sort(reached[hops[reached] < 0])
+        first_seen = np.ones(reached.size, dtype=bool)
+        np.not_equal(reached[1:], reached[:-1], out=first_seen[1:])
+        frontier = reached[first_seen]
+        hops[frontier] = level
+        level += 1
+        found += frontier.size
+    return hops
+
+
+def _has_repeats(keys) -> bool:
+    """Whether an int array holds some value twice (sorted, not hashed: faster on ints)."""
+    keys = np.sort(keys)
+    return bool((keys[1:] == keys[:-1]).any())
 
 
 def load_graph(source) -> WeightedGraph:
@@ -235,29 +362,16 @@ def load_graph(source) -> WeightedGraph:
 
 
 def _check_function(g: WeightedGraph, f) -> None:
-    if set(f) != g.index.keys():
+    if not isinstance(f, Mapping) or f.keys() != g.index.keys():
         raise ValueError("vertex function does not match the graph's vertex set")
 
 
-def _int_edges(g: WeightedGraph):
-    """The edges as int64 arrays, or None when some conductance is not an int.
-
-    Returns (head, tail, c, c_sum, c_max): the endpoint indices and the
-    conductances in edges order, and, as Python ints, sum_e c_e and
-    max_x c(x) for the route bounds.  None also when the conductances sum
-    to 2^63 or more, where no bound can hold short of all-zero data.
-    Built on the first call for g and kept on it.
-    """
-    arrays = g._edge_arrays
-    if arrays is _UNBUILT:
-        cs = [c for _, _, c in g.edges]
-        arrays = None
-        if set(map(type, cs)) <= _INT_TYPE and sum(cs) < _INT64_LIMIT:
-            head = np.array([g.index[u] for u, _, _ in g.edges], dtype=np.intp)
-            tail = np.array([g.index[v] for _, v, _ in g.edges], dtype=np.intp)
-            arrays = (head, tail, np.array(cs, dtype=np.int64), sum(cs), max(g.total.values()))
-        g._edge_arrays = arrays
-    return arrays
+def _float_edges(g: WeightedGraph):
+    """(head, tail, c, total): the endpoint indices and the conductances in
+    edges order, and c(x) in vertex order, each value converted by float()."""
+    c = np.array([float(c) for _, _, c in g._records])
+    total = np.array([float(t) for t in g._totals])
+    return g._ends[0::2], g._ends[1::2], c, total
 
 
 def _int_vectors(g: WeightedGraph, fs):
@@ -287,7 +401,7 @@ def _int_laplacian(g: WeightedGraph, f):
     absolute value to at most 2 * M * c(x).  Each term is added onto u
     and subtracted from v.
     """
-    edges = _int_edges(g)
+    edges = g._edge_arrays
     vectors = None if edges is None else _int_vectors(g, (f,))
     if vectors is None:
         return None
@@ -358,7 +472,7 @@ def _int_gram(g: WeightedGraph, fs):
     (D * c) @ D.T; numpy multiplies integer matrices in its own loop,
     never through BLAS.
     """
-    edges = _int_edges(g)
+    edges = g._edge_arrays
     vectors = None if edges is None else _int_vectors(g, fs)
     if vectors is None:
         return None

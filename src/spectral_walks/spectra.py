@@ -418,10 +418,12 @@ def reciprocity_spectrum(words, depth: int | None = None):
     needs zero-sum charges), form u = sum xi'(x) v_x and emit the triple
     (lambda, <u,Lu>_E/<u,u>_E on a truncated tree, |xi'|^2/<xi',M xi'>).
     The last two agree; eigenvectors that are essentially constant (the
-    projection leaves nothing) are skipped.
+    projection leaves nothing) are skipped.  words is the word set F, or
+    its GramSpectrum when the caller has one already, so M is not
+    diagonalized twice.
     """
-    words = _check_words(words)
-    gs = gram_spectrum(words)
+    gs = words if isinstance(words, GramSpectrum) else gram_spectrum(words)
+    words = gs.words
     g = _tree_for(words, depth)
     table = _prefix_table(words, g.vertices)
     matrix = gs.matrix.astype(float)  # one cast, not one per eigenvector

@@ -41,6 +41,20 @@ __all__ = [
 
 ORIGIN = ""
 
+# The deepest truncation words_up_to and tree_graph build: a level of at
+# most 2^16 words, so the binary tree of depth 16 with 2^17 - 1 vertices.
+# A deeper request is refused before any word is made.
+MAX_DEPTH = 16
+
+
+def _check_depth(depth: int, branching: int = 2) -> None:
+    """Refuse a truncation depth beyond the cap, before anything is allocated."""
+    if depth > MAX_DEPTH or branching ** depth > 1 << MAX_DEPTH:
+        raise ValueError(
+            f"depth {depth} is beyond the cap: a tree level may hold at most 2^{MAX_DEPTH} words "
+            f"(depth {MAX_DEPTH} on the binary tree)"
+        )
+
 
 def check_word(w: str) -> str:
     """Validate a binary word; returns it unchanged."""
@@ -99,9 +113,14 @@ def dipole_value(x: str, y: str) -> int:
 
 
 def words_up_to(depth: int, branching: int = 2):
-    """All nonempty words of length <= depth, shortest first, lexicographic within a length."""
+    """All nonempty words of length <= depth, shortest first, lexicographic within a length.
+
+    A depth beyond MAX_DEPTH, or one whose last level would hold more than
+    2^MAX_DEPTH words, raises ValueError before any word is made.
+    """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
+    _check_depth(depth, branching)
     digits = [str(d) for d in range(branching)]
     out = []
     level = [ORIGIN]
@@ -115,7 +134,8 @@ def tree_graph(depth: int, branching: int = 2) -> WeightedGraph:
     """The tree truncated at the given depth, all conductances 1.
 
     Vertices are ordered by length, lexicographic within each length, with
-    the root first; the root is the origin.
+    the root first; the root is the origin.  depth is capped as in
+    words_up_to.
     """
     if depth < 1:
         raise ValueError("a truncated tree needs depth >= 1")

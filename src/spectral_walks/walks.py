@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from .graphs import WeightedGraph
+from .graphs import WeightedGraph, _float_edges
 from .rng import derive_key, path_keys, run_blocks, step_uniforms
 
 __all__ = [
@@ -91,14 +91,13 @@ class FiniteMarkov:
     def from_graph(cls, g: WeightedGraph, mu0=None) -> "FiniteMarkov":
         """The conductance-driven walk on g; default start is c(x)/sum c."""
         n = len(g.vertices)
-        arcs = [(i, g.index[y], float(c) / float(g.total[x]))
-                for i, x in enumerate(g.vertices) for y, c in g.adjacency[x]]
-        rows, cols, probs = zip(*arcs)
+        head, tail, c, total = _float_edges(g)
+        # p(x, y) = float(c) / float(c(x)) for each edge in both directions
         kernel = np.zeros((n, n))
-        kernel[rows, cols] = probs
+        kernel[head, tail] = c / total[head]
+        kernel[tail, head] = c / total[tail]
         if mu0 is None:
-            weights = np.array([float(g.total[x]) for x in g.vertices])
-            mu0 = weights / weights.sum()
+            mu0 = total / total.sum()
         else:
             mu0 = cls._as_vector_static(g.vertices, mu0)
         return cls(g.vertices, kernel, mu0)

@@ -86,6 +86,55 @@ class TestExitCodes:
         assert rows and all(r.rsplit(",", 1)[1] == "0" for r in rows)
 
 
+class TestRefusedInputs:
+    """Non-finite numbers and over-cap tree depths exit 2, naming the value."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["wavelet", "qmf", "--coeffs", "nan,0.5"], "'nan'"),
+        (["wavelet", "qmf", "--coeffs", "0.5,-inf"], "'-inf'"),
+        (["wavelet", "qmf", "--coeffs", "0.5,1e999"], "'1e999'"),
+        (["wavelet", "qmf", "--coeffs", "1/0,0.5"], "'1/0'"),
+        (["wavelet", "tightness", "--coeffs", "inf,0.5"], "'inf'"),
+        (["wavelet", "tightness", "--coeffs", "0.5,0.5", "--t", "nan"], "nan"),
+        (["wavelet", "tightness", "--coeffs", "0.5,0.5", "--t", "inf"], "inf"),
+        (["wavelet", "tightness", "--coeffs", "0.5,0.5", "--t=-inf"], "-inf"),
+        (["tree", "dipole", "--x", "1", "--depth", "17"], "depth 17"),
+        (["tree", "dipole", "--x", "1", "--depth", "40"], "depth 40"),
+        (["spectra", "growth", "--max-depth", "17"], "depth 17"),
+        (["spectra", "gram", "--words", "1,11", "--depth", "30"], "depth 30"),
+    ])
+    def test_exit_two_naming_the_value(self, capsys, argv, named):
+        rc, out, err = invoke(capsys, argv)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error:") and named in err
+
+
+class TestParserReuse:
+    """One parser serves every run in a process, with a fresh parser's bytes and exit codes."""
+
+    ARGVS = [
+        ["tree", "encode", "--word", "101", "--out", "json"],
+        ["spectra", "gram", "--words", "1,11,0"],
+        ["tree", "encode", "--word", "101"],
+        ["tree", "encode", "--wrod", "101"],
+        ["tree", "dipole", "--x", "01", "--depth", "3", "--seed", "5"],
+        ["--help"],
+        ["spectra", "gram", "--help"],
+        ["tree", "dipole", "--x", "01"],
+        ["wavelet", "tightness", "--coeffs", "0.5,0.5", "--t", "0.25"],
+        ["verify"],
+        ["wavelet", "qmf", "--coeffs", "0.5,0.5"],
+    ]
+
+    def test_shared_parser_matches_fresh_parsers(self, capsys, monkeypatch):
+        assert cli.build_parser() is cli.build_parser()
+        shared = [invoke(capsys, argv) for argv in self.ARGVS]
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = [invoke(capsys, argv) for argv in self.ARGVS]
+        assert [rc for rc, _, _ in shared] == [0, 0, 0, 2, 0, 0, 0, 0, 0, 2, 0]
+        assert shared == fresh
+
+
 class TestCsvShape:
     def test_meta_block_then_tables(self, capsys):
         rc, out, _ = invoke(capsys, ["tree", "encode", "--word", "101"])

@@ -1,7 +1,9 @@
 """Weighted graph axioms and the exact operator identities."""
 
 import math
+from collections import deque
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -416,41 +418,40 @@ class TestEnergyGram:
 
 # ---------------------------------------------------------------- loader axioms on random documents
 
-def reference_load(doc):
-    """Reference: the loader's rules as one plain pass in document order.
+def record_by_record(vertices, edges, origin):
+    """Reference: the constructor as one pass over the records, checking each as it comes.
 
-    Returns (vertices, edges, adjacency, total, distance) of a valid
-    document, or raises GraphError naming the first broken rule.
+    This is the constructor the array checks replaced.  Returns (vertices,
+    edges, adjacency, total, distance), with distance in breadth-first
+    order, or raises GraphError naming the first broken rule.
     """
-    for key in ("vertices", "edges", "origin"):
-        if key not in doc:
-            raise GraphError(f"graph document missing {key!r}")
-    records = []
-    for rec in doc["edges"]:
-        if not isinstance(rec, dict) or not {"u", "v", "c"} <= set(rec):
-            raise GraphError(f"malformed edge record {rec!r}")
-        records.append((rec["u"], rec["v"], rec["c"]))
-    vertices = tuple(doc["vertices"])
-    origin = doc["origin"]
+    vertices = tuple(vertices)
     if len(set(vertices)) != len(vertices):
         raise GraphError("duplicate vertex ids")
     if not vertices:
         raise GraphError("graph has no vertices")
-    if origin not in vertices:
+    index = {v: i for i, v in enumerate(vertices)}
+    if origin not in index:
         raise GraphError(f"origin {origin!r} is not a vertex")
-    position = {v: i for i, v in enumerate(vertices)}
     adjacency = {v: [] for v in vertices}
     seen = {}
-    for u, v, c in records:
-        if u not in position or v not in position:
+    clean = []
+    for record in edges:
+        try:
+            u, v, c = record
+        except (TypeError, ValueError):
+            raise GraphError(f"malformed edge record {record!r}") from None
+        i = index.get(u)
+        j = index.get(v)
+        if i is None or j is None:
             raise GraphError(f"edge ({u!r}, {v!r}) has an endpoint that is not a vertex")
-        if u == v:
+        if i == j:
             raise GraphError(f"self-loop at {u!r}")
         valid = (not isinstance(c, bool) and isinstance(c, (int, float, Fraction)) and c > 0
                  and (not isinstance(c, float) or math.isfinite(c)))
         if not valid:
             raise GraphError(f"edge ({u!r}, {v!r}) has a non-positive or non-finite conductance {c!r}")
-        key = frozenset((u, v))
+        key = (i, j) if i < j else (j, i)
         if key in seen:
             if seen[key] != c:
                 raise GraphError(
@@ -459,26 +460,38 @@ def reference_load(doc):
                 )
             raise GraphError(f"duplicate edge record for ({u!r}, {v!r})")
         seen[key] = c
+        clean.append((u, v, c))
         adjacency[u].append((v, c))
         adjacency[v].append((u, c))
     distance = {origin: 0}
-    level = [origin]
-    while level:
-        following = []
-        for x in level:
-            for y, _ in adjacency[x]:
-                if y not in distance:
-                    distance[y] = distance[x] + 1
-                    following.append(y)
-        level = following
-    for v in vertices:
-        if v not in distance:
-            raise GraphError(f"graph is not connected ({v!r} unreachable from origin)")
+    frontier = deque([origin])
+    while frontier:
+        x = frontier.popleft()
+        for y, _ in adjacency[x]:
+            if y not in distance:
+                distance[y] = distance[x] + 1
+                frontier.append(y)
+    if len(distance) != len(vertices):
+        missing = next(v for v in vertices if v not in distance)
+        raise GraphError(f"graph is not connected ({missing!r} unreachable from origin)")
     for v in vertices:
         if not adjacency[v]:
             raise GraphError(f"isolated vertex {v!r} (c(x) would be zero)")
     total = {v: per_term_accumulate([c for _, c in adjacency[v]]) for v in vertices}
-    return vertices, tuple(records), {v: tuple(a) for v, a in adjacency.items()}, total, distance
+    return vertices, tuple(clean), {v: tuple(a) for v, a in adjacency.items()}, total, distance
+
+
+def reference_load(doc):
+    """Reference: the loader's document rules, then record_by_record on the records in document order."""
+    for key in ("vertices", "edges", "origin"):
+        if key not in doc:
+            raise GraphError(f"graph document missing {key!r}")
+    records = []
+    for rec in doc["edges"]:
+        if not isinstance(rec, dict) or not {"u", "v", "c"} <= set(rec):
+            raise GraphError(f"malformed edge record {rec!r}")
+        records.append((rec["u"], rec["v"], rec["c"]))
+    return record_by_record(doc["vertices"], records, doc["origin"])
 
 
 def load_outcome(load, doc):
@@ -592,6 +605,176 @@ class TestLoaderProperties:
     def test_single_vertex_is_isolated(self):
         with pytest.raises(GraphError, match=r"^isolated vertex 0 \(c\(x\) would be zero\)$"):
             load_graph({"vertices": [0], "edges": [], "origin": 0})
+
+
+# ---------------------------------------------------------------- the array constructor against the record-by-record one
+
+def graph_outcome(build, vertices, edges, origin):
+    """Everything a graph shows, with key order and conductance types, or the GraphError message.
+
+    distance is compared as a dict: the record-by-record construction lists
+    it in breadth-first order, the array construction in vertex order.
+    """
+    try:
+        got = build(vertices, edges, origin)
+    except GraphError as exc:
+        return ("GraphError", str(exc))
+    if isinstance(got, WeightedGraph):
+        assert all(type(view) is dict for view in (got.index, got.adjacency, got.total, got.distance))
+        assert list(got.distance) == list(got.vertices)
+        got = (got.vertices, got.edges, got.adjacency, got.total, got.distance)
+    vertices, edges, adjacency, total, distance = got
+    return (vertices, [(u, v, value_bits(c)) for u, v, c in edges],
+            [(x, [(y, value_bits(c)) for y, c in a]) for x, a in adjacency.items()],
+            [(x, value_bits(t)) for x, t in total.items()], distance)
+
+
+# conductance kinds; the big ints sum past 2^63, where c(x) is summed in Python ints
+CONDUCTANCE_KINDS = {
+    "int": st.integers(1, 9),
+    "big_int": st.one_of(st.integers(1, 9), st.integers(2**61, 2**70)),
+    "fraction": st.fractions(Fraction(1, 50), 20).filter(lambda c: c > 0),
+    "float": st.floats(0.01, 100.0),
+}
+CONDUCTANCE_KINDS["mixed"] = st.one_of(*CONDUCTANCE_KINDS.values())
+
+
+@st.composite
+def graph_args(draw, kind=None):
+    """(vertices, records, origin) of a valid graph.
+
+    Distinct ids in random order, a spanning tree plus chords, records in
+    random order and direction, each a tuple or a list, with conductances
+    of one drawn kind.
+    """
+    ids = draw(st.lists(VERTEX_IDS, min_size=2, max_size=9, unique=True))
+    n = len(ids)
+    pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    others = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in pairs]
+    pairs += draw(st.lists(st.sampled_from(others), max_size=len(others), unique=True)) if others else []
+    conductances = CONDUCTANCE_KINDS[kind or draw(st.sampled_from(sorted(CONDUCTANCE_KINDS)))]
+    records = []
+    for i, j in draw(st.permutations(pairs)):
+        u, v = (ids[i], ids[j]) if draw(st.booleans()) else (ids[j], ids[i])
+        record = (u, v, draw(conductances))
+        records.append(record if draw(st.booleans()) else list(record))
+    return ids, records, draw(st.sampled_from(ids))
+
+
+BAD_RECORD_CONDUCTANCES = [True, False, float("nan"), float("inf"), -float("inf"), 0, 0.0, -1, -2.5,
+                           Fraction(-1, 3), "1", None, 1 + 0j, np.int64(3)]
+RECORD_FAULTS = ("self_loop", "ghost_endpoint", "bad_conductance", "reversed_duplicate",
+                 "conflicting_duplicate", "malformed", "isolated", "disconnected")
+
+
+def inject_record(draw, args, fault, where):
+    """args with one fault; a faulty record goes first, in the middle or last."""
+    vertices, records, origin = list(args[0]), list(args[1]), args[2]
+    at = {"first": 0, "middle": len(records) // 2, "last": len(records)}[where]
+    # records of three items, for a fault built from an existing record
+    whole = [k for k, r in enumerate(records) if isinstance(r, (tuple, list)) and len(r) == 3]
+    x = draw(st.sampled_from(vertices))
+    if fault == "self_loop":
+        records.insert(at, (x, x, 1))
+    elif fault == "ghost_endpoint":
+        records.insert(at, draw(st.sampled_from([(x, "ghost", 1), ["ghost", x, 2.5], ("ghost", "ghost", 1)])))
+    elif fault == "bad_conductance":
+        k = whole[{"first": 0, "middle": len(whole) // 2, "last": -1}[where]]
+        records[k] = (records[k][0], records[k][1], draw(st.sampled_from(BAD_RECORD_CONDUCTANCES)))
+    elif fault in ("reversed_duplicate", "conflicting_duplicate"):
+        u, v, c = records[draw(st.sampled_from(whole))]
+        if fault == "conflicting_duplicate":
+            c = draw(CONDUCTANCE_KINDS["mixed"].filter(lambda d: d != c))
+        records.insert(at, (v, u, c) if fault == "reversed_duplicate" or draw(st.booleans()) else [u, v, c])
+    elif fault == "malformed":
+        records.insert(at, draw(st.sampled_from([(x, x), [x, x, 1, 1], 7, None, "ab"])))
+    elif fault == "isolated":
+        vertices.insert(draw(st.integers(0, len(vertices))), "ghost")
+    elif fault == "disconnected":
+        vertices.insert(draw(st.integers(0, len(vertices))), "ghost")
+        vertices.insert(draw(st.integers(0, len(vertices))), "ghost2")
+        records.insert(at, ("ghost", "ghost2", 1))
+    return vertices, records, origin
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestArrayConstructor:
+    """WeightedGraph's array checks and views against record_by_record."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(args=graph_args(), one_shot=st.booleans())
+    def test_valid_graphs_match_the_record_pass(self, args, one_shot):
+        vertices, records, origin = args
+        want = graph_outcome(record_by_record, vertices, records, origin)
+        assert want[0] != "GraphError"
+        given_records = iter(records) if one_shot else records
+        assert graph_outcome(WeightedGraph, vertices, given_records, origin) == want
+
+    @settings(max_examples=400, deadline=None)
+    @given(args=graph_args(), fault=st.sampled_from(RECORD_FAULTS),
+           where=st.sampled_from(("first", "middle", "last")), data=st.data())
+    def test_one_fault_raises_the_record_pass_message(self, args, fault, where, data):
+        bad = inject_record(data.draw, args, fault, where)
+        want = graph_outcome(record_by_record, *bad)
+        assert want[0] == "GraphError"
+        assert graph_outcome(WeightedGraph, *bad) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(args=graph_args(), data=st.data(),
+           faults=st.lists(st.sampled_from(RECORD_FAULTS[:6]), min_size=2, max_size=3))
+    def test_first_of_several_faults_is_named(self, args, data, faults):
+        for fault in faults:
+            args = inject_record(data.draw, args, fault, data.draw(st.sampled_from(("first", "middle", "last"))))
+        want = graph_outcome(record_by_record, *args)
+        assert want[0] == "GraphError"
+        assert graph_outcome(WeightedGraph, *args) == want
+
+    def test_unhashable_endpoint_raises_like_the_record_pass(self):
+        def raised(build, records):
+            try:
+                build([0, 1], records, 0)
+            except (GraphError, TypeError) as exc:
+                return type(exc), str(exc)
+
+        # the TypeError of the unhashable endpoint, unless an earlier record breaks a rule
+        for records in ([(0, 1, 1), ([0], 1, 1)], [(0, 0, 1), ([0], 1, 1)]):
+            assert raised(WeightedGraph, records) == raised(record_by_record, records) is not None
+
+    @settings(max_examples=200, deadline=None)
+    @given(args=graph_args(), data=st.data())
+    def test_edge_arrays_are_filled_at_construction(self, args, data):
+        g = WeightedGraph(*args)
+        arrays = g._edge_arrays
+        cs = [c for _, _, c in g.edges]
+        if not (set(map(type, cs)) <= {int} and sum(cs) < 2**63):
+            assert arrays is None
+            return
+        head, tail, c, c_sum, c_max = arrays
+        assert head.tolist() == [g.index[u] for u, _, _ in g.edges]
+        assert tail.tolist() == [g.index[v] for _, v, _ in g.edges]
+        assert c.dtype == np.int64 and c.tolist() == cs
+        assert (type(c_sum), c_sum) == (int, sum(cs))
+        assert (type(c_max), c_max) == (int, max(g.total.values()))
+        # both routes give the dict route's values and types; small data takes the int route
+        fs = [dict(zip(g.vertices, data.draw(st.lists(st.integers(-50, 50), min_size=len(g), max_size=len(g)))))
+              for _ in range(2)]
+        if c_sum < 2**40:
+            assert graphs._int_laplacian(g, fs[0]) is not None and graphs._int_gram(g, fs) is not None
+        assert form_outcomes(g, fs) == reference_outcomes(g, fs)
+
+    def test_views_are_read_only_attributes(self):
+        g = square()
+        for name in ("edges", "adjacency", "total", "distance"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, None)
+
+    @pytest.mark.parametrize("f", [[0, 1, 2, 3], (0, 1, 2, 3), {0, 1, 2, 3}, None, "0123"])
+    def test_a_vertex_function_must_be_a_mapping(self, f):
+        g = square()
+        for form in (laplacian_apply, transfer_apply, quadratic_form_l2, conductance_mean):
+            with pytest.raises(ValueError, match="^vertex function does not match the graph's vertex set$"):
+                form(g, f)
+        assert laplacian_apply(g, MappingProxyType({0: 1, 1: 0, 2: 0, 3: 0})) == {0: 7, 1: -2, 2: 0, 3: -5}
 
 
 # ---------------------------------------------------------------- the int64 route of the forms
@@ -725,7 +908,7 @@ class TestIntRoute:
     def test_other_conductances_keep_the_dict_route(self, cs):
         g = square(*cs)
         fs = [{0: 0, 1: 1, 2: -1, 3: 2}, {0: 1, 1: 4, 2: -1, 3: 2}]
-        assert graphs._int_edges(g) is None
+        assert g._edge_arrays is None
         assert form_outcomes(g, fs) == reference_outcomes(g, fs)
 
     def test_empty_list(self):

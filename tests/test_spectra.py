@@ -411,6 +411,22 @@ class TestPairLoopOracles:
         words, g = case
         assert reciprocity_spectrum(words, depth_of(g)) == reciprocity_loop(words, g)
 
+    @settings(max_examples=20, deadline=None)
+    @given(case=word_sets(max_size=10))
+    def test_reciprocity_spectrum_takes_the_spectrum(self, case):
+        words, g = case
+        gs = gram_spectrum(words)
+        want = reciprocity_loop(words, g)
+        with eigh_inputs() as seen:
+            assert reciprocity_spectrum(gs, depth_of(g)) == want
+        assert seen == []
+
+    def test_gram_command_diagonalizes_once(self, capsys):
+        with eigh_inputs() as seen:
+            assert cli.run(["spectra", "gram", "--words", "1,11,0,101", "--depth", "4"]) == 0
+        capsys.readouterr()
+        assert [m.shape for m in seen] == [(4, 4)]
+
     def test_complete_sets(self):
         for depth in range(1, 5):
             words = tuple(words_up_to(depth))

@@ -24,7 +24,16 @@ from spectral_walks import (
     cantor_encode,
 )
 from spectral_walks.graphs import WeightedGraph
-from spectral_walks.tree import check_word, common_prefix_length, parent, path_edges
+from spectral_walks.tree import MAX_DEPTH, check_word, common_prefix_length, parent, path_edges
+
+
+@pytest.mark.parametrize("depth, branching", [(MAX_DEPTH + 1, 2), (40, 2), (10**9, 2), (3, 64), (9, 4)])
+def test_depth_beyond_the_cap_is_refused(depth, branching):
+    # the binary tree stops at depth 16; other branchings at 2^16 words on a level
+    assert MAX_DEPTH == 16
+    for build in (words_up_to, tree_graph):
+        with pytest.raises(ValueError, match=f"^depth {depth} is beyond the cap"):
+            build(depth, branching)
 
 
 def test_tree_graph_shape():

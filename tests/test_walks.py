@@ -146,6 +146,16 @@ class TestFromGraphProperties:
         assert abs(float(fm.mu0.sum()) - 1.0) <= 1e-12
 
     @settings(max_examples=100, deadline=None)
+    @given(graphs())
+    def test_default_start_bits_and_no_adjacency_dicts(self, g):
+        fm = FiniteMarkov.from_graph(g)
+        # the chain is read off the graph's edge arrays, not its adjacency view
+        assert g._adjacency is None
+        weights = np.array([float(g.total[x]) for x in g.vertices])
+        want = weights / weights.sum()
+        assert fm.mu0.tobytes() == (want / float(want.sum())).tobytes()
+
+    @settings(max_examples=100, deadline=None)
     @given(graphs(), st.data())
     def test_a_valid_start_is_kept(self, g, data):
         weights = data.draw(st.lists(st.integers(0, 5), min_size=len(g.vertices), max_size=len(g.vertices))
