@@ -72,6 +72,7 @@ from .walks import (
     cylinder_mass,
     covariance_exact,
     covariance_mc,
+    mean_se,
     markov_check,
     harmonic_solve,
     martingale_check,
@@ -99,7 +100,6 @@ from .circle import (
     solenoid_walk,
     solenoid_covariance_mc,
     solenoid_covariance_exact,
-    product_mean_se,
 )
 from .rng import mix64, derive_key, uniform
 

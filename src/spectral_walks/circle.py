@@ -32,6 +32,7 @@ import numpy as np
 
 from .rng import path_keys, run_blocks, step_bits, step_uniforms
 from .tree import encode_int
+from .walks import mean_se
 
 __all__ = [
     "TrigPoly",
@@ -55,7 +56,6 @@ __all__ = [
     "solenoid_walk",
     "solenoid_covariance_mc",
     "solenoid_covariance_exact",
-    "product_mean_se",
 ]
 
 
@@ -573,15 +573,7 @@ def solenoid_covariance_mc(ens: SolenoidEnsemble, f1: TrigPoly, f2: TrigPoly, n:
     """Ensemble estimate of E[f1(Z_n) f2(Z_{n+1})] (real part); returns (estimate, SE)."""
     if n < 0 or n + 1 > ens.n_steps:
         raise ValueError("need 0 <= n <= n_steps - 1")
-    return product_mean_se(ens.evaluate(f1, n), ens.evaluate(f2, n + 1))
-
-
-def product_mean_se(values1: np.ndarray, values2: np.ndarray):
-    """Mean of the real part of values1 * values2 over paths, and its standard error."""
-    samples = (values1 * values2).real
-    est = float(samples.mean())
-    se = float(samples.std(ddof=1) / math.sqrt(len(samples)))
-    return est, se
+    return mean_se((ens.evaluate(f1, n) * ens.evaluate(f2, n + 1)).real)
 
 
 def solenoid_covariance_exact(w: TrigPoly, f1: TrigPoly, f2: TrigPoly, mu="lebesgue") -> float:

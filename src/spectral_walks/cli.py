@@ -17,6 +17,7 @@ another arithmetic error).
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import hashlib
 import json
@@ -32,8 +33,6 @@ from . import spectra as sp
 from . import circle as ci
 from . import tree as tr
 from . import walks as wk
-
-SIGMA_LIMIT = 5.0
 
 
 # ---------------------------------------------------------------- output
@@ -226,6 +225,46 @@ def _cmd_spectra_growth(args) -> int:
 
 # ---------------------------------------------------------------- walk
 
+def _covariance_table(pairs, lags, values, exact):
+    """The covariance table of E[f1(Z_n) f2(Z_{n+1})] per (f1, f2) pair and lag n, and whether a row failed.
+
+    Rows are pair-major and lag-minor; the estimate and se of each come
+    from walks.mean_se and the verdict from CheckRow.passed.
+
+    values(name, step) gives the values of the named function at step
+    `step` of every path.  Each is computed once per lag and dropped after
+    the last pair of that lag that reads it, so only one lag's arrays are
+    alive at a time.  exact(f1, f2, n) gives the exact value; with exact
+    None the exact and sigmas cells are None and no row is gated.
+    """
+    moments = {}
+    for n in lags:
+        reads = [((f1, n), (f2, n + 1)) for f1, f2 in pairs]
+        uses = collections.Counter(key for keys in reads for key in keys)
+        alive = {}
+        for pair, keys in zip(pairs, reads):
+            for key in keys:
+                if key not in alive:
+                    alive[key] = values(*key)
+            moments[pair, n] = wk.mean_se(alive[keys[0]] * alive[keys[1]])
+            for key in keys:
+                uses[key] -= 1
+                if not uses[key]:
+                    del alive[key]
+    rows = []
+    failed = False
+    for f1, f2 in pairs:
+        for n in lags:
+            est, se = moments[(f1, f2), n]
+            if exact is None:
+                rows.append([f1, f2, n, est, None, se, None])
+                continue
+            row = wk.CheckRow(label="", estimate=est, exact=exact(f1, f2, n), se=se)
+            failed = failed or not row.passed
+            rows.append([f1, f2, n, est, row.exact, se, row.sigmas])
+    return ("covariance", ["f1", "f2", "lag", "estimate", "exact", "se", "sigmas"], rows), failed
+
+
 def _cmd_walk_sim(args) -> int:
     g = load_graph(args.graph)
     fm = wk.FiniteMarkov.from_graph(g)
@@ -236,26 +275,18 @@ def _cmd_walk_sim(args) -> int:
                         float(mu_solve[i]), float(fm.mu0[i]),
                         abs(float(mu_solve[i]) - float(fm.mu0[i]))])
     ens = wk.simulate(fm, args.steps, args.paths, args.seed)
-    delta_o = fm.as_vector({v: (1.0 if v == g.origin else 0.0) for v in g.vertices})
-    dist_f = fm.as_vector({v: float(g.distance[v]) for v in g.vertices})
-    pairs = [("origin", delta_o, "origin", delta_o),
-             ("origin", delta_o, "distance", dist_f),
-             ("distance", dist_f, "distance", dist_f)]
+    vecs = {
+        "origin": fm.as_vector({v: (1.0 if v == g.origin else 0.0) for v in g.vertices}),
+        "distance": fm.as_vector({v: float(g.distance[v]) for v in g.vertices}),
+    }
     lags = [n for n in (0, 1, 4) if n + 1 <= args.steps]
-    rows_cov = []
-    failed = False
-    for name1, f1, name2, f2 in pairs:
-        for n in lags:
-            exact = wk.covariance_exact(fm, f1, f2, n)
-            est, se = wk.covariance_mc(ens, f1, f2, n)
-            row = wk.CheckRow(label="", estimate=est, exact=exact, se=se)
-            sig = row.sigmas
-            failed = failed or sig > SIGMA_LIMIT
-            rows_cov.append([name1, name2, n, est, exact, se, sig])
-    tables = [
-        ("stationary", ["state", "solve", "conductance", "deviation"], rows_st),
-        ("covariance", ["f1", "f2", "lag", "estimate", "exact", "se", "sigmas"], rows_cov),
-    ]
+    covariance, failed = _covariance_table(
+        [("origin", "origin"), ("origin", "distance"), ("distance", "distance")],
+        lags,
+        lambda name, step: vecs[name][ens.trajectories[:, step]],
+        lambda f1, f2, n: wk.covariance_exact(fm, vecs[f1], vecs[f2], n),
+    )
+    tables = [("stationary", ["state", "solve", "conductance", "deviation"], rows_st), covariance]
     _emit(_meta(args), tables, args.out, args.output)
     return 1 if failed else 0
 
@@ -370,42 +401,21 @@ def _cmd_solenoid_walk(args) -> int:
     ens = ci.solenoid_walk(w, args.steps, args.paths, args.seed, start=start)
     if args.start_level is not None and args.w != "half":
         exact_mu = None  # marginal law is not one of the trusted exact routes
-    f1 = _cos_poly(1)
-    f2 = _cos_poly(2)
-    pairs = [("cos1", f1, "cos1", f1), ("cos1", f1, "cos2", f2), ("cos2", f2, "cos2", f2)]
+    polys = {"cos1": _cos_poly(1), "cos2": _cos_poly(2)}
+    pairs = [("cos1", "cos1"), ("cos1", "cos2"), ("cos2", "cos2")]
     lags = sorted({0, args.steps // 2, args.steps - 1} & set(range(args.steps)))
-    # the same (estimate, se) as solenoid_covariance_mc per pair, with each
-    # f evaluated once per step and at most two value arrays alive at once.
-    # cos1 and cos2 are real with real coefficients, so the imaginary part of
-    # their values is exactly +0.0 and re1 * re2 is (v1 * v2).real bit for bit
-    re1, re2 = f1.real_part, f2.real_part
-    moments = {}
-    for n in lags:
-        cos1_here = ens.evaluate(re1, n)
-        moments["cos1", "cos1", n] = ci.product_mean_se(cos1_here, ens.evaluate(re1, n + 1))
-        cos2_there = ens.evaluate(re2, n + 1)
-        moments["cos1", "cos2", n] = ci.product_mean_se(cos1_here, cos2_there)
-        del cos1_here
-        moments["cos2", "cos2", n] = ci.product_mean_se(ens.evaluate(re2, n), cos2_there)
-    rows = []
-    failed = False
-    for n1, p1, n2, p2 in pairs:
+    exact = None
+    if exact_mu is not None:
         # the exact value depends on the pair, not on the lag
-        exact = None if exact_mu is None else ci.solenoid_covariance_exact(w, p1, p2, exact_mu)
-        for n in lags:
-            est, se = moments[n1, n2, n]
-            if exact is None:
-                rows.append([n1, n2, n, est, None, se, None])
-                continue
-            sig = wk.CheckRow(label="", estimate=est, exact=exact, se=se).sigmas
-            failed = failed or sig > SIGMA_LIMIT
-            rows.append([n1, n2, n, est, exact, se, sig])
-    _emit(
-        _meta(args),
-        [("covariance", ["f1", "f2", "lag", "estimate", "exact", "se", "sigmas"], rows)],
-        args.out,
-        args.output,
+        by_pair = {(a, b): ci.solenoid_covariance_exact(w, polys[a], polys[b], exact_mu) for a, b in pairs}
+        exact = lambda f1, f2, n: by_pair[f1, f2]
+    # cos1 and cos2 are real with real coefficients, so the imaginary part of
+    # their values is exactly +0.0 and the product of the real parts is
+    # (v1 * v2).real of solenoid_covariance_mc bit for bit
+    covariance, failed = _covariance_table(
+        pairs, lags, lambda name, step: ens.evaluate(polys[name].real_part, step), exact
     )
+    _emit(_meta(args), [covariance], args.out, args.output)
     return 1 if failed else 0
 
 
@@ -598,12 +608,11 @@ def _verify_checks(quick: bool, seed: int):
 
     if not quick:
         ens = wk.simulate(fm, 8, 20000, seed)
+        f1, f2 = {0: 1.0, 1: 0.0, 2: 0.0, 3: 0.0}, {0: 0.0, 1: 1.0, 2: 2.0, 3: 3.0}
         ok = True
         for n in (0, 1):
-            exact = wk.covariance_exact(fm, {0: 1.0, 1: 0.0, 2: 0.0, 3: 0.0}, {0: 0.0, 1: 1.0, 2: 2.0, 3: 3.0}, n)
-            est, se = wk.covariance_mc(ens, {0: 1.0, 1: 0.0, 2: 0.0, 3: 0.0}, {0: 0.0, 1: 1.0, 2: 2.0, 3: 3.0}, n)
-            if abs(est - exact) > SIGMA_LIMIT * se:
-                ok = False
+            est, se = wk.covariance_mc(ens, f1, f2, n)
+            ok = ok and wk.CheckRow("", estimate=est, exact=wk.covariance_exact(fm, f1, f2, n), se=se).passed
         add("covariance_mc_vs_exact", ok)
         ruin_kernel = np.zeros((5, 5))
         ruin_kernel[0, 0] = ruin_kernel[4, 4] = 1.0
@@ -626,7 +635,8 @@ def _verify_checks(quick: bool, seed: int):
         f1 = _cos_poly(1)
         est, se = ci.solenoid_covariance_mc(sens, f1, f1, 3)
         exact = ci.solenoid_covariance_exact(whalf, f1, f1)
-        add("solenoid_covariance_half", abs(est - exact) <= SIGMA_LIMIT * se, f"est {est:.5f} exact {exact:.5f}")
+        ok = wk.CheckRow("", estimate=est, exact=exact, se=se).passed
+        add("solenoid_covariance_half", ok, f"est {est:.5f} exact {exact:.5f}")
         drep = wk.doob_boundary_check(ruin, {k: k / 4 for k in range(5)}, 12, 4000, seed + 17)
         add("doob_conservation", drep.passed, f"max {drep.max_sigmas:.2f} SE")
 

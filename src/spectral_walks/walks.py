@@ -8,8 +8,12 @@ counter-based generator in rng.py, so an ensemble is a pure function of
 many worker threads run.
 
 Checks compare Monte Carlo estimates against exact kernel arithmetic and
-report deviations in units of the standard error; the package-wide
-acceptance threshold is 5 SE.
+report deviations in units of the standard error.  The package has one
+estimator and one gate: every sample mean and its standard error come from
+`mean_se`, which refuses fewer than 2 samples, and every verdict from
+`CheckRow.passed`, which holds at most SIGMA_THRESHOLD = 5 SE and fails a
+NaN sigma.  The covariance and grouped checks here and the solenoid and
+CLI checks elsewhere all go through these two.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,6 +41,7 @@ __all__ = [
     "cylinder_mass",
     "covariance_exact",
     "covariance_mc",
+    "mean_se",
     "markov_check",
     "harmonic_solve",
     "martingale_check",
@@ -335,10 +341,19 @@ def covariance_mc(ens: PathEnsemble, f1, f2, n: int):
         raise ValueError("need 0 <= n <= n_steps - 1")
     v1 = ens.as_vector(f1)
     v2 = ens.as_vector(f2)
-    samples = v1[ens.trajectories[:, n]] * v2[ens.trajectories[:, n + 1]]
-    est = float(samples.mean())
-    se = float(samples.std(ddof=1) / math.sqrt(len(samples)))
-    return est, se
+    return mean_se(v1[ens.trajectories[:, n]] * v2[ens.trajectories[:, n + 1]])
+
+
+def mean_se(samples: np.ndarray):
+    """The sample mean and its standard error, the n - 1 sample deviation over sqrt(n); returns (estimate, SE).
+
+    Raises ValueError for fewer than 2 samples, where the standard error
+    is undefined and would otherwise print as NaN.
+    """
+    n = len(samples)
+    if n < 2:
+        raise ValueError("a standard error needs at least 2 samples")
+    return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(n))
 
 
 @dataclass(frozen=True)
@@ -359,6 +374,11 @@ class CheckRow:
             return math.inf
         return abs(dev) / self.se
 
+    @property
+    def passed(self) -> bool:
+        """The package's one gate: at most SIGMA_THRESHOLD sigmas; a NaN sigma fails."""
+        return self.sigmas <= SIGMA_THRESHOLD
+
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -366,15 +386,19 @@ class CheckReport:
 
     rows: tuple
     skipped: tuple = ()
-    threshold: float = SIGMA_THRESHOLD
+    threshold: ClassVar[float] = SIGMA_THRESHOLD
 
     @property
     def max_sigmas(self) -> float:
-        return max((r.sigmas for r in self.rows), default=0.0)
+        """The largest row sigma, whatever the row order: NaN if any row's is NaN."""
+        sigmas = [r.sigmas for r in self.rows]
+        if any(math.isnan(x) for x in sigmas):
+            return math.nan
+        return max(sigmas, default=0.0)
 
     @property
     def passed(self) -> bool:
-        return self.max_sigmas <= self.threshold
+        return all(r.passed for r in self.rows)
 
 
 def _grouped_check(states, here, nxt, vec, exact, min_visits) -> CheckReport:
@@ -386,8 +410,11 @@ def _grouped_check(states, here, nxt, vec, exact, min_visits) -> CheckReport:
     states the labels are sorted as uint16, which numpy sorts stably by
     radix; a stable sort has exactly one result, the permutation that
     orders by label and then by position, so the groups are the same as
-    from sorting the wider labels.
+    from sorting the wider labels.  min_visits below 2 is refused: a
+    single visit has no standard error.
     """
+    if min_visits < 2:
+        raise ValueError(f"min_visits must be at least 2 for a standard error, got {min_visits}")
     order = np.argsort(here.astype(np.uint16) if len(states) <= 1 << 16 else here, kind="stable")
     values = vec[nxt[order]]
     bounds = np.searchsorted(here[order], np.arange(len(states) + 1))
@@ -395,12 +422,11 @@ def _grouped_check(states, here, nxt, vec, exact, min_visits) -> CheckReport:
     skipped = []
     for i, x in enumerate(states):
         samples = values[bounds[i] : bounds[i + 1]]
-        count = len(samples)
-        if count < min_visits:
+        if len(samples) < min_visits:
             skipped.append(x)
             continue
-        se = float(samples.std(ddof=1) / math.sqrt(count))
-        rows.append(CheckRow(label=str(x), estimate=float(samples.mean()), exact=float(exact[i]), se=se))
+        est, se = mean_se(samples)
+        rows.append(CheckRow(label=str(x), estimate=est, exact=float(exact[i]), se=se))
     return CheckReport(rows=tuple(rows), skipped=tuple(skipped))
 
 
@@ -422,17 +448,19 @@ def harmonic_solve(fm: FiniteMarkov, boundary: dict) -> dict:
 
     Solves the linear system (I - P_II) h_I = P_IB b densely and verifies
     the interior residual against 1e-12.  Raises when the interior block
-    is singular (the boundary does not determine the extension).
+    is singular (the boundary does not determine the extension), and
+    for a boundary value that is not finite.
     """
     if not boundary:
         raise ValueError("boundary is empty")
-    for x in boundary:
-        if x not in fm.index:
-            raise ValueError(f"boundary state {x!r} is not a chain state")
-    interior = [i for i, s in enumerate(fm.states) if s not in boundary]
     h = np.zeros(len(fm.states))
     for x, val in boundary.items():
+        if x not in fm.index:
+            raise ValueError(f"boundary state {x!r} is not a chain state")
         h[fm.index[x]] = float(val)
+        if not math.isfinite(h[fm.index[x]]):
+            raise ValueError(f"boundary value at {x!r} is not finite: {val!r}")
+    interior = [i for i, s in enumerate(fm.states) if s not in boundary]
     if interior:
         a = np.eye(len(interior)) - fm.kernel[np.ix_(interior, interior)]
         # h is zero on the interior here, so this picks out P_IB @ boundary values
@@ -461,9 +489,7 @@ def martingale_check(ens: PathEnsemble, h, min_visits: int = 100) -> CheckReport
     return _grouped_check(ens.states, traj[:, :-1].ravel(), traj[:, 1:].ravel(), vec, vec, min_visits)
 
 
-def doob_boundary_check(
-    fm: FiniteMarkov, h, N: int, n_paths: int, seed: int, min_visits: int = 2
-) -> CheckReport:
+def doob_boundary_check(fm: FiniteMarkov, h, N: int, n_paths: int, seed: int) -> CheckReport:
     """Conservation of a bounded harmonic function: E_x[h(Z_N)] = h(x) per start.
 
     Each start state runs its own ensemble on a stream derived from
@@ -483,7 +509,6 @@ def doob_boundary_check(
         # the clamped CDF of the point mass at i: 0 before i, 1 from i on
         start_cum = (positions >= i).astype(np.float64)
         run_blocks(partial(_simulate_block, cum, targets, start_cum, N, derive_key(seed, i), out), n_paths)
-        samples = vec[out[:, N]]
-        se = float(samples.std(ddof=1) / math.sqrt(n_paths))
-        rows.append(CheckRow(label=str(x), estimate=float(samples.mean()), exact=float(vec[i]), se=se))
+        est, se = mean_se(vec[out[:, N]])
+        rows.append(CheckRow(label=str(x), estimate=est, exact=float(vec[i]), se=se))
     return CheckReport(rows=tuple(rows))

@@ -1,6 +1,8 @@
 """The command-line front end, run in-process through cli.run."""
 
 import json
+import math
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from spectral_walks import (
     encode_int,
     encode_nat,
     gram_matrix,
+    mean_se,
 )
 
 CYCLE4 = str(Path(__file__).resolve().parents[1] / "examples_data" / "cycle4.json")
@@ -102,11 +105,71 @@ class TestRefusedInputs:
         (["tree", "dipole", "--x", "1", "--depth", "40"], "depth 40"),
         (["spectra", "growth", "--max-depth", "17"], "depth 17"),
         (["spectra", "gram", "--words", "1,11", "--depth", "30"], "depth 30"),
+        (["walk", "sim", "--graph", CYCLE4, "--paths", "1"], "at least 2 samples"),
+        (["solenoid", "walk", "--w", "half", "--paths", "1"], "at least 2 samples"),
     ])
     def test_exit_two_naming_the_value(self, capsys, argv, named):
         rc, out, err = invoke(capsys, argv)
         assert (rc, out) == (2, "")
         assert err.startswith("error:") and named in err
+
+
+class TestCovarianceTable:
+    """One table builder for both walk commands: evaluations, live arrays, row order and the gate."""
+
+    PAIRS = [("a", "a"), ("a", "b"), ("b", "b")]
+
+    def test_each_value_once_per_lag_and_one_lag_alive(self):
+        rng = np.random.default_rng(3)
+        table = {(name, step): rng.normal(size=50) for name in "ab" for step in range(6)}
+        calls, live = [], []
+
+        def values(name, step):
+            live.append(sum(ref() is not None for ref in refs))
+            calls.append((name, step))
+            arr = table[name, step].copy()
+            refs.append(weakref.ref(arr))
+            return arr
+
+        refs = []
+        (name, columns, rows), failed = cli._covariance_table(self.PAIRS, [0, 4], values, None)
+        assert (name, columns) == ("covariance", ["f1", "f2", "lag", "estimate", "exact", "se", "sigmas"])
+        assert calls == [("a", 0), ("a", 1), ("b", 1), ("b", 0), ("a", 4), ("a", 5), ("b", 5), ("b", 4)]
+        # at most one earlier array is alive when the next is made, and none from an earlier lag
+        assert max(live) == 1 and live[4] == 0
+        assert [tuple(r[:3]) for r in rows] == [(f1, f2, n) for f1, f2 in self.PAIRS for n in (0, 4)]
+        for f1, f2, n, est, exact, se, sigmas in rows:
+            assert (est, se) == mean_se(table[f1, n] * table[f2, n + 1])
+            assert exact is None and sigmas is None
+        assert not failed
+
+    def test_rows_are_gated_by_the_check_row(self):
+        ones = np.ones(10)
+        spread = np.arange(10.0)
+
+        def values(name, step):
+            return {"a": ones, "b": spread, "n": np.full(10, np.nan)}[name]
+
+        (_, _, rows), failed = cli._covariance_table([("a", "a")], [0], values, lambda f1, f2, n: 1.0)
+        assert not failed and rows[0][4:] == [1.0, 0.0, 0.0]
+        (_, _, rows), failed = cli._covariance_table([("a", "b")], [0], values, lambda f1, f2, n: -1.0)
+        assert failed and rows[0][6] > 5.0
+        # a NaN sigma fails the table, wherever it sits
+        for pairs in ([("n", "a"), ("a", "a")], [("a", "a"), ("n", "a")]):
+            (_, _, rows), failed = cli._covariance_table(pairs, [0], values, lambda f1, f2, n: 1.0)
+            assert failed and any(math.isnan(r[6]) for r in rows)
+
+
+class TestVerifyMonteCarloRows:
+    @pytest.mark.parametrize("target, check", [
+        ("spectral_walks.walks.covariance_mc", "covariance_mc_vs_exact"),
+        ("spectral_walks.circle.solenoid_covariance_mc", "solenoid_covariance_half"),
+    ])
+    def test_a_nan_estimate_fails_its_row(self, capsys, monkeypatch, target, check):
+        monkeypatch.setattr(target, lambda *args: (math.nan, 0.01))
+        rc, out, _ = invoke(capsys, ["verify", "all", "--seed", "2"])
+        failing = [line.split(",")[0] for line in out.splitlines() if line.split(",")[1:2] == ["fail"]]
+        assert (rc, failing) == (1, [check])
 
 
 class TestParserReuse:

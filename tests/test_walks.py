@@ -13,6 +13,7 @@ from spectral_walks import walks
 from spectral_walks.rng import derive_key
 from spectral_walks import (
     FiniteMarkov,
+    CheckReport,
     CheckRow,
     is_irreducible,
     is_aperiodic,
@@ -22,6 +23,7 @@ from spectral_walks import (
     cylinder_mass,
     covariance_exact,
     covariance_mc,
+    mean_se,
     markov_check,
     harmonic_solve,
     martingale_check,
@@ -367,6 +369,45 @@ class TestChecks:
         assert CheckRow("b", 2.0, 1.0, 0.0).sigmas == math.inf
         assert CheckRow("c", 2.0, 1.0, 0.5).sigmas == 2.0
 
+    def test_row_gate(self):
+        assert CheckRow("a", 1.0, 1.0, 0.0).passed
+        assert CheckRow("b", 3.5, 1.0, 0.5).passed  # exactly 5 sigma
+        assert not CheckRow("c", 3.5 + 1e-9, 1.0, 0.5).passed
+        assert not CheckRow("d", 2.0, 1.0, 0.0).passed
+        for row in (CheckRow("e", math.nan, 1.0, 0.5), CheckRow("f", 2.0, 1.0, math.nan)):
+            assert math.isnan(row.sigmas) and not row.passed
+
+    def test_report_gate_is_order_independent_and_fails_nan(self):
+        nan_row, fine = CheckRow("n", math.nan, 0.0, 1.0), CheckRow("a", 1.0, 0.0, 1.0)
+        for rows in ((nan_row, fine), (fine, nan_row)):
+            rep = CheckReport(rows=rows)
+            assert not rep.passed
+            assert math.isnan(rep.max_sigmas)
+        assert CheckReport(rows=(fine, CheckRow("b", 3.0, 0.0, 1.0))).max_sigmas == 3.0
+        assert CheckReport(rows=()).passed and CheckReport(rows=()).max_sigmas == 0.0
+
+    def test_threshold_is_the_package_constant(self):
+        assert CheckReport(rows=()).threshold == walks.SIGMA_THRESHOLD == 5.0
+        with pytest.raises(TypeError):
+            CheckReport(rows=(), threshold=50.0)
+
+    def test_mean_se(self):
+        samples = np.array([1.0, 2.0, 4.0, 9.0])
+        assert mean_se(samples) == (float(samples.mean()), float(samples.std(ddof=1) / 2.0))
+        for few in (np.array([3.0]), np.array([])):
+            with pytest.raises(ValueError, match="at least 2 samples"):
+                mean_se(few)
+
+    def test_grouped_checks_refuse_fewer_than_two_visits(self):
+        fm = FiniteMarkov.from_graph(cycle4())
+        ens = simulate(fm, 4, 200, 8)
+        f = {0: 1.0, 1: 0.0, 2: 0.0, 3: 0.0}
+        for min_visits in (1, 0):
+            with pytest.raises(ValueError, match="min_visits"):
+                markov_check(ens, fm, f, 1, min_visits=min_visits)
+            with pytest.raises(ValueError, match="min_visits"):
+                martingale_check(ens, f, min_visits=min_visits)
+
     def test_covariance_mc_within_5_se(self):
         fm = FiniteMarkov.from_graph(cycle4())
         ens = simulate(fm, 6, 50000, 2718)
@@ -429,6 +470,11 @@ class TestHarmonic:
         with pytest.raises(ValueError):
             harmonic_solve(ruin_chain(), {9: 1.0})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_boundary_value(self, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            harmonic_solve(ruin_chain(), {0: 0.0, 4: bad})
+
 
 class TestMartingale:
     def test_harmonic_passes(self):
@@ -444,6 +490,13 @@ class TestMartingale:
     def test_doob_boundary(self):
         rep = doob_boundary_check(ruin_chain(), {k: k / 4 for k in range(5)}, 12, 3000, 55)
         assert rep.passed
+
+    def test_doob_boundary_needs_two_paths(self):
+        # one path per start has no standard error, and a NaN row must not pass a non-harmonic h
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            doob_boundary_check(ruin_chain(), {k: float(k == 2) for k in range(5)}, 12, 1, 5)
+        with pytest.raises(TypeError):
+            doob_boundary_check(ruin_chain(), {k: k / 4 for k in range(5)}, 12, 100, 5, min_visits=2)
 
     def test_doob_boundary_matches_per_state_ensembles(self, monkeypatch):
         # reference: one simulate(fm.with_start(x), ...) per state, on the stream (seed, state index)
