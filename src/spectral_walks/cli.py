@@ -74,8 +74,9 @@ def _json_scalar(v) -> str:
 
 
 # exact types whose cell is one call, the same bytes as _cell_csv / _json_scalar give;
-# a subclass (bool, numpy scalars) still takes the general formatter
-_CSV_CELLS = {int: str, str: str}
+# a subclass (bool, numpy scalars) still takes the general formatter, and so does a JSON
+# float, whose nan and inf cells are quoted
+_CSV_CELLS = {int: str, str: str, float: _fmt_float}
 _JSON_CELLS = {int: str, str: json.dumps}
 
 
@@ -265,7 +266,14 @@ def _covariance_table(pairs, lags, values, exact):
     return ("covariance", ["f1", "f2", "lag", "estimate", "exact", "se", "sigmas"], rows), failed
 
 
+def _need_steps(steps: int) -> None:
+    """Refuse a walk too short for any covariance row before it is simulated: an empty table gates nothing."""
+    if steps < 1:
+        raise ValueError(f"--steps {steps}: a covariance row needs at least 1 step")
+
+
 def _cmd_walk_sim(args) -> int:
+    _need_steps(args.steps)
     g = load_graph(args.graph)
     fm = wk.FiniteMarkov.from_graph(g)
     mu_solve = wk.stationary_measure(fm)
@@ -385,6 +393,7 @@ def _load_filter(path) -> ci.TrigPoly:
 
 
 def _cmd_solenoid_walk(args) -> int:
+    _need_steps(args.steps)
     if args.w == "haar":
         w = ci.w_from_filter(ci.haar_filter())
         default_start = ci.DyadicAngle(0, 0)

@@ -240,19 +240,19 @@ def _sparse_rows(kernel: np.ndarray):
     Row i of cum holds the running sums of the positive entries of
     kernel[i] in column order, and the flat table targets holds their
     columns: targets[i * width + m] is the column of the m-th one.  The
-    width is the largest out-degree rounded up to a multiple of 8, so a row
-    of `cum <= u` flags is a whole number of 64-bit words; cum is inf past
-    each row's degree.  The sums equal the dense np.cumsum(kernel[i]) at
-    those columns bit for bit: the dense sum only adds +0.0 in between,
-    which leaves a sum >= 0 unchanged.  The last positive entry of each row
-    is clamped to 1.0, so no draw u < 1 can fall past it onto a
-    zero-probability column.  Counting the entries <= u picks the same
-    state as the dense inverse CDF at every draw where that one takes a
-    positive-probability step.
+    width is the largest out-degree rounded up to a power of two, so a
+    binary search over a row takes exactly log2(width) halvings; cum is
+    inf past each row's degree.  The sums equal the dense
+    np.cumsum(kernel[i]) at those columns bit for bit: the dense sum only
+    adds +0.0 in between, which leaves a sum >= 0 unchanged.  The last
+    positive entry of each row is clamped to 1.0, so no draw u < 1 can
+    fall past it onto a zero-probability column.  Counting the entries
+    <= u picks the same state as the dense inverse CDF at every draw where
+    that one takes a positive-probability step.
     """
     positive = kernel > 0
     degree = positive.sum(axis=1)
-    width = -(-int(degree.max()) // 8) * 8
+    width = 1 << (int(degree.max()) - 1).bit_length()
     rows, cols = np.nonzero(positive)
     slot = np.arange(len(rows)) - np.repeat(np.cumsum(degree) - degree, degree)
     probs = np.zeros((len(kernel), width))
@@ -271,11 +271,15 @@ def _simulate_block(cum, targets, mu0_cum, n_steps, seed, out, first, count):
     state = np.searchsorted(mu0_cum, u, side="right")
     out[first : first + count, 0] = state
     width = cum.shape[1]
+    flat = cum.ravel()
+    # round r asks whether the entry at pos + half - 1 is <= u: a view that starts half - 1 in saves the add
+    rounds = [(flat[half - 1 :], half) for half in (width >> r for r in range(1, width.bit_length()))]
     for k in range(n_steps):
         u = step_uniforms(keys, k + 1)
-        below = cum.take(state, axis=0) <= u[:, None]
-        hits = np.bitwise_count(below.view(np.uint64)).sum(axis=1, dtype=np.intp)
-        state = targets[state * width + hits]
+        pos = state * width
+        for shifted, half in rounds:
+            pos += (shifted.take(pos) <= u) * half
+        state = targets.take(pos)
         out[first : first + count, k + 1] = state
 
 
@@ -284,13 +288,16 @@ def simulate(fm: FiniteMarkov, n_steps: int, n_paths: int, seed: int) -> PathEns
 
     Z_0 ~ mu0 and each step draws from the kernel row of the current
     state by the inverse CDF over that row's positive entries, so a step
-    costs O(max out-degree) rather than O(states).  A step gathers each
-    path's padded row of cumulative sums with `take`, compares it with the
-    path's draw, counts the hits by a popcount of the flags viewed as
-    64-bit words, and reads the next state from the flat target table at
-    state * width + hits.  Path p consumes only the stream keyed by
-    (seed, p), so the ensemble is bit-identical no matter how the work is
-    chunked.
+    costs O(log2 max out-degree) rather than O(states).  A step finds how
+    many of the path's row of cumulative sums are <= its draw by a
+    branchless binary search, log2(width) rounds of one `take` and one
+    compare each, and reads the next state from the flat target table at
+    state * width + that count.  The entries <= u always form a prefix of
+    the row: the sums before the clamp are nondecreasing, and the clamped
+    1.0 and the inf padding lie above every draw u < 1, so the search
+    counts exactly the entries <= u.  Path p consumes only the stream
+    keyed by (seed, p), so the ensemble is bit-identical no matter how the
+    work is chunked.
     """
     if n_steps < 0 or n_paths < 1:
         raise ValueError("need n_steps >= 0 and n_paths >= 1")
@@ -347,13 +354,21 @@ def covariance_mc(ens: PathEnsemble, f1, f2, n: int):
 def mean_se(samples: np.ndarray):
     """The sample mean and its standard error, the n - 1 sample deviation over sqrt(n); returns (estimate, SE).
 
-    Raises ValueError for fewer than 2 samples, where the standard error
-    is undefined and would otherwise print as NaN.
+    For a float64 array both values equal samples.mean() and
+    samples.std(ddof=1) / math.sqrt(n) bit for bit.  Raises ValueError for
+    fewer than 2 samples, where the standard error is undefined and would
+    otherwise print as NaN.
     """
     n = len(samples)
     if n < 2:
         raise ValueError("a standard error needs at least 2 samples")
-    return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(n))
+    # the ufunc sequence of samples.mean() and samples.std(ddof=1), pairwise sums included, so the
+    # bits are the same without numpy's per-call wrapper cost; like numpy, square the deviations in
+    # place, so one temporary of n floats is alive at a time
+    mean = np.add.reduce(samples) / n
+    dev = samples - mean
+    dev *= dev
+    return float(mean), math.sqrt(np.add.reduce(dev) / (n - 1)) / math.sqrt(n)
 
 
 @dataclass(frozen=True)
@@ -406,16 +421,17 @@ def _grouped_check(states, here, nxt, vec, exact, min_visits) -> CheckReport:
 
     One stable sort groups the samples by conditioning state, keeping each
     group in its original order; states with fewer than min_visits samples
-    are reported in `skipped` rather than tested.  With at most 65536
-    states the labels are sorted as uint16, which numpy sorts stably by
-    radix; a stable sort has exactly one result, the permutation that
-    orders by label and then by position, so the groups are the same as
-    from sorting the wider labels.  min_visits below 2 is refused: a
-    single visit has no standard error.
+    are reported in `skipped` rather than tested.  The labels are sorted
+    as the narrowest unsigned type that holds the largest state index:
+    uint8 up to 256 states, one radix pass, and uint16 up to 65536, which
+    numpy also sorts by radix.  A stable sort has exactly one result, the
+    permutation that orders by label and then by position, so the groups
+    are the same as from sorting the wider labels.  min_visits below 2 is
+    refused: a single visit has no standard error.
     """
     if min_visits < 2:
         raise ValueError(f"min_visits must be at least 2 for a standard error, got {min_visits}")
-    order = np.argsort(here.astype(np.uint16) if len(states) <= 1 << 16 else here, kind="stable")
+    order = np.argsort(here.astype(np.min_scalar_type(len(states) - 1)), kind="stable")
     values = vec[nxt[order]]
     bounds = np.searchsorted(here[order], np.arange(len(states) + 1))
     rows = []

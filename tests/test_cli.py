@@ -107,6 +107,8 @@ class TestRefusedInputs:
         (["spectra", "gram", "--words", "1,11", "--depth", "30"], "depth 30"),
         (["walk", "sim", "--graph", CYCLE4, "--paths", "1"], "at least 2 samples"),
         (["solenoid", "walk", "--w", "half", "--paths", "1"], "at least 2 samples"),
+        (["walk", "sim", "--graph", CYCLE4, "--steps", "0"], "--steps 0"),
+        (["solenoid", "walk", "--w", "half", "--steps", "0"], "--steps 0"),
     ])
     def test_exit_two_naming_the_value(self, capsys, argv, named):
         rc, out, err = invoke(capsys, argv)
@@ -341,7 +343,8 @@ class TestCellFormatting:
         pass
 
     ROW = [0, -7, 2**70, "", "-", "10", 'quote " and \\ and é', Label("s"), True, False, None, 0.1, -0.0,
-           float("nan"), float("inf"), Fraction(-3, 7), np.int64(5), np.float64(2.5), Count(4)]
+           float("nan"), float("inf"), float("-inf"), 1e-300, -2.5e300, 1 / 3, Fraction(-3, 7), np.int64(5),
+           np.float64(2.5), np.float64("nan"), np.float64("-inf"), np.float64(-0.0), Count(4)]
 
     @pytest.mark.parametrize("out_format", ["csv", "json"])
     def test_fast_path_matches_general_formatters(self, capsys, monkeypatch, out_format):
@@ -352,3 +355,13 @@ class TestCellFormatting:
         monkeypatch.setattr(cli, "_JSON_CELLS", {})
         cli._emit({"seed": 3, "config": "abc"}, tables, out_format, None)
         assert fast == capsys.readouterr().out
+
+    @pytest.mark.parametrize("out_format, want", [
+        ("csv", "nan,inf,-inf,-0,0.10000000000000001,2.5,-inf"),
+        ("json", '["nan", "inf", "-inf", -0, 0.10000000000000001, 2.5, "-inf"]'),
+    ])
+    def test_float_cells(self, capsys, out_format, want):
+        # seventeen significant digits; JSON quotes nan and inf, which it has no number for
+        row = [float("nan"), float("inf"), float("-inf"), -0.0, 0.1, np.float64(2.5), np.float64("-inf")]
+        cli._emit({}, [("t", [f"c{k}" for k in range(len(row))], [row])], out_format, None)
+        assert want in capsys.readouterr().out

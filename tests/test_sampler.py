@@ -150,7 +150,7 @@ def chains(draw):
 
 @st.composite
 def wide_chains(draw):
-    """Kernels with out-degrees up to 24, so a row of flags spans up to three words; some rows hold a 1e-300 entry."""
+    """Kernels with out-degrees up to 24, so a search takes up to five rounds; some rows hold a 1e-300 entry."""
     s = draw(st.integers(10, 30))
     kernel = np.zeros((s, s))
     for i in range(s):
@@ -176,11 +176,58 @@ class TestPaddedStep:
         cum, targets = walks._sparse_rows(fm.kernel)
         want_cum, want_targets = row_tables(fm.kernel)
         degree = want_cum.shape[1]
-        assert cum.shape == (len(fm), -(-degree // 8) * 8) and targets.shape == (cum.size,)
+        # the smallest power of two >= the largest out-degree, so the search halves it down to 1
+        width = cum.shape[1]
+        assert width & (width - 1) == 0 and width >= degree > width // 2
+        assert cum.shape == (len(fm), width) and targets.shape == (cum.size,)
         assert cum[:, :degree].tobytes() == want_cum.tobytes() and np.all(cum[:, degree:] == np.inf)
         assert np.array_equal(targets.reshape(cum.shape)[:, :degree][want_cum < np.inf], want_targets[want_cum < np.inf])
         traj = simulate(fm, n_steps, 300, seed).trajectories
         assert np.array_equal(traj, row_indexed_walk(fm, n_steps, 300, seed))
+
+
+def degree_chain(max_degree, s=40):
+    """A chain on s states whose largest out-degree is exactly max_degree; other rows are narrower."""
+    rs = np.random.default_rng(max_degree)
+    kernel = np.zeros((s, s))
+    for i in range(s):
+        d = max_degree if i % 3 == 0 else int(rs.integers(1, max_degree + 1))
+        cols = rs.choice(s, d, replace=False)
+        w = rs.integers(1, 60, d).astype(np.float64)
+        kernel[i, cols] = w / w.sum()
+    return FiniteMarkov(tuple(range(s)), kernel, np.full(s, 1.0 / s))
+
+
+def overshoot_chain():
+    """Row 0 sums to 1 + 1e-13: its running sum passes 1.0 at column 1, before the clamp at column 2."""
+    kernel = np.array([[0.6, 0.4 + 1e-13, 1e-300], [0.5, 0.5, 0.0], [1 / 3, 1 / 3, 1 / 3]])
+    return FiniteMarkov((0, 1, 2), kernel, np.full(3, 1 / 3))
+
+
+class TestSearchEdges:
+    """The binary-search step against the row-indexed one at the widths where a search gains a round."""
+
+    @pytest.mark.parametrize("max_degree", [1, 8, 9, 16, 17, 32, 33])
+    def test_max_out_degree(self, max_degree):
+        fm = degree_chain(max_degree)
+        cum, _ = walks._sparse_rows(fm.kernel)
+        assert cum.shape[1] == 1 << (max_degree - 1).bit_length()
+        for seed in (0, 1, 2**63 + 5):
+            traj = simulate(fm, 6, 2000, seed).trajectories
+            assert np.array_equal(traj, row_indexed_walk(fm, 6, 2000, seed))
+
+    def test_running_sum_past_one_before_the_clamp(self):
+        fm = overshoot_chain()
+        assert np.cumsum(fm.kernel[0])[1] > 1.0
+        cum, _ = walks._sparse_rows(fm.kernel)
+        assert cum[0].tolist() == [0.6, np.cumsum(fm.kernel[0])[1], 1.0, np.inf]
+        for seed in (0, 1, 2**63 + 5):
+            traj = simulate(fm, 8, 2000, seed).trajectories
+            assert np.array_equal(traj, row_indexed_walk(fm, 8, 2000, seed))
+        below = int(0.6 * 2.0**53)
+        assert below * 2.0**-53 == 0.6
+        for bits, want in ((below - 1, 0), (below, 1), ((1 << 53) - 1, 1)):
+            assert simulate(fm.with_start(0), 1, 1, seed_for_draw(bits, 1)).trajectories.tolist() == [[0, want]]
 
 
 class TestSparseSampler:
@@ -290,6 +337,16 @@ class TestGroupedEstimator:
         assert martingale_check(ens, vec, min_visits) == want
 
 
+    @pytest.mark.parametrize("n_states", [2, 255, 256, 257, 65536, 65537])
+    def test_labels_at_the_narrow_type_edges(self, n_states):
+        # labels run up to the largest state index, where a type one size too narrow would wrap them to 0
+        rs = np.random.default_rng(n_states)
+        here = np.concatenate([rs.integers(max(0, n_states - 3), n_states, 3000), rs.integers(0, 2, 3000)])
+        nxt = rs.integers(0, n_states, len(here))
+        vec, exact = rs.random(n_states), rs.random(n_states)
+        states = tuple(range(n_states))
+        assert walks._grouped_check(states, here, nxt, vec, exact, 50) == mask_check(states, here, nxt, vec, exact, 50)
+
     def test_more_than_65536_states_sort_wide_labels(self):
         rs = np.random.default_rng(7)
         here, nxt = rs.integers(0, 40, 3000), rs.integers(0, 40, 3000)
@@ -391,3 +448,36 @@ def test_golden_trajectories(threads, monkeypatch):
     fm = FiniteMarkov.from_graph(load_graph(dyadic_chords()))
     for seed, want in GOLDEN_TRAJECTORIES.items():
         assert hashlib.sha256(simulate(fm, 32, 5000, seed).trajectories.tobytes()).hexdigest() == want
+
+
+# sha256 of each report's rows as (label, estimate.hex(), exact.hex(), se.hex()) plus its skipped
+# tuple, on dyadic_chords() with an arbitrary state function; recorded with the take-and-popcount
+# step and np.mean / np.std in mean_se, so the sampler and the estimator are pinned bit for bit
+GOLDEN_REPORTS = {
+    "markov_check": "82c5ccd7d9c0047fe26e2d81ec4d327a0a8b25ea9bb6bc5ef453f57a03156dbf",
+    "martingale_check": "b51d5ccdc345cfe0b405b4de7b6e1b9ea535dab1a12072606085626f948ba9d6",
+    "doob_boundary_check": "d0f0a11c34f13841768f3521d7b4abb92d53017ffcb09efee774ec4bf18a62bd",
+}
+
+
+def report_digest(rep):
+    h = hashlib.sha256()
+    for r in rep.rows:
+        h.update(repr((r.label, r.estimate.hex(), r.exact.hex(), r.se.hex())).encode())
+    h.update(repr(rep.skipped).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_golden_reports(threads, monkeypatch):
+    monkeypatch.setenv("SPECTRAL_WALKS_THREADS", threads)
+    fm = FiniteMarkov.from_graph(load_graph(dyadic_chords()))
+    vec = (np.arange(len(fm)) * 40503 % 1009) / 1009.0
+    ens = simulate(fm, 16, 5000, 7)
+    got = {
+        "markov_check": report_digest(markov_check(ens, fm, vec, 8, min_visits=10)),
+        "martingale_check": report_digest(martingale_check(ens, vec)),
+        # 2100 paths per start, so two threads split every start's ensemble
+        "doob_boundary_check": report_digest(walks.doob_boundary_check(fm, vec, 3, 2100, 7)),
+    }
+    assert got == GOLDEN_REPORTS

@@ -363,6 +363,43 @@ class TestExactKernelArithmetic:
         assert max(abs(v - vals[0]) for v in vals) <= 1e-14
 
 
+@st.composite
+def sample_arrays(draw):
+    """float64 samples, 2 to 5000 of them, as numpy's mean and std see them in the wild.
+
+    Magnitudes run from 1e-300 to 1e300, per array or mixed within one;
+    some arrays are constant, some hold NaN or +-inf, and some are strided
+    views: the .real of a complex array, or every third entry.
+    """
+    n = draw(st.integers(2, 5000))
+    rs = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["scaled", "mixed", "constant"]))
+    if kind == "constant":
+        x = np.full(n, draw(st.floats(allow_nan=False, allow_infinity=False)))
+    elif kind == "mixed":
+        x = rs.standard_normal(n) * 10.0 ** rs.uniform(-300, 300, n)
+    else:
+        scale = 10.0 ** draw(st.integers(-300, 300))
+        x = (rs.standard_normal(n) + draw(st.floats(-1e3, 1e3))) * scale
+    for _ in range(draw(st.integers(0, 3)) if draw(st.booleans()) else 0):
+        x[draw(st.integers(0, n - 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    view = draw(st.sampled_from(["contiguous", "real", "every_third"]))
+    if view == "real":
+        z = np.empty(n, dtype=np.complex128)
+        z.real, z.imag = x, rs.random(n)
+        return z.real
+    if view == "every_third":
+        y = rs.random(3 * n)
+        y[::3] = x
+        return y[::3]
+    return x
+
+
+def same_bits(a, b):
+    """Equal as IEEE doubles, the sign of a zero included; any NaN equals any NaN."""
+    return (math.isnan(a) and math.isnan(b)) or a.hex() == b.hex()
+
+
 class TestChecks:
     def test_sigma_rule(self):
         assert CheckRow("a", 1.0, 1.0, 0.0).sigmas == 0.0
@@ -397,6 +434,14 @@ class TestChecks:
         for few in (np.array([3.0]), np.array([])):
             with pytest.raises(ValueError, match="at least 2 samples"):
                 mean_se(few)
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=sample_arrays())
+    def test_mean_se_bits_equal_numpy(self, x):
+        with np.errstate(all="ignore"):
+            got = mean_se(x)
+            want = (float(x.mean()), float(x.std(ddof=1) / math.sqrt(len(x))))
+        assert [same_bits(a, b) for a, b in zip(got, want)] == [True, True]
 
     def test_grouped_checks_refuse_fewer_than_two_visits(self):
         fm = FiniteMarkov.from_graph(cycle4())
