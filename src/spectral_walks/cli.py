@@ -10,8 +10,8 @@ named tables, as CSV (default) or JSON.  The config field is a hash of
 the parsed arguments, so identical invocations produce byte-identical
 output; there are no timestamps anywhere.  Exit codes: 0 all checks
 passed, 1 a numeric or statistical check failed, 2 bad input, 3 a
-computation could not finish (no convergence, a residual breach, or
-another arithmetic error).
+computation could not finish (no convergence, a residual breach,
+another arithmetic error, or memory exhausted).
 """
 
 from __future__ import annotations
@@ -487,7 +487,8 @@ def _verify_checks(quick: bool, seed: int):
     depth = 4 if quick else 6
     words = tr.words_up_to(depth - 1)
     tg = tr.tree_graph(depth)
-    dips = {x: tr.dipole_function(x, tg) for x in words}  # 14 words in the quick pass
+    columns = tr._prefix_lengths(tg.vertices, words).T.tolist()  # a column per dipole, 14 in the quick pass
+    dips = {x: dict(zip(tg.vertices, col)) for x, col in zip(words, columns)}
     ok = True
     for x, dx in dips.items():
         if any(v != 0 for v in tr._dipole_defect(x, tg, dx).values()):
@@ -759,7 +760,7 @@ def run(argv) -> int:
     except (GraphError, OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, ArithmeticError) as exc:
+    except (RuntimeError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

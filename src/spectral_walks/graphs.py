@@ -328,6 +328,22 @@ def _hop_counts(targets, starts, degree, source) -> np.ndarray:
     return hops
 
 
+def _bfs_levels(arcs: np.ndarray, source: int) -> np.ndarray:
+    """Breadth-first level of every vertex from source along a dense boolean arc matrix; -1 if unreached.
+
+    A level ORs the arc rows of the whole frontier in one array pass; _hop_counts is the sparse search.
+    """
+    level = np.full(len(arcs), -1)
+    frontier = np.zeros(len(arcs), dtype=bool)
+    frontier[source] = True
+    depth = 0
+    while frontier.any():
+        level[frontier] = depth
+        frontier = arcs[frontier].any(axis=0) & (level < 0)
+        depth += 1
+    return level
+
+
 def _has_repeats(keys) -> bool:
     """Whether an int array holds some value twice (sorted, not hashed: faster on ints)."""
     keys = np.sort(keys)

@@ -13,12 +13,12 @@ three constructions checked against each other throughout:
 The eigensolver is Householder tridiagonalization followed by
 implicit-shift QL, written with element-wise numpy operations and
 reductions only (no BLAS or LAPACK call), so repeated runs are
-bit-stable whatever the BLAS build or thread count.  The Gram matrix is
-built from the words' characters in int64 array arithmetic, exactly.
-Every dipole sum sum_x c(x) v_x on tree vertices reads one vertex x word
-table of prefix lengths, built once per call with each word and each
-vertex validated once; float64 c sums in float64, int and Fraction c
-exactly.
+bit-stable whatever the BLAS build or thread count.  The Gram matrix
+and every vertex x word table of prefix lengths come from tree's one
+int64 prefix-length kernel, exactly.  Every dipole sum sum_x c(x) v_x on
+tree vertices reads one such table, built once per call with each word
+and each vertex validated once; float64 c sums in float64, int and
+Fraction c exactly.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import WeightedGraph, energy_gram, energy_inner, laplacian_apply
-from .tree import _prefix_length, check_word, common_prefix_length, dipole_function, tree_graph
+from .graphs import WeightedGraph, _bfs_levels, energy_gram, energy_inner, laplacian_apply
+from .tree import _prefix_lengths, check_word, common_prefix_length, tree_graph
 
 __all__ = [
     "GramSpectrum",
@@ -114,12 +114,7 @@ def _blocks(a):
     unseen = np.ones(a.shape[0], dtype=bool)
     blocks = []
     while unseen.any():
-        members = np.zeros_like(unseen)
-        members[np.argmax(unseen)] = True
-        frontier = members
-        while frontier.any():
-            frontier = linked[frontier].any(axis=0) & ~members
-            members |= frontier
+        members = _bfs_levels(linked, int(np.argmax(unseen))) >= 0
         unseen &= ~members
         blocks.append(np.flatnonzero(members))
     return blocks
@@ -242,19 +237,7 @@ def _check_words(words):
 def gram_matrix(words) -> np.ndarray:
     """Exact integer Gram matrix of the dipoles {v_x : x in F} in energy form."""
     words = _check_words(words)
-    n = len(words)
-    lengths = np.array([len(w) for w in words], dtype=np.int64)
-    width = int(lengths.max())
-    # one row of character codes per word, padded past its end with "2"
-    chars = np.frombuffer("".join(w.ljust(width, "2") for w in words).encode("ascii"), dtype=np.uint8)
-    chars = chars.reshape(n, width)
-    m = np.zeros((n, n), dtype=np.int64)
-    agree = np.ones((n, n), dtype=bool)
-    for k in range(width):
-        agree &= chars[:, k, None] == chars[:, k]
-        m += agree
-    # two padded tails also agree; the shorter word's length caps the count
-    return np.minimum(m, np.minimum.outer(lengths, lengths))
+    return _prefix_lengths(words, words)
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,13 +304,14 @@ def _prefix_table(words, vertices) -> np.ndarray:
     """table[i, k] = v_{words[k]}(vertices[i]).
 
     The first row comes from common_prefix_length, which validates every
-    word; each later vertex is validated once, and its row counts the
-    prefixes without validating the words again.
+    word; each later vertex is validated once, and the prefix-length
+    kernel fills the other rows without validating the words again.
     """
     first, *rest = vertices
-    table = [[common_prefix_length(x, first) for x in words]]
-    table += [[_prefix_length(x, y) for x in words] for y in map(check_word, rest)]
-    return np.array(table, dtype=np.int64)
+    table = np.empty((len(vertices), len(words)), dtype=np.int64)
+    table[0] = [common_prefix_length(x, first) for x in words]
+    table[1:] = _prefix_lengths([check_word(y) for y in rest], words)
+    return table
 
 
 def _combine(table, coefficients) -> np.ndarray:
@@ -476,7 +460,7 @@ def linear_independence_check(words, depth: int | None = None) -> bool:
     """
     words = _check_words(words)
     g = _tree_for(words, depth)
-    dipoles = [dipole_function(x, g) for x in words]
+    dipoles = [dict(zip(g.vertices, column)) for column in _prefix_lengths(g.vertices, words).T.tolist()]
     m = np.array([list(map(float, row)) for row in energy_gram(g, dipoles)])
     vals, _ = eigh(m)
     return bool(vals[-1] > 1e-10 * float(np.linalg.norm(m)))

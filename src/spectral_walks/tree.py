@@ -9,12 +9,16 @@ input.
 
 The dipole at a vertex x is the function v_x(y) = length of the common
 prefix of x and y.  It reproduces point evaluations against the energy
-form and its Laplacian is delta_x plus a charge at the root.
+form and its Laplacian is delta_x plus a charge at the root.  Every table
+of these lengths (a dipole on a tree, the Gram matrix, spectra's vertex x
+word tables) comes from one int64 kernel over the words' character codes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+import numpy as np
 
 from .graphs import WeightedGraph, laplacian_apply
 
@@ -47,13 +51,10 @@ ORIGIN = ""
 MAX_DEPTH = 16
 
 
-def _check_depth(depth: int, branching: int = 2) -> None:
+def _check_depth(depth: int) -> None:
     """Refuse a truncation depth beyond the cap, before anything is allocated."""
-    if depth > MAX_DEPTH or branching ** depth > 1 << MAX_DEPTH:
-        raise ValueError(
-            f"depth {depth} is beyond the cap: a tree level may hold at most 2^{MAX_DEPTH} words "
-            f"(depth {MAX_DEPTH} on the binary tree)"
-        )
+    if depth > MAX_DEPTH:
+        raise ValueError(f"depth {depth} is beyond the cap of {MAX_DEPTH}")
 
 
 def check_word(w: str) -> str:
@@ -86,17 +87,32 @@ def common_prefix_length(x: str, y: str) -> int:
     """Number of shared leading characters, i.e. edges common to both root paths."""
     check_word(x)
     check_word(y)
-    return _prefix_length(x, y)
-
-
-def _prefix_length(x: str, y: str) -> int:
-    """common_prefix_length of two words the caller has already validated."""
     n = 0
     for a, b in zip(x, y):
         if a != b:
             break
         n += 1
     return n
+
+
+def _prefix_lengths(rows, columns) -> np.ndarray:
+    """table[i, k] = common_prefix_length(rows[i], columns[k]), int64, for validated words.
+
+    Each word becomes a row of ASCII codes, rows padded with "2" and columns
+    with "3", so a pair agrees at a position only while both words last and
+    match there; each position adds the pairs that have agreed at every
+    position so far.
+    """
+    width = max(map(len, [*rows, *columns]), default=0)
+    padded = [w.ljust(width, "2") for w in rows] + [w.ljust(width, "3") for w in columns]
+    codes = np.frombuffer("".join(padded).encode("ascii"), dtype=np.uint8).reshape(len(padded), width)
+    a, b = codes[: len(rows)], codes[len(rows) :]
+    table = np.zeros((len(rows), len(columns)), dtype=np.int64)
+    agree = np.ones(table.shape, dtype=bool)
+    for k in range(width):
+        agree &= a[:, k, None] == b[:, k]
+        table += agree
+    return table
 
 
 def dipole_value(x: str, y: str) -> int:
@@ -112,25 +128,23 @@ def dipole_value(x: str, y: str) -> int:
     return common_prefix_length(x, y)
 
 
-def words_up_to(depth: int, branching: int = 2):
+def words_up_to(depth: int):
     """All nonempty words of length <= depth, shortest first, lexicographic within a length.
 
-    A depth beyond MAX_DEPTH, or one whose last level would hold more than
-    2^MAX_DEPTH words, raises ValueError before any word is made.
+    A depth beyond MAX_DEPTH raises ValueError before any word is made.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    _check_depth(depth, branching)
-    digits = [str(d) for d in range(branching)]
+    _check_depth(depth)
     out = []
     level = [ORIGIN]
     for _ in range(depth):
-        level = [w + d for w in level for d in digits]
+        level = [w + d for w in level for d in "01"]
         out.extend(level)
     return out
 
 
-def tree_graph(depth: int, branching: int = 2) -> WeightedGraph:
+def tree_graph(depth: int) -> WeightedGraph:
     """The tree truncated at the given depth, all conductances 1.
 
     Vertices are ordered by length, lexicographic within each length, with
@@ -139,7 +153,7 @@ def tree_graph(depth: int, branching: int = 2) -> WeightedGraph:
     """
     if depth < 1:
         raise ValueError("a truncated tree needs depth >= 1")
-    vertices = [ORIGIN] + words_up_to(depth, branching)
+    vertices = [ORIGIN] + words_up_to(depth)
     edges = [(w[:-1], w, 1) for w in vertices[1:]]
     return WeightedGraph(vertices, edges, ORIGIN)
 
@@ -152,7 +166,8 @@ def dipole_function(x: str, g: WeightedGraph) -> dict:
     check_word(x)
     if x == ORIGIN:
         raise ValueError("no dipole is attached to the root")
-    return {y: _prefix_length(x, check_word(y)) for y in g.vertices}
+    vertices = [check_word(y) for y in g.vertices]
+    return dict(zip(vertices, _prefix_lengths(vertices, (x,))[:, 0].tolist()))
 
 
 def dipole_defect(x: str, depth: int) -> dict:

@@ -25,7 +25,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .graphs import WeightedGraph, _float_edges
+from .graphs import WeightedGraph, _bfs_levels, _float_edges
 from .rng import derive_key, path_keys, run_blocks, step_uniforms
 
 __all__ = [
@@ -137,27 +137,10 @@ class FiniteMarkov:
         return len(self.states)
 
 
-def _bfs_levels(arcs: np.ndarray) -> np.ndarray:
-    """Breadth-first level of every state from state 0 along a boolean arc matrix; -1 if unreached.
-
-    One frontier step ORs the arc rows of the whole frontier, so each
-    state's row is read once and a level costs a single array pass.
-    """
-    level = np.full(len(arcs), -1)
-    frontier = np.zeros(len(arcs), dtype=bool)
-    frontier[0] = True
-    depth = 0
-    while frontier.any():
-        level[frontier] = depth
-        frontier = arcs[frontier].any(axis=0) & (level < 0)
-        depth += 1
-    return level
-
-
 def is_irreducible(fm: FiniteMarkov) -> bool:
     """True when every state reaches every other along positive-probability arcs."""
     positive = fm.kernel > 0
-    return bool(np.all(_bfs_levels(positive) >= 0) and np.all(_bfs_levels(positive.T) >= 0))
+    return bool(np.all(_bfs_levels(positive, 0) >= 0) and np.all(_bfs_levels(positive.T, 0) >= 0))
 
 
 def is_aperiodic(fm: FiniteMarkov) -> bool:
@@ -168,7 +151,7 @@ def is_aperiodic(fm: FiniteMarkov) -> bool:
     reached component.  Meaningful for irreducible kernels.
     """
     positive = fm.kernel > 0
-    level = _bfs_levels(positive)
+    level = _bfs_levels(positive, 0)
     # every arc out of a reached state ends at a reached state
     i, j = np.nonzero(positive & (level >= 0)[:, None])
     return int(np.gcd.reduce(np.abs(level[i] + 1 - level[j]))) == 1
@@ -452,8 +435,8 @@ def markov_check(ens: PathEnsemble, fm: FiniteMarkov, f, n: int, min_visits: int
     States visited fewer than min_visits times at step n are reported in
     `skipped` rather than tested.
     """
-    if n + 1 > ens.n_steps:
-        raise ValueError("ensemble too short for the requested step")
+    if n < 0 or n + 1 > ens.n_steps:
+        raise ValueError("need 0 <= n <= n_steps - 1")
     vec = fm.as_vector(f)
     traj = ens.trajectories
     return _grouped_check(fm.states, traj[:, n], traj[:, n + 1], vec, fm.kernel @ vec, min_visits)

@@ -70,6 +70,10 @@ class TestExitCodes:
          ["spectra", "gram", "--words", "1,11"]),
         ("spectral_walks.walks.stationary_measure", ArithmeticError("stationary solve residual 1e-03 exceeds 1e-12"),
          ["walk", "sim", "--graph", CYCLE4, "--paths", "10"]),
+        # raised by the stand-in, never allocated: an overcommitting host would kill the process instead
+        ("spectral_walks.circle.tightness_defect",
+         MemoryError("Unable to allocate 1.46 TiB for an array with shape (200000000001,) and data type float64"),
+         ["wavelet", "tightness", "--coeffs", "0.5,0.5", "--K", "100000000000"]),
     ])
     def test_solver_failure_is_three(self, capsys, monkeypatch, target, exc, argv):
         def give_up(*args, **kwargs):

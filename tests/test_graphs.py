@@ -290,6 +290,23 @@ CONDUCTANCES = st.one_of(
 )
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=n, max_size=n), st.integers(0, n - 1))))
+def test_dense_bfs_levels_match_a_queue_search(case):
+    arcs, source = case
+    want = [-1] * len(arcs)
+    want[source] = 0
+    queue = deque([source])
+    while queue:
+        x = queue.popleft()
+        for y, arc in enumerate(arcs[x]):
+            if arc and want[y] < 0:
+                want[y] = want[x] + 1
+                queue.append(y)
+    assert graphs._bfs_levels(np.array(arcs), source).tolist() == want
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestSummationOracle:
     """The type-set summation rule agrees with the per-term rule in value, type and bits."""

@@ -452,9 +452,9 @@ class TestDipoleReuse:
         built = []
         inner = tree.tree_graph
 
-        def counted(depth, branching=2):
+        def counted(depth):
             built.append(depth)
-            return inner(depth, branching)
+            return inner(depth)
 
         monkeypatch.setattr(tree, "tree_graph", counted)
         checks = cli._verify_checks(quick=True, seed=0)
@@ -462,18 +462,18 @@ class TestDipoleReuse:
         assert built == [4]
 
     def test_tree_dipole_reads_each_prefix_length_once(self, monkeypatch):
+        # one kernel call fills the whole dipole column, one cell per vertex
         calls = []
-        inner = tree._prefix_length
+        inner = tree._prefix_lengths
 
-        def counted(x, y):
-            calls.append((x, y))
-            return inner(x, y)
+        def counted(rows, columns):
+            calls.append((list(rows), list(columns)))
+            return inner(rows, columns)
 
-        monkeypatch.setattr(tree, "_prefix_length", counted)
+        monkeypatch.setattr(tree, "_prefix_lengths", counted)
         rc, out, _ = run_cli(["tree", "dipole", "--x", "101", "--depth", "5"])
         assert rc == 0
-        assert len(calls) == (1 << 6) - 1
-        assert len(set(calls)) == len(calls)
+        assert calls == [(list(tree.tree_graph(5).vertices), ["101"])]
 
 
 class TestCombineAccumulator:

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -303,24 +304,24 @@ class TestDipoleKernel:
 
     @pytest.mark.parametrize("depth", [None, 6])
     def test_one_table_per_call(self, depth, monkeypatch):
-        # the first row validates the words through common_prefix_length; later rows count unvalidated
-        calls = {"checked": 0, "raw": 0}
+        # the first row validates the words through common_prefix_length; one kernel call fills the rest
+        calls = {"checked": 0, "kernel": 0}
 
         def counting(kind, inner):
-            def counted(x, y):
+            def counted(*args):
                 calls[kind] += 1
-                return inner(x, y)
+                return inner(*args)
             return counted
 
         monkeypatch.setattr(spectra, "common_prefix_length", counting("checked", spectra.common_prefix_length))
-        monkeypatch.setattr(spectra, "_prefix_length", counting("raw", spectra._prefix_length))
         words = tuple(words_up_to(4))
-        rest = (len(tree_graph(depth or 4)) - 1) * len(words)
-        spectra.reciprocity_spectrum(words, depth)
-        assert calls == {"checked": len(words), "raw": rest}
-        calls.update(checked=0, raw=0)
-        kl_gram_check(gram_spectrum(words), depth)
-        assert calls == {"checked": len(words), "raw": rest}
+        gs = gram_spectrum(words)
+        monkeypatch.setattr(spectra, "_prefix_lengths", counting("kernel", spectra._prefix_lengths))
+        spectra.reciprocity_spectrum(gs, depth)
+        assert calls == {"checked": len(words), "kernel": 1}
+        calls.update(checked=0, kernel=0)
+        kl_gram_check(gs, depth)
+        assert calls == {"checked": len(words), "kernel": 1}
 
 
 # ---------------------------------------------------------------- the pair loops behind energy_gram
@@ -485,4 +486,43 @@ def golden_digest(argv, path):
 def test_golden_dipole_cli_output(tmp_path):
     changed = [" ".join(argv[:2] + argv[4:]) for argv, want in GOLDEN_CLI
                if golden_digest(argv, tmp_path / "out.txt") != want]
+    assert not changed
+
+
+def exact_forms_inputs(seed):
+    """The benchmark's exact_forms inputs at a seed: a 6-letter word and 40 distinct words of length <= 6."""
+    rng = random.Random(seed)
+    w6 = "".join(rng.choice("01") for _ in range(6))
+    return w6, rng.sample(words_up_to(6), 40)
+
+
+# sha256 of "<exit code>\n" + output bytes, recorded with the per-cell prefix loops, by seed of the inputs
+GOLDEN_TABLE_CLI = {
+    1: ("59be23c4a6af4cd8f5b46212543ed541fd2aa411f92ce53d7b492b1e0ec2ee2d",
+        "fd60bf8c56753a98f5c74e2699e4d183ef6dda92683c7f52fc21693ed8734a33",
+        "aea7be1e34e3fd673af3d5625247f91f2a5d06f16dd1dcf2c9ba213658e33411",
+        "de7d8b02ce5651e9ab2cea83b494c4c60b656fed0637e9e52337a0aab190166c"),
+    2: ("64217612f8cb1457261cc66d753c570a7e9595f108a000418528f64c3301c605",
+        "1890bd7b0f58d26f39dabb09c66f24fc250e75ac7b17eedde903a6e488dc1202",
+        "d632c45ab718bd7786b7b7d72c820626989043403ff3108609344c716e4b44d4",
+        "4148eea5a0adf8d04bb2d323427ad0c16f8421b0feda4e118b0d6805d1c5a51a"),
+    3: ("9d2dc8287767ecdc44a9293edec0c0a2e3dc4305280542a56000d0573d740de1",
+        "9d5014a51ce5c4cd269efdcc3fb455bc606678526738d8861f39107707543d43",
+        "86d6653920b52b10024c9e91f89cbc5be2ac403d68cec9f5f2331a17adaec270",
+        "ed1c7358294366f82826f74f433ca504101af64d8e66779376527cea2fa26cc0"),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_golden_prefix_table_cli_output(threads, tmp_path, monkeypatch):
+    # tree dipole --depth 12, spectra gram on 40 words with --depth 6, and verify all: every table reader
+    monkeypatch.setenv("SPECTRAL_WALKS_THREADS", threads)
+    changed = []
+    for seed, wants in GOLDEN_TABLE_CLI.items():
+        w6, f40 = exact_forms_inputs(seed)
+        gram = ["spectra", "gram", "--words", ",".join(f40), "--depth", "6"]
+        argvs = (["tree", "dipole", "--x", w6, "--depth", "12", "--out", "json"], gram, gram + ["--out", "json"],
+                 ["verify", "all", "--seed", str(seed + 1)])
+        changed += [f"{seed}: " + " ".join(argv[:2]) for argv, want in zip(argvs, wants)
+                    if golden_digest(argv, tmp_path / "out.txt") != want]
     assert not changed

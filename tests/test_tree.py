@@ -3,8 +3,9 @@
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spectral_walks import (
     tree_graph,
@@ -24,16 +25,17 @@ from spectral_walks import (
     cantor_encode,
 )
 from spectral_walks.graphs import WeightedGraph
-from spectral_walks.tree import MAX_DEPTH, check_word, common_prefix_length, parent, path_edges
+from spectral_walks.tree import MAX_DEPTH, _prefix_lengths, check_word, common_prefix_length, parent, path_edges
 
 
-@pytest.mark.parametrize("depth, branching", [(MAX_DEPTH + 1, 2), (40, 2), (10**9, 2), (3, 64), (9, 4)])
-def test_depth_beyond_the_cap_is_refused(depth, branching):
-    # the binary tree stops at depth 16; other branchings at 2^16 words on a level
+# each id reads <depth>-<branching>; the tree is binary
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 40, 10**9], ids=lambda depth: f"{depth}-2")
+def test_depth_beyond_the_cap_is_refused(depth):
+    # the binary tree stops at depth 16
     assert MAX_DEPTH == 16
     for build in (words_up_to, tree_graph):
         with pytest.raises(ValueError, match=f"^depth {depth} is beyond the cap"):
-            build(depth, branching)
+            build(depth)
 
 
 def test_tree_graph_shape():
@@ -98,6 +100,21 @@ def test_dipole_function_rejects_a_bad_vertex_like_common_prefix_length(vertices
         [common_prefix_length("10", y) for y in vertices]
     with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
         dipole_function("10", g)
+
+
+WORDS16 = st.lists(st.text("01", max_size=16), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(WORDS16, WORDS16)
+@example([""], ["0110", "1"])            # a root-only side has width 0
+@example(["", ""], [""])
+@example(["0" * 16, "1" * 16], ["0" * 16, "01", ""])
+@example([], ["1"])
+def test_prefix_length_kernel_matches_the_scalar_loop(rows, columns):
+    table = _prefix_lengths(rows, columns)
+    assert table.dtype == np.int64 and table.shape == (len(rows), len(columns))
+    assert table.tolist() == [[common_prefix_length(x, y) for y in columns] for x in rows]
 
 
 def test_dipole_energy_norm_is_word_length():

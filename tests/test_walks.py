@@ -478,6 +478,14 @@ class TestChecks:
         assert rep.passed
         assert rep.max_sigmas <= 5.0
 
+    @pytest.mark.parametrize("n", [-1, 6])
+    def test_markov_check_refuses_a_step_outside_the_ensemble(self, n):
+        # n = -1 would pair the last step with the first; n = n_steps has no next step
+        fm = FiniteMarkov.from_graph(cycle4())
+        ens = simulate(fm, 6, 200, 1)
+        with pytest.raises(ValueError, match=r"^need 0 <= n <= n_steps - 1$"):
+            markov_check(ens, fm, {0: 0.0, 1: 1.0, 2: 2.0, 3: 1.0}, n)
+
     def test_markov_check_skips_rare_states(self):
         fm = FiniteMarkov.from_graph(cycle4()).with_start(0)
         ens = simulate(fm, 3, 150, 3)
