@@ -58,6 +58,9 @@ __all__ = [
     "solenoid_covariance_exact",
 ]
 
+_REAL_TOL = 1e-12  # |c_{-k} - conj(c_k)| of a real TrigPoly; |W(0) - 1| and |W(j/d)| of a low-pass W
+_IDENTITY_TOL = 1e-10  # a QMF residual; the l1 norm of the coefficients of T_W 1 - 1 of a solenoid W
+
 
 class TrigPoly:
     """A finitely supported Fourier series sum_k c_k exp(-2 pi i k t)."""
@@ -143,10 +146,10 @@ class TrigPoly:
                 total += c.conjugate() * oc
         return total
 
-    def is_real(self, tol: float = 1e-12) -> bool:
-        """Whether the function is real-valued: c_{-k} = conj(c_k) within tol."""
+    def is_real(self) -> bool:
+        """Whether the function is real-valued: c_{-k} = conj(c_k) within 1e-12."""
         for k in set(self.coeffs) | {-k for k in self.coeffs}:
-            if abs(complex(self.coeffs.get(k, 0)) - complex(self.coeffs.get(-k, 0)).conjugate()) > tol:
+            if abs(complex(self.coeffs.get(k, 0)) - complex(self.coeffs.get(-k, 0)).conjugate()) > _REAL_TOL:
                 return False
         return True
 
@@ -268,15 +271,14 @@ class QmfReport:
 
     orthogonality: dict
     normalization: float
-    tol: float
 
     @property
     def passed(self) -> bool:
         worst = max(self.orthogonality.values(), default=0.0)
-        return worst <= self.tol and self.normalization <= self.tol
+        return worst <= _IDENTITY_TOL and self.normalization <= _IDENTITY_TOL
 
 
-def qmf_check(a, tol: float = 1e-10) -> QmfReport:
+def qmf_check(a) -> QmfReport:
     """Residuals of sum_k conj(a_k) a_{k+2l} = (1/2) delta_{l,0} and sum a_k = 1."""
     a = _as_filter(a)
     taps = a.taps
@@ -292,7 +294,7 @@ def qmf_check(a, tol: float = 1e-10) -> QmfReport:
         target = Fraction(1, 2) if l == 0 else 0
         orth[l] = float(abs(acc - target))
     norm_res = float(abs(a.tap_sum() - 1))
-    return QmfReport(orthogonality=orth, normalization=norm_res, tol=tol)
+    return QmfReport(orthogonality=orth, normalization=norm_res)
 
 
 def w_from_filter(a) -> TrigPoly:
@@ -305,12 +307,13 @@ def transfer_apply(w: TrigPoly, f: TrigPoly, degree: int) -> TrigPoly:
     """(T_W f)_k = degree * (W f)_{degree k}: the branch sum in coefficients."""
     if degree < 2:
         raise ValueError("scaling degree must be at least 2")
-    g = w * f
-    out = {}
-    for k, c in g.coeffs.items():
-        if k % degree == 0:
-            out[k // degree] = degree * c
-    return TrigPoly(out)
+    out = {}  # only the products that land on multiples of degree, added as w * f adds them
+    for k1, c1 in w.coeffs.items():
+        for k2, c2 in f.coeffs.items():
+            k, r = divmod(k1 + k2, degree)
+            if not r:
+                out[k] = out.get(k, 0) + c1 * c2
+    return TrigPoly({k: degree * c for k, c in out.items()})
 
 
 def cantor_filter() -> TrigPoly:
@@ -323,15 +326,15 @@ def cantor_filter() -> TrigPoly:
     return TrigPoly({0: Fraction(1, 3), 2: Fraction(1, 6), -2: Fraction(1, 6)})
 
 
-def lowpass_check(w: TrigPoly, degree: int, tol: float = 1e-12) -> bool:
-    """Whether delta_0 is invariant for T_W: W(0) = 1 and W(j/d) = 0 for 0 < j < d."""
+def lowpass_check(w: TrigPoly, degree: int) -> bool:
+    """Whether delta_0 is invariant for T_W: W(0) = 1 and W(j/d) = 0 for 0 < j < d, within 1e-12."""
     if degree < 2:
         raise ValueError("scaling degree must be at least 2")
-    if not w.is_real(tol):
+    if not w.is_real():
         raise ValueError("W must be real-valued")
-    if abs(w(0.0) - 1.0) > tol:
+    if abs(w(0.0) - 1.0) > _REAL_TOL:
         return False
-    return all(abs(w(j / degree)) <= tol for j in range(1, degree))
+    return all(abs(w(j / degree)) <= _REAL_TOL for j in range(1, degree))
 
 
 def _phihat_grid(a, ts: np.ndarray, depth: int) -> np.ndarray:
@@ -529,15 +532,24 @@ def _solenoid_block(w, n_steps, start_level, start_num, seed, out, first, count)
         out[k + 1, first : first + count] = nums
 
 
+def _read_start(start):
+    """(level, numerator) of a DyadicAngle start; (L, None) for uniform on the level-L grid."""
+    if isinstance(start, DyadicAngle):
+        return start.level, start.numerator
+    if int(start) < 0:
+        raise ValueError("start level must be nonnegative")
+    return int(start), None
+
+
 def solenoid_walk(w: TrigPoly, n_steps: int, n_paths: int, seed: int, start=DyadicAngle(0, 0)) -> SolenoidEnsemble:
     """Random walk on inverse orbits of doubling: from t, step to t/2 or t/2 + 1/2.
 
     The branch probabilities are W evaluated at the branch itself
-    (p(t, y) = W(y)), which requires the two branch values of W to sum to
-    1; that partition is checked on a 1024-point grid before any drawing.
-    start may be a DyadicAngle (deterministic) or an integer level L,
-    meaning uniform on the 2^L-point grid.  Levels are capped so that
-    numerators stay inside 64 bits.
+    (p(t, y) = W(y)), which requires T_W 1 = 1: before any drawing, the l1
+    norm of the coefficients of T_W 1 - 1, a bound on every branch-sum
+    deviation, must be at most 1e-10.  start may be a DyadicAngle, or an
+    integer level L meaning uniform on the 2^L-point grid.  Levels are
+    capped so that numerators stay inside 64 bits.
 
     Each step evaluates W once per integer of the occupied numerator
     range when that range is at most half the block, and draws no
@@ -546,22 +558,13 @@ def solenoid_walk(w: TrigPoly, n_steps: int, n_paths: int, seed: int, start=Dyad
     """
     if n_steps < 0 or n_paths < 1:
         raise ValueError("need n_steps >= 0 and n_paths >= 1")
-    if not w.is_real(1e-12):
+    if not w.is_real():
         raise ValueError("W must be real-valued")
-    grid = np.arange(1024, dtype=np.float64) / 1024.0
-    with np.errstate(invalid="ignore", over="ignore"):  # an overflowing W shows as a NaN deviation
-        part = w.real_part(grid / 2.0) + w.real_part(grid / 2.0 + 0.5)
-    worst = float(np.max(np.abs(part - 1.0)))
-    if not worst <= 1e-10:  # a NaN deviation fails too
-        raise ValueError(f"W branches do not sum to 1 (deviation {worst:.3e}); not a transition weight")
-    if isinstance(start, DyadicAngle):
-        start_level = start.level
-        start_num = start.numerator
-    else:
-        start_level = int(start)
-        if start_level < 0:
-            raise ValueError("start level must be nonnegative")
-        start_num = None
+    one = TrigPoly.constant(1)
+    worst = sum(abs(c) for c in (transfer_apply(w, one, 2) - one).coeffs.values())
+    if not worst <= _IDENTITY_TOL:  # a NaN deviation fails too
+        raise ValueError(f"W branches do not sum to 1 (deviation {float(worst):.3e}); not a transition weight")
+    start_level, start_num = _read_start(start)
     if start_level + n_steps > 62:
         raise ValueError("start level plus steps exceeds 62; numerators would overflow")
     out = np.empty((n_steps + 1, n_paths), dtype=np.uint64)
@@ -576,17 +579,25 @@ def solenoid_covariance_mc(ens: SolenoidEnsemble, f1: TrigPoly, f2: TrigPoly, n:
     return mean_se((ens.evaluate(f1, n) * ens.evaluate(f2, n + 1)).real)
 
 
-def solenoid_covariance_exact(w: TrigPoly, f1: TrigPoly, f2: TrigPoly, mu="lebesgue") -> float:
-    """E[f1(Z_n) f2(Z_{n+1})] = integral of f1 T_W f2 against the step-n law.
+def solenoid_covariance_exact(w: TrigPoly, f1: TrigPoly, f2: TrigPoly, start, lags) -> list:
+    """E[f1(Z_n) f2(Z_{n+1})] for each lag n of solenoid_walk(w, ..., start=start).
 
-    mu = "lebesgue" integrates against Lebesgue measure (valid whenever
-    the marginal at step n integrates trig polynomials like Lebesgue,
-    e.g. a uniform dyadic-grid start of high enough level); a DyadicAngle
-    evaluates at a deterministic point mass instead.
+    Lag n is the start law applied to T_W^n (f1 T_W f2), by one chain of
+    T_W steps to the largest lag.  start is read as solenoid_walk reads
+    it: a DyadicAngle is a point mass, one evaluation; on the level-L grid
+    e_k averages to 1 if 2^L divides k and to 0 otherwise, so a level L
+    gives the exact sum of the coefficients at multiples of 2^L.
     """
-    product = f1 * transfer_apply(w, f2, 2)
-    if isinstance(mu, DyadicAngle):
-        return complex(product(mu.value)).real
-    if mu == "lebesgue":
-        return complex(product.integral()).real
-    raise ValueError("mu must be 'lebesgue' or a DyadicAngle")
+    lags = list(lags)
+    if any(n < 0 for n in lags):
+        raise ValueError("lags must be nonnegative")
+    level, numerator = _read_start(start)
+    cells = 1 << level
+    if numerator is None:
+        law = lambda g: complex(sum(c for k, c in g.coeffs.items() if k % cells == 0)).real
+    else:
+        law = lambda g: g.real_part(numerator / cells)
+    chain = [f1 * transfer_apply(w, f2, 2)]
+    for _ in range(max(lags, default=0)):
+        chain.append(transfer_apply(w, chain[-1], 2))
+    return [law(chain[n]) for n in lags]

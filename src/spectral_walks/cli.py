@@ -345,11 +345,11 @@ def _cmd_wavelet_cantor(args) -> int:
     if args.check:
         one = ci.TrigPoly.constant(1)
         fixes_one = ci.transfer_apply(w, one, 3) == one
-        w0 = w(0.0).real
         lowpass = ci.lowpass_check(w, 3)
         checks = [
             ["transfer_fixes_constants", "pass" if fixes_one else "fail"],
-            ["w_at_zero_is_two_thirds", "pass" if abs(w0 - 2.0 / 3.0) <= 1e-12 else "fail"],
+            # e_k(0) = 1, so W(0) is the exact sum of the coefficients
+            ["w_at_zero_is_two_thirds", "pass" if sum(w.coeffs.values()) == Fraction(2, 3) else "fail"],
             ["not_lowpass", "pass" if not lowpass else "fail"],
         ]
         tables.append(("checks", ["check", "status"], checks))
@@ -395,29 +395,22 @@ def _load_filter(path) -> ci.TrigPoly:
 def _cmd_solenoid_walk(args) -> int:
     _need_steps(args.steps)
     if args.w == "haar":
-        w = ci.w_from_filter(ci.haar_filter())
-        default_start = ci.DyadicAngle(0, 0)
-        exact_mu = ci.DyadicAngle(0, 0)
+        w, start = ci.w_from_filter(ci.haar_filter()), ci.DyadicAngle(0, 0)
     elif args.w == "half":
-        w = ci.TrigPoly.constant(Fraction(1, 2))
-        default_start = 10
-        exact_mu = "lebesgue"
+        w, start = ci.TrigPoly.constant(Fraction(1, 2)), 10
     else:
-        w = _load_filter(args.w)
-        default_start = ci.DyadicAngle(0, 0)
-        exact_mu = None
-    start = args.start_level if args.start_level is not None else default_start
+        w, start = _load_filter(args.w), ci.DyadicAngle(0, 0)
+    if args.start_level is not None:
+        start = args.start_level
     ens = ci.solenoid_walk(w, args.steps, args.paths, args.seed, start=start)
-    if args.start_level is not None and args.w != "half":
-        exact_mu = None  # marginal law is not one of the trusted exact routes
     polys = {"cos1": _cos_poly(1), "cos2": _cos_poly(2)}
     pairs = [("cos1", "cos1"), ("cos1", "cos2"), ("cos2", "cos2")]
     lags = sorted({0, args.steps // 2, args.steps - 1} & set(range(args.steps)))
     exact = None
-    if exact_mu is not None:
-        # the exact value depends on the pair, not on the lag
-        by_pair = {(a, b): ci.solenoid_covariance_exact(w, polys[a], polys[b], exact_mu) for a, b in pairs}
-        exact = lambda f1, f2, n: by_pair[f1, f2]
+    # no exact cells for haar from a level or for a filter file yet (README, Known issues)
+    if args.w == "half" or (args.w == "haar" and args.start_level is None):
+        by_pair = {(a, b): ci.solenoid_covariance_exact(w, polys[a], polys[b], start, lags) for a, b in pairs}
+        exact = lambda f1, f2, n: by_pair[f1, f2][lags.index(n)]
     # cos1 and cos2 are real with real coefficients, so the imaginary part of
     # their values is exactly +0.0 and the product of the real parts is
     # (v1 * v2).real of solenoid_covariance_mc bit for bit
@@ -489,27 +482,14 @@ def _verify_checks(quick: bool, seed: int):
     tg = tr.tree_graph(depth)
     columns = tr._prefix_lengths(tg.vertices, words).T.tolist()  # a column per dipole, 14 in the quick pass
     dips = {x: dict(zip(tg.vertices, col)) for x, col in zip(words, columns)}
-    ok = True
-    for x, dx in dips.items():
-        if any(v != 0 for v in tr._dipole_defect(x, tg, dx).values()):
-            ok = False
-            break
+    ok = all(v == 0 for x, dx in dips.items() for v in tr._dipole_defect(x, tg, dx).values())
     add("dipole_defect_identically_zero", ok, f"words up to length {depth - 1}")
-    ok = True
-    for x, row in zip(dips, energy_gram(tg, list(dips.values()))):
-        for y, e in zip(dips, row):
-            if e != tr.dipole_value(x, y):
-                ok = False
+    gram = energy_gram(tg, list(dips.values()))
+    ok = all(e == tr.dipole_value(x, y) for x, row in zip(dips, gram) for y, e in zip(dips, row))
     add("gram_energy_route_exact", ok)
-    ok = True
-    for x, dx in dips.items():
-        lap_y = {y: laplacian_apply(tg, dy) for y, dy in dips.items()}
-        for y in dips:
-            want = (1 if x == y else 0) + 1
-            if energy_inner(tg, dx, lap_y[y]) != want:
-                ok = False
-        break  # one row suffices for the quick pass; the test suite is exhaustive
-    add("dipole_laplacian_pairing", ok)
+    x, dx = next(iter(dips.items()))  # one row suffices for the quick pass; the test suite is exhaustive
+    lap_y = {y: laplacian_apply(tg, dy) for y, dy in dips.items()}
+    add("dipole_laplacian_pairing", all(energy_inner(tg, dx, lap_y[y]) == (2 if x == y else 1) for y in dips))
 
     # encodings
     ok = all(tr.encode_nat(tr.decode_nat(n)) == n for n in range(1 << 12))
@@ -543,12 +523,8 @@ def _verify_checks(quick: bool, seed: int):
     )
     pairs = sp.reciprocity_spectrum(("1", "11", "111"))
     add("reciprocity_routes_agree", all(abs(er - cr) <= 1e-9 for _, er, cr in pairs))
-    ok = True
-    for d in range(1, 5 if quick else 6):
-        wd = tr.words_up_to(d)
-        if abs(sp.spectral_growth(wd) - len(wd)) > 1e-8:
-            ok = False
-    add("spectral_growth_parseval", ok)
+    growth = (abs(sp.spectral_growth(wd) - len(wd)) for wd in map(tr.words_up_to, range(1, 5 if quick else 6)))
+    add("spectral_growth_parseval", not any(dev > 1e-8 for dev in growth))
     kg = sp.kl_gram_check(gs)
     want = np.diag(1.0 / gs.eigenvalues)
     add("kl_gram_w_vectors", float(np.max(np.abs(kg - want))) <= 1e-8)
@@ -561,7 +537,7 @@ def _verify_checks(quick: bool, seed: int):
     wf = ci.cantor_filter()
     one = ci.TrigPoly.constant(1)
     add("cantor_transfer_fixes_constants", ci.transfer_apply(wf, one, 3) == one)
-    add("cantor_w_zero", wf.coefficient(0) + wf.coefficient(2) + wf.coefficient(-2) == Fraction(2, 3))
+    add("cantor_w_zero", sum(wf.coeffs.values()) == Fraction(2, 3))
     add("cantor_not_lowpass", not ci.lowpass_check(wf, 3))
     wh = ci.w_from_filter(ci.haar_filter())
     add("haar_lowpass", ci.lowpass_check(wh, 2))
@@ -589,15 +565,13 @@ def _verify_checks(quick: bool, seed: int):
     )
     add("strong_invariance_exact_zero", ok)
     rng = np.random.default_rng(seed + 1)
-    ok = True
-    for _ in range(10):
-        def rand_poly():
-            ks = rng.integers(-8, 9, size=5)
-            return ci.TrigPoly({int(k): complex(rng.normal(), rng.normal()) for k in ks})
 
-        if ci.v_adjoint_check(rand_poly(), rand_poly(), rand_poly()) > 1e-12:
-            ok = False
-    add("v_adjoint_residual", ok)
+    def rand_poly():
+        ks = rng.integers(-8, 9, size=5)
+        return ci.TrigPoly({int(k): complex(rng.normal(), rng.normal()) for k in ks})
+
+    residuals = (ci.v_adjoint_check(rand_poly(), rand_poly(), rand_poly()) for _ in range(10))
+    add("v_adjoint_residual", not any(r > 1e-12 for r in residuals))
 
     # markov exact arithmetic
     fm = wk.FiniteMarkov.from_graph(g)
@@ -644,7 +618,7 @@ def _verify_checks(quick: bool, seed: int):
         sens = ci.solenoid_walk(whalf, 12, 20000, seed + 13, start=10)
         f1 = _cos_poly(1)
         est, se = ci.solenoid_covariance_mc(sens, f1, f1, 3)
-        exact = ci.solenoid_covariance_exact(whalf, f1, f1)
+        (exact,) = ci.solenoid_covariance_exact(whalf, f1, f1, 10, [3])
         ok = wk.CheckRow("", estimate=est, exact=exact, se=se).passed
         add("solenoid_covariance_half", ok, f"est {est:.5f} exact {exact:.5f}")
         drep = wk.doob_boundary_check(ruin, {k: k / 4 for k in range(5)}, 12, 4000, seed + 17)

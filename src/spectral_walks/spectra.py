@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import WeightedGraph, _bfs_levels, energy_gram, energy_inner, laplacian_apply
-from .tree import _prefix_lengths, check_word, common_prefix_length, tree_graph
+from .tree import _prefix_lengths, check_words, common_prefix_length, tree_graph
 
 __all__ = [
     "GramSpectrum",
@@ -222,13 +222,11 @@ def _implicit_ql(d, e, z):
 
 
 def _check_words(words):
-    words = tuple(words)
+    words = tuple(check_words(words))
     if not words:
         raise ValueError("the word set is empty")
-    for w in words:
-        check_word(w)
-        if w == "":
-            raise ValueError("the origin carries no dipole and cannot enter F")
+    if "" in words:
+        raise ValueError("the origin carries no dipole and cannot enter F")
     if len(set(words)) != len(words):
         raise ValueError("duplicate words in F")
     return words
@@ -304,13 +302,14 @@ def _prefix_table(words, vertices) -> np.ndarray:
     """table[i, k] = v_{words[k]}(vertices[i]).
 
     The first row comes from common_prefix_length, which validates every
-    word; each later vertex is validated once, and the prefix-length
-    kernel fills the other rows without validating the words again.
+    word; the later vertices are validated in one pass, and the
+    prefix-length kernel fills the other rows without validating the
+    words again.
     """
     first, *rest = vertices
     table = np.empty((len(vertices), len(words)), dtype=np.int64)
     table[0] = [common_prefix_length(x, first) for x in words]
-    table[1:] = _prefix_lengths([check_word(y) for y in rest], words)
+    table[1:] = _prefix_lengths(check_words(rest), words)
     return table
 
 

@@ -25,6 +25,7 @@ from .graphs import WeightedGraph, laplacian_apply
 __all__ = [
     "ORIGIN",
     "check_word",
+    "check_words",
     "parent",
     "path_edges",
     "common_prefix_length",
@@ -64,6 +65,18 @@ def check_word(w: str) -> str:
     if w.strip("01"):
         raise ValueError(f"word {w!r} contains a character outside 0/1")
     return w
+
+
+def check_words(words) -> list:
+    """Validate binary words in one pass over their join; on a failure check_word names the first bad one."""
+    words = list(words)
+    try:
+        # deleting "0" and "1" from ASCII bytes is ~10x faster than str.strip("01")
+        if not "".join(words).encode("ascii").translate(None, b"01"):
+            return words
+    except (TypeError, UnicodeEncodeError):  # a word that is not a string, or not ASCII
+        pass
+    return [check_word(w) for w in words]
 
 
 def parent(w: str) -> str:
@@ -161,12 +174,12 @@ def tree_graph(depth: int) -> WeightedGraph:
 def dipole_function(x: str, g: WeightedGraph) -> dict:
     """The dipole v_x sampled on the vertex set of a truncated tree.
 
-    x is validated once and each vertex once, in vertex order.
+    x is validated once and the vertices in one pass.
     """
     check_word(x)
     if x == ORIGIN:
         raise ValueError("no dipole is attached to the root")
-    vertices = [check_word(y) for y in g.vertices]
+    vertices = check_words(g.vertices)
     return dict(zip(vertices, _prefix_lengths(vertices, (x,))[:, 0].tolist()))
 
 

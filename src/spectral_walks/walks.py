@@ -49,6 +49,8 @@ __all__ = [
 ]
 
 SIGMA_THRESHOLD = 5.0
+# ergodic_limit stops once T^n f is within this of its stationary mean everywhere
+_ERGODIC_TOL = 1e-10
 
 
 class FiniteMarkov:
@@ -179,19 +181,19 @@ def stationary_measure(fm: FiniteMarkov) -> np.ndarray:
     return mu
 
 
-def ergodic_limit(fm: FiniteMarkov, f, tol: float = 1e-10, max_steps: int = 100000) -> float:
+def ergodic_limit(fm: FiniteMarkov, f, max_steps: int = 100000) -> float:
     """Iterate T^n f until it flattens to the stationary mean, and return that mean.
 
     Verifies the averaging limit T^n f -> mu(f) * 1 by direct power
-    iteration; raises for chains where the limit does not exist at the
-    requested tolerance (periodic or reducible kernels).
+    iteration, to within _ERGODIC_TOL everywhere; raises for chains where
+    the limit does not exist (periodic or reducible kernels).
     """
     mu = stationary_measure(fm)
     vec = fm.as_vector(f)
     target = float(mu @ vec)
     g = vec.astype(np.float64)
     for _ in range(max_steps):
-        if float(np.max(np.abs(g - target))) <= tol:
+        if float(np.max(np.abs(g - target))) <= _ERGODIC_TOL:
             return target
         g = fm.kernel @ g
     raise ArithmeticError(f"T^n f did not flatten within {max_steps} steps")

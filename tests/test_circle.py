@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spectral_walks import (
     TrigPoly,
@@ -30,6 +31,22 @@ from spectral_walks import (
 from spectral_walks.circle import _phihat_grid
 
 STRETCHED = (Fraction(1, 2), 0, Fraction(1, 2))  # doubles the Haar frequencies
+
+
+def enumerated_covariance(w, f1, f2, start, n):
+    """E[f1(Z_n) f2(Z_{n+1})] summed over every path, each weighted by the product of float W at its branches."""
+    if isinstance(start, DyadicAngle):
+        level, nums = start.level, np.array([start.numerator])
+    else:
+        level, nums = start, np.arange(1 << start)
+    prob = np.full(nums.size, 1.0 / nums.size)
+    for k in range(n + 1):
+        if k == n:
+            head = np.tile(f1.real_part(nums / 2.0**level), 2)
+        nums = np.concatenate([nums, nums + (1 << level)])  # the low branches, then the high ones
+        level += 1
+        prob = np.tile(prob, 2) * w.real_part(nums / 2.0**level)
+    return float(np.sum(prob * head * f2.real_part(nums / 2.0**level)))
 
 
 class TestTrigPoly:
@@ -151,6 +168,19 @@ class TestTransfer:
     def test_fixes_constants_exactly(self):
         one = TrigPoly.constant(1)
         assert circle_transfer_apply(cantor_filter(), one, 3) == one
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.dictionaries(st.integers(-6, 6), st.floats(-1e3, 1e3) | st.integers(-3, 3), max_size=7),
+        st.dictionaries(st.integers(-9, 9), st.floats(-1e3, 1e3) | st.integers(-3, 3), max_size=7),
+        st.integers(2, 4),
+    )
+    def test_same_coefficients_as_the_full_product(self, wc, fc, degree):
+        # every coefficient in the same order with the same bits as restricting w * f
+        full = TrigPoly(wc) * TrigPoly(fc)
+        want = TrigPoly({k // degree: degree * c for k, c in full.coeffs.items() if k % degree == 0})
+        got = circle_transfer_apply(TrigPoly(wc), TrigPoly(fc), degree)
+        assert [(k, repr(c)) for k, c in got.coeffs.items()] == [(k, repr(c)) for k, c in want.coeffs.items()]
 
     def test_strong_invariance_identically_zero(self):
         for k in range(-6, 7):
@@ -298,26 +328,53 @@ class TestSolenoid:
         assert float(np.max(np.abs(counts - 1 / 8))) <= 5 * se
 
     def test_covariance_against_lebesgue(self):
+        # from level 10 the product's coefficients at nonzero multiples of 2^10 vanish,
+        # so the level-10 value is the Lebesgue integral of f1 T_W f2 at every lag
         w = TrigPoly.constant(Fraction(1, 2))
         ens = solenoid_walk(w, 10, 60000, 97, start=10)
         c1 = TrigPoly({1: Fraction(1, 2), -1: Fraction(1, 2)})
         c2 = TrigPoly({2: Fraction(1, 2), -2: Fraction(1, 2)})
         for f1, f2, lag in ((c1, c1, 0), (c1, c2, 3), (c2, c2, 5)):
             est, se = solenoid_covariance_mc(ens, f1, f2, lag)
-            exact = solenoid_covariance_exact(w, f1, f2)
+            (exact,) = solenoid_covariance_exact(w, f1, f2, 10, [lag])
+            assert exact == float((f1 * circle_transfer_apply(w, f2, 2)).integral())
             assert abs(est - exact) <= 5 * max(se, 1e-12)
 
     def test_point_mass_route(self):
         w = w_from_filter(haar_filter())
         c2 = TrigPoly({2: Fraction(1, 2), -2: Fraction(1, 2)})
-        exact = solenoid_covariance_exact(w, c2, c2, DyadicAngle(0, 0))
+        exact = solenoid_covariance_exact(w, c2, c2, DyadicAngle(0, 0), [1, 0, 1])
         ens = solenoid_walk(w, 4, 50, 9)
         est, se = solenoid_covariance_mc(ens, c2, c2, 1)
-        assert se == 0.0 and est == exact == 1.0
+        assert se == 0.0 and exact == [est] * 3 == [1.0] * 3
+
+    @pytest.mark.parametrize("name", ["half", "haar"])
+    def test_exact_route_matches_every_path(self, name):
+        # L + n + 1 <= 12: at most 4096 paths, each weighted by float W at its branches
+        w = TrigPoly.constant(Fraction(1, 2)) if name == "half" else w_from_filter(haar_filter())
+        cos = {j: TrigPoly({j: Fraction(1, 2), -j: Fraction(1, 2)}) for j in (1, 2, 3)}
+        for level in range(12):
+            lags = list(range(12 - level))[::-1]
+            for start in (level, DyadicAngle((1 << level) // 3, level)):
+                for f1, f2 in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 2)):
+                    got = solenoid_covariance_exact(w, cos[f1], cos[f2], start, lags)
+                    want = [enumerated_covariance(w, cos[f1], cos[f2], start, n) for n in lags]
+                    assert np.max(np.abs(np.subtract(got, want))) <= 1e-12, (level, start, f1, f2)
+
+    def test_negative_lag_is_refused(self):
+        w, e1 = TrigPoly.constant(Fraction(1, 2)), TrigPoly.basis(1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            solenoid_covariance_exact(w, e1, e1, 3, [2, -1])
 
     def test_partition_precondition(self):
         with pytest.raises(ValueError, match="sum to 1"):
             solenoid_walk(w_from_filter(STRETCHED), 4, 100, 1)
+
+    def test_partition_is_checked_between_grid_points(self):
+        # the branches sum to 11/10 - cos(2 pi 1024 t) / 10: 1 at every multiple of 1/1024, 1.2 at 1/2048
+        w = TrigPoly({0: Fraction(11, 20), 2048: Fraction(-1, 40), -2048: Fraction(-1, 40)})
+        with pytest.raises(ValueError, match=r"do not sum to 1 \(deviation 2\.000e-01\)"):
+            solenoid_walk(w, 4, 100, 1)
 
     def test_negative_weight_caught_during_walk(self):
         # W = 1/2 + cos(2 pi t) satisfies the branch partition but dips below 0

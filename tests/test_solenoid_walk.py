@@ -207,7 +207,7 @@ class TestCertainSteps:
 class TestNonFiniteWeights:
     def test_nan_off_the_partition_grid_is_caught_in_the_walk(self):
         class NanOffGrid(TrigPoly):
-            """1/2 on multiples of 1/2048 (the partition grid), NaN elsewhere."""
+            """1/2 on multiples of 1/2048, NaN elsewhere; the partition check reads only coefficients."""
 
             def real_part(self, t):
                 t = np.asarray(t, dtype=np.float64)
@@ -294,6 +294,25 @@ class TestCovarianceTable:
         assert rc in (0, 1)
         assert calls == [(COS1, COS1), (COS1, COS2), (COS2, COS2)]
         assert sum(1 for line in out.splitlines() if line.startswith("cos")) == 9
+
+    @pytest.mark.parametrize("level", ["0", "1"])
+    def test_half_from_a_coarse_level_gates_on_the_true_lag_zero_values(self, level):
+        # from the level-0 point, (cos1, cos2) and (cos2, cos2) at lag 0 are 1 on every path;
+        # from level 1, (cos1, cos2) is; the Lebesgue integrals are 1/2 and 0
+        rc, out, _ = run_cli(["solenoid", "walk", "--w", "half", "--steps", "8", "--paths", "3000",
+                              "--start-level", level, "--seed", "1"])
+        assert rc == 0
+        rows = {tuple(line.split(",")[:3]): line.split(",")[3:] for line in out.splitlines()
+                if line.startswith("cos")}
+        assert rows["cos1", "cos2", "0"] == ["1", "1", "0", "0"]
+        if level == "0":
+            assert rows["cos2", "cos2", "0"] == ["1", "1", "0", "0"]
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_half_passes_from_every_coarse_level(self, level, seed):
+        rc, _, _ = run_cli(["solenoid", "walk", "--w", "half", "--start-level", str(level), "--seed", str(seed)])
+        assert rc == 0
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("start", [None, "0", "10"])
@@ -428,7 +447,8 @@ class TestFilterLoader:
         p.write_text(json.dumps({"a": [0.5, 0.5, 1e308, -1e308], "degree": 2}))
         rc, out, err = run_cli(walk_argv(str(p)))
         assert rc == 2 and out == ""
-        assert err.startswith("error: W branches do not sum to 1 (deviation nan)")
+        # T_W 1 sums products like 1e308 * 1e308, so the coefficient deviation is inf
+        assert err.startswith("error: W branches do not sum to 1 (deviation inf)")
 
     def test_not_an_object(self, tmp_path):
         p = tmp_path / "list.json"

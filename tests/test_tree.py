@@ -25,7 +25,15 @@ from spectral_walks import (
     cantor_encode,
 )
 from spectral_walks.graphs import WeightedGraph
-from spectral_walks.tree import MAX_DEPTH, _prefix_lengths, check_word, common_prefix_length, parent, path_edges
+from spectral_walks.tree import (
+    MAX_DEPTH,
+    _prefix_lengths,
+    check_word,
+    check_words,
+    common_prefix_length,
+    parent,
+    path_edges,
+)
 
 
 # each id reads <depth>-<branching>; the tree is binary
@@ -100,6 +108,23 @@ def test_dipole_function_rejects_a_bad_vertex_like_common_prefix_length(vertices
         [common_prefix_length("10", y) for y in vertices]
     with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
         dipole_function("10", g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.text("01", max_size=4), st.text("01x2 ", max_size=3), st.integers(0, 9),
+                          st.text(max_size=2), st.binary(max_size=2), st.none()), max_size=6))
+@example(["01", "0x", "2"])  # the first bad word is named
+@example(["1", b"0", "2"])
+@example(["1", "0\u00e9", "2"])  # not ASCII
+@example([])
+def test_one_pass_word_check_matches_check_word_per_word(words):
+    try:
+        want = [check_word(w) for w in words]
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            check_words(words)
+    else:
+        assert check_words(iter(words)) == want
 
 
 WORDS16 = st.lists(st.text("01", max_size=16), max_size=8)
