@@ -146,10 +146,11 @@ def _cmd_tree_dipole(args) -> int:
     if args.depth < len(x):
         raise ValueError("depth must reach the word")
     g = tr.tree_graph(args.depth)
-    dipole = tr.dipole_function(x, g)
-    defect = tr._dipole_defect(x, g, dipole)  # in tree-vertex order
-    rows = [(_word_label(v, args.out), dipole[v], d) for v, d in defect.items()]
-    bad = any(r[2] != 0 for r in rows)
+    column = tr._dipole_column(x, g)
+    defect = tr._dipole_defect(g, (x,), column)[0]  # in tree-vertex order
+    labels = [_word_label(v, args.out) for v in g.vertices]
+    rows = list(zip(labels, column[:, 0].tolist(), defect.tolist()))
+    bad = bool(defect.any())
     _emit(_meta(args), [("dipole", ["vertex", "value", "defect"], rows)], args.out, args.output)
     return 1 if bad else 0
 
@@ -443,11 +444,12 @@ def _verify_checks(quick: bool, seed: int):
 
     # Laplacian, transfer, and the two quadratic forms on an exact graph
     from .graphs import (
+        _energy_core,
+        _laplacian_core,
         laplacian_apply,
         transfer_apply,
         l2_inner,
         energy_inner,
-        energy_gram,
         quadratic_form_l2,
         quadratic_form_energy,
         conductance_mean,
@@ -480,16 +482,16 @@ def _verify_checks(quick: bool, seed: int):
     depth = 4 if quick else 6
     words = tr.words_up_to(depth - 1)
     tg = tr.tree_graph(depth)
-    columns = tr._prefix_lengths(tg.vertices, words).T.tolist()  # a column per dipole, 14 in the quick pass
-    dips = {x: dict(zip(tg.vertices, col)) for x, col in zip(words, columns)}
-    ok = all(v == 0 for x, dx in dips.items() for v in tr._dipole_defect(x, tg, dx).values())
+    table = tr._prefix_lengths(tg.vertices, words)  # a column per dipole, 14 in the quick pass
+    ok = not tr._dipole_defect(tg, words, table).any()
     add("dipole_defect_identically_zero", ok, f"words up to length {depth - 1}")
-    gram = energy_gram(tg, list(dips.values()))
-    ok = all(e == tr.dipole_value(x, y) for x, row in zip(dips, gram) for y, e in zip(dips, row))
+    dips = table.T  # a row per dipole, as the int64 cores of graphs take functions
+    gram = _energy_core(tg, dips, dips).tolist()
+    ok = all(e == tr.dipole_value(x, y) for x, row in zip(words, gram) for y, e in zip(words, row))
     add("gram_energy_route_exact", ok)
-    x, dx = next(iter(dips.items()))  # one row suffices for the quick pass; the test suite is exhaustive
-    lap_y = {y: laplacian_apply(tg, dy) for y, dy in dips.items()}
-    add("dipole_laplacian_pairing", all(energy_inner(tg, dx, lap_y[y]) == (2 if x == y else 1) for y in dips))
+    # one row suffices for the quick pass; the test suite is exhaustive
+    pairing = _energy_core(tg, dips[:1], _laplacian_core(tg, dips))[0].tolist()
+    add("dipole_laplacian_pairing", pairing == [2] + [1] * (len(words) - 1))
 
     # encodings
     ok = all(tr.encode_nat(tr.decode_nat(n)) == n for n in range(1 << 12))

@@ -21,20 +21,28 @@ record-by-record construction in value, type and per-vertex order, with
 distance listed in vertex order.  A failed check names the first
 offending record, found by a record-by-record search.
 
-laplacian_apply and energy_gram have two routes.  When every conductance
-of the graph and every value of every input function is a Python int
-(``type(v) is int``: bool, numpy integers and int subclasses excluded),
-they run in int64 array arithmetic on the graph's edge arrays, which the
-constructor builds.  Each states an overflow bound,
-checked in Python ints before the route is taken, under which no int64
-partial sum can leave [-2^63, 2^63) in any summation order: every partial
-sum is at most the sum of the absolute values of its terms.  Under that
-bound the int64 result is the exact integer, and it is returned as Python
-ints, so it equals the dict route's in value, type and key order.  All
-other data, and integer data beyond the bound, takes the dict route.
-energy_inner keeps the dict route alone: one pairing is a single pass
-over the edges there, and gathering two functions into arrays costs as
-much on a tree.
+The Laplacian and the energy pairing each have one array core,
+_laplacian_core and _energy_core, which take vertex functions as rows of
+an int64 or float64 array in vertex order.  int64 rows run under an
+overflow bound, checked in Python ints first, under which no int64
+partial sum can leave [-2^63, 2^63) in any summation order: every
+partial sum is at most the sum of the absolute values of its terms.  The
+int64 result is then the exact integer.  float64 rows form the dict
+loop's terms with float(c) for each conductance and sum each vertex's or
+each pairing's terms with math.fsum in the dict loop's order, so every
+value, NaN and exception is the dict loop's.
+
+laplacian_apply and energy_gram gather their dicts into an int64 array
+and use the core when every conductance of the graph and every value of
+every input function is a Python int (``type(v) is int``: bool, numpy
+integers and int subclasses excluded) within the bound; the result comes
+back through tolist(), so values, types and key order equal the dict
+loop's.  All other data, float included, and int data beyond the bound
+take the dict loop: gathering a float dict costs more than the loop on
+the small graphs these functions see.  energy_inner keeps the dict loop
+alone for the same reason.  Callers that hold arrays already (the dipole
+tables of tree and spectra, int64, and the Rayleigh columns of spectra,
+float64) call the cores directly.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ import math
 import os
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 
 import numpy as np
@@ -390,58 +399,80 @@ def _float_edges(g: WeightedGraph):
     return g._ends[0::2], g._ends[1::2], c, total
 
 
-def _int_vectors(g: WeightedGraph, fs):
-    """Each function as (int64 values in vertex order, max |value|), or None.
+def _vertex_array(g: WeightedGraph, fs):
+    """The functions fs as one (len(fs), |V|) int64 array, a row per function in vertex order, or None.
 
-    None unless every value is an int that fits int64; max |value| is a
-    Python int, 2^63 for a value of -2^63.
+    None, which sends the data to the dict loop, unless every value is an
+    int (``type(v) is int``: bool, numpy integers and int subclasses
+    excluded) that fits int64 and every conductance is an int within the
+    graph's bound (g._edge_arrays).
     """
-    if not all(set(map(type, f.values())) <= _INT_TYPE for f in fs):
+    if g._edge_arrays is None:
         return None
-    vectors = []
+    kinds = set()
     for f in fs:
-        try:
-            values = np.fromiter(map(f.__getitem__, g.vertices), np.int64, len(g.vertices))
-        except OverflowError:
-            return None
-        vectors.append((values, max(int(values.max()), -int(values.min()))))
-    return vectors
+        kinds.update(map(type, f.values()))
+    if not kinds <= _INT_TYPE:
+        return None
+    shape = (len(fs), len(g.vertices))
+    try:
+        cells = chain.from_iterable(map(f.__getitem__, g.vertices) for f in fs)
+        return np.fromiter(cells, np.int64, shape[0] * shape[1]).reshape(shape)
+    except OverflowError:  # an int beyond int64
+        return None
 
 
-def _int_laplacian(g: WeightedGraph, f):
-    """Lf in int64 arithmetic as a vertex dict of Python ints, or None off the int route.
+def _max_abs(values) -> int:
+    """max |v| over an int64 array as a Python int, 2^63 for -2^63; 0 when empty."""
+    return max(int(values.max()), -int(values.min())) if values.size else 0
 
-    The route needs every conductance and every value of f an int, and
-    2 * M * max_x c(x) < 2^63 with M = max |f|: each edge term
-    c * (f(u) - f(v)) is at most 2 * M * c, and the terms met at x sum in
-    absolute value to at most 2 * M * c(x).  Each term is added onto u
-    and subtracted from v.
+
+def _laplacian_core(g: WeightedGraph, values, c=None):
+    """L applied to each row of values, a (k, |V|) int64 or float64 array; None beyond the int bound.
+
+    A row is one function in vertex order.  float64 rows need c, float()
+    of each conductance in record order (_float_edges(g)[2], which a
+    caller works out once for all its calls); int64 rows use the graph's
+    int64 conductances.
+
+    The arc from x to y adds c * (f(x) - f(y)) at x, and the arcs are
+    taken grouped by x in adjacency order.  int64 rows sum in int64 when
+    2 * M * max_x c(x) < 2^63 with M = max |f|: each term is at most
+    2 * M * c in absolute value and the terms at x sum in absolute value
+    to at most 2 * M * c(x), so no partial sum leaves int64 and the
+    result is the exact integer.  float64 rows sum each vertex's terms
+    with math.fsum in adjacency order, as the dict loop does: the same
+    terms in the same order give the same bits, and fsum raises where the
+    dict loop raises.  numpy's float warnings are off, as Python's float
+    arithmetic gives inf and nan silently.
     """
-    edges = g._edge_arrays
-    vectors = None if edges is None else _int_vectors(g, (f,))
-    if vectors is None:
-        return None
-    head, tail, c, _, c_max = edges
-    [(values, m)] = vectors
-    if 2 * m * c_max >= _INT64_LIMIT:
-        return None
-    terms = c * (values[head] - values[tail])
-    out = np.zeros(len(g.vertices), dtype=np.int64)
-    np.add.at(out, head, terms)
-    np.subtract.at(out, tail, terms)
-    return dict(zip(g.vertices, out.tolist()))
+    arcs = g._arcs
+    src, dst, edge = g._ends[arcs], g._ends[arcs ^ 1], arcs >> 1
+    if values.dtype == np.int64:
+        _, _, c, _, c_max = g._edge_arrays
+        if 2 * _max_abs(values) * c_max >= _INT64_LIMIT:
+            return None
+        return np.add.reduceat(c[edge] * (values.take(src, 1) - values.take(dst, 1)), g._starts[:-1], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = c[edge] * (values.take(src, 1) - values.take(dst, 1))
+    bounds = g._starts.tolist()
+    slices = list(map(slice, bounds, bounds[1:]))
+    fsum = math.fsum
+    rows = [[fsum(row[s]) for s in slices] for row in map(np.ndarray.tolist, terms)]
+    return np.array(rows, dtype=np.float64).reshape(values.shape)
 
 
 def laplacian_apply(g: WeightedGraph, f) -> dict:
     """Apply the conductance Laplacian: (Lf)(x) = sum_{y~x} c(x,y)(f(x) - f(y)).
 
-    Int data within the bound 2 * M * max_x c(x) < 2^63, with M = max |f|,
-    is applied in int64 (see _int_laplacian) and gives the same ints.
+    int data within the bound 2 * M * max_x c(x) < 2^63, with M = max |f|,
+    goes through _laplacian_core and gives the dict loop's values and types.
     """
     _check_function(g, f)
-    out = _int_laplacian(g, f)
+    values = _vertex_array(g, (f,))
+    out = None if values is None else _laplacian_core(g, values)
     if out is not None:
-        return out
+        return dict(zip(g.vertices, out[0].tolist()))
     out = {}
     for x in g.vertices:
         fx = f[x]
@@ -475,30 +506,36 @@ def l2_inner(g: WeightedGraph, f1, f2):
     return _accumulate([f1[x].conjugate() * f2[x] for x in g.vertices])
 
 
-def _int_gram(g: WeightedGraph, fs):
-    """rows[j][k] = <fs[j], fs[k]>_E in int64 arithmetic, or None off the int route.
+def _energy_core(g: WeightedGraph, left, right, c=None):
+    """pairs[j, k] = <left[j], right[k]>_E for two int64 or two float64 arrays of rows; None beyond the int bound.
 
-    The route needs every conductance and every value an int, and
-    4 * M^2 * sum_e c_e < 2^63 with M = max(1, max |f| over fs), which is
-    4 * M_j * M_k * sum_e c_e < 2^63 for every pair.  Each term
-    c_e * (fj(u) - fj(v)) * (fk(u) - fk(v)) is then at most
-    4 * M^2 * c_e in absolute value, and so is its first factor; a
-    partial sum is at most the sum of the absolute terms.  The edge
-    differences form an int64 matrix D, and the pairings are
-    (D * c) @ D.T; numpy multiplies integer matrices in its own loop,
-    never through BLAS.
+    Each edge (u, v, c) contributes (c * d1) * d2 with d = f(u) - f(v), in
+    record order.  int64 data sums in int64 when
+    4 * M^2 * sum_e c_e < 2^63 with M = max(1, max |f| over both arrays),
+    which is 4 * M_j * M_k * sum_e c_e < 2^63 for every pair: each term
+    and its first factor are at most 4 * M^2 * c_e in absolute value, and
+    a partial sum is at most the sum of the absolute terms.  The edge
+    differences form matrices D and the pairings are (D_left * c) @ D_right.T;
+    numpy multiplies integer matrices in its own loop, never through
+    BLAS.  float64 data sums each pair's terms with math.fsum in record
+    order, as energy_inner's dict loop does, with c and numpy's float
+    warnings as in _laplacian_core.
     """
-    edges = g._edge_arrays
-    vectors = None if edges is None else _int_vectors(g, fs)
-    if vectors is None:
-        return None
-    head, tail, c, c_sum, _ = edges
-    bound = max([1, *(m for _, m in vectors)])
-    if 4 * bound * bound * c_sum >= _INT64_LIMIT:
-        return None
-    values = np.array([v for v, _ in vectors], dtype=np.int64).reshape(len(fs), len(g.vertices))
-    d = values[:, head] - values[:, tail]
-    return ((d * c) @ d.T).tolist()
+    head, tail = g._ends[0::2], g._ends[1::2]
+    if left.dtype == np.int64:
+        _, _, c, c_sum, _ = g._edge_arrays
+        bound = max(1, _max_abs(left), _max_abs(right))
+        if 4 * bound * bound * c_sum >= _INT64_LIMIT:
+            return None
+        d_right = right.take(head, 1) - right.take(tail, 1)
+        d_left = d_right if left is right else left.take(head, 1) - left.take(tail, 1)
+        return (d_left * c) @ d_right.T
+    fsum = math.fsum
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_right = right.take(head, 1) - right.take(tail, 1)
+        d_left = d_right if left is right else left.take(head, 1) - left.take(tail, 1)
+        rows = [list(map(fsum, (row * d_right).tolist())) for row in d_left * c]
+    return np.array(rows, dtype=np.float64).reshape(len(left), len(right))
 
 
 def energy_inner(g: WeightedGraph, f1, f2):
@@ -517,21 +554,22 @@ def energy_gram(g: WeightedGraph, fs) -> list:
     """Energy pairings of every ordered pair: rows[j][k] == energy_inner(g, fs[j], fs[k]).
 
     Each function is validated once and its edge differences are formed
-    once.  Int data within the bound 4 * M^2 * sum_e c_e < 2^63, with
-    M = max(1, max |f| over fs), takes the int64 route (see _int_gram):
-    one matrix product of the edge differences, returned as Python ints,
-    the exact values of energy_inner.  Otherwise every entry sums the terms of energy_inner, multiplied in its order
-    (c * conj(fj(u) - fj(v))) * (fk(u) - fk(v)), under its summation rule,
-    so each entry equals energy_inner's to the bit.  All n^2 entries are
-    summed: complex data is Hermitian only in exact arithmetic, so the
-    lower triangle is not a mirror of the upper.
+    once.  int data within the bound 4 * M^2 * sum_e c_e < 2^63, with
+    M = max(1, max |f| over fs), goes through _energy_core: one int64
+    matrix product of the edge differences.  Otherwise every entry sums
+    the terms of energy_inner, multiplied in its order
+    (c * conj(fj(u) - fj(v))) * (fk(u) - fk(v)), under its summation rule.
+    Either way each entry equals energy_inner's in value, type and bits.
+    All n^2 entries are summed: complex data is Hermitian only in exact
+    arithmetic, so the lower triangle is not a mirror of the upper.
     """
     fs = list(fs)
     for f in fs:
         _check_function(g, f)
-    rows = _int_gram(g, fs)
+    values = _vertex_array(g, fs)
+    rows = None if values is None else _energy_core(g, values, values)
     if rows is not None:
-        return rows
+        return rows.tolist()
     left = [[c * (f[u] - f[v]).conjugate() for u, v, c in g.edges] for f in fs]
     right = [[f[u] - f[v] for u, v, _ in g.edges] for f in fs]
     return [[_accumulate(list(map(mul, lj, rk))) for rk in right] for lj in left]

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import WeightedGraph, _bfs_levels, energy_gram, energy_inner, laplacian_apply
+from .graphs import WeightedGraph, _bfs_levels, _energy_core, _float_edges, _laplacian_core, energy_inner, laplacian_apply
 from .tree import _prefix_lengths, check_words, common_prefix_length, tree_graph
 
 __all__ = [
@@ -367,31 +367,51 @@ def _tree_for(words, depth=None) -> WeightedGraph:
 def kl_gram_check(gs: GramSpectrum, depth: int | None = None, normalized: bool = False) -> np.ndarray:
     """Energy Gram matrix of the KL vectors, computed on a truncated tree.
 
-    Every inner product goes through graphs.energy_gram, a route that
-    never touches the eigendecomposition; the contract is diag(1/lambda_k)
-    for the w_k and the identity matrix for the u_k.
+    Every inner product goes through the energy form of graphs (its
+    array core, as energy_gram does), a route that never touches the
+    eigendecomposition; the contract is diag(1/lambda_k) for the w_k and
+    the identity matrix for the u_k.
     """
     g = _tree_for(gs.words, depth)
     vecs = kl_vectors(gs, normalized=normalized)
     columns = _combine(_prefix_table(gs.words, g.vertices), gs.eigenvectors).T
-    sampled = [dict(zip(g.vertices, (v.scale * col).tolist())) for v, col in zip(vecs, columns)]
-    return np.array([list(map(float, row)) for row in energy_gram(g, sampled)])
+    sampled = np.array([v.scale * col for v, col in zip(vecs, columns)]).reshape(columns.shape)
+    return _energy_core(g, sampled, sampled, _float_edges(g)[2])
+
+
+def _is_finite(value) -> bool:
+    # int and Fraction are finite at any magnitude, where math.isfinite would overflow
+    return isinstance(value, (int, Fraction)) or math.isfinite(value.real) and math.isfinite(value.imag)
+
+
+def _quotient(num, den):
+    """num / den for the energies <u, Lu>_E and <u, u>_E, after their real parts are taken.
+
+    A float energy that is not finite raises ArithmeticError, and den <= 0
+    raises ValueError.
+    """
+    num = num.real if isinstance(num, complex) else num
+    den = den.real if isinstance(den, complex) else den
+    if not (_is_finite(num) and _is_finite(den)):
+        raise ArithmeticError(f"energy is not finite (<u, Lu>_E = {num!r}, <u, u>_E = {den!r})")
+    if den <= 0:
+        raise ValueError("zero energy norm")
+    if isinstance(num, float) or isinstance(den, float):
+        return float(num) / float(den)
+    return Fraction(num) / Fraction(den)
 
 
 def rayleigh_energy(g: WeightedGraph, u):
     """Energy-form Rayleigh quotient <u, Lu>_E / <u, u>_E.
 
-    Exact (a Fraction) when u and the conductances are rational.
+    Exact (a Fraction) when u and the conductances are rational.  A value
+    of u that is not finite raises ValueError, and an energy that is not
+    finite (a float overflow) raises ArithmeticError.
     """
-    den = energy_inner(g, u, u)
-    den = den.real if isinstance(den, complex) else den
-    if den <= 0:
-        raise ValueError("zero energy norm")
-    num = energy_inner(g, u, laplacian_apply(g, u))
-    num = num.real if isinstance(num, complex) else num
-    if isinstance(num, float) or isinstance(den, float):
-        return float(num) / float(den)
-    return Fraction(num) / Fraction(den)
+    den = energy_inner(g, u, u)  # validates u
+    if not all(map(_is_finite, u.values())):
+        raise ValueError("u has a value that is not finite")
+    return _quotient(energy_inner(g, u, laplacian_apply(g, u)), den)
 
 
 def reciprocity_spectrum(words, depth: int | None = None):
@@ -420,10 +440,13 @@ def reciprocity_spectrum(words, depth: int | None = None):
             kept.append((j, xi))
     coefficients = np.array([xi for _, xi in kept]).reshape(len(kept), n).T  # a column per kept vector
     columns = _combine(table, coefficients).T
+    # rayleigh_energy on each column, through the float cores: the same sums, to the bit
+    c = _float_edges(g)[2]
+    images = _laplacian_core(g, columns, c)
     rows = []
-    for (j, xi), col in zip(kept, columns):
-        u = dict(zip(g.vertices, col.tolist()))
-        energy_route = float(rayleigh_energy(g, u))
+    for (j, xi), col, image in zip(kept, columns, images):
+        den, num = _energy_core(g, col[None], np.array([col, image]), c)[0].tolist()
+        energy_route = _quotient(num, den)
         coeff_route = float(xi @ xi) / float(xi @ (matrix @ xi))
         rows.append((float(gs.eigenvalues[j]), energy_route, coeff_route))
     return rows
@@ -453,13 +476,14 @@ def spectral_growth(words) -> float:
 def linear_independence_check(words, depth: int | None = None) -> bool:
     """Whether the dipoles {v_x : x in F} are linearly independent in energy.
 
-    The Gram matrix is recomputed through energy_gram on a truncated
-    tree (not through the word combinatorics) and passes iff its smallest
-    eigenvalue exceeds 1e-10 times its Frobenius norm.
+    The Gram matrix is recomputed through the energy form on a truncated
+    tree (energy_gram's int64 core, not the word combinatorics) and
+    passes iff its smallest eigenvalue exceeds 1e-10 times its Frobenius
+    norm.
     """
     words = _check_words(words)
     g = _tree_for(words, depth)
-    dipoles = [dict(zip(g.vertices, column)) for column in _prefix_lengths(g.vertices, words).T.tolist()]
-    m = np.array([list(map(float, row)) for row in energy_gram(g, dipoles)])
+    dipoles = _prefix_lengths(g.vertices, words).T
+    m = _energy_core(g, dipoles, dipoles).astype(float)
     vals, _ = eigh(m)
     return bool(vals[-1] > 1e-10 * float(np.linalg.norm(m)))

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import WeightedGraph, laplacian_apply
+from .graphs import WeightedGraph, _laplacian_core
 
 __all__ = [
     "ORIGIN",
@@ -176,11 +176,15 @@ def dipole_function(x: str, g: WeightedGraph) -> dict:
 
     x is validated once and the vertices in one pass.
     """
+    return dict(zip(g.vertices, _dipole_column(x, g)[:, 0].tolist()))
+
+
+def _dipole_column(x: str, g: WeightedGraph) -> np.ndarray:
+    """v_x at every vertex of a truncated tree, in vertex order, as a (|V|, 1) int64 table."""
     check_word(x)
     if x == ORIGIN:
         raise ValueError("no dipole is attached to the root")
-    vertices = check_words(g.vertices)
-    return dict(zip(vertices, _prefix_lengths(vertices, (x,))[:, 0].tolist()))
+    return _prefix_lengths(check_words(g.vertices), (x,))
 
 
 def dipole_defect(x: str, depth: int) -> dict:
@@ -197,17 +201,20 @@ def dipole_defect(x: str, depth: int) -> dict:
     g = tree_graph(depth)
     if len(x) > depth:
         raise ValueError(f"word {x!r} lies below the depth-{depth} cut")
-    return _dipole_defect(x, g, dipole_function(x, g))
+    return dict(zip(g.vertices, _dipole_defect(g, (x,), _dipole_column(x, g))[0].tolist()))
 
 
-def _dipole_defect(x: str, g: WeightedGraph, dipole: dict) -> dict:
-    """dipole_defect on a tree g that reaches x, given dipole = dipole_function(x, g)."""
-    lap = laplacian_apply(g, dipole)
-    out = {}
-    for y in g.vertices:
-        expected = (1 if y == x else 0) - (1 if y == ORIGIN else 0)
-        out[y] = lap[y] - expected
-    return out
+def _dipole_defect(g: WeightedGraph, words, table) -> np.ndarray:
+    """dipole_defect of each word on a tree g that reaches it, one int64 row per word in vertex order.
+
+    table[:, k] is v_{words[k]} at every vertex (a prefix-length table);
+    the Laplacians come from the int64 core of graphs, and each row then
+    has delta_x - delta_o taken off.
+    """
+    defect = _laplacian_core(g, table.T)
+    defect[np.arange(len(words)), [g.index[x] for x in words]] -= 1
+    defect[:, g.index[ORIGIN]] += 1
+    return defect
 
 
 def encode_nat(w: str) -> int:

@@ -776,7 +776,7 @@ class TestArrayConstructor:
         fs = [dict(zip(g.vertices, data.draw(st.lists(st.integers(-50, 50), min_size=len(g), max_size=len(g)))))
               for _ in range(2)]
         if c_sum < 2**40:
-            assert graphs._int_laplacian(g, fs[0]) is not None and graphs._int_gram(g, fs) is not None
+            assert int_laplacian_route(g, fs[0]) and int_gram_route(g, fs)
         assert form_outcomes(g, fs) == reference_outcomes(g, fs)
 
     def test_views_are_read_only_attributes(self):
@@ -806,6 +806,22 @@ def dict_energy_gram(g, fs):
     left = [[c * (f[u] - f[v]).conjugate() for u, v, c in g.edges] for f in fs]
     right = [[f[u] - f[v] for u, v, _ in g.edges] for f in fs]
     return [[graphs._accumulate([a * b for a, b in zip(lj, rk)]) for rk in right] for lj in left]
+
+
+def int_core_route(g, fs, core):
+    """Whether the public form takes fs through the int64 core (the core returns None beyond its bound)."""
+    values = graphs._vertex_array(g, fs)
+    return values is not None and core(g, values) is not None
+
+
+def int_laplacian_route(g, f):
+    """Whether laplacian_apply takes f through the int64 core."""
+    return int_core_route(g, (f,), graphs._laplacian_core)
+
+
+def int_gram_route(g, fs):
+    """Whether energy_gram takes fs through the int64 core."""
+    return int_core_route(g, fs, lambda g, v: graphs._energy_core(g, v, v))
 
 
 def laplacian_outcome(fn, g, f):
@@ -882,8 +898,8 @@ class TestIntRoute:
         g = tree_graph(5)
         words = ("1", "01", "110", "00101", "0011")
         dips = [dipole_function(x, g) for x in words]
-        assert graphs._int_laplacian(g, dips[0]) is not None
-        assert graphs._int_gram(g, dips) is not None
+        assert int_laplacian_route(g, dips[0])
+        assert int_gram_route(g, dips)
         assert form_outcomes(g, dips) == reference_outcomes(g, dips)
         assert graphs.energy_gram(g, dips) == [[common_prefix_length(x, y) for y in words] for x in words]
 
@@ -892,7 +908,7 @@ class TestIntRoute:
         inside = (2**63 - 1) // 14
         for m, taken in ((inside, True), (inside + 1, False)):
             f = alternating(g, m)
-            assert (graphs._int_laplacian(g, f) is not None) == taken
+            assert int_laplacian_route(g, f) == taken
             assert laplacian_outcome(laplacian_apply, g, f) == laplacian_outcome(dict_laplacian, g, f)
         assert laplacian_apply(g, alternating(g, inside + 1))[0] == 14 * (inside + 1) >= 2**63
 
@@ -901,7 +917,7 @@ class TestIntRoute:
         inside = math.isqrt((2**63 - 1) // 44)  # the diagonal entry of the largest function is 44 M^2
         for m, taken in ((inside, True), (inside + 1, False)):
             fs = [alternating(g, 5), alternating(g, m), {x: 0 for x in g.vertices}]
-            assert (graphs._int_gram(g, fs) is not None) == taken
+            assert int_gram_route(g, fs) == taken
             assert gram_outcomes(graphs.energy_gram, g, fs) == gram_outcomes(dict_energy_gram, g, fs)
             assert graphs.energy_gram(g, fs)[1][1] == 44 * m * m
 
@@ -909,16 +925,16 @@ class TestIntRoute:
     def test_values_near_the_int64_range_keep_the_dict_route(self, value):
         g = square()
         fs = [{0: value, 1: 0, 2: -1, 3: 2}]
-        assert graphs._int_laplacian(g, fs[0]) is None
-        assert graphs._int_gram(g, fs) is None
+        assert not int_laplacian_route(g, fs[0])
+        assert not int_gram_route(g, fs)
         assert form_outcomes(g, fs) == reference_outcomes(g, fs)
 
     @pytest.mark.parametrize("value", [True, np.int64(3), Tally(3), Fraction(3), 3.0, 3 + 0j])
     def test_other_value_types_keep_the_dict_route(self, value):
         g = square()
         fs = [{0: value, 1: 0, 2: -1, 3: 2}, {0: 1, 1: 4, 2: -1, 3: 2}]
-        assert graphs._int_laplacian(g, fs[0]) is None
-        assert graphs._int_gram(g, fs) is None
+        assert not int_laplacian_route(g, fs[0])
+        assert not int_gram_route(g, fs)
         assert form_outcomes(g, fs) == reference_outcomes(g, fs)
 
     @pytest.mark.parametrize("cs", [(2.0, 3, 1, 5), (Fraction(2), 3, 1, 5), (2**62, 2**62, 1, 1)])
@@ -931,3 +947,127 @@ class TestIntRoute:
     def test_empty_list(self):
         g = square()
         assert graphs.energy_gram(g, []) == dict_energy_gram(g, []) == []
+
+
+# ---------------------------------------------------------------- the float cores of the forms
+
+# float values that reach every branch of math.fsum: signed zeros, subnormals, the largest
+# finite floats, whose terms overflow inside fsum, and inf and nan
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e154, -1e154, 1e308, -1e308, 1.7e308,
+                  -1.7e308, math.inf, -math.inf, math.nan]
+FLOAT_VALUES = st.one_of(st.floats(-1e6, 1e6), st.sampled_from(SPECIAL_FLOATS), st.floats())
+# ints and Fractions round in float(c), as in c * x, which converts c by float() first
+FLOAT_CORE_CONDUCTANCES = st.one_of(st.integers(2, 60), st.integers(2**53 + 1, 2**70), st.floats(0.125, 8.0),
+                                    st.floats(5e-324, 1e300),
+                                    st.fractions(min_value=Fraction(1, 10**6), max_value=10**6, max_denominator=10**6))
+
+
+def float_functions(g, values=FLOAT_VALUES):
+    return st.lists(values, min_size=len(g), max_size=len(g)).map(lambda vs: dict(zip(g.vertices, vs)))
+
+
+def cycle4(c=1):
+    return WeightedGraph([0, 1, 2, 3], [(k, (k + 1) % 4, c) for k in range(4)], 0)
+
+
+def float_rows(g, fs):
+    """The float functions fs as the float64 rows that the cores take, in vertex order."""
+    return np.array([[f[x] for x in g.vertices] for f in fs], dtype=np.float64).reshape(len(fs), len(g))
+
+
+def float_conductances(g):
+    return graphs._float_edges(g)[2]
+
+
+def core_laplacian(g, f):
+    """laplacian_apply's dict result, computed by the float64 core."""
+    return dict(zip(g.vertices, graphs._laplacian_core(g, float_rows(g, [f]), float_conductances(g))[0].tolist()))
+
+
+def core_energy_gram(g, fs):
+    """energy_gram's rows, computed by the float64 core."""
+    rows = float_rows(g, fs)
+    return graphs._energy_core(g, rows, rows, float_conductances(g)).tolist()
+
+
+def core_outcomes(g, fs):
+    return [laplacian_outcome(core_laplacian, g, f) for f in fs], gram_outcomes(core_energy_gram, g, fs)
+
+
+class TestFloatCores:
+    """The float64 branch of the cores gives the dict loop's values, types and bits (.hex()) on float
+    data, or raises the same exception, with numpy's float warnings failing the test as elsewhere.
+
+    The public forms keep the dict loop for float data.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), g=cyclic_graphs(FLOAT_CORE_CONDUCTANCES), n=st.integers(1, 4))
+    def test_float_data_matches_the_dict_loop(self, data, g, n):
+        fs = [data.draw(float_functions(g)) for _ in range(n)]
+        assert core_outcomes(g, fs) == reference_outcomes(g, fs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), g=cyclic_graphs(FLOAT_CORE_CONDUCTANCES), n=st.integers(1, 3), m=st.integers(1, 3))
+    def test_energy_core_pairs_two_lists_like_energy_inner(self, data, g, n, m):
+        # the core pairs every function of one list with every one of another, as reciprocity_spectrum uses it
+        left = [data.draw(float_functions(g)) for _ in range(n)]
+        right = [data.draw(float_functions(g)) for _ in range(m)]
+        want = [[outcome(energy_inner, g, fj, fk) for fk in right] for fj in left]
+        try:
+            got = graphs._energy_core(g, float_rows(g, left), float_rows(g, right), float_conductances(g)).tolist()
+        except (ArithmeticError, ValueError) as exc:
+            raised = ("raises", type(exc))
+            assert raised == next(w for row in want for w in row if w[0] == "raises")
+        else:
+            assert [[value_bits(v) for v in row] for row in got] == want
+
+    @pytest.mark.parametrize("f, error", [
+        ({0: 1e308, 1: -7e307, 2: 0.0, 3: -7e307}, OverflowError),  # terms that overflow inside fsum at 0
+        ({0: math.inf, 1: 0.0, 2: -math.inf, 3: 0.0}, ValueError),  # inf - inf at 1
+    ])
+    def test_laplacian_raises_like_the_dict_loop(self, f, error):
+        for g in (cycle4(), cycle4(1.5)):
+            assert laplacian_outcome(core_laplacian, g, f) == laplacian_outcome(dict_laplacian, g, f) == (
+                "raises", error)
+
+    def test_laplacian_sums_each_vertex_in_adjacency_order(self):
+        # at 0 the terms are 1e308, 1e308, -1e308: fsum overflows in this order, not in the reverse one
+        g = WeightedGraph([0, 1, 2, 3], [(0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 2, 1)], 0)
+        f = {0: 0.0, 1: -1e308, 2: -1e308, 3: 1e308}
+        assert laplacian_outcome(core_laplacian, g, f) == laplacian_outcome(dict_laplacian, g, f) == (
+            "raises", OverflowError)
+
+    @pytest.mark.parametrize("fs, error", [
+        ([{0: 1e154, 1: 0.0, 2: 0.0, 3: 0.0}], OverflowError),  # two terms of 1e308
+        ([{0: math.inf, 1: 0.0, 2: 0.0, 3: 0.0}, {0: 1.0, 1: 0.0, 2: 0.0, 3: 2.0}], ValueError),  # inf and -inf
+    ])
+    def test_energy_gram_raises_like_the_dict_loop(self, fs, error):
+        for g in (cycle4(), cycle4(1.5)):
+            assert gram_outcomes(core_energy_gram, g, fs) == gram_outcomes(dict_energy_gram, g, fs) == (
+                "raises", error)
+
+    def test_overflow_and_nan_stay_silent(self):
+        # as in Python float arithmetic: f(3) - f(0) and 1.5 * f(0) overflow to inf, and inf - inf is nan
+        g = cycle4(1.5)
+        overflows = {0: 1.7e308, 1: 0.0, 2: 0.0, 3: -1.7e308}
+        nans = {0: 0.0, 1: math.inf, 2: math.inf, 3: 0.0}
+        for f in (overflows, nans):
+            assert core_outcomes(g, [f]) == reference_outcomes(g, [f])
+        assert core_laplacian(g, overflows)[0] == math.inf
+        assert math.isnan(core_laplacian(g, nans)[1]) and math.isnan(core_energy_gram(g, [nans])[0][0])
+
+    def test_signed_zeros_subnormals_and_nan_keep_their_bits(self):
+        g = cycle4()
+        f = {0: -0.0, 1: 5e-324, 2: math.nan, 3: -5e-324}
+        assert core_outcomes(g, [f, f]) == reference_outcomes(g, [f, f])
+        assert core_laplacian(g, {x: -0.0 for x in g.vertices})[0].hex() == "0x0.0p+0"
+
+    @pytest.mark.parametrize("cs", [(1, 1, 1, 1), (2.5, 3, 1, 5), (Fraction(1, 3), 0.5, 1, 5)])
+    @pytest.mark.parametrize("value", [3.0, True, 3, np.float64(3.0), np.int64(3), Fraction(3), 3 + 0j])
+    def test_public_forms_keep_the_dict_loop_for_non_int_data(self, cs, value):
+        g = square(*cs)
+        fs = [{0: value, 1: 0.5, 2: -1.0, 3: 2.0}, {0: 1.0, 1: 4.0, 2: -1.0, 3: 2.0}]
+        assert graphs._vertex_array(g, fs[:1]) is None
+        assert graphs._vertex_array(g, fs) is None
+        assert form_outcomes(g, fs) == reference_outcomes(g, fs)

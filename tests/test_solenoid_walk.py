@@ -461,12 +461,17 @@ class TestFilterLoader:
 
 class TestDipoleReuse:
     def test_defect_helper_matches_the_public_route(self):
+        # one word's column and the whole prefix table give each word's public defect, row by row
         for depth in (1, 3, 5):
             g = tree.tree_graph(depth)
-            for x in tree.words_up_to(depth):
-                got = tree._dipole_defect(x, g, tree.dipole_function(x, g))
-                assert got == tree.dipole_defect(x, depth)
-                assert list(got) == list(g.vertices)
+            words = tree.words_up_to(depth)
+            table = tree._dipole_defect(g, words, tree._prefix_lengths(g.vertices, words))
+            assert table.dtype == np.int64 and table.shape == (len(words), len(g))
+            for x, row in zip(words, table.tolist()):
+                got = tree._dipole_defect(g, (x,), tree._dipole_column(x, g))[0].tolist()
+                want = tree.dipole_defect(x, depth)
+                assert got == row == list(want.values())
+                assert list(want) == list(g.vertices)
 
     def test_verify_builds_the_dipole_tree_once(self, monkeypatch):
         built = []

@@ -146,6 +146,25 @@ class TestReciprocity:
         den = sum(xi[i] * m[i][j] * xi[j] for i in range(2) for j in range(2))
         assert val == num / den
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(1.0, math.nan), np.float64(math.nan)])
+    def test_rayleigh_refuses_a_value_that_is_not_finite(self, value):
+        g = tree_graph(3)
+        u = {v: float(len(v)) for v in g.vertices}
+        u["01"] = value
+        with pytest.raises(ValueError, match="not finite"):
+            rayleigh_energy(g, u)
+
+    def test_rayleigh_refuses_an_energy_that_overflows(self):
+        # both energies overflow to inf, whose quotient would be nan
+        g = tree_graph(3)
+        with pytest.raises(ArithmeticError, match="energy is not finite"):
+            rayleigh_energy(g, {v: 1e300 * len(v) for v in g.vertices})
+
+    def test_rayleigh_keeps_exact_values_of_any_size(self):
+        g = tree_graph(3)
+        u = {v: 10**400 * len(v) for v in g.vertices}
+        assert rayleigh_energy(g, u) == rayleigh_energy(g, {v: len(v) for v in g.vertices})
+
     def test_zero_sum_reciprocity_exact(self):
         # with zero-sum coefficients the boundary term drops out entirely
         g = tree_graph(3)
@@ -474,6 +493,9 @@ GOLDEN_CLI = [
      "b404984ffd08209fa52728e4366e5a0387c1aaced47a9ac18c77ee80d4a612e1"),
     (["spectra", "gram", "--words", ",".join(words_up_to(6))],
      "af8a9f1524f68fa4c69171fe873e1a8c221887493d41431faf68a9885c757a10"),
+    # 254 words: the float Rayleigh quotients at a size beyond the 62-word sets above
+    (["spectra", "gram", "--words", ",".join(words_up_to(7)), "--depth", "7"],
+     "8b0beb4197908c6d6beae87ae6e45649e57b10c0738bebf48bc5fb854447b81d"),
 ]
 
 
