@@ -478,9 +478,10 @@ class SolenoidEnsemble:
         """f at every path's angle at one step: f(angles(step)), one call to f.
 
         f is any pointwise callable, such as a TrigPoly or its real_part.
-        When the numerators occupy a range of at most half as many
-        integers as there are paths, f is called on that range and its
-        values gathered, with the same bits.
+        When the step's numerators occupy a range of at most half as many
+        integers as the ensemble has paths (the whole column, not one of
+        the walk's blocks), f is called on that range and its values
+        gathered, with the same bits.
         """
         return _at_dyadics(f, self.numerators[:, step], self.level(step))
 
@@ -491,11 +492,14 @@ class SolenoidEnsemble:
 def _at_dyadics(fn, nums, level):
     """fn at nums / 2^level, once per integer of the occupied range [lo, hi] when that range is the smaller.
 
-    fn must act pointwise; numpy's elementwise ufuncs do not depend on
-    where a value sits in its array, and the range is converted from
-    uint64 like the numerators themselves (the same integer gives the
-    same float, above 2^53 too), so the gathered values are the direct
-    ones bit for bit.
+    The range is the smaller when it holds at most half as many integers
+    as nums has entries; inside the walk nums is one block of the plan
+    (at most rng.BLOCK paths), so the choice is made per block.  fn must
+    act pointwise; numpy's elementwise ufuncs do not depend on where a
+    value sits in its array, and the range is converted from uint64 like
+    the numerators themselves (the same integer gives the same float,
+    above 2^53 too), so the gathered values are the direct ones bit for
+    bit.
     """
     denom = float(1 << level)
     lo, hi = int(nums.min()), int(nums.max())
@@ -551,10 +555,14 @@ def solenoid_walk(w: TrigPoly, n_steps: int, n_paths: int, seed: int, start=Dyad
     integer level L meaning uniform on the 2^L-point grid.  Levels are
     capped so that numerators stay inside 64 bits.
 
-    Each step evaluates W once per integer of the occupied numerator
-    range when that range is at most half the block, and draws no
-    uniforms when every path goes low for certain (all p_low >= 1);
-    draws are keyed by (path, step), so neither moves a numerator.
+    The paths run in the blocks of rng.block_plan: one block of all the
+    paths up to rng.BLOCK, near-equal blocks of at most rng.BLOCK above
+    it.  In each block, a step evaluates W once per integer of the
+    block's occupied numerator range when that range holds at most half
+    as many integers as the block has paths, and draws no uniforms when
+    every path of the block goes low for certain (all p_low >= 1); draws
+    are keyed by (path, step), so neither the plan nor these shortcuts
+    move a numerator.
     """
     if n_steps < 0 or n_paths < 1:
         raise ValueError("need n_steps >= 0 and n_paths >= 1")

@@ -387,13 +387,14 @@ class TestSolenoid:
         with pytest.raises(ValueError):
             solenoid_walk(w, 60, 10, 1, start=10)
 
-    def test_thread_invariance(self, monkeypatch):
+    def test_thread_invariance(self, monkeypatch, split_blocks):
         w = TrigPoly.constant(Fraction(1, 2))
         monkeypatch.delenv("SPECTRAL_WALKS_THREADS", raising=False)
         a = solenoid_walk(w, 8, 2222, 31, start=6).numerators
-        monkeypatch.setenv("SPECTRAL_WALKS_THREADS", "3")
+        plans = split_blocks("3")
         b = solenoid_walk(w, 8, 2222, 31, start=6).numerators
         assert np.array_equal(a, b)
+        assert plans.all_split()
 
     def test_reproducible(self):
         w = TrigPoly.constant(Fraction(1, 2))

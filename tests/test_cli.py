@@ -119,6 +119,16 @@ class TestRefusedInputs:
         assert (rc, out) == (2, "")
         assert err.startswith("error:") and named in err
 
+    # 10 paths are one block, so the variable is read even where no thread could start
+    @pytest.mark.parametrize("argv", [["walk", "sim", "--graph", CYCLE4, "--steps", "2", "--paths", "10"],
+                                      ["solenoid", "walk", "--w", "half", "--steps", "2", "--paths", "10"]])
+    @pytest.mark.parametrize("threads", ["abc", "2.5"])
+    def test_thread_count_that_is_not_an_integer(self, capsys, monkeypatch, argv, threads):
+        monkeypatch.setenv("SPECTRAL_WALKS_THREADS", threads)
+        rc, out, err = invoke(capsys, argv)
+        assert (rc, out) == (2, "")
+        assert err == f"error: SPECTRAL_WALKS_THREADS must be an integer worker count, not {threads!r}\n"
+
 
 class TestCovarianceTable:
     """One table builder for both walk commands: evaluations, live arrays, row order and the gate."""
@@ -287,16 +297,17 @@ class TestDeterminism:
         assert invoke(capsys, argv + ["--output", str(b)]) == (0, "", "")
         assert a.read_bytes() == b.read_bytes()
 
-    def test_thread_count_invisible(self, capsys, tmp_path, monkeypatch):
+    def test_thread_count_invisible(self, capsys, tmp_path, split_blocks):
         argv = ["walk", "sim", "--graph", CYCLE4, "--steps", "4", "--paths", "500",
                 "--seed", "7"]
         outs = []
         for threads in ("1", "4"):
-            monkeypatch.setenv("SPECTRAL_WALKS_THREADS", threads)
+            plans = split_blocks(threads, block=100)
             path = tmp_path / f"t{threads}.csv"
             assert invoke(capsys, argv + ["--output", str(path)])[0] == 0
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+        assert plans.all_split()
 
     def test_seed_changes_config_hash(self, capsys):
         _, out1, _ = invoke(capsys, ["spectra", "gram", "--words", "1", "--seed", "1"])

@@ -232,9 +232,9 @@ GOLDEN_NUMERATORS = {
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_golden_solenoid_cli(threads, tmp_path, monkeypatch):
+def test_golden_solenoid_cli(threads, tmp_path, monkeypatch, split_blocks):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("SPECTRAL_WALKS_THREADS", threads)
+    plans = split_blocks(threads)
     (tmp_path / "four_tap.json").write_text(json.dumps({"a": list(four_tap_filter().taps), "degree": 2}))
     changed = []
     for w_args, want in GOLDEN_SOLENOID_CLI:
@@ -245,11 +245,12 @@ def test_golden_solenoid_cli(threads, tmp_path, monkeypatch):
         if got != want:
             changed.append(" ".join(w_args))
     assert not changed
+    assert plans.all_split() == (threads == "2")
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_golden_numerators(threads, monkeypatch):
-    monkeypatch.setenv("SPECTRAL_WALKS_THREADS", threads)
+def test_golden_numerators(threads, split_blocks):
+    plans = split_blocks(threads)
     weights = {"four_tap": w_from_filter(four_tap_filter()), "haar": w_from_filter(haar_filter()), "half": HALF}
     changed = []
     for (name, level, steps), want in GOLDEN_NUMERATORS.items():
@@ -257,3 +258,4 @@ def test_golden_numerators(threads, monkeypatch):
         if hashlib.sha256(ens.numerators.tobytes()).hexdigest() != want:
             changed.append((name, level))
     assert not changed
+    assert plans.all_split() == (threads == "2")

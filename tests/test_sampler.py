@@ -13,6 +13,7 @@ ones.
 import contextlib
 import hashlib
 import io
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -22,12 +23,15 @@ from hypothesis import strategies as st
 
 from spectral_walks import FiniteMarkov, CheckReport, CheckRow, cli, load_graph, markov_check, martingale_check, simulate
 from spectral_walks import rng, walks
-from spectral_walks.rng import MIN_BLOCK, block_plan, mix64, path_keys, step_uniforms, uniform
+from spectral_walks.circle import four_tap_filter, solenoid_walk, w_from_filter
+from spectral_walks.rng import block_plan, mix64, path_keys, step_uniforms, uniform
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
+
+FOUR_TAP = w_from_filter(four_tap_filter())
 
 SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -271,9 +275,9 @@ class TestSparseSampler:
                 assert got == (want if fm.kernel[x, want] > 0 else last[x])
 
     @settings(max_examples=10, deadline=None)
-    @given(fm=chains(), seed=st.integers(0, _MASK), cuts=st.lists(st.integers(1, 2 * MIN_BLOCK + 99), max_size=5))
+    @given(fm=chains(), seed=st.integers(0, _MASK), cuts=st.lists(st.integers(1, 2147), max_size=5))
     def test_threads_and_block_splits(self, fm, seed, cuts):
-        n_paths = 2 * MIN_BLOCK + 100
+        n_paths = 2148
         edges = sorted({0, n_paths, *cuts})
         plan = [(first, last - first) for first, last in zip(edges[:-1], edges[1:])]
 
@@ -285,6 +289,10 @@ class TestSparseSampler:
             mp.setenv("SPECTRAL_WALKS_THREADS", "1")
             base = simulate(fm, 6, n_paths, seed).trajectories
             mp.setenv("SPECTRAL_WALKS_THREADS", "2")
+            mp.setattr(rng.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            mp.setattr(rng, "BLOCK", 1000)
+            workers, blocks = block_plan(n_paths)
+            assert workers == 2 and len(blocks) == 4
             assert np.array_equal(simulate(fm, 6, n_paths, seed).trajectories, base)
             mp.setattr(walks, "run_blocks", run_plan)
             assert np.array_equal(simulate(fm, 6, n_paths, seed).trajectories, base)
@@ -363,30 +371,62 @@ class TestGroupedEstimator:
 # ---------------------------------------------------------------- block plan
 
 class TestBlockPlan:
-    def test_benchmark_sizes_keep_their_splits(self, monkeypatch):
+    def test_benchmark_sizes_run_on_one_block(self, monkeypatch):
+        # a run of at most BLOCK paths stays on the calling thread, the benchmark's 5000 and 40000 among them
         monkeypatch.setattr(rng.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setenv("SPECTRAL_WALKS_THREADS", "2")
-        for n in (4000, 5000, 20000, 40000):
-            assert block_plan(n) == [(0, n // 2), (n // 2, n // 2)]
+        for n in (1, 4000, 5000, 20000, 40000, rng.BLOCK):
+            assert block_plan(n) == (1, [(0, n)])
+        half = rng.BLOCK // 2 + 1
+        assert block_plan(rng.BLOCK + 1) == (2, [(0, half), (half, half - 1)])
+        # 320000 paths need 5 blocks, rounded up to 6 so that neither worker runs an extra one
+        assert block_plan(320000) == (2, [(0, 53334), (53334, 53334), (106668, 53333), (160001, 53333),
+                                          (213334, 53333), (266667, 53333)])
         monkeypatch.setenv("SPECTRAL_WALKS_THREADS", "1")
-        assert block_plan(5000) == [(0, 5000)]
+        assert block_plan(10**6) == (1, [(i * 62500, 62500) for i in range(16)])
         monkeypatch.delenv("SPECTRAL_WALKS_THREADS")
-        assert block_plan(40000) == [(0, 40000)]
+        assert block_plan(40000) == (1, [(0, 40000)])
 
     def test_threads_capped_at_affinity(self, monkeypatch):
         monkeypatch.setattr(rng.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         monkeypatch.setenv("SPECTRAL_WALKS_THREADS", "1000000")
-        plan = block_plan(10**6)
-        assert len(plan) == 3
-        assert sum(c for _, c in plan) == 10**6
+        workers, blocks = block_plan(10**6)
+        assert (workers, len(blocks)) == (3, 18)
+        assert sum(c for _, c in blocks) == 10**6
 
-    def test_minimum_block_size(self, monkeypatch):
-        monkeypatch.setattr(rng.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-        monkeypatch.setenv("SPECTRAL_WALKS_THREADS", "64")
-        assert block_plan(MIN_BLOCK - 1) == [(0, MIN_BLOCK - 1)]
-        plan = block_plan(5 * MIN_BLOCK + 7)
-        assert len(plan) == 5 and min(c for _, c in plan) >= MIN_BLOCK
-        assert [f for f, _ in plan] == [sum(c for _, c in plan[:i]) for i in range(5)]
+    @settings(max_examples=200, deadline=None)
+    @given(n_paths=st.integers(0, 2 * 10**5), block=st.integers(2, 1 << 17), threads=st.integers(-2, 9),
+           cpus=st.integers(1, 8))
+    def test_blocks_at_most_block_size(self, n_paths, block, threads, cpus):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rng.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+            mp.setattr(rng, "BLOCK", block)
+            mp.setenv("SPECTRAL_WALKS_THREADS", str(threads))
+            workers, blocks = block_plan(n_paths)
+        sizes = [count for _, count in blocks]
+        # contiguous from 0, covering [0, n_paths), near-equal and never above BLOCK
+        assert [first for first, _ in blocks] == list(itertools.accumulate(sizes[:-1], initial=0))
+        assert sum(sizes) == n_paths
+        assert max(sizes) - min(sizes) <= 1 and max(sizes) <= block
+        assert min(sizes) >= 1 or n_paths == 0
+        needed = max(1, -(-n_paths // block))
+        assert workers == min(max(1, threads), cpus, needed)
+        # the fewest blocks that are a multiple of the workers and hold at most BLOCK paths each
+        assert len(blocks) % workers == 0 and len(blocks) - workers < needed
+
+    @settings(max_examples=20, deadline=None)
+    @given(fm=chains(), n_paths=st.integers(1, 3000), block=st.integers(2, 3000), threads=st.integers(1, 3),
+           seed=st.integers(0, _MASK))
+    def test_any_plan_gives_equal_ensembles(self, fm, n_paths, block, threads, seed):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("SPECTRAL_WALKS_THREADS", "1")
+            walk = solenoid_walk(FOUR_TAP, 6, n_paths, seed, start=3).numerators
+            traj = simulate(fm, 6, n_paths, seed).trajectories
+            mp.setattr(rng.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+            mp.setattr(rng, "BLOCK", block)
+            mp.setenv("SPECTRAL_WALKS_THREADS", str(threads))
+            assert solenoid_walk(FOUR_TAP, 6, n_paths, seed, start=3).numerators.tobytes() == walk.tobytes()
+            assert simulate(fm, 6, n_paths, seed).trajectories.tobytes() == traj.tobytes()
 
 
 # ---------------------------------------------------------------- golden output
@@ -427,9 +467,9 @@ GOLDEN_TRAJECTORIES = {
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_golden_cli_output(threads, tmp_path, monkeypatch):
+def test_golden_cli_output(threads, tmp_path, monkeypatch, split_blocks):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("SPECTRAL_WALKS_THREADS", threads)
+    plans = split_blocks(threads)
     (tmp_path / "cycle4.json").write_text(
         (Path(__file__).resolve().parents[1] / "examples_data" / "cycle4.json").read_text())
     changed = []
@@ -440,14 +480,16 @@ def test_golden_cli_output(threads, tmp_path, monkeypatch):
         if got != want:
             changed.append(" ".join(argv))
     assert not changed
+    assert plans.all_split() == (threads == "2")
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_golden_trajectories(threads, monkeypatch):
-    monkeypatch.setenv("SPECTRAL_WALKS_THREADS", threads)
+def test_golden_trajectories(threads, split_blocks):
+    plans = split_blocks(threads)
     fm = FiniteMarkov.from_graph(load_graph(dyadic_chords()))
     for seed, want in GOLDEN_TRAJECTORIES.items():
         assert hashlib.sha256(simulate(fm, 32, 5000, seed).trajectories.tobytes()).hexdigest() == want
+    assert plans.all_split() == (threads == "2")
 
 
 # sha256 of each report's rows as (label, estimate.hex(), exact.hex(), se.hex()) plus its skipped
@@ -469,15 +511,16 @@ def report_digest(rep):
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_golden_reports(threads, monkeypatch):
-    monkeypatch.setenv("SPECTRAL_WALKS_THREADS", threads)
+def test_golden_reports(threads, split_blocks):
+    plans = split_blocks(threads)
     fm = FiniteMarkov.from_graph(load_graph(dyadic_chords()))
     vec = (np.arange(len(fm)) * 40503 % 1009) / 1009.0
     ens = simulate(fm, 16, 5000, 7)
     got = {
         "markov_check": report_digest(markov_check(ens, fm, vec, 8, min_visits=10)),
         "martingale_check": report_digest(martingale_check(ens, vec)),
-        # 2100 paths per start, so two threads split every start's ensemble
+        # 2100 paths per start, so at two threads every start's ensemble splits into 1000-path blocks or smaller
         "doob_boundary_check": report_digest(walks.doob_boundary_check(fm, vec, 3, 2100, 7)),
     }
     assert got == GOLDEN_REPORTS
+    assert plans.all_split() == (threads == "2")

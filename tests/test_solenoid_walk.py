@@ -33,9 +33,9 @@ from spectral_walks import (
     solenoid_walk,
     w_from_filter,
 )
-from spectral_walks import circle, spectra, tree
+from spectral_walks import circle, rng, spectra, tree
 from spectral_walks.circle import _at_dyadics
-from spectral_walks.rng import block_plan, path_keys, step_bits, step_uniforms
+from spectral_walks.rng import path_keys, step_bits, step_uniforms
 
 SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -95,15 +95,11 @@ class TestStepMajorWalk:
             start, start_level = DyadicAngle(0, 0), 0
         want = path_major_walk(w, n_steps, n_paths, seed, start_level,
                                None if start_kind == "uniform" else start.numerator)
-        old = os.environ.get("SPECTRAL_WALKS_THREADS")
-        os.environ["SPECTRAL_WALKS_THREADS"] = threads
-        try:
+        with pytest.MonkeyPatch.context() as mp:
+            # 1000-path blocks, so runs above 1000 paths split into several blocks at both thread counts
+            mp.setattr(rng, "BLOCK", 1000)
+            mp.setenv("SPECTRAL_WALKS_THREADS", threads)
             ens = solenoid_walk(w, n_steps, n_paths, seed, start=start)
-        finally:
-            if old is None:
-                del os.environ["SPECTRAL_WALKS_THREADS"]
-            else:
-                os.environ["SPECTRAL_WALKS_THREADS"] = old
         assert ens.numerators.shape == (n_paths, n_steps + 1)
         assert ens.numerators.dtype == np.uint64
         assert ens.numerators.tobytes() == want.tobytes()
@@ -194,14 +190,15 @@ class TestCertainSteps:
         steps, _ = self.drawn_steps(monkeypatch, FOUR_TAP, 40)
         assert steps == list(range(1, 41))
 
-    def test_each_block_draws_once_per_uncertain_step(self, monkeypatch):
+    def test_each_block_draws_once_per_uncertain_step(self, monkeypatch, split_blocks):
         steps, _ = self.drawn_steps(monkeypatch, HALF, 5, start=3)
         assert steps == list(range(1, 6))
-        monkeypatch.setenv("SPECTRAL_WALKS_THREADS", "2")
+        plans = split_blocks()
         steps.clear()
         solenoid_walk(HAAR, 5, 3000, 1)
         solenoid_walk(HALF, 5, 3000, 1, start=3)
-        assert sorted(steps) == sorted(list(range(1, 6)) * len(block_plan(3000)))
+        assert plans.all_split()
+        assert sorted(steps) == sorted(list(range(1, 6)) * len(plans[-1][1]))
 
 
 class TestNonFiniteWeights:
@@ -316,8 +313,8 @@ class TestCovarianceTable:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("start", [None, "0", "10"])
-    def test_rows_equal_covariance_mc_bit_for_bit(self, threads, start, four_tap_file, monkeypatch):
-        monkeypatch.setenv("SPECTRAL_WALKS_THREADS", threads)
+    def test_rows_equal_covariance_mc_bit_for_bit(self, threads, start, four_tap_file, split_blocks):
+        plans = split_blocks(threads)
         argv = ["solenoid", "walk", "--w", four_tap_file, "--steps", "12", "--paths", "4096",
                 "--seed", "9", "--out", "json"]
         if start is not None:
@@ -334,6 +331,7 @@ class TestCovarianceTable:
         for n1, n2, n, est, _, se, _ in rows:
             e, s = solenoid_covariance_mc(ens, polys[n1], polys[n2], n)
             assert (float(est).hex(), float(se).hex()) == (e.hex(), s.hex())
+        assert plans.all_split() == (threads == "2")
 
 
 # sha256 of "<exit code>\n" + output bytes of the solenoid_fir benchmark's three
@@ -349,9 +347,9 @@ GOLDEN_SOLENOID_FIR = {
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_golden_solenoid_fir(threads, tmp_path, monkeypatch):
+def test_golden_solenoid_fir(threads, tmp_path, monkeypatch, split_blocks):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("SPECTRAL_WALKS_THREADS", threads)
+    plans = split_blocks(threads)
     (tmp_path / "four_tap.json").write_text(json.dumps({"a": list(four_tap_filter().taps), "degree": 2}))
     changed = []
     for w_arg, want in GOLDEN_SOLENOID_FIR.items():
@@ -362,6 +360,7 @@ def test_golden_solenoid_fir(threads, tmp_path, monkeypatch):
         if got != want:
             changed.append(w_arg)
     assert not changed
+    assert plans.all_split() == (threads == "2")
 
 
 # ---------------------------------------------------------------- the filter-file loader

@@ -536,9 +536,9 @@ GOLDEN_TABLE_CLI = {
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_golden_prefix_table_cli_output(threads, tmp_path, monkeypatch):
+def test_golden_prefix_table_cli_output(threads, tmp_path, split_blocks):
     # tree dipole --depth 12, spectra gram on 40 words with --depth 6, and verify all: every table reader
-    monkeypatch.setenv("SPECTRAL_WALKS_THREADS", threads)
+    plans = split_blocks(threads)
     changed = []
     for seed, wants in GOLDEN_TABLE_CLI.items():
         w6, f40 = exact_forms_inputs(seed)
@@ -548,3 +548,4 @@ def test_golden_prefix_table_cli_output(threads, tmp_path, monkeypatch):
         changed += [f"{seed}: " + " ".join(argv[:2]) for argv, want in zip(argvs, wants)
                     if golden_digest(argv, tmp_path / "out.txt") != want]
     assert not changed
+    assert plans.all_split() == (threads == "2")

@@ -327,13 +327,14 @@ class TestSimulate:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_thread_count_does_not_change_samples(self, monkeypatch):
+    def test_thread_count_does_not_change_samples(self, monkeypatch, split_blocks):
         fm = FiniteMarkov.from_graph(cycle4())
         monkeypatch.delenv("SPECTRAL_WALKS_THREADS", raising=False)
         base = simulate(fm, 10, 3333, 7).trajectories
-        monkeypatch.setenv("SPECTRAL_WALKS_THREADS", "5")
+        plans = split_blocks("5")
         threaded = simulate(fm, 10, 3333, 7).trajectories
         assert np.array_equal(base, threaded)
+        assert plans.all_split()
 
     def test_marginal_matches_mu0(self):
         fm = FiniteMarkov.from_graph(cycle4())
