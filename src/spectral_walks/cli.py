@@ -24,6 +24,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -38,10 +39,7 @@ from . import walks as wk
 # ---------------------------------------------------------------- output
 
 def _fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
+    # nan (of either sign), inf and -inf print as those words
     return format(x, ".17g")
 
 
@@ -73,11 +71,34 @@ def _json_scalar(v) -> str:
     return json.dumps(str(v) if not isinstance(v, str) else v)
 
 
-# exact types whose cell is one call, the same bytes as _cell_csv / _json_scalar give;
-# a subclass (bool, numpy scalars) still takes the general formatter, and so does a JSON
-# float, whose nan and inf cells are quoted
-_CSV_CELLS = {int: str, str: str, float: _fmt_float}
+# exact types whose cell is one call, the same bytes as _json_scalar gives; a subclass
+# (bool, numpy scalars) still takes the general formatter, and so does a float, whose
+# nan and inf cells are quoted
 _JSON_CELLS = {int: str, str: json.dumps}
+_PLAIN_CELLS = frozenset((int, str))
+_FLOAT_CELLS = frozenset((float,))
+
+
+def _csv_rows(rows) -> str:
+    """The CSV lines of a table's rows, the bytes _cell_csv gives cell by cell, made by one %.
+
+    A column whose cells are all exactly int or str formats as %s (their
+    str), one of exact floats as %.17g (_fmt_float's format); any other
+    column, bool and numpy scalars included, is first turned into
+    _cell_csv strings.
+    """
+    columns = list(zip(*rows, strict=True))
+    spec = []
+    for j, column in enumerate(columns):
+        kinds = set(map(type, column))
+        if kinds <= _PLAIN_CELLS:
+            spec.append("%s")
+        elif kinds == _FLOAT_CELLS:
+            spec.append("%.17g")
+        else:
+            spec.append("%s")
+            columns[j] = list(map(_cell_csv, column))
+    return "\n".join([",".join(spec)] * len(rows)) % tuple(chain.from_iterable(zip(*columns)))
 
 
 def _emit(meta: dict, tables: list, out_format: str, path) -> None:
@@ -106,8 +127,8 @@ def _emit(meta: dict, tables: list, out_format: str, path) -> None:
         for name, columns, rows in tables:
             lines.append(f"# table={name}")
             lines.append(",".join(columns))
-            for row in rows:
-                lines.append(",".join([_CSV_CELLS.get(type(v), _cell_csv)(v) for v in row]))
+            if rows:
+                lines.append(_csv_rows(rows))
         text = "\n".join(lines) + "\n"
     if path:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -148,7 +169,8 @@ def _cmd_tree_dipole(args) -> int:
     g = tr.tree_graph(args.depth)
     column = tr._dipole_column(x, g)
     defect = tr._dipole_defect(g, (x,), column)[0]  # in tree-vertex order
-    labels = [_word_label(v, args.out) for v in g.vertices]
+    labels = list(g.vertices)
+    labels[0] = _word_label(g.vertices[0], args.out)  # the origin, the only empty word
     rows = list(zip(labels, column[:, 0].tolist(), defect.tolist()))
     bad = bool(defect.any())
     _emit(_meta(args), [("dipole", ["vertex", "value", "defect"], rows)], args.out, args.output)

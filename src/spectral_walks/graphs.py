@@ -12,10 +12,12 @@ accumulate with compensated summation.
 
 A WeightedGraph is stored as arrays.  The constructor checks the edge
 records together as endpoint-index arrays (packed pair keys for
-duplicates, a type-set test for the conductances), finds hop distances
-by a breadth-first search over a table of the arcs leaving each vertex,
-in record order, and sums c(x) in int64 when the conductances are ints
-within a checked bound.  The dict views edges, adjacency, total and
+duplicates, a type-set test for the conductances) and hands them to one
+array core, WeightedGraph._build, which finds hop distances by a
+breadth-first search over a table of the arcs leaving each vertex, in
+record order, and sums c(x) in int64 when the conductances are ints
+within a checked bound.  tree.tree_graph, whose records are valid by
+construction, calls the core directly.  The dict views edges, adjacency, total and
 distance are built from the arrays on first access: they equal the
 record-by-record construction in value, type and per-vertex order, with
 distance listed in vertex order.  A failed check names the first
@@ -192,10 +194,24 @@ class WeightedGraph:
                 or not (min(cs, default=1) > 0 if ints else all(map(_valid_conductance, cs)))
                 or _has_repeats(np.minimum(head, tail) * n + np.maximum(head, tail))):
             raise GraphError(_first_fault(records, index))
+        c_sum = sum(cs) if ints else None
+        c = np.array(cs, dtype=np.int64) if c_sum is not None and c_sum < _INT64_LIMIT else None
+        self._build(vertices, index, origin, records, head, tail, c, c_sum)
 
+    def _build(self, vertices, index, origin, records, head, tail, c, c_sum):
+        """Store checked edge records as arrays: the core that every constructor runs.
+
+        records are (u, v, c) triples whose endpoints are the vertices at
+        head and tail (intp index arrays), with no self-loop, no repeated
+        pair and valid conductances.  c is the int64 array of the
+        conductances and c_sum their Python int sum when every conductance
+        is an int and c_sum < 2^63, and c is None otherwise.  Connectivity
+        and isolated vertices are checked here, from the arc table.
+        """
+        n = len(vertices)
         # arc 2k runs from u_k to v_k and arc 2k + 1 back; arcs lists them
         # grouped by the vertex they leave, each group in record order
-        ends = np.empty(2 * m, dtype=np.intp)
+        ends = np.empty(2 * len(records), dtype=np.intp)
         ends[0::2] = head
         ends[1::2] = tail
         arcs = np.argsort(ends, kind="stable")
@@ -215,14 +231,13 @@ class WeightedGraph:
         # unless every conductance is an int and their sum is below 2^63; under
         # that bound no partial sum of positive terms leaves int64, so c(x) is
         # summed in int64 too.
-        c_sum = sum(cs) if ints else None
-        if c_sum is not None and c_sum < _INT64_LIMIT:
-            c = np.array(cs, dtype=np.int64)
+        if c is not None:
             totals = np.add.reduceat(c[arcs >> 1], starts[:-1])
             self._edge_arrays = (head, tail, c, c_sum, int(totals.max()))
             totals = totals.tolist()
         else:
             self._edge_arrays = None
+            _, _, cs = zip(*records)
             arc_cs = list(map(cs.__getitem__, (arcs >> 1).tolist()))
             bounds = starts.tolist()
             totals = [_accumulate(arc_cs[a:b]) for a, b in zip(bounds, bounds[1:])]

@@ -17,6 +17,7 @@ word tables) comes from one int64 kernel over the words' character codes.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -166,9 +167,18 @@ def tree_graph(depth: int) -> WeightedGraph:
     """
     if depth < 1:
         raise ValueError("a truncated tree needs depth >= 1")
-    vertices = [ORIGIN] + words_up_to(depth)
-    edges = [(w[:-1], w, 1) for w in vertices[1:]]
-    return WeightedGraph(vertices, edges, ORIGIN)
+    vertices = (ORIGIN, *words_up_to(depth))
+    # in level order the parent of vertex k is vertex (k - 1) >> 1, so the
+    # parents run through the vertices twice each; the records are valid by
+    # construction and go straight to the graph's array core
+    parents = chain.from_iterable(zip(vertices, vertices))
+    records = list(zip(parents, islice(vertices, 1, None), repeat(1)))
+    m = len(records)
+    tail = np.arange(1, m + 1, dtype=np.intp)
+    g = WeightedGraph.__new__(WeightedGraph)
+    g._build(vertices, dict(zip(vertices, range(m + 1))), ORIGIN, records, (tail - 1) >> 1, tail,
+             np.ones(m, dtype=np.int64), m)
+    return g
 
 
 def dipole_function(x: str, g: WeightedGraph) -> dict:
@@ -263,20 +273,21 @@ def encode_int(w: str) -> int:
     check_word(w)
     if w == ORIGIN:
         raise ValueError("encode_int needs a nonempty word")
-    return encode_nat(w) - (1 << (len(w) - 1))
+    return int(w[::-1], 2) - (1 << (len(w) - 1))
 
 
 def decode_int(n: int) -> str:
     """Shortest word whose encode_int is n.
 
     Picks the least p with 0 <= n + 2^p < 2^(p+1) and writes n + 2^p in
-    p + 1 binary digits, low digit first.
+    p + 1 binary digits, low digit first: bin() of n + 2^p + 2^(p+1)
+    has exactly those digits below its leading 1, which the slice drops.
     """
     if n >= 0:
-        p = n.bit_length() if n else 0
+        p = n.bit_length()
     else:
         p = (-n - 1).bit_length()
-    return format(n + (1 << p), f"0{p + 1}b")[::-1]
+    return bin(n + (3 << p))[:2:-1]
 
 
 def encode_nadic(w: str, base: int, residues) -> int:
@@ -298,9 +309,11 @@ def encode_nadic(w: str, base: int, residues) -> int:
     total = 0
     power = 1
     for ch in w:
-        if not ch.isdigit() or int(ch) >= base:
+        # ASCII digits only: str.isdigit and int() also take other scripts' digits and superscripts
+        digit = "0123456789".find(ch)
+        if not 0 <= digit < base:
             raise ValueError(f"digit {ch!r} outside the base-{base} alphabet")
-        total += residues[int(ch)] * power
+        total += residues[digit] * power
         power *= base
     return total
 

@@ -404,21 +404,26 @@ class CheckReport:
 def _grouped_check(states, here, nxt, vec, exact, min_visits) -> CheckReport:
     """Test E[vec(nxt) | here = i] = exact[i] for every state i.
 
-    One stable sort groups the samples by conditioning state, keeping each
-    group in its original order; states with fewer than min_visits samples
-    are reported in `skipped` rather than tested.  The labels are sorted
-    as the narrowest unsigned type that holds the largest state index:
-    uint8 up to 256 states, one radix pass, and uint16 up to 65536, which
-    numpy also sorts by radix.  A stable sort has exactly one result, the
-    permutation that orders by label and then by position, so the groups
-    are the same as from sorting the wider labels.  min_visits below 2 is
-    refused: a single visit has no standard error.
+    One sort groups the samples by conditioning state, keeping each group
+    in its original order; states with fewer than min_visits samples are
+    reported in `skipped` rather than tested.  The sort keys pack each
+    sample's label above its position, label << b | position with b the
+    bits of the largest position, as uint32 when label and position fit
+    in 32 bits together and as uint64 otherwise.  The keys are distinct,
+    so any sort orders them as a stable sort of the labels would, and the
+    position bits of the sorted keys are that permutation.  min_visits
+    below 2 is refused: a single visit has no standard error.
     """
     if min_visits < 2:
         raise ValueError(f"min_visits must be at least 2 for a standard error, got {min_visits}")
-    order = np.argsort(here.astype(np.min_scalar_type(len(states) - 1)), kind="stable")
-    values = vec[nxt[order]]
-    bounds = np.searchsorted(here[order], np.arange(len(states) + 1))
+    shift = (len(here) - 1).bit_length()
+    dtype = np.uint32 if shift + (len(states) - 1).bit_length() <= 32 else np.uint64
+    keys = here.astype(dtype)
+    keys <<= shift
+    keys |= np.arange(len(here), dtype=dtype)
+    keys.sort()
+    values = vec[nxt[keys & ((1 << shift) - 1)]]
+    bounds = [*np.searchsorted(keys, np.arange(len(states), dtype=dtype) << shift).tolist(), len(here)]
     rows = []
     skipped = []
     for i, x in enumerate(states):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spectral_walks import cli
 from spectral_walks.cli import run
@@ -360,16 +361,37 @@ class TestCellFormatting:
     ROW = [0, -7, 2**70, "", "-", "10", 'quote " and \\ and é', Label("s"), True, False, None, 0.1, -0.0,
            float("nan"), float("inf"), float("-inf"), 1e-300, -2.5e300, 1 / 3, Fraction(-3, 7), np.int64(5),
            np.float64(2.5), np.float64("nan"), np.float64("-inf"), np.float64(-0.0), Count(4)]
+    # one column each of exact ints, exact strs, exact floats, and a mix
+    COLUMNS = [[0, 2**70, -7, 1], ["", "%s %%", 'q"\\é', "-"], [0.1, float("nan"), -0.0, 5e-324],
+               [float("-inf"), 3, "3", True]]
 
     @pytest.mark.parametrize("out_format", ["csv", "json"])
     def test_fast_path_matches_general_formatters(self, capsys, monkeypatch, out_format):
-        tables = [("t", [f"c{k}" for k in range(len(self.ROW))], [self.ROW, self.ROW[::-1]])]
+        tables = [("t", [f"c{k}" for k in range(len(self.ROW))], [self.ROW, self.ROW[::-1]]),
+                  ("u", ["i", "s", "f", "mixed"], [list(row) for row in zip(*self.COLUMNS)]),
+                  ("empty", ["a"], [])]
         cli._emit({"seed": 3, "config": "abc"}, tables, out_format, None)
         fast = capsys.readouterr().out
-        monkeypatch.setattr(cli, "_CSV_CELLS", {})
+        # the general formatters, cell by cell
+        monkeypatch.setattr(cli, "_csv_rows", lambda rows: "\n".join(",".join(map(cli._cell_csv, r)) for r in rows))
         monkeypatch.setattr(cli, "_JSON_CELLS", {})
         cli._emit({"seed": 3, "config": "abc"}, tables, out_format, None)
         assert fast == capsys.readouterr().out
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats())
+    @example(-math.nan)
+    @example(-0.0)
+    @example(5e-324)
+    def test_float_column_format_is_the_cell_format(self, x):
+        # the former per-cell rule, with its own nan and inf branches
+        former = "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf") if math.isinf(x) else format(x, ".17g")
+        assert cli._fmt_float(x) == former
+        assert cli._csv_rows([[x], [-x]]) == former + "\n" + cli._fmt_float(-x)
+
+    def test_ragged_rows_are_refused(self):
+        with pytest.raises(ValueError):
+            cli._csv_rows([[1, 2], [3]])
 
     @pytest.mark.parametrize("out_format, want", [
         ("csv", "nan,inf,-inf,-0,0.10000000000000001,2.5,-inf"),

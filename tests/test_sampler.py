@@ -21,7 +21,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from spectral_walks import FiniteMarkov, CheckReport, CheckRow, cli, load_graph, markov_check, martingale_check, simulate
+from spectral_walks import (FiniteMarkov, CheckReport, CheckRow, cli, load_graph, markov_check, martingale_check,
+                            mean_se, simulate)
 from spectral_walks import rng, walks
 from spectral_walks.circle import four_tap_filter, solenoid_walk, w_from_filter
 from spectral_walks.rng import block_plan, mix64, path_keys, step_uniforms, uniform
@@ -94,6 +95,23 @@ def mask_check(states, here, nxt, vec, exact, min_visits):
         samples = vec[nxt[mask]]
         se = float(samples.std(ddof=1) / np.sqrt(count))
         rows.append(CheckRow(label=str(x), estimate=float(samples.mean()), exact=float(exact[i]), se=se))
+    return CheckReport(rows=tuple(rows), skipped=tuple(skipped))
+
+
+def argsort_check(states, here, nxt, vec, exact, min_visits):
+    """The grouping by a stable argsort of the labels, bounds from searchsorted on the sorted labels."""
+    order = np.argsort(here, kind="stable")
+    values = vec[nxt[order]]
+    bounds = np.searchsorted(here[order], np.arange(len(states) + 1))
+    rows = []
+    skipped = []
+    for i, x in enumerate(states):
+        samples = values[bounds[i] : bounds[i + 1]]
+        if len(samples) < min_visits:
+            skipped.append(x)
+            continue
+        est, se = mean_se(samples)
+        rows.append(CheckRow(label=str(x), estimate=est, exact=float(exact[i]), se=se))
     return CheckReport(rows=tuple(rows), skipped=tuple(skipped))
 
 
@@ -354,6 +372,27 @@ class TestGroupedEstimator:
         vec, exact = rs.random(n_states), rs.random(n_states)
         states = tuple(range(n_states))
         assert walks._grouped_check(states, here, nxt, vec, exact, 50) == mask_check(states, here, nxt, vec, exact, 50)
+
+    @SETTINGS
+    @given(seed=st.integers(0, _MASK), wide=st.booleans(), hot=st.integers(1, 8), min_visits=st.integers(2, 40))
+    def test_packed_keys_equal_stable_argsort_oracle(self, seed, wide, hot, min_visits):
+        # 2^16 positions and 70000 labels take 16 + 17 bits, past uint32; the narrow draws fit in 21
+        rs = np.random.default_rng(seed)
+        n_states, n = (70000, 1 << 16) if wide else (int(rs.integers(2, 300)), int(rs.integers(400, 3000)))
+        assert ((n - 1).bit_length() + (n_states - 1).bit_length() > 32) == wide
+        # four fifths of the samples go round the hot labels, at least 40 each, and the rest spread
+        # thin below the last label: some states are tested, some fall short of min_visits, and
+        # the last is never visited
+        hot_labels = rs.choice(n_states - 1, min(hot, n_states - 1), replace=False)
+        many = 4 * n // 5
+        here = np.concatenate([hot_labels[np.arange(many) % len(hot_labels)], rs.integers(0, n_states - 1, n - many)])
+        here = rs.permutation(here).astype(np.int32)
+        nxt = rs.integers(0, n_states, n).astype(np.int32)
+        vec, exact = rs.random(n_states), rs.random(n_states)
+        states = tuple(range(n_states))
+        want = argsort_check(states, here, nxt, vec, exact, min_visits)
+        assert walks._grouped_check(states, here, nxt, vec, exact, min_visits) == want
+        assert want.rows and want.skipped[-1] == n_states - 1
 
     def test_more_than_65536_states_sort_wide_labels(self):
         rs = np.random.default_rng(7)

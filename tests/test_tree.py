@@ -58,6 +58,27 @@ def test_tree_graph_shape():
     assert g.total["000"] == 1
 
 
+@pytest.mark.parametrize("depth", range(1, 13))
+def test_tree_graph_equals_the_checked_build(depth):
+    # the level-order build skips only the record checks; every slot is the generic constructor's
+    g = tree_graph(depth)
+    vertices = ("", *words_up_to(depth))
+    want = WeightedGraph(vertices, [(w[:-1], w, 1) for w in vertices[1:]], "")
+    for slot in WeightedGraph.__slots__:
+        got, ref = getattr(g, slot), getattr(want, slot)
+        if slot == "_edge_arrays":
+            assert list(map(type, got)) == list(map(type, ref))
+            for a, b in zip(got, ref):
+                assert (a.dtype == b.dtype and np.array_equal(a, b)) if isinstance(a, np.ndarray) else a == b
+        elif isinstance(ref, np.ndarray):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), slot
+        else:
+            assert type(got) is type(ref) and got == ref, slot
+    for view in ("edges", "adjacency", "total", "distance"):
+        assert getattr(g, view) == getattr(want, view)
+        assert list(getattr(g, view)) == list(getattr(want, view))
+
+
 def test_words_up_to_counts():
     for d in range(1, 7):
         assert len(words_up_to(d)) == 2 ** (d + 1) - 2
@@ -239,6 +260,13 @@ class TestEncodings:
         with pytest.raises(ValueError):
             encode_nadic("1", 3, [0, 1])  # wrong length
 
+    @pytest.mark.parametrize("w, bad", [("\u0661\u0660", "\u0661"), ("\u00b2", "\u00b2"), ("1\uff10", "\uff10")])
+    def test_nadic_takes_ascii_digits_only(self, w, bad):
+        # Arabic-Indic one-zero, a superscript two and a fullwidth zero: str.isdigit accepts them all
+        with pytest.raises(ValueError) as exc:
+            encode_nadic(w, 2, [0, 1])
+        assert str(exc.value) == f"digit {bad!r} outside the base-2 alphabet"
+
     def test_cantor_encode_exact(self):
         assert cantor_encode("", "22") == Fraction(8, 9)
         assert cantor_encode("2", "") == 2
@@ -276,6 +304,21 @@ class TestCodecProperties:
     @given(st.text(alphabet="01", max_size=4200))
     def test_nat_canonical_word(self, w):
         assert decode_nat(encode_nat(w)) == w.rstrip("0")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-(1 << 70) + 1, (1 << 70) - 1))
+    def test_int_codec_matches_the_former_formulas(self, n):
+        # decode_int wrote n + 2^p through a zero-padded format spec, and encode_int went through encode_nat
+        p = n.bit_length() if n >= 0 else (-n - 1).bit_length()
+        w = decode_int(n)
+        assert w == format(n + (1 << p), f"0{p + 1}b")[::-1]
+        assert encode_int(w) == encode_nat(w) - (1 << (len(w) - 1)) == n
+
+    @pytest.mark.parametrize("w, error", [("", ValueError), (None, TypeError), (101, TypeError), (b"101", TypeError),
+                                          ("12", ValueError), ("1 0", ValueError), ("\uff11", ValueError)])
+    def test_int_codec_rejects_as_before(self, w, error):
+        with pytest.raises(error):
+            encode_int(w)
 
     @pytest.mark.parametrize("w", ["1_0", " 10", "10\n", "\uff11"])
     def test_rejects_what_int_accepts(self, w):
