@@ -222,14 +222,11 @@ class TrigPoly:
 
 @dataclass(frozen=True)
 class WaveletFilter:
-    """Filter taps a_0, a_1, ... with a scaling degree (2 unless stated)."""
+    """Taps a_0, a_1, ... of a dyadic (scaling degree 2) filter."""
 
     taps: tuple
-    degree: int = 2
 
     def __post_init__(self):
-        if self.degree < 2:
-            raise ValueError("scaling degree must be at least 2")
         if not self.taps:
             raise ValueError("a filter needs at least one tap")
         object.__setattr__(self, "taps", tuple(self.taps))

@@ -22,6 +22,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from itertools import chain
@@ -509,7 +510,8 @@ def _verify_checks(quick: bool, seed: int):
     add("dipole_defect_identically_zero", ok, f"words up to length {depth - 1}")
     dips = table.T  # a row per dipole, as the int64 cores of graphs take functions
     gram = _energy_core(tg, dips, dips).tolist()
-    ok = all(e == tr.dipole_value(x, y) for x, row in zip(words, gram) for y, e in zip(words, row))
+    # the scalar oracle: the words are valid by construction, so the common prefix is counted unchecked
+    ok = all(e == len(os.path.commonprefix((x, y))) for x, row in zip(words, gram) for y, e in zip(words, row))
     add("gram_energy_route_exact", ok)
     # one row suffices for the quick pass; the test suite is exhaustive
     pairing = _energy_core(tg, dips[:1], _laplacian_core(tg, dips))[0].tolist()

@@ -23,28 +23,21 @@ record-by-record construction in value, type and per-vertex order, with
 distance listed in vertex order.  A failed check names the first
 offending record, found by a record-by-record search.
 
-The Laplacian and the energy pairing each have one array core,
-_laplacian_core and _energy_core, which take vertex functions as rows of
-an int64 or float64 array in vertex order.  int64 rows run under an
-overflow bound, checked in Python ints first, under which no int64
-partial sum can leave [-2^63, 2^63) in any summation order: every
-partial sum is at most the sum of the absolute values of its terms.  The
-int64 result is then the exact integer.  float64 rows form the dict
-loop's terms with float(c) for each conductance and sum each vertex's or
-each pairing's terms with math.fsum in the dict loop's order, so every
-value, NaN and exception is the dict loop's.
-
-laplacian_apply and energy_gram gather their dicts into an int64 array
-and use the core when every conductance of the graph and every value of
-every input function is a Python int (``type(v) is int``: bool, numpy
-integers and int subclasses excluded) within the bound; the result comes
-back through tolist(), so values, types and key order equal the dict
-loop's.  All other data, float included, and int data beyond the bound
-take the dict loop: gathering a float dict costs more than the loop on
-the small graphs these functions see.  energy_inner keeps the dict loop
-alone for the same reason.  Callers that hold arrays already (the dipole
-tables of tree and spectra, int64, and the Rayleigh columns of spectra,
-float64) call the cores directly.
+Each public form is one dict loop over the graph's dicts; energy_inner
+and energy_gram share theirs.  The Laplacian and the energy pairing also
+have one array core each, _laplacian_core and _energy_core, for callers
+that hold vertex functions as arrays already (the int64 dipole tables of
+tree, spectra and the CLI, and the float64 Rayleigh columns of spectra).
+A core takes rows of an int64 or float64 array in vertex order and
+nothing else.  int64 rows run under an overflow bound, checked in Python
+ints first, under which no int64 partial sum can leave [-2^63, 2^63) in
+any summation order: every partial sum is at most the sum of the
+absolute values of its terms.  The int64 result is then the exact
+integer; past the bound the core raises OverflowError.  float64 rows form
+the dict loop's terms with float(c) for each conductance, converted once
+per graph, and sum each vertex's or each pairing's terms with math.fsum
+in the dict loop's order, so every value, NaN and exception is the dict
+loop's.
 """
 
 from __future__ import annotations
@@ -54,7 +47,6 @@ import math
 import os
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import chain
 from operator import mul
 
 import numpy as np
@@ -160,7 +152,7 @@ class WeightedGraph:
     """
 
     __slots__ = ("vertices", "origin", "index", "_records", "_ends", "_arcs", "_starts", "_totals", "_hops",
-                 "_edge_arrays", "_edges", "_adjacency", "_total", "_distance")
+                 "_edge_arrays", "_float_arrays", "_edges", "_adjacency", "_total", "_distance")
 
     def __init__(self, vertices, edges, origin):
         vertices = tuple(vertices)
@@ -225,15 +217,14 @@ class WeightedGraph:
         if not degree.all():
             raise GraphError(f"isolated vertex {vertices[int(np.argmin(degree))]!r} (c(x) would be zero)")
 
-        # _edge_arrays holds the int route's data: (head, tail, c, c_sum, c_max),
-        # the endpoint indices and int64 conductances in record order, and as
-        # Python ints sum_e c_e and max_x c(x) for the route bounds.  It is None
-        # unless every conductance is an int and their sum is below 2^63; under
-        # that bound no partial sum of positive terms leaves int64, so c(x) is
-        # summed in int64 too.
+        # _edge_arrays holds the int64 cores' data: (c, c_sum, c_max), the int64
+        # conductances in record order, and as Python ints sum_e c_e and
+        # max_x c(x) for the cores' bounds.  It is None unless every conductance
+        # is an int and their sum is below 2^63; under that bound no partial sum
+        # of positive terms leaves int64, so c(x) is summed in int64 too.
         if c is not None:
             totals = np.add.reduceat(c[arcs >> 1], starts[:-1])
-            self._edge_arrays = (head, tail, c, c_sum, int(totals.max()))
+            self._edge_arrays = (c, c_sum, int(totals.max()))
             totals = totals.tolist()
         else:
             self._edge_arrays = None
@@ -251,6 +242,7 @@ class WeightedGraph:
         self._starts = starts
         self._totals = totals
         self._hops = hops
+        self._float_arrays = None
         self._edges = self._adjacency = self._total = self._distance = None
 
     @property
@@ -408,33 +400,21 @@ def _check_function(g: WeightedGraph, f) -> None:
 
 def _float_edges(g: WeightedGraph):
     """(head, tail, c, total): the endpoint indices and the conductances in
-    edges order, and c(x) in vertex order, each value converted by float()."""
-    c = np.array([float(c) for _, _, c in g._records])
-    total = np.array([float(t) for t in g._totals])
-    return g._ends[0::2], g._ends[1::2], c, total
+    edges order, and c(x) in vertex order, each value converted by float().
 
-
-def _vertex_array(g: WeightedGraph, fs):
-    """The functions fs as one (len(fs), |V|) int64 array, a row per function in vertex order, or None.
-
-    None, which sends the data to the dict loop, unless every value is an
-    int (``type(v) is int``: bool, numpy integers and int subclasses
-    excluded) that fits int64 and every conductance is an int within the
-    graph's bound (g._edge_arrays).
+    The conversion runs once per graph; its arrays are kept in
+    g._float_arrays and shared, so callers must not modify them.
     """
+    if g._float_arrays is None:
+        g._float_arrays = (np.array([float(c) for _, _, c in g._records]), np.array([float(t) for t in g._totals]))
+    return (g._ends[0::2], g._ends[1::2], *g._float_arrays)
+
+
+def _int_edges(g: WeightedGraph):
+    """g._edge_arrays, (c, c_sum, c_max); OverflowError when the conductances do not fit it."""
     if g._edge_arrays is None:
-        return None
-    kinds = set()
-    for f in fs:
-        kinds.update(map(type, f.values()))
-    if not kinds <= _INT_TYPE:
-        return None
-    shape = (len(fs), len(g.vertices))
-    try:
-        cells = chain.from_iterable(map(f.__getitem__, g.vertices) for f in fs)
-        return np.fromiter(cells, np.int64, shape[0] * shape[1]).reshape(shape)
-    except OverflowError:  # an int beyond int64
-        return None
+        raise OverflowError("the int64 cores need int conductances that sum below 2^63")
+    return g._edge_arrays
 
 
 def _max_abs(values) -> int:
@@ -442,32 +422,30 @@ def _max_abs(values) -> int:
     return max(int(values.max()), -int(values.min())) if values.size else 0
 
 
-def _laplacian_core(g: WeightedGraph, values, c=None):
-    """L applied to each row of values, a (k, |V|) int64 or float64 array; None beyond the int bound.
+def _laplacian_core(g: WeightedGraph, values):
+    """L applied to each row of values, a (k, |V|) int64 or float64 array.
 
-    A row is one function in vertex order.  float64 rows need c, float()
-    of each conductance in record order (_float_edges(g)[2], which a
-    caller works out once for all its calls); int64 rows use the graph's
-    int64 conductances.
-
-    The arc from x to y adds c * (f(x) - f(y)) at x, and the arcs are
-    taken grouped by x in adjacency order.  int64 rows sum in int64 when
+    A row is one function in vertex order.  The arc from x to y adds
+    c * (f(x) - f(y)) at x, and the arcs are taken grouped by x in
+    adjacency order.  int64 rows sum in int64 when
     2 * M * max_x c(x) < 2^63 with M = max |f|: each term is at most
     2 * M * c in absolute value and the terms at x sum in absolute value
     to at most 2 * M * c(x), so no partial sum leaves int64 and the
-    result is the exact integer.  float64 rows sum each vertex's terms
-    with math.fsum in adjacency order, as the dict loop does: the same
-    terms in the same order give the same bits, and fsum raises where the
-    dict loop raises.  numpy's float warnings are off, as Python's float
-    arithmetic gives inf and nan silently.
+    result is the exact integer.  Past the bound it raises OverflowError.
+    float64 rows use float() of each conductance (_float_edges) and sum
+    each vertex's terms with math.fsum in adjacency order, as the dict
+    loop does: the same terms in the same order give the same bits, and
+    fsum raises where the dict loop raises.  numpy's float warnings are
+    off, as Python's float arithmetic gives inf and nan silently.
     """
     arcs = g._arcs
     src, dst, edge = g._ends[arcs], g._ends[arcs ^ 1], arcs >> 1
     if values.dtype == np.int64:
-        _, _, c, _, c_max = g._edge_arrays
+        c, _, c_max = _int_edges(g)
         if 2 * _max_abs(values) * c_max >= _INT64_LIMIT:
-            return None
+            raise OverflowError("int64 Laplacian past its bound 2 * max|f| * max c(x) < 2^63")
         return np.add.reduceat(c[edge] * (values.take(src, 1) - values.take(dst, 1)), g._starts[:-1], axis=1)
+    c = _float_edges(g)[2]
     with np.errstate(over="ignore", invalid="ignore"):
         terms = c[edge] * (values.take(src, 1) - values.take(dst, 1))
     bounds = g._starts.tolist()
@@ -478,16 +456,8 @@ def _laplacian_core(g: WeightedGraph, values, c=None):
 
 
 def laplacian_apply(g: WeightedGraph, f) -> dict:
-    """Apply the conductance Laplacian: (Lf)(x) = sum_{y~x} c(x,y)(f(x) - f(y)).
-
-    int data within the bound 2 * M * max_x c(x) < 2^63, with M = max |f|,
-    goes through _laplacian_core and gives the dict loop's values and types.
-    """
+    """Apply the conductance Laplacian: (Lf)(x) = sum_{y~x} c(x,y)(f(x) - f(y))."""
     _check_function(g, f)
-    values = _vertex_array(g, (f,))
-    out = None if values is None else _laplacian_core(g, values)
-    if out is not None:
-        return dict(zip(g.vertices, out[0].tolist()))
     out = {}
     for x in g.vertices:
         fx = f[x]
@@ -521,36 +491,50 @@ def l2_inner(g: WeightedGraph, f1, f2):
     return _accumulate([f1[x].conjugate() * f2[x] for x in g.vertices])
 
 
-def _energy_core(g: WeightedGraph, left, right, c=None):
-    """pairs[j, k] = <left[j], right[k]>_E for two int64 or two float64 arrays of rows; None beyond the int bound.
+def _energy_core(g: WeightedGraph, left, right):
+    """pairs[j, k] = <left[j], right[k]>_E for two int64 or two float64 arrays of rows.
 
     Each edge (u, v, c) contributes (c * d1) * d2 with d = f(u) - f(v), in
     record order.  int64 data sums in int64 when
     4 * M^2 * sum_e c_e < 2^63 with M = max(1, max |f| over both arrays),
     which is 4 * M_j * M_k * sum_e c_e < 2^63 for every pair: each term
     and its first factor are at most 4 * M^2 * c_e in absolute value, and
-    a partial sum is at most the sum of the absolute terms.  The edge
-    differences form matrices D and the pairings are (D_left * c) @ D_right.T;
-    numpy multiplies integer matrices in its own loop, never through
-    BLAS.  float64 data sums each pair's terms with math.fsum in record
-    order, as energy_inner's dict loop does, with c and numpy's float
-    warnings as in _laplacian_core.
+    a partial sum is at most the sum of the absolute terms.  Past the
+    bound it raises OverflowError.  The edge differences form matrices D
+    and the pairings are (D_left * c) @ D_right.T; numpy multiplies
+    integer matrices in its own loop, never through BLAS.  float64 data
+    sums each pair's terms with math.fsum in record order, as the dict
+    loop does, with c and numpy's float warnings as in _laplacian_core.
     """
     head, tail = g._ends[0::2], g._ends[1::2]
     if left.dtype == np.int64:
-        _, _, c, c_sum, _ = g._edge_arrays
+        c, c_sum, _ = _int_edges(g)
         bound = max(1, _max_abs(left), _max_abs(right))
         if 4 * bound * bound * c_sum >= _INT64_LIMIT:
-            return None
+            raise OverflowError("int64 energy pairing past its bound 4 * max(1, max|f|)^2 * sum c < 2^63")
         d_right = right.take(head, 1) - right.take(tail, 1)
         d_left = d_right if left is right else left.take(head, 1) - left.take(tail, 1)
         return (d_left * c) @ d_right.T
+    c = _float_edges(g)[2]
     fsum = math.fsum
     with np.errstate(over="ignore", invalid="ignore"):
         d_right = right.take(head, 1) - right.take(tail, 1)
         d_left = d_right if left is right else left.take(head, 1) - left.take(tail, 1)
         rows = [list(map(fsum, (row * d_right).tolist())) for row in d_left * c]
     return np.array(rows, dtype=np.float64).reshape(len(left), len(right))
+
+
+def _energy_pairs(g: WeightedGraph, lefts, rights) -> list:
+    """rows[j][k] = <lefts[j], rights[k]>_E by the dict loop of the energy forms.
+
+    Each edge (u, v, c) contributes (c * conj(d1)) * d2 with
+    d = f(u) - f(v), in record order, and each entry sums its terms by
+    _accumulate.  The factors of each function are formed once: the left
+    c * conj(d), the right d.
+    """
+    left = [[c * (f[u] - f[v]).conjugate() for u, v, c in g.edges] for f in lefts]
+    right = [[f[u] - f[v] for u, v, _ in g.edges] for f in rights]
+    return [[_accumulate(list(map(mul, lj, rk))) for rk in right] for lj in left]
 
 
 def energy_inner(g: WeightedGraph, f1, f2):
@@ -562,32 +546,21 @@ def energy_inner(g: WeightedGraph, f1, f2):
     """
     _check_function(g, f1)
     _check_function(g, f2)
-    return _accumulate([c * (f1[u] - f1[v]).conjugate() * (f2[u] - f2[v]) for u, v, c in g.edges])
+    return _energy_pairs(g, (f1,), (f2,))[0][0]
 
 
 def energy_gram(g: WeightedGraph, fs) -> list:
     """Energy pairings of every ordered pair: rows[j][k] == energy_inner(g, fs[j], fs[k]).
 
-    Each function is validated once and its edge differences are formed
-    once.  int data within the bound 4 * M^2 * sum_e c_e < 2^63, with
-    M = max(1, max |f| over fs), goes through _energy_core: one int64
-    matrix product of the edge differences.  Otherwise every entry sums
-    the terms of energy_inner, multiplied in its order
-    (c * conj(fj(u) - fj(v))) * (fk(u) - fk(v)), under its summation rule.
-    Either way each entry equals energy_inner's in value, type and bits.
-    All n^2 entries are summed: complex data is Hermitian only in exact
-    arithmetic, so the lower triangle is not a mirror of the upper.
+    Each function is validated once, and the entries come from
+    energy_inner's loop, so each equals energy_inner's in value, type and
+    bits.  All n^2 entries are summed: complex data is Hermitian only in
+    exact arithmetic, so the lower triangle is not a mirror of the upper.
     """
     fs = list(fs)
     for f in fs:
         _check_function(g, f)
-    values = _vertex_array(g, fs)
-    rows = None if values is None else _energy_core(g, values, values)
-    if rows is not None:
-        return rows.tolist()
-    left = [[c * (f[u] - f[v]).conjugate() for u, v, c in g.edges] for f in fs]
-    right = [[f[u] - f[v] for u, v, _ in g.edges] for f in fs]
-    return [[_accumulate(list(map(mul, lj, rk))) for rk in right] for lj in left]
+    return _energy_pairs(g, fs, fs)
 
 
 def quadratic_form_l2(g: WeightedGraph, f):

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import WeightedGraph, _bfs_levels, _energy_core, _float_edges, _laplacian_core, energy_inner, laplacian_apply
+from .graphs import WeightedGraph, _bfs_levels, _energy_core, _laplacian_core, energy_inner, laplacian_apply
 from .tree import _prefix_lengths, check_words, common_prefix_length, tree_graph
 
 __all__ = [
@@ -367,16 +367,16 @@ def _tree_for(words, depth=None) -> WeightedGraph:
 def kl_gram_check(gs: GramSpectrum, depth: int | None = None, normalized: bool = False) -> np.ndarray:
     """Energy Gram matrix of the KL vectors, computed on a truncated tree.
 
-    Every inner product goes through the energy form of graphs (its
-    array core, as energy_gram does), a route that never touches the
-    eigendecomposition; the contract is diag(1/lambda_k) for the w_k and
-    the identity matrix for the u_k.
+    Every inner product goes through the float64 core of the energy form
+    of graphs, a route that never touches the eigendecomposition; the
+    contract is diag(1/lambda_k) for the w_k and the identity matrix for
+    the u_k.
     """
     g = _tree_for(gs.words, depth)
     vecs = kl_vectors(gs, normalized=normalized)
     columns = _combine(_prefix_table(gs.words, g.vertices), gs.eigenvectors).T
     sampled = np.array([v.scale * col for v, col in zip(vecs, columns)]).reshape(columns.shape)
-    return _energy_core(g, sampled, sampled, _float_edges(g)[2])
+    return _energy_core(g, sampled, sampled)
 
 
 def _is_finite(value) -> bool:
@@ -441,11 +441,10 @@ def reciprocity_spectrum(words, depth: int | None = None):
     coefficients = np.array([xi for _, xi in kept]).reshape(len(kept), n).T  # a column per kept vector
     columns = _combine(table, coefficients).T
     # rayleigh_energy on each column, through the float cores: the same sums, to the bit
-    c = _float_edges(g)[2]
-    images = _laplacian_core(g, columns, c)
+    images = _laplacian_core(g, columns)
     rows = []
     for (j, xi), col, image in zip(kept, columns, images):
-        den, num = _energy_core(g, col[None], np.array([col, image]), c)[0].tolist()
+        den, num = _energy_core(g, col[None], np.array([col, image]))[0].tolist()
         energy_route = _quotient(num, den)
         coeff_route = float(xi @ xi) / float(xi @ (matrix @ xi))
         rows.append((float(gs.eigenvalues[j]), energy_route, coeff_route))
@@ -477,7 +476,7 @@ def linear_independence_check(words, depth: int | None = None) -> bool:
     """Whether the dipoles {v_x : x in F} are linearly independent in energy.
 
     The Gram matrix is recomputed through the energy form on a truncated
-    tree (energy_gram's int64 core, not the word combinatorics) and
+    tree (the int64 core of the energy form, not the word combinatorics) and
     passes iff its smallest eigenvalue exceeds 1e-10 times its Frobenius
     norm.
     """

@@ -208,9 +208,9 @@ def dipole_defect(x: str, depth: int) -> dict:
     check_word(x)
     if x == ORIGIN:
         raise ValueError("no dipole is attached to the root")
-    g = tree_graph(depth)
     if len(x) > depth:
         raise ValueError(f"word {x!r} lies below the depth-{depth} cut")
+    g = tree_graph(depth)
     return dict(zip(g.vertices, _dipole_defect(g, (x,), _dipole_column(x, g))[0].tolist()))
 
 

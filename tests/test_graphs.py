@@ -766,17 +766,15 @@ class TestArrayConstructor:
         if not (set(map(type, cs)) <= {int} and sum(cs) < 2**63):
             assert arrays is None
             return
-        head, tail, c, c_sum, c_max = arrays
-        assert head.tolist() == [g.index[u] for u, _, _ in g.edges]
-        assert tail.tolist() == [g.index[v] for _, v, _ in g.edges]
+        c, c_sum, c_max = arrays
         assert c.dtype == np.int64 and c.tolist() == cs
         assert (type(c_sum), c_sum) == (int, sum(cs))
         assert (type(c_max), c_max) == (int, max(g.total.values()))
-        # both routes give the dict route's values and types; small data takes the int route
+        # the int64 cores give the dict loop's values and types; small data is within their bounds
         fs = [dict(zip(g.vertices, data.draw(st.lists(st.integers(-50, 50), min_size=len(g), max_size=len(g)))))
               for _ in range(2)]
         if c_sum < 2**40:
-            assert int_laplacian_route(g, fs[0]) and int_gram_route(g, fs)
+            assert int_core_outcomes(g, fs) == reference_outcomes(g, fs)
         assert form_outcomes(g, fs) == reference_outcomes(g, fs)
 
     def test_views_are_read_only_attributes(self):
@@ -794,34 +792,34 @@ class TestArrayConstructor:
         assert laplacian_apply(g, MappingProxyType({0: 1, 1: 0, 2: 0, 3: 0})) == {0: 7, 1: -2, 2: 0, 3: -5}
 
 
-# ---------------------------------------------------------------- the int64 route of the forms
+# ---------------------------------------------------------------- the int64 branch of the cores
 
 def dict_laplacian(g, f):
-    """Reference: the dict route of laplacian_apply, one sum per vertex."""
+    """Reference: the dict loop of laplacian_apply, one sum per vertex."""
     return {x: graphs._accumulate([c * (f[x] - f[y]) for y, c in g.adjacency[x]]) for x in g.vertices}
 
 
 def dict_energy_gram(g, fs):
-    """Reference: the dict route of energy_gram, one sum per entry."""
+    """Reference: the dict loop of energy_gram, one sum per entry."""
     left = [[c * (f[u] - f[v]).conjugate() for u, v, c in g.edges] for f in fs]
     right = [[f[u] - f[v] for u, v, _ in g.edges] for f in fs]
     return [[graphs._accumulate([a * b for a, b in zip(lj, rk)]) for rk in right] for lj in left]
 
 
-def int_core_route(g, fs, core):
-    """Whether the public form takes fs through the int64 core (the core returns None beyond its bound)."""
-    values = graphs._vertex_array(g, fs)
-    return values is not None and core(g, values) is not None
+def int_rows(g, fs):
+    """The int functions fs as the int64 rows that the cores take, in vertex order (OverflowError past int64)."""
+    return np.array([[f[x] for x in g.vertices] for f in fs], dtype=np.int64).reshape(len(fs), len(g))
 
 
-def int_laplacian_route(g, f):
-    """Whether laplacian_apply takes f through the int64 core."""
-    return int_core_route(g, (f,), graphs._laplacian_core)
+def int_core_laplacian(g, f):
+    """laplacian_apply's dict result, computed by the int64 core."""
+    return dict(zip(g.vertices, graphs._laplacian_core(g, int_rows(g, [f]))[0].tolist()))
 
 
-def int_gram_route(g, fs):
-    """Whether energy_gram takes fs through the int64 core."""
-    return int_core_route(g, fs, lambda g, v: graphs._energy_core(g, v, v))
+def int_core_energy_gram(g, fs):
+    """energy_gram's rows, computed by the int64 core."""
+    rows = int_rows(g, fs)
+    return graphs._energy_core(g, rows, rows).tolist()
 
 
 def laplacian_outcome(fn, g, f):
@@ -834,7 +832,7 @@ def laplacian_outcome(fn, g, f):
 
 
 def form_outcomes(g, fs):
-    """The two forms with an int route on fs, as outcome records comparable across routes."""
+    """The two public forms that have a core, on fs, as outcome records comparable with the cores'."""
     return [laplacian_outcome(laplacian_apply, g, f) for f in fs], gram_outcomes(graphs.energy_gram, g, fs)
 
 
@@ -842,12 +840,19 @@ def reference_outcomes(g, fs):
     return [laplacian_outcome(dict_laplacian, g, f) for f in fs], gram_outcomes(dict_energy_gram, g, fs)
 
 
+def int_core_outcomes(g, fs):
+    return [laplacian_outcome(int_core_laplacian, g, f) for f in fs], gram_outcomes(int_core_energy_gram, g, fs)
+
+
+OVERFLOWS = ("raises", OverflowError)
+
+
 def alternating(g, m):
     """+m and -m on the two colour classes of the bipartite square: every edge difference is 2m."""
     return {x: m if x % 2 == 0 else -m for x in g.vertices}
 
 
-# values not of type int: each must keep the dict route and its result types
+# values not of type int: the int64 cores never see them
 NON_INT_VALUES = st.one_of(
     st.booleans(),
     st.integers(-1000, 1000).map(np.int64),
@@ -876,9 +881,8 @@ def mixed_functions(draw, g):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestIntRoute:
-    """laplacian_apply's and energy_gram's int64 route gives the dict route's values, types and key order.
-
-    Every other input keeps the dict route.
+    """The int64 branch of the cores gives the dict loop's values, types and key order within its bounds,
+    and raises OverflowError past them; the public forms give the dict loop's on every input.
     """
 
     @settings(max_examples=300, deadline=None)
@@ -886,7 +890,16 @@ class TestIntRoute:
            n=st.integers(0, 4))
     def test_int_data_matches_dict_route(self, data, g, n):
         fs = [data.draw(int_functions(g)) for _ in range(n)]
-        assert form_outcomes(g, fs) == reference_outcomes(g, fs)
+        want_laps, want_gram = reference_outcomes(g, fs)
+        assert form_outcomes(g, fs) == (want_laps, want_gram)
+        # the bounds, in Python ints: 2 * M * max c(x) < 2^63, and 4 * max(1, M)^2 * sum c < 2^63 over all of fs
+        c_max, c_sum = max(g.total.values()), sum(c for _, _, c in g.edges)
+        peaks = [max(map(abs, f.values())) for f in fs]
+        got_laps, got_gram = int_core_outcomes(g, fs)
+        for peak, got, want in zip(peaks, got_laps, want_laps):
+            assert got == (want if 2 * peak * c_max < 2**63 else OVERFLOWS)
+        bound = max([1, *peaks])
+        assert got_gram == (want_gram if 4 * bound * bound * c_sum < 2**63 else OVERFLOWS)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), g=cyclic_graphs(st.one_of(st.integers(1, 60), CONDUCTANCES)), n=st.integers(1, 3))
@@ -898,43 +911,44 @@ class TestIntRoute:
         g = tree_graph(5)
         words = ("1", "01", "110", "00101", "0011")
         dips = [dipole_function(x, g) for x in words]
-        assert int_laplacian_route(g, dips[0])
-        assert int_gram_route(g, dips)
-        assert form_outcomes(g, dips) == reference_outcomes(g, dips)
+        assert int_core_outcomes(g, dips) == form_outcomes(g, dips) == reference_outcomes(g, dips)
         assert graphs.energy_gram(g, dips) == [[common_prefix_length(x, y) for y in words] for x in words]
 
     def test_laplacian_bound(self):
         g = square()  # c(x) = 7, 5, 4, 6, so (Lf)(0) = 2 * M * 7 exactly for alternating f
         inside = (2**63 - 1) // 14
-        for m, taken in ((inside, True), (inside + 1, False)):
+        f = alternating(g, inside)
+        assert laplacian_outcome(int_core_laplacian, g, f) == laplacian_outcome(dict_laplacian, g, f)
+        assert int_core_laplacian(g, f)[0] == 14 * inside < 2**63
+        with pytest.raises(OverflowError):
+            int_core_laplacian(g, alternating(g, inside + 1))
+        for m in (inside, inside + 1):
             f = alternating(g, m)
-            assert int_laplacian_route(g, f) == taken
             assert laplacian_outcome(laplacian_apply, g, f) == laplacian_outcome(dict_laplacian, g, f)
         assert laplacian_apply(g, alternating(g, inside + 1))[0] == 14 * (inside + 1) >= 2**63
 
     def test_energy_gram_bound(self):
         g = square()
         inside = math.isqrt((2**63 - 1) // 44)  # the diagonal entry of the largest function is 44 M^2
-        for m, taken in ((inside, True), (inside + 1, False)):
+        for m in (inside, inside + 1):
             fs = [alternating(g, 5), alternating(g, m), {x: 0 for x in g.vertices}]
-            assert int_gram_route(g, fs) == taken
-            assert gram_outcomes(graphs.energy_gram, g, fs) == gram_outcomes(dict_energy_gram, g, fs)
+            want = gram_outcomes(dict_energy_gram, g, fs)
+            assert gram_outcomes(int_core_energy_gram, g, fs) == (want if m == inside else OVERFLOWS)
+            assert gram_outcomes(graphs.energy_gram, g, fs) == want
             assert graphs.energy_gram(g, fs)[1][1] == 44 * m * m
 
     @pytest.mark.parametrize("value", [2**62, -2**63, 2**63, -2**63 - 1, 2**100])
     def test_values_near_the_int64_range_keep_the_dict_route(self, value):
         g = square()
         fs = [{0: value, 1: 0, 2: -1, 3: 2}]
-        assert not int_laplacian_route(g, fs[0])
-        assert not int_gram_route(g, fs)
+        # past int64 the rows cannot be formed, inside it the bounds fail
+        assert int_core_outcomes(g, fs) == ([OVERFLOWS], OVERFLOWS)
         assert form_outcomes(g, fs) == reference_outcomes(g, fs)
 
     @pytest.mark.parametrize("value", [True, np.int64(3), Tally(3), Fraction(3), 3.0, 3 + 0j])
     def test_other_value_types_keep_the_dict_route(self, value):
         g = square()
         fs = [{0: value, 1: 0, 2: -1, 3: 2}, {0: 1, 1: 4, 2: -1, 3: 2}]
-        assert not int_laplacian_route(g, fs[0])
-        assert not int_gram_route(g, fs)
         assert form_outcomes(g, fs) == reference_outcomes(g, fs)
 
     @pytest.mark.parametrize("cs", [(2.0, 3, 1, 5), (Fraction(2), 3, 1, 5), (2**62, 2**62, 1, 1)])
@@ -942,11 +956,12 @@ class TestIntRoute:
         g = square(*cs)
         fs = [{0: 0, 1: 1, 2: -1, 3: 2}, {0: 1, 1: 4, 2: -1, 3: 2}]
         assert g._edge_arrays is None
+        assert int_core_outcomes(g, fs) == ([OVERFLOWS] * 2, OVERFLOWS)
         assert form_outcomes(g, fs) == reference_outcomes(g, fs)
 
     def test_empty_list(self):
         g = square()
-        assert graphs.energy_gram(g, []) == dict_energy_gram(g, []) == []
+        assert graphs.energy_gram(g, []) == dict_energy_gram(g, []) == int_core_energy_gram(g, []) == []
 
 
 # ---------------------------------------------------------------- the float cores of the forms
@@ -975,19 +990,15 @@ def float_rows(g, fs):
     return np.array([[f[x] for x in g.vertices] for f in fs], dtype=np.float64).reshape(len(fs), len(g))
 
 
-def float_conductances(g):
-    return graphs._float_edges(g)[2]
-
-
 def core_laplacian(g, f):
     """laplacian_apply's dict result, computed by the float64 core."""
-    return dict(zip(g.vertices, graphs._laplacian_core(g, float_rows(g, [f]), float_conductances(g))[0].tolist()))
+    return dict(zip(g.vertices, graphs._laplacian_core(g, float_rows(g, [f]))[0].tolist()))
 
 
 def core_energy_gram(g, fs):
     """energy_gram's rows, computed by the float64 core."""
     rows = float_rows(g, fs)
-    return graphs._energy_core(g, rows, rows, float_conductances(g)).tolist()
+    return graphs._energy_core(g, rows, rows).tolist()
 
 
 def core_outcomes(g, fs):
@@ -1015,7 +1026,7 @@ class TestFloatCores:
         right = [data.draw(float_functions(g)) for _ in range(m)]
         want = [[outcome(energy_inner, g, fj, fk) for fk in right] for fj in left]
         try:
-            got = graphs._energy_core(g, float_rows(g, left), float_rows(g, right), float_conductances(g)).tolist()
+            got = graphs._energy_core(g, float_rows(g, left), float_rows(g, right)).tolist()
         except (ArithmeticError, ValueError) as exc:
             raised = ("raises", type(exc))
             assert raised == next(w for row in want for w in row if w[0] == "raises")
@@ -1068,6 +1079,14 @@ class TestFloatCores:
     def test_public_forms_keep_the_dict_loop_for_non_int_data(self, cs, value):
         g = square(*cs)
         fs = [{0: value, 1: 0.5, 2: -1.0, 3: 2.0}, {0: 1.0, 1: 4.0, 2: -1.0, 3: 2.0}]
-        assert graphs._vertex_array(g, fs[:1]) is None
-        assert graphs._vertex_array(g, fs) is None
         assert form_outcomes(g, fs) == reference_outcomes(g, fs)
+
+    def test_conductances_are_converted_once_per_graph(self):
+        g = square(Fraction(1, 3), 0.5, 1, 5)
+        assert g._float_arrays is None
+        core_laplacian(g, {0: 1.0, 1: 0.5, 2: -1.0, 3: 2.0})
+        kept = g._float_arrays
+        core_energy_gram(g, [{0: 1.0, 1: 0.5, 2: -1.0, 3: 2.0}])
+        head, tail, c, total = graphs._float_edges(g)
+        assert g._float_arrays is kept and c is kept[0] and total is kept[1]
+        assert c.tolist() == [1 / 3, 0.5, 1.0, 5.0] and total.tolist() == [float(t) for t in g.total.values()]

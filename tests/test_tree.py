@@ -24,6 +24,7 @@ from spectral_walks import (
     encode_nadic,
     cantor_encode,
 )
+from spectral_walks import tree
 from spectral_walks.graphs import WeightedGraph
 from spectral_walks.tree import (
     MAX_DEPTH,
@@ -120,6 +121,15 @@ def test_dipole_defect_word_below_cut():
         dipole_defect("1010", 3)
     with pytest.raises(ValueError):
         dipole_defect("", 3)
+
+
+def test_dipole_defect_refuses_a_deep_word_before_building_the_tree(monkeypatch):
+    def no_tree(depth):
+        raise AssertionError(f"tree_graph({depth}) built for a word below the cut")
+
+    monkeypatch.setattr(tree, "tree_graph", no_tree)
+    with pytest.raises(ValueError, match="below the depth-3 cut"):
+        dipole_defect("1010", 3)
 
 
 @pytest.mark.parametrize("vertices", [["", "1", "12"], ["12", "1", ""], ["1", "x", "", "2"], ["1", 0, ""]])
