@@ -13,15 +13,18 @@ accumulate with compensated summation.
 A WeightedGraph is stored as arrays.  The constructor checks the edge
 records together as endpoint-index arrays (packed pair keys for
 duplicates, a type-set test for the conductances) and hands them to one
-array core, WeightedGraph._build, which finds hop distances by a
-breadth-first search over a table of the arcs leaving each vertex, in
-record order, and sums c(x) in int64 when the conductances are ints
-within a checked bound.  tree.tree_graph, whose records are valid by
-construction, calls the core directly.  The dict views edges, adjacency, total and
-distance are built from the arrays on first access: they equal the
-record-by-record construction in value, type and per-vertex order, with
-distance listed in vertex order.  A failed check names the first
-offending record, found by a record-by-record search.
+array core, WeightedGraph._build, which stores a table of the arcs
+leaving each vertex, in record order, and sums c(x) in int64 when the
+conductances are ints within a checked bound; the constructor then finds
+hop distances by _hop_counts, the package's one breadth-first search, a
+queue over that table (walks and spectra search the arcs _pattern_arcs
+reads from a boolean matrix).  tree.tree_graph, whose records are valid
+by construction, calls the core directly and reads hop counts off its
+level order.  The dict views edges, adjacency, total and distance are
+built from the arrays on first access: they equal the record-by-record
+construction in value, type and per-vertex order, with distance listed
+in vertex order.  A failed check names the first offending record, found
+by a record-by-record search.
 
 Each public form is one dict loop over the graph's dicts; energy_inner
 and energy_gram share theirs.  The Laplacian and the energy pairing also
@@ -189,6 +192,12 @@ class WeightedGraph:
         c_sum = sum(cs) if ints else None
         c = np.array(cs, dtype=np.int64) if c_sum is not None and c_sum < _INT64_LIMIT else None
         self._build(vertices, index, origin, records, head, tail, c, c_sum)
+        self._hops = _hop_counts(self._ends[self._arcs ^ 1], self._starts, index[origin])
+        if self._hops.min() < 0:
+            missing = vertices[int(np.argmin(self._hops))]
+            raise GraphError(f"graph is not connected ({missing!r} unreachable from origin)")
+        if not records:  # connected, so only a lone vertex can be without an edge
+            raise GraphError(f"isolated vertex {origin!r} (c(x) would be zero)")
 
     def _build(self, vertices, index, origin, records, head, tail, c, c_sum):
         """Store checked edge records as arrays: the core that every constructor runs.
@@ -197,8 +206,8 @@ class WeightedGraph:
         head and tail (intp index arrays), with no self-loop, no repeated
         pair and valid conductances.  c is the int64 array of the
         conductances and c_sum their Python int sum when every conductance
-        is an int and c_sum < 2^63, and c is None otherwise.  Connectivity
-        and isolated vertices are checked here, from the arc table.
+        is an int and c_sum < 2^63, and c is None otherwise.  The caller
+        sets _hops and checks connectivity; a vertex without arcs gets 0.
         """
         n = len(vertices)
         # arc 2k runs from u_k to v_k and arc 2k + 1 back; arcs lists them
@@ -210,12 +219,6 @@ class WeightedGraph:
         degree = np.bincount(ends, minlength=n)
         starts = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(degree, out=starts[1:])
-        hops = _hop_counts(ends[arcs ^ 1], starts, degree, index[origin])
-        unreached = np.flatnonzero(hops < 0)
-        if unreached.size:
-            raise GraphError(f"graph is not connected ({vertices[unreached[0]]!r} unreachable from origin)")
-        if not degree.all():
-            raise GraphError(f"isolated vertex {vertices[int(np.argmin(degree))]!r} (c(x) would be zero)")
 
         # _edge_arrays holds the int64 cores' data: (c, c_sum, c_max), the int64
         # conductances in record order, and as Python ints sum_e c_e and
@@ -223,7 +226,9 @@ class WeightedGraph:
         # is an int and their sum is below 2^63; under that bound no partial sum
         # of positive terms leaves int64, so c(x) is summed in int64 too.
         if c is not None:
-            totals = np.add.reduceat(c[arcs >> 1], starts[:-1])
+            # reduceat sums each start's arcs up to the next start, so only vertices with arcs are given one
+            totals = np.zeros(n, dtype=np.int64)
+            totals[degree > 0] = np.add.reduceat(c[arcs >> 1], starts[:-1][degree > 0])
             self._edge_arrays = (c, c_sum, int(totals.max()))
             totals = totals.tolist()
         else:
@@ -241,7 +246,6 @@ class WeightedGraph:
         self._arcs = arcs
         self._starts = starts
         self._totals = totals
-        self._hops = hops
         self._float_arrays = None
         self._edges = self._adjacency = self._total = self._distance = None
 
@@ -318,46 +322,28 @@ def _first_fault(records, index):
     return None
 
 
-def _hop_counts(targets, starts, degree, source) -> np.ndarray:
+def _hop_counts(targets, starts, source) -> np.ndarray:
     """Breadth-first hop counts from source over an arc table; -1 where unreached.
 
-    targets[starts[x]:starts[x] + degree[x]] are the vertices one arc away
-    from x.  Each level gathers the arcs of its whole frontier at once.
+    targets[starts[x]:starts[x + 1]] are the vertices one arc away from x.  The queue is a list read
+    while it grows; a vertex's arcs become Python ints when it is read, so a search costs its component alone.
     """
-    hops = np.full(len(degree), -1, dtype=np.intp)
+    starts = starts.tolist()
+    hops = [-1] * (len(starts) - 1)
     hops[source] = 0
-    frontier = np.array([source], dtype=np.intp)
-    level = found = 1
-    while frontier.size and found < len(degree):
-        count = degree[frontier]
-        stop = np.cumsum(count)
-        # gather position p of frontier vertex i reads arc starts[i] + p - (stop[i] - count[i])
-        shift = np.repeat(starts[frontier] - stop + count, count)
-        reached = targets[shift + np.arange(shift.size)]
-        reached = np.sort(reached[hops[reached] < 0])
-        first_seen = np.ones(reached.size, dtype=bool)
-        np.not_equal(reached[1:], reached[:-1], out=first_seen[1:])
-        frontier = reached[first_seen]
-        hops[frontier] = level
-        level += 1
-        found += frontier.size
-    return hops
+    queue = [source]
+    for x in queue:
+        level = hops[x] + 1
+        for y in targets[starts[x]:starts[x + 1]].tolist():
+            if hops[y] < 0:
+                hops[y] = level
+                queue.append(y)
+    return np.array(hops, dtype=np.intp)
 
 
-def _bfs_levels(arcs: np.ndarray, source: int) -> np.ndarray:
-    """Breadth-first level of every vertex from source along a dense boolean arc matrix; -1 if unreached.
-
-    A level ORs the arc rows of the whole frontier in one array pass; _hop_counts is the sparse search.
-    """
-    level = np.full(len(arcs), -1)
-    frontier = np.zeros(len(arcs), dtype=bool)
-    frontier[source] = True
-    depth = 0
-    while frontier.any():
-        level[frontier] = depth
-        frontier = arcs[frontier].any(axis=0) & (level < 0)
-        depth += 1
-    return level
+def _pattern_arcs(mask):
+    """np.nonzero(mask) of a square boolean array by a flat scan and a divmod: ten times faster on 511 x 511."""
+    return np.divmod(np.flatnonzero(mask), len(mask))
 
 
 def _has_repeats(keys) -> bool:

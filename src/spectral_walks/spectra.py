@@ -29,7 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import WeightedGraph, _bfs_levels, _energy_core, _laplacian_core, energy_inner, laplacian_apply
+from .graphs import (WeightedGraph, _energy_core, _hop_counts, _laplacian_core, _pattern_arcs, energy_inner,
+                     laplacian_apply)
 from .tree import _prefix_lengths, check_words, common_prefix_length, tree_graph
 
 __all__ = [
@@ -110,11 +111,12 @@ def _blocks(a):
     a is block diagonal up to a permutation along these sets, so each
     block is solved on its own and its eigenvectors vanish exactly off it.
     """
-    linked = a != 0.0
-    unseen = np.ones(a.shape[0], dtype=bool)
+    rows, cols = _pattern_arcs(a != 0.0)
+    starts = np.searchsorted(rows, np.arange(len(a) + 1))
+    unseen = np.ones(len(a), dtype=bool)
     blocks = []
     while unseen.any():
-        members = _bfs_levels(linked, int(np.argmax(unseen))) >= 0
+        members = _hop_counts(cols, starts, int(np.argmax(unseen))) >= 0
         unseen &= ~members
         blocks.append(np.flatnonzero(members))
     return blocks

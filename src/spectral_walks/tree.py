@@ -178,6 +178,7 @@ def tree_graph(depth: int) -> WeightedGraph:
     g = WeightedGraph.__new__(WeightedGraph)
     g._build(vertices, dict(zip(vertices, range(m + 1))), ORIGIN, records, (tail - 1) >> 1, tail,
              np.ones(m, dtype=np.int64), m)
+    g._hops = np.repeat(np.arange(depth + 1), 1 << np.arange(depth + 1))
     return g
 
 

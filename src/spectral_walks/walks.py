@@ -25,7 +25,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .graphs import WeightedGraph, _bfs_levels, _float_edges
+from .graphs import WeightedGraph, _float_edges, _hop_counts, _pattern_arcs
 from .rng import derive_key, path_keys, run_blocks, step_uniforms
 
 __all__ = [
@@ -126,7 +126,9 @@ class FiniteMarkov:
         return self._as_vector_static(self.states, f)
 
     def with_start(self, x) -> "FiniteMarkov":
-        """Same kernel, started deterministically at x."""
+        """Same kernel, started deterministically at x; ValueError when x is not a state."""
+        if x not in self.index:
+            raise ValueError(f"start state {x!r} is not a chain state")
         mu0 = np.zeros(len(self.states))
         mu0[self.index[x]] = 1.0
         return FiniteMarkov(self.states, self.kernel, mu0)
@@ -139,10 +141,16 @@ class FiniteMarkov:
         return len(self.states)
 
 
+def _levels(positive):
+    """(level, rows, cols): breadth-first levels from state 0, -1 where unreached, and the pattern's arcs."""
+    rows, cols = _pattern_arcs(positive)
+    return _hop_counts(cols, np.searchsorted(rows, np.arange(len(positive) + 1)), 0), rows, cols
+
+
 def is_irreducible(fm: FiniteMarkov) -> bool:
     """True when every state reaches every other along positive-probability arcs."""
     positive = fm.kernel > 0
-    return bool(np.all(_bfs_levels(positive, 0) >= 0) and np.all(_bfs_levels(positive.T, 0) >= 0))
+    return all((_levels(arcs)[0] >= 0).all() for arcs in (positive, positive.T))
 
 
 def is_aperiodic(fm: FiniteMarkov) -> bool:
@@ -152,11 +160,10 @@ def is_aperiodic(fm: FiniteMarkov) -> bool:
     level[i] + 1 - level[j] over all positive arcs i -> j inside the
     reached component.  Meaningful for irreducible kernels.
     """
-    positive = fm.kernel > 0
-    level = _bfs_levels(positive, 0)
+    level, i, j = _levels(fm.kernel > 0)
     # every arc out of a reached state ends at a reached state
-    i, j = np.nonzero(positive & (level >= 0)[:, None])
-    return int(np.gcd.reduce(np.abs(level[i] + 1 - level[j]))) == 1
+    inside = level[i] >= 0
+    return int(np.gcd.reduce(np.abs(level[i[inside]] + 1 - level[j[inside]]))) == 1
 
 
 def stationary_measure(fm: FiniteMarkov) -> np.ndarray:
@@ -238,7 +245,7 @@ def _sparse_rows(kernel: np.ndarray):
     positive = kernel > 0
     degree = positive.sum(axis=1)
     width = 1 << (int(degree.max()) - 1).bit_length()
-    rows, cols = np.nonzero(positive)
+    rows, cols = _pattern_arcs(positive)
     slot = np.arange(len(rows)) - np.repeat(np.cumsum(degree) - degree, degree)
     probs = np.zeros((len(kernel), width))
     probs[rows, slot] = kernel[rows, cols]
@@ -304,13 +311,12 @@ def cylinder_mass(fm: FiniteMarkov, sets) -> float:
     sets = list(sets)
     if not sets:
         raise ValueError("need at least E_0")
-    n = len(fm.states)
-    masks = []
-    for e in sets:
-        mask = np.zeros(n)
+    masks = np.zeros((len(sets), len(fm.states)))
+    for k, e in enumerate(sets):
         for x in e:
-            mask[fm.index[x]] = 1.0
-        masks.append(mask)
+            if x not in fm.index:
+                raise ValueError(f"state {x!r} of E_{k} is not a chain state")
+            masks[k, fm.index[x]] = 1.0
     w = masks[-1]
     for mask in reversed(masks[:-1]):
         w = mask * (fm.kernel @ w)
@@ -490,6 +496,8 @@ def martingale_check(ens: PathEnsemble, h, min_visits: int = 100) -> CheckReport
     per-state standard errors.  For harmonic h every row should sit
     within threshold; a non-harmonic h is flagged by a large deviation.
     """
+    if ens.n_steps < 1:
+        raise ValueError("need n_steps >= 1: the ensemble has no transitions")
     vec = ens.as_vector(h)
     traj = ens.trajectories
     return _grouped_check(ens.states, traj[:, :-1].ravel(), traj[:, 1:].ravel(), vec, vec, min_visits)

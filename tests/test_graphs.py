@@ -7,7 +7,8 @@ from types import MappingProxyType
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spectral_walks import graphs
 from spectral_walks.tree import common_prefix_length, dipole_function, tree_graph
@@ -58,6 +59,20 @@ class TestValidation:
     def test_isolated_vertex_rejected(self):
         with pytest.raises(GraphError):
             load_graph({"vertices": [0, 1, 2], "edges": [{"u": 0, "v": 1, "c": 1}], "origin": 0})
+
+    @pytest.mark.parametrize("c", [1, 2.5, 2**62])
+    @pytest.mark.parametrize("vertices", [[9, 0, 1, 2], [0, 9, 1, 2], [0, 1, 2, 9]])
+    def test_isolated_unreachable_vertex_reports_not_connected(self, vertices, c):
+        # the arc table is built before the search, whatever the conductances and wherever the vertex sits
+        edges = [{"u": 0, "v": 1, "c": c}, {"u": 1, "v": 2, "c": c}]
+        with pytest.raises(GraphError, match=r"^graph is not connected \(9 unreachable from origin\)$"):
+            load_graph({"vertices": vertices, "edges": edges, "origin": 0})
+
+    def test_long_path_distances(self):
+        n = 10**4
+        g = load_graph({"vertices": list(range(n)), "origin": 0,
+                        "edges": [{"u": v, "v": v + 1, "c": 1} for v in range(n - 1)]})
+        assert g.distance == {v: v for v in range(n)}
 
     def test_nonpositive_conductance_rejected(self):
         for bad in (0, -1, -0.5):
@@ -304,7 +319,23 @@ def test_dense_bfs_levels_match_a_queue_search(case):
             if arc and want[y] < 0:
                 want[y] = want[x] + 1
                 queue.append(y)
-    assert graphs._bfs_levels(np.array(arcs), source).tolist() == want
+    rows, cols = graphs._pattern_arcs(np.array(arcs))
+    assert graphs._hop_counts(cols, np.searchsorted(rows, np.arange(len(arcs) + 1)), source).tolist() == want
+
+
+@settings(max_examples=200, deadline=None)
+@example(np.zeros((1, 1), dtype=bool))
+@example(np.ones((1, 1), dtype=bool))
+@example(np.zeros((5, 5), dtype=bool))
+@example(np.eye(4, dtype=bool)[[0, 2, 2, 3]])
+@given(st.integers(1, 12).flatmap(lambda n: arrays(bool, (n, n))))
+def test_pattern_arcs_equal_nonzero(mask):
+    # the sampler's tables are built from these pairs, so values and dtype must be np.nonzero's
+    for m in (mask, mask.T):
+        got, want = graphs._pattern_arcs(m), np.nonzero(m)
+        assert len(got) == 2
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

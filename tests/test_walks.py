@@ -98,6 +98,10 @@ class TestFiniteMarkov:
         fm = FiniteMarkov.from_graph(cycle4()).with_start(2)
         assert fm.mu0[2] == 1.0 and fm.mu0.sum() == 1.0
 
+    def test_with_start_names_an_unknown_state(self):
+        with pytest.raises(ValueError, match=r"^start state 9 is not a chain state$"):
+            ruin_chain().with_start(9)
+
     def test_transfer(self):
         fm = FiniteMarkov.from_graph(cycle4())
         f = fm.as_vector({0: 1.0, 1: 0.0, 2: 0.0, 3: 0.0})
@@ -356,6 +360,10 @@ class TestExactKernelArithmetic:
         want = fm.mu0[0] * fm.kernel[0, 1] * fm.kernel[1, 2]
         assert abs(cylinder_mass(fm, [[0], [1], [2]]) - want) <= 1e-15
 
+    def test_cylinder_mass_names_an_unknown_state(self):
+        with pytest.raises(ValueError, match=r"^state 9 of E_1 is not a chain state$"):
+            cylinder_mass(ruin_chain(), [[0], [1, 9], [2]])
+
     def test_covariance_exact_is_stationary_invariant(self):
         fm = FiniteMarkov.from_graph(cycle4())
         f1 = {0: 1.0, 1: 0.0, 2: 0.0, 3: 0.0}
@@ -540,6 +548,12 @@ class TestMartingale:
         ens = simulate(ruin_chain(), 16, 40000, 77)
         rep = martingale_check(ens, {k: float(k == 2) for k in range(5)})
         assert not rep.passed
+
+    def test_ensemble_without_transitions_is_refused(self):
+        # zero steps leave every state untested, and an empty report would pass a non-harmonic h
+        ens = simulate(ruin_chain(), 0, 40000, 77)
+        with pytest.raises(ValueError, match="no transitions"):
+            martingale_check(ens, {k: float(k == 2) for k in range(5)})
 
     def test_doob_boundary(self):
         rep = doob_boundary_check(ruin_chain(), {k: k / 4 for k in range(5)}, 12, 3000, 55)
