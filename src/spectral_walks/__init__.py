@@ -98,7 +98,6 @@ from .circle import (
     DyadicAngle,
     SolenoidEnsemble,
     solenoid_walk,
-    solenoid_covariance_mc,
     solenoid_covariance_exact,
 )
 from .rng import mix64, derive_key, uniform

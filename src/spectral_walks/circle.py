@@ -18,7 +18,9 @@ rather than approximate.
 
 Solenoid walks live on exact dyadic rationals: the state after k steps
 from level-L start is numerator / 2^(L+k) with the numerator carried as
-an integer, so a long walk cannot drift.
+an integer, so a long walk cannot drift.  SolenoidEnsemble.evaluate
+matches walks.PathEnsemble.evaluate, so walks.covariance_mc estimates on
+both walks; the walk and those rows evaluate through TrigPoly.real_part.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ import numpy as np
 
 from .rng import path_keys, run_blocks, step_bits, step_uniforms
 from .tree import encode_int
-from .walks import mean_se
 
 __all__ = [
     "TrigPoly",
@@ -54,7 +55,6 @@ __all__ = [
     "strong_invariance_check",
     "v_adjoint_check",
     "solenoid_walk",
-    "solenoid_covariance_mc",
     "solenoid_covariance_exact",
 ]
 
@@ -154,60 +154,40 @@ class TrigPoly:
         return True
 
     def __call__(self, t):
-        """Evaluate at a scalar or array of positions (complex values)."""
-        re, im = self._evaluate(t, imaginary=True)
-        if re.ndim == 0:
-            return complex(float(re), float(im))
-        out = np.empty(re.shape, dtype=np.complex128)
-        out.real = re
-        out.imag = im
-        return out
+        """Complex values at a scalar or array of positions: sum complex(c_k) exp(-2 pi i k t) in sorted-k order."""
+        arr = np.asarray(t, dtype=np.float64)
+        out = np.zeros(arr.shape, dtype=np.complex128)
+        for k in sorted(self.coeffs):
+            out += complex(self.coeffs[k]) * np.exp((-2j * np.pi * k) * arr)
+        return complex(out) if arr.ndim == 0 else out
 
     def real_part(self, t):
-        """Real part of the value at a scalar or array of positions; no sines for real coefficients."""
-        re, _ = self._evaluate(t, imaginary=False)
-        return float(re) if re.ndim == 0 else re
+        """Real part of the value at a scalar or array of finite positions.
 
-    def _evaluate(self, t, imaginary: bool):
-        """Real part, and the imaginary part if asked, at finite positions t.
-
-        One cosine per distinct |k|, and one sine only where a term reads
-        it; the -k term reuses both (cos even, sin odd).  Terms accumulate
-        in sorted-k order, so for real coefficients every value equals,
-        bit for bit, the sum of complex(c_k) * exp(-2 pi i k t) in that
-        order: with a zero imaginary part numpy's complex product rounds
-        to c_k cos and c_k sin, and np.cos/np.sin are the parts of np.exp
-        (tests/test_evaluation.py keeps that sum as the oracle).
+        One cosine per distinct |k|, one sine only where a complex coefficient
+        reads it, both reused by the -k term.  Summed in sorted-k order, so for
+        real coefficients it is the real part of __call__ bit for bit.
         """
         arr = np.asarray(t, dtype=np.float64)
         terms = [(k, complex(self.coeffs[k])) for k in sorted(self.coeffs)]
-        with_sine = {abs(k) for k, c in terms if imaginary or c.imag != 0}
+        with_sine = {abs(k) for k, c in terms if c.imag != 0}
         re = np.zeros(arr.shape)
-        im = np.zeros(arr.shape) if imaginary else None
         term = np.empty(arr.shape)  # each product lands here, so no term allocates
         waves = {}
         for k, c in terms:
             if k == 0:
                 re += c.real
-                if imaginary:
-                    im += c.imag
                 continue
             if abs(k) not in waves:
                 theta = np.multiply(-2.0 * math.pi * abs(k), arr, out=np.empty(arr.shape))
                 sin = np.sin(theta) if abs(k) in with_sine else None
                 waves[abs(k)] = (np.cos(theta, out=theta), sin)
             cos, sin = waves[abs(k)]
-            # theta_{-k} = -theta_k: the sine changes sign with k
-            sign = 1.0 if k > 0 else -1.0
             if c.imag == 0:
                 re += np.multiply(c.real, cos, out=term)
-                if imaginary:
-                    im += np.multiply(sign * c.real, sin, out=term)
-            else:
-                re += c.real * cos - (sign * c.imag) * sin
-                if imaginary:
-                    im += (sign * c.real) * sin + c.imag * cos
-        return re, im
+            else:  # theta_{-k} = -theta_k: the sine changes sign with k
+                re += c.real * cos - (c.imag if k > 0 else -c.imag) * sin
+        return float(re) if re.ndim == 0 else re
 
     def __eq__(self, other):
         return isinstance(other, TrigPoly) and self.coeffs == other.coeffs
@@ -465,25 +445,28 @@ class SolenoidEnsemble:
         return self.numerators.shape[1] - 1
 
     def level(self, step: int) -> int:
+        """The level at one step; this and angles, evaluate and angle refuse a step outside 0..n_steps."""
+        if not 0 <= step <= self.n_steps:
+            raise ValueError(f"step {step} is outside 0..{self.n_steps}")
         return self.start_level + step
 
     def angles(self, step: int) -> np.ndarray:
         """Angle values at one step, as floats (exact up to 53-bit levels)."""
-        return self.numerators[:, step].astype(np.float64) / float(1 << self.level(step))
+        denom = float(1 << self.level(step))
+        return self.numerators[:, step].astype(np.float64) / denom
 
     def evaluate(self, f, step: int) -> np.ndarray:
-        """f at every path's angle at one step: f(angles(step)), one call to f.
+        """f(angles(step)) by one call to a pointwise f, such as a TrigPoly or its real_part.
 
-        f is any pointwise callable, such as a TrigPoly or its real_part.
-        When the step's numerators occupy a range of at most half as many
-        integers as the ensemble has paths (the whole column, not one of
-        the walk's blocks), f is called on that range and its values
-        gathered, with the same bits.
+        _at_dyadics decides on the whole column, not one of the walk's
+        blocks, whether f sees the occupied range instead: the same bits.
         """
-        return _at_dyadics(f, self.numerators[:, step], self.level(step))
+        level = self.level(step)
+        return _at_dyadics(f, self.numerators[:, step], level)
 
     def angle(self, path: int, step: int) -> DyadicAngle:
-        return DyadicAngle(int(self.numerators[path, step]), self.level(step))
+        level = self.level(step)
+        return DyadicAngle(int(self.numerators[path, step]), level)
 
 
 def _at_dyadics(fn, nums, level):
@@ -575,13 +558,6 @@ def solenoid_walk(w: TrigPoly, n_steps: int, n_paths: int, seed: int, start=Dyad
     out = np.empty((n_steps + 1, n_paths), dtype=np.uint64)
     run_blocks(partial(_solenoid_block, w, n_steps, start_level, start_num, seed, out), n_paths)
     return SolenoidEnsemble(seed=seed, start_level=start_level, numerators=out.T)
-
-
-def solenoid_covariance_mc(ens: SolenoidEnsemble, f1: TrigPoly, f2: TrigPoly, n: int):
-    """Ensemble estimate of E[f1(Z_n) f2(Z_{n+1})] (real part); returns (estimate, SE)."""
-    if n < 0 or n + 1 > ens.n_steps:
-        raise ValueError("need 0 <= n <= n_steps - 1")
-    return mean_se((ens.evaluate(f1, n) * ens.evaluate(f2, n + 1)).real)
 
 
 def solenoid_covariance_exact(w: TrigPoly, f1: TrigPoly, f2: TrigPoly, start, lags) -> list:

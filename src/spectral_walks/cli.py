@@ -250,14 +250,15 @@ def _cmd_spectra_growth(args) -> int:
 
 # ---------------------------------------------------------------- walk
 
-def _covariance_table(pairs, lags, values, exact):
+def _covariance_table(ens, functions, pairs, lags, exact):
     """The covariance table of E[f1(Z_n) f2(Z_{n+1})] per (f1, f2) pair and lag n, and whether a row failed.
 
     Rows are pair-major and lag-minor; the estimate and se of each come
     from walks.mean_se and the verdict from CheckRow.passed.
 
-    values(name, step) gives the values of the named function at step
-    `step` of every path.  Each is computed once per lag and dropped after
+    ens.evaluate(functions[name], step) gives the values of the named
+    function at step `step` of every path, for a graph walk and a
+    solenoid walk alike.  Each is computed once per lag and dropped after
     the last pair of that lag that reads it, so only one lag's arrays are
     alive at a time.  exact(f1, f2, n) gives the exact value; with exact
     None the exact and sigmas cells are None and no row is gated.
@@ -270,7 +271,7 @@ def _covariance_table(pairs, lags, values, exact):
         for pair, keys in zip(pairs, reads):
             for key in keys:
                 if key not in alive:
-                    alive[key] = values(*key)
+                    alive[key] = ens.evaluate(functions[key[0]], key[1])
             moments[pair, n] = wk.mean_se(alive[keys[0]] * alive[keys[1]])
             for key in keys:
                 uses[key] -= 1
@@ -312,12 +313,9 @@ def _cmd_walk_sim(args) -> int:
         "distance": fm.as_vector({v: float(g.distance[v]) for v in g.vertices}),
     }
     lags = [n for n in (0, 1, 4) if n + 1 <= args.steps]
-    covariance, failed = _covariance_table(
-        [("origin", "origin"), ("origin", "distance"), ("distance", "distance")],
-        lags,
-        lambda name, step: vecs[name][ens.trajectories[:, step]],
-        lambda f1, f2, n: wk.covariance_exact(fm, vecs[f1], vecs[f2], n),
-    )
+    pairs = [("origin", "origin"), ("origin", "distance"), ("distance", "distance")]
+    exact = lambda f1, f2, n: wk.covariance_exact(fm, vecs[f1], vecs[f2], n)
+    covariance, failed = _covariance_table(ens, vecs, pairs, lags, exact)
     tables = [("stationary", ["state", "solve", "conductance", "deviation"], rows_st), covariance]
     _emit(_meta(args), tables, args.out, args.output)
     return 1 if failed else 0
@@ -437,10 +435,9 @@ def _cmd_solenoid_walk(args) -> int:
         exact = lambda f1, f2, n: by_pair[f1, f2][lags.index(n)]
     # cos1 and cos2 are real with real coefficients, so the imaginary part of
     # their values is exactly +0.0 and the product of the real parts is
-    # (v1 * v2).real of solenoid_covariance_mc bit for bit
-    covariance, failed = _covariance_table(
-        pairs, lags, lambda name, step: ens.evaluate(polys[name].real_part, step), exact
-    )
+    # the real part of the complex product bit for bit
+    reals = {name: p.real_part for name, p in polys.items()}
+    covariance, failed = _covariance_table(ens, reals, pairs, lags, exact)
     _emit(_meta(args), [covariance], args.out, args.output)
     return 1 if failed else 0
 
@@ -643,7 +640,7 @@ def _verify_checks(quick: bool, seed: int):
         whalf = ci.TrigPoly.constant(Fraction(1, 2))
         sens = ci.solenoid_walk(whalf, 12, 20000, seed + 13, start=10)
         f1 = _cos_poly(1)
-        est, se = ci.solenoid_covariance_mc(sens, f1, f1, 3)
+        est, se = wk.covariance_mc(sens, f1.real_part, f1.real_part, 3)
         (exact,) = ci.solenoid_covariance_exact(whalf, f1, f1, 10, [3])
         ok = wk.CheckRow("", estimate=est, exact=exact, se=se).passed
         add("solenoid_covariance_half", ok, f"est {est:.5f} exact {exact:.5f}")

@@ -17,7 +17,7 @@ array core, WeightedGraph._build, which stores a table of the arcs
 leaving each vertex, in record order, and sums c(x) in int64 when the
 conductances are ints within a checked bound; the constructor then finds
 hop distances by _hop_counts, the package's one breadth-first search, a
-queue over that table (walks and spectra search the arcs _pattern_arcs
+queue over that table (walks and spectra search the table _pattern_arcs
 reads from a boolean matrix).  tree.tree_graph, whose records are valid
 by construction, calls the core directly and reads hop counts off its
 level order.  The dict views edges, adjacency, total and distance are
@@ -342,8 +342,12 @@ def _hop_counts(targets, starts, source) -> np.ndarray:
 
 
 def _pattern_arcs(mask):
-    """np.nonzero(mask) of a square boolean array by a flat scan and a divmod: ten times faster on 511 x 511."""
-    return np.divmod(np.flatnonzero(mask), len(mask))
+    """The arc table (rows, cols, starts) of a square boolean array, as _hop_counts reads it.
+
+    rows, cols is np.nonzero(mask) by a flat scan and a divmod, ten times faster on 511 x 511.
+    """
+    rows, cols = np.divmod(np.flatnonzero(mask), len(mask))
+    return rows, cols, np.searchsorted(rows, np.arange(len(mask) + 1))
 
 
 def _has_repeats(keys) -> bool:

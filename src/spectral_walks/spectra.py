@@ -111,8 +111,7 @@ def _blocks(a):
     a is block diagonal up to a permutation along these sets, so each
     block is solved on its own and its eigenvectors vanish exactly off it.
     """
-    rows, cols = _pattern_arcs(a != 0.0)
-    starts = np.searchsorted(rows, np.arange(len(a) + 1))
+    _, cols, starts = _pattern_arcs(a != 0.0)
     unseen = np.ones(len(a), dtype=bool)
     blocks = []
     while unseen.any():

@@ -13,7 +13,9 @@ estimator and one gate: every sample mean and its standard error come from
 `mean_se`, which refuses fewer than 2 samples, and every verdict from
 `CheckRow.passed`, which holds at most SIGMA_THRESHOLD = 5 SE and fails a
 NaN sigma.  The covariance and grouped checks here and the solenoid and
-CLI checks elsewhere all go through these two.
+CLI checks elsewhere all go through these two.  covariance_mc serves both
+walks through their ensembles' evaluate(f, step); as_vector refuses a
+state function that is not finite.
 """
 
 from __future__ import annotations
@@ -122,8 +124,11 @@ class FiniteMarkov:
         return arr
 
     def as_vector(self, f) -> np.ndarray:
-        """A state function (dict keyed by states, or array in state order) as an array."""
-        return self._as_vector_static(self.states, f)
+        """A state function (dict keyed by states, or array in state order) as an array; ValueError if not finite."""
+        vec = FiniteMarkov._as_vector_static(self.states, f)
+        if not np.isfinite(vec).all():
+            raise ValueError("state function has a non-finite value")
+        return vec
 
     def with_start(self, x) -> "FiniteMarkov":
         """Same kernel, started deterministically at x; ValueError when x is not a state."""
@@ -143,8 +148,8 @@ class FiniteMarkov:
 
 def _levels(positive):
     """(level, rows, cols): breadth-first levels from state 0, -1 where unreached, and the pattern's arcs."""
-    rows, cols = _pattern_arcs(positive)
-    return _hop_counts(cols, np.searchsorted(rows, np.arange(len(positive) + 1)), 0), rows, cols
+    rows, cols, starts = _pattern_arcs(positive)
+    return _hop_counts(cols, starts, 0), rows, cols
 
 
 def is_irreducible(fm: FiniteMarkov) -> bool:
@@ -222,8 +227,13 @@ class PathEnsemble:
     def n_steps(self) -> int:
         return self.trajectories.shape[1] - 1
 
-    def as_vector(self, f) -> np.ndarray:
-        return FiniteMarkov._as_vector_static(self.states, f)
+    as_vector = FiniteMarkov.as_vector
+
+    def evaluate(self, f, step: int) -> np.ndarray:
+        """The state function f at every path's state at one step; ValueError for a step outside 0..n_steps."""
+        if not 0 <= step <= self.n_steps:
+            raise ValueError(f"step {step} is outside 0..{self.n_steps}")
+        return self.as_vector(f)[self.trajectories[:, step]]
 
 
 def _sparse_rows(kernel: np.ndarray):
@@ -242,11 +252,10 @@ def _sparse_rows(kernel: np.ndarray):
     <= u picks the same state as the dense inverse CDF at every draw where
     that one takes a positive-probability step.
     """
-    positive = kernel > 0
-    degree = positive.sum(axis=1)
+    rows, cols, starts = _pattern_arcs(kernel > 0)
+    degree = np.diff(starts)
     width = 1 << (int(degree.max()) - 1).bit_length()
-    rows, cols = _pattern_arcs(positive)
-    slot = np.arange(len(rows)) - np.repeat(np.cumsum(degree) - degree, degree)
+    slot = np.arange(len(rows)) - starts[rows]
     probs = np.zeros((len(kernel), width))
     probs[rows, slot] = kernel[rows, cols]
     cum = np.cumsum(probs, axis=1)
@@ -333,13 +342,11 @@ def covariance_exact(fm: FiniteMarkov, f1, f2, n: int) -> float:
     return float(fm.mu0 @ g)
 
 
-def covariance_mc(ens: PathEnsemble, f1, f2, n: int):
-    """Ensemble estimate of E[f1(Z_n) f2(Z_{n+1})]; returns (estimate, SE)."""
+def covariance_mc(ens, f1, f2, n: int):
+    """Estimate of E[f1(Z_n) f2(Z_{n+1})] (real part) on a PathEnsemble or SolenoidEnsemble; returns (estimate, SE)."""
     if n < 0 or n + 1 > ens.n_steps:
         raise ValueError("need 0 <= n <= n_steps - 1")
-    v1 = ens.as_vector(f1)
-    v2 = ens.as_vector(f2)
-    return mean_se(v1[ens.trajectories[:, n]] * v2[ens.trajectories[:, n + 1]])
+    return mean_se((ens.evaluate(f1, n) * ens.evaluate(f2, n + 1)).real)
 
 
 def mean_se(samples: np.ndarray):
@@ -407,8 +414,10 @@ class CheckReport:
         return all(r.passed for r in self.rows)
 
 
-def _grouped_check(states, here, nxt, vec, exact, min_visits) -> CheckReport:
-    """Test E[vec(nxt) | here = i] = exact[i] for every state i.
+def _grouped_check(states, here, values, exact, min_visits) -> CheckReport:
+    """Test E[values | here = i] = exact[i] for every state i.
+
+    here (state indices) and values (samples) share one shape, 1-D or 2-D, read in C order.
 
     One sort groups the samples by conditioning state, keeping each group
     in its original order; states with fewer than min_visits samples are
@@ -422,14 +431,15 @@ def _grouped_check(states, here, nxt, vec, exact, min_visits) -> CheckReport:
     """
     if min_visits < 2:
         raise ValueError(f"min_visits must be at least 2 for a standard error, got {min_visits}")
-    shift = (len(here) - 1).bit_length()
+    shift = (here.size - 1).bit_length()
     dtype = np.uint32 if shift + (len(states) - 1).bit_length() <= 32 else np.uint64
-    keys = here.astype(dtype)
+    # astype copies into C order, so this ravel is a view
+    keys = here.astype(dtype).ravel()
     keys <<= shift
-    keys |= np.arange(len(here), dtype=dtype)
+    keys |= np.arange(here.size, dtype=dtype)
     keys.sort()
-    values = vec[nxt[keys & ((1 << shift) - 1)]]
-    bounds = [*np.searchsorted(keys, np.arange(len(states), dtype=dtype) << shift).tolist(), len(here)]
+    values = values.ravel()[keys & ((1 << shift) - 1)]
+    bounds = [*np.searchsorted(keys, np.arange(len(states), dtype=dtype) << shift).tolist(), here.size]
     rows = []
     skipped = []
     for i, x in enumerate(states):
@@ -452,7 +462,7 @@ def markov_check(ens: PathEnsemble, fm: FiniteMarkov, f, n: int, min_visits: int
         raise ValueError("need 0 <= n <= n_steps - 1")
     vec = fm.as_vector(f)
     traj = ens.trajectories
-    return _grouped_check(fm.states, traj[:, n], traj[:, n + 1], vec, fm.kernel @ vec, min_visits)
+    return _grouped_check(fm.states, traj[:, n], vec[traj[:, n + 1]], fm.kernel @ vec, min_visits)
 
 
 def harmonic_solve(fm: FiniteMarkov, boundary: dict) -> dict:
@@ -500,7 +510,7 @@ def martingale_check(ens: PathEnsemble, h, min_visits: int = 100) -> CheckReport
         raise ValueError("need n_steps >= 1: the ensemble has no transitions")
     vec = ens.as_vector(h)
     traj = ens.trajectories
-    return _grouped_check(ens.states, traj[:, :-1].ravel(), traj[:, 1:].ravel(), vec, vec, min_visits)
+    return _grouped_check(ens.states, traj[:, :-1], vec[traj[:, 1:]], vec, min_visits)
 
 
 def doob_boundary_check(fm: FiniteMarkov, h, N: int, n_paths: int, seed: int) -> CheckReport:

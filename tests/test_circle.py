@@ -25,8 +25,8 @@ from spectral_walks import (
     v_adjoint_check,
     DyadicAngle,
     solenoid_walk,
-    solenoid_covariance_mc,
     solenoid_covariance_exact,
+    covariance_mc,
 )
 from spectral_walks.circle import _phihat_grid
 
@@ -335,7 +335,7 @@ class TestSolenoid:
         c1 = TrigPoly({1: Fraction(1, 2), -1: Fraction(1, 2)})
         c2 = TrigPoly({2: Fraction(1, 2), -2: Fraction(1, 2)})
         for f1, f2, lag in ((c1, c1, 0), (c1, c2, 3), (c2, c2, 5)):
-            est, se = solenoid_covariance_mc(ens, f1, f2, lag)
+            est, se = covariance_mc(ens, f1, f2, lag)
             (exact,) = solenoid_covariance_exact(w, f1, f2, 10, [lag])
             assert exact == float((f1 * circle_transfer_apply(w, f2, 2)).integral())
             assert abs(est - exact) <= 5 * max(se, 1e-12)
@@ -345,7 +345,7 @@ class TestSolenoid:
         c2 = TrigPoly({2: Fraction(1, 2), -2: Fraction(1, 2)})
         exact = solenoid_covariance_exact(w, c2, c2, DyadicAngle(0, 0), [1, 0, 1])
         ens = solenoid_walk(w, 4, 50, 9)
-        est, se = solenoid_covariance_mc(ens, c2, c2, 1)
+        est, se = covariance_mc(ens, c2, c2, 1)
         assert se == 0.0 and exact == [est] * 3 == [1.0] * 3
 
     @pytest.mark.parametrize("name", ["half", "haar"])

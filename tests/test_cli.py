@@ -5,12 +5,13 @@ import math
 import weakref
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spectral_walks import cli
+from spectral_walks import cli, walks
 from spectral_walks.cli import run
 from spectral_walks import (
     decode_int,
@@ -136,6 +137,11 @@ class TestCovarianceTable:
 
     PAIRS = [("a", "a"), ("a", "b"), ("b", "b")]
 
+    @staticmethod
+    def table(values, pairs, lags, exact):
+        # the table reads ens.evaluate(functions[name], step): here each name is its own function
+        return cli._covariance_table(SimpleNamespace(evaluate=values), {n: n for n in "abn"}, pairs, lags, exact)
+
     def test_each_value_once_per_lag_and_one_lag_alive(self):
         rng = np.random.default_rng(3)
         table = {(name, step): rng.normal(size=50) for name in "ab" for step in range(6)}
@@ -149,7 +155,7 @@ class TestCovarianceTable:
             return arr
 
         refs = []
-        (name, columns, rows), failed = cli._covariance_table(self.PAIRS, [0, 4], values, None)
+        (name, columns, rows), failed = self.table(values, self.PAIRS, [0, 4], None)
         assert (name, columns) == ("covariance", ["f1", "f2", "lag", "estimate", "exact", "se", "sigmas"])
         assert calls == [("a", 0), ("a", 1), ("b", 1), ("b", 0), ("a", 4), ("a", 5), ("b", 5), ("b", 4)]
         # at most one earlier array is alive when the next is made, and none from an earlier lag
@@ -167,23 +173,29 @@ class TestCovarianceTable:
         def values(name, step):
             return {"a": ones, "b": spread, "n": np.full(10, np.nan)}[name]
 
-        (_, _, rows), failed = cli._covariance_table([("a", "a")], [0], values, lambda f1, f2, n: 1.0)
+        (_, _, rows), failed = self.table(values, [("a", "a")], [0], lambda f1, f2, n: 1.0)
         assert not failed and rows[0][4:] == [1.0, 0.0, 0.0]
-        (_, _, rows), failed = cli._covariance_table([("a", "b")], [0], values, lambda f1, f2, n: -1.0)
+        (_, _, rows), failed = self.table(values, [("a", "b")], [0], lambda f1, f2, n: -1.0)
         assert failed and rows[0][6] > 5.0
         # a NaN sigma fails the table, wherever it sits
         for pairs in ([("n", "a"), ("a", "a")], [("a", "a"), ("n", "a")]):
-            (_, _, rows), failed = cli._covariance_table(pairs, [0], values, lambda f1, f2, n: 1.0)
+            (_, _, rows), failed = self.table(values, pairs, [0], lambda f1, f2, n: 1.0)
             assert failed and any(math.isnan(r[6]) for r in rows)
 
 
 class TestVerifyMonteCarloRows:
-    @pytest.mark.parametrize("target, check", [
-        ("spectral_walks.walks.covariance_mc", "covariance_mc_vs_exact"),
-        ("spectral_walks.circle.solenoid_covariance_mc", "solenoid_covariance_half"),
+    # both rows estimate through walks.covariance_mc; a NaN on one kind of ensemble fails that row alone
+    @pytest.mark.parametrize("ensemble, check", [
+        ("PathEnsemble", "covariance_mc_vs_exact"),
+        ("SolenoidEnsemble", "solenoid_covariance_half"),
     ])
-    def test_a_nan_estimate_fails_its_row(self, capsys, monkeypatch, target, check):
-        monkeypatch.setattr(target, lambda *args: (math.nan, 0.01))
+    def test_a_nan_estimate_fails_its_row(self, capsys, monkeypatch, ensemble, check):
+        inner = walks.covariance_mc
+
+        def nan_on(ens, *args):
+            return (math.nan, 0.01) if type(ens).__name__ == ensemble else inner(ens, *args)
+
+        monkeypatch.setattr(walks, "covariance_mc", nan_on)
         rc, out, _ = invoke(capsys, ["verify", "all", "--seed", "2"])
         failing = [line.split(",")[0] for line in out.splitlines() if line.split(",")[1:2] == ["fail"]]
         assert (rc, failing) == (1, [check])

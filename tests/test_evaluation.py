@@ -1,11 +1,12 @@
 """TrigPoly evaluation against the complex-exp loop, ring laws, and solenoid pins.
 
-The oracle below is the evaluation TrigPoly used to do: one complex
-exponential per stored frequency, summed in sorted-k order.  The
-evaluator takes one cosine (and sine) per distinct |k| instead, and
-must return the oracle's values bit for bit whenever the coefficients
-are real (int, Fraction or float).  Complex coefficients may differ by
-rounding only.
+The oracle below is the sum TrigPoly.__call__ computes: one complex
+exponential per stored frequency, summed in sorted-k order, so __call__
+must return its values bit for bit.  The fast evaluator real_part takes
+one cosine per distinct |k| (and a sine only for a complex coefficient),
+and must return the oracle's real part bit for bit whenever the
+coefficients are real (int, Fraction or float); for complex coefficients
+it may differ by rounding only.
 """
 
 import contextlib
@@ -96,7 +97,7 @@ class TestAgainstComplexExp:
         p = TrigPoly(coeffs)
         want = complex_exp_oracle(p, ts)
         tol = 1e-12 * sum(abs(complex(c)) for c in p.coeffs.values())
-        assert float(np.max(np.abs(p(ts) - want), initial=0.0)) <= tol
+        assert np.array_equal(bits(p(ts)), bits(want))
         assert float(np.max(np.abs(p.real_part(ts) - want.real), initial=0.0)) <= tol
 
     def test_shapes(self):
@@ -121,15 +122,9 @@ class TestOneWavePerFrequency:
             monkeypatch.setattr(np, name, counted)
         return calls
 
-    def test_call_takes_one_cosine_and_sine_per_abs_frequency(self, monkeypatch):
-        w = w_from_filter(four_tap_filter())
-        assert sorted(w.coeffs) == [-3, -2, -1, 0, 1, 2, 3]
-        calls = self.count_calls(monkeypatch)
-        w(np.linspace(0, 1, 64))
-        assert calls == {"cos": 3, "sin": 3}
-
     def test_real_part_takes_no_sine_for_real_coefficients(self, monkeypatch):
         w = w_from_filter(four_tap_filter())
+        assert sorted(w.coeffs) == [-3, -2, -1, 0, 1, 2, 3]
         calls = self.count_calls(monkeypatch)
         w.real_part(np.linspace(0, 1, 64))
         assert calls == {"cos": 3, "sin": 0}

@@ -319,8 +319,8 @@ def test_dense_bfs_levels_match_a_queue_search(case):
             if arc and want[y] < 0:
                 want[y] = want[x] + 1
                 queue.append(y)
-    rows, cols = graphs._pattern_arcs(np.array(arcs))
-    assert graphs._hop_counts(cols, np.searchsorted(rows, np.arange(len(arcs) + 1)), source).tolist() == want
+    _, cols, starts = graphs._pattern_arcs(np.array(arcs))
+    assert graphs._hop_counts(cols, starts, source).tolist() == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -332,10 +332,13 @@ def test_dense_bfs_levels_match_a_queue_search(case):
 def test_pattern_arcs_equal_nonzero(mask):
     # the sampler's tables are built from these pairs, so values and dtype must be np.nonzero's
     for m in (mask, mask.T):
-        got, want = graphs._pattern_arcs(m), np.nonzero(m)
-        assert len(got) == 2
-        for a, b in zip(got, want):
+        rows, cols, starts = graphs._pattern_arcs(m)
+        for a, b in zip((rows, cols), np.nonzero(m)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
+        # starts[x] is the first arc out of x: the row counts summed from 0, one entry per vertex and one past
+        want = np.concatenate([[0], np.cumsum(m.sum(axis=1))])
+        assert starts.dtype == np.intp and starts.tolist() == want.tolist()
+        assert all((cols[starts[x]:starts[x + 1]] == np.flatnonzero(m[x])).all() for x in range(len(m)))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -362,6 +362,17 @@ class TestGroupedEstimator:
         want = mask_check(fm.states, prev, nxt, vec, vec, min_visits)
         assert martingale_check(ens, vec, min_visits) == want
 
+    @SETTINGS
+    @given(fm=chains(), seed=st.integers(0, _MASK), n_steps=st.integers(1, 9), n_paths=st.integers(2, 400),
+           min_visits=st.integers(2, 60), f=st.lists(st.floats(-10, 10, allow_nan=False), min_size=9, max_size=9))
+    def test_martingale_reads_the_trajectory_views_as_raveled_copies(self, fm, seed, n_steps, n_paths, min_visits, f):
+        # the check hands the 2-D views to the estimator; raveled copies of them are the 1-D reading
+        ens = simulate(fm, n_steps, n_paths, seed)
+        vec = np.array(f[: len(fm)])
+        traj = ens.trajectories
+        want = walks._grouped_check(fm.states, traj[:, :-1].ravel(), vec[traj[:, 1:].ravel()], vec, min_visits)
+        assert martingale_check(ens, vec, min_visits) == want
+        assert want == mask_check(fm.states, traj[:, :-1].ravel(), traj[:, 1:].ravel(), vec, vec, min_visits)
 
     @pytest.mark.parametrize("n_states", [2, 255, 256, 257, 65536, 65537])
     def test_labels_at_the_narrow_type_edges(self, n_states):
@@ -371,7 +382,7 @@ class TestGroupedEstimator:
         nxt = rs.integers(0, n_states, len(here))
         vec, exact = rs.random(n_states), rs.random(n_states)
         states = tuple(range(n_states))
-        assert walks._grouped_check(states, here, nxt, vec, exact, 50) == mask_check(states, here, nxt, vec, exact, 50)
+        assert walks._grouped_check(states, here, vec[nxt], exact, 50) == mask_check(states, here, nxt, vec, exact, 50)
 
     @SETTINGS
     @given(seed=st.integers(0, _MASK), wide=st.booleans(), hot=st.integers(1, 8), min_visits=st.integers(2, 40))
@@ -391,20 +402,20 @@ class TestGroupedEstimator:
         vec, exact = rs.random(n_states), rs.random(n_states)
         states = tuple(range(n_states))
         want = argsort_check(states, here, nxt, vec, exact, min_visits)
-        assert walks._grouped_check(states, here, nxt, vec, exact, min_visits) == want
+        assert walks._grouped_check(states, here, vec[nxt], exact, min_visits) == want
         assert want.rows and want.skipped[-1] == n_states - 1
 
     def test_more_than_65536_states_sort_wide_labels(self):
         rs = np.random.default_rng(7)
         here, nxt = rs.integers(0, 40, 3000), rs.integers(0, 40, 3000)
         vec, exact = rs.random(70000), rs.random(70000)
-        narrow = walks._grouped_check(tuple(range(40)), here, nxt, vec, exact, 50)
-        wide = walks._grouped_check(tuple(range(70000)), here, nxt, vec, exact, 50)
+        narrow = walks._grouped_check(tuple(range(40)), here, vec[nxt], exact, 50)
+        wide = walks._grouped_check(tuple(range(70000)), here, vec[nxt], exact, 50)
         assert wide.rows == narrow.rows and wide.skipped == narrow.skipped + tuple(range(40, 70000))
         # labels from 65500 up: in 16 bits the ones past 65535 would wrap and sort first
         high = here + 65500
         want = mask_check(tuple(range(70000)), high, nxt, vec, exact, 50)
-        assert walks._grouped_check(tuple(range(70000)), high, nxt, vec, exact, 50) == want
+        assert walks._grouped_check(tuple(range(70000)), high, vec[nxt], exact, 50) == want
 
 
 # ---------------------------------------------------------------- block plan

@@ -5,7 +5,7 @@ an OR, evaluates W once per integer of the occupied numerator range and
 draws nothing on a step whose branches are all certain; the CLI
 evaluates the real part of each (f, step) pair once.  None of this may
 move a drawn value or an output byte, so the oracles below are the
-path-major np.where walk, direct evaluation, solenoid_covariance_mc and
+path-major np.where walk, direct evaluation, walks.covariance_mc and
 sha256 pins recorded before any of it, compared bit for bit.
 """
 
@@ -17,6 +17,7 @@ import math
 import os
 import tempfile
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -27,9 +28,10 @@ from spectral_walks import (
     DyadicAngle,
     TrigPoly,
     cli,
+    covariance_mc,
     four_tap_filter,
     haar_filter,
-    solenoid_covariance_mc,
+    mean_se,
     solenoid_walk,
     w_from_filter,
 )
@@ -162,6 +164,40 @@ class TestStepMajorWalk:
                     assert ens.evaluate(f, k).tobytes() == f(ens.angles(k)).tobytes()
                     assert ens.evaluate(f.real_part, k).tobytes() == f.real_part(ens.angles(k)).tobytes()
 
+    def test_steps_outside_the_walk_are_refused(self):
+        # from level 3, step -1 once read the last step's numerators over 2^2 and step 5 raised IndexError
+        ens = solenoid_walk(HALF, 4, 3, 8, start=3)
+        reads = (ens.level, ens.angles, partial(ens.evaluate, COS1), partial(ens.angle, 0))
+        for step in (-1, -5, 5, 6):
+            for read in reads:
+                with pytest.raises(ValueError, match=rf"^step {step} is outside 0\.\.4$"):
+                    read(step)
+        assert (ens.level(0), ens.level(4), ens.angle(2, 4).level) == (3, 7, 7)
+        assert ens.angles(4).tobytes() == (ens.numerators[:, 4].astype(np.float64) / 128.0).tobytes()
+
+
+# TrigPolys with complex, float and Fraction coefficients
+complex_polys = st.dictionaries(
+    st.integers(-6, 6),
+    st.one_of(st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False),
+              st.floats(-4, 4), st.fractions(-4, 4, max_denominator=16)),
+    max_size=5,
+).map(TrigPoly)
+
+
+class TestOneCovarianceEstimator:
+    """walks.covariance_mc on a solenoid ensemble is the estimator it replaced, bit for bit."""
+
+    @SETTINGS
+    @given(f1=complex_polys, f2=complex_polys, start=st.integers(0, 20), n=st.integers(0, 4),
+           seed=st.integers(0, (1 << 64) - 1))
+    def test_equals_the_complex_product_of_values_at_the_angles(self, f1, f2, start, n, seed):
+        ens = solenoid_walk(FOUR_TAP, 5, 300, seed, start=start)
+        got = covariance_mc(ens, f1, f2, n)
+        # the removed circle estimator, and the same product read off angles directly
+        removed = mean_se((ens.evaluate(f1, n) * ens.evaluate(f2, n + 1)).real)
+        direct = mean_se((f1(ens.angles(n)) * f2(ens.angles(n + 1))).real)
+        assert [x.hex() for x in got] == [x.hex() for x in removed] == [x.hex() for x in direct]
 
 class TestCertainSteps:
     """A step where every path goes low for certain draws no uniforms; the others draw once per block."""
@@ -329,7 +365,7 @@ class TestCovarianceTable:
                 for n in (0, 6, 11)]
         assert [tuple(r[:3]) for r in rows] == want
         for n1, n2, n, est, _, se, _ in rows:
-            e, s = solenoid_covariance_mc(ens, polys[n1], polys[n2], n)
+            e, s = covariance_mc(ens, polys[n1], polys[n2], n)
             assert (float(est).hex(), float(se).hex()) == (e.hex(), s.hex())
         assert plans.all_split() == (threads == "2")
 

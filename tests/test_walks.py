@@ -472,6 +472,26 @@ class TestChecks:
             est, se = covariance_mc(ens, f1, f2, n)
             assert abs(est - exact) <= 5 * se
 
+    @settings(max_examples=60, deadline=None)
+    @given(g=graphs(), seed=st.integers(0, (1 << 64) - 1), n=st.integers(0, 4), data=st.data())
+    def test_covariance_mc_equals_the_gather_formula(self, g, seed, n, data):
+        fm = FiniteMarkov.from_graph(g)
+        ens = simulate(fm, 5, 200, seed)
+        values = st.floats(-10, 10, allow_nan=False)
+        f1, f2 = ({s: data.draw(values) for s in fm.states} for _ in range(2))
+        v1, v2 = fm.as_vector(f1), fm.as_vector(f2)
+        want = mean_se(v1[ens.trajectories[:, n]] * v2[ens.trajectories[:, n + 1]])
+        assert [x.hex() for x in covariance_mc(ens, f1, f2, n)] == [x.hex() for x in want]
+
+    def test_evaluate_refuses_steps_outside_the_walk(self):
+        fm = FiniteMarkov.from_graph(cycle4())
+        ens = simulate(fm, 3, 10, 1)
+        f = {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}
+        for step in (-1, -4, 4):
+            with pytest.raises(ValueError, match=rf"^step {step} is outside 0\.\.3$"):
+                ens.evaluate(f, step)
+        assert ens.evaluate(f, 3).tolist() == [f[s] for s in ens.trajectories[:, 3].tolist()]
+
     def test_covariance_mc_bounds(self):
         fm = FiniteMarkov.from_graph(cycle4())
         ens = simulate(fm, 3, 100, 1)
@@ -536,6 +556,43 @@ class TestHarmonic:
     def test_non_finite_boundary_value(self, bad):
         with pytest.raises(ValueError, match="not finite"):
             harmonic_solve(ruin_chain(), {0: 0.0, 4: bad})
+
+
+def _non_finite_entry_points():
+    """Every public route by which a state function enters the walks layer, as (fm, ens, f) -> call."""
+    return {
+        "FiniteMarkov.as_vector": lambda fm, ens, f: fm.as_vector(f),
+        "PathEnsemble.as_vector": lambda fm, ens, f: ens.as_vector(f),
+        "PathEnsemble.evaluate": lambda fm, ens, f: ens.evaluate(f, 1),
+        "transfer": lambda fm, ens, f: fm.transfer(f),
+        "ergodic_limit": lambda fm, ens, f: ergodic_limit(fm, f),
+        "covariance_exact": lambda fm, ens, f: covariance_exact(fm, fm.as_vector(np.ones(len(fm))), f, 1),
+        "covariance_mc": lambda fm, ens, f: covariance_mc(ens, f, np.ones(len(fm)), 1),
+        "markov_check": lambda fm, ens, f: markov_check(ens, fm, f, 1, min_visits=2),
+        "martingale_check": lambda fm, ens, f: martingale_check(ens, f, min_visits=2),
+        "doob_boundary_check": lambda fm, ens, f: doob_boundary_check(fm, f, 2, 10, 1),
+    }
+
+
+class TestNonFiniteStateFunctions:
+    """A NaN or infinite value of a state function is refused where it enters, before any sampling or iteration.
+
+    Without the check, tree_graph(6) with one NaN value ran ergodic_limit through 100000 kernel
+    products before saying "did not flatten", and the covariances came back NaN.
+    """
+
+    @pytest.mark.parametrize("entry", sorted(_non_finite_entry_points()))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("form", ["dict", "array"])
+    def test_refused(self, entry, bad, form):
+        fm = FiniteMarkov.from_graph(tree_graph(6))
+        ens = simulate(fm, 3, 50, 1)
+        f = {x: float(len(x)) for x in fm.states}
+        f[fm.states[40]] = bad
+        if form == "array":
+            f = np.array([f[x] for x in fm.states])
+        with pytest.raises(ValueError, match="^state function has a non-finite value$"):
+            _non_finite_entry_points()[entry](fm, ens, f)
 
 
 class TestMartingale:
