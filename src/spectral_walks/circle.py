@@ -319,7 +319,7 @@ def _phihat_grid(a, ts: np.ndarray, depth: int) -> np.ndarray:
     mp = modulation(a)
     acc = np.ones(ts.shape, dtype=np.complex128)
     for j in range(depth, 0, -1):
-        u = ts / float(1 << j)
+        u = np.ldexp(ts, -j)
         acc = acc * np.asarray(mp(u), dtype=np.complex128)
     return acc
 
@@ -335,7 +335,9 @@ def cascade_phihat(a, t: float, depth: int) -> complex:
     as an equality of floats, not just to rounding: t/2^j == (t/2)/2^(j-1)
     bitwise, each factor is evaluated through TrigPoly.__call__, and the
     left-multiplied Python-complex accumulation below builds the same
-    product tree a caller composing those two expressions would.
+    product tree a caller composing those two expressions would.  t/2^j
+    is ldexp(t, -j), the bits of the division without the float 2^j,
+    which overflows from j = 1024.
     """
     if depth < 1:
         raise ValueError("cascade depth must be at least 1")
@@ -343,7 +345,7 @@ def cascade_phihat(a, t: float, depth: int) -> complex:
     tf = float(t)
     acc = complex(1.0)
     for j in range(depth, 0, -1):
-        acc = complex(mp(tf / float(1 << j))) * acc
+        acc = complex(mp(math.ldexp(tf, -j))) * acc
     return acc
 
 

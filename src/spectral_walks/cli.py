@@ -5,13 +5,14 @@ encodings), spectra (Gram eigensystems and growth), walk (graph chains),
 wavelet (filters on the circle), solenoid (dyadic inverse-orbit walks),
 and verify (the built-in check suite).
 
-Every run emits a metadata block {version, seed, config} followed by
-named tables, as CSV (default) or JSON.  The config field is a hash of
-the parsed arguments, so identical invocations produce byte-identical
-output; there are no timestamps anywhere.  Exit codes: 0 all checks
-passed, 1 a numeric or statistical check failed, 2 bad input, 3 a
-computation could not finish (no convergence, a residual breach,
-another arithmetic error, or memory exhausted).
+Each command returns its named tables and whether a check failed; run
+alone writes them, a metadata block {version, seed, config} followed by
+the tables, as CSV (default) or JSON, and picks the exit code.  The
+config field is a hash of the parsed arguments, so identical invocations
+produce byte-identical output; there are no timestamps anywhere.  Exit
+codes: 0 all checks passed, 1 a numeric or statistical check failed, 2
+bad input, 3 a computation could not finish (no convergence, a residual
+breach, another arithmetic error, or memory exhausted).
 """
 
 from __future__ import annotations
@@ -72,64 +73,55 @@ def _json_scalar(v) -> str:
     return json.dumps(str(v) if not isinstance(v, str) else v)
 
 
-# exact types whose cell is one call, the same bytes as _json_scalar gives; a subclass
-# (bool, numpy scalars) still takes the general formatter, and so does a float, whose
-# nan and inf cells are quoted
-_JSON_CELLS = {int: str, str: json.dumps}
-_PLAIN_CELLS = frozenset((int, str))
+# the exact cell types whose column prints as %s, per format: JSON quotes every str
+_PLAIN_CELLS = {"csv": frozenset((int, str)), "json": frozenset((int,))}
 _FLOAT_CELLS = frozenset((float,))
 
 
-def _csv_rows(rows) -> str:
-    """The CSV lines of a table's rows, the bytes _cell_csv gives cell by cell, made by one %.
+def _rows_text(rows, out_format: str) -> str:
+    """A table's rows in out_format, the bytes its per-cell rule gives cell by cell, made by one %.
 
-    A column whose cells are all exactly int or str formats as %s (their
-    str), one of exact floats as %.17g (_fmt_float's format); any other
-    column, bool and numpy scalars included, is first turned into
-    _cell_csv strings.
+    A column whose cells are all exactly int (in CSV, int or str) formats
+    as %s (their str), and one of exact floats as %.17g (_fmt_float's
+    format), in JSON only when every cell is finite, since JSON quotes
+    nan and inf.  Any other column, bool and numpy scalars included, is
+    first turned into strings by the format's per-cell rule, _cell_csv or
+    _json_scalar.  Rows of unequal length raise ValueError.
     """
+    json_rows = out_format == "json"
     columns = list(zip(*rows, strict=True))
     spec = []
     for j, column in enumerate(columns):
         kinds = set(map(type, column))
-        if kinds <= _PLAIN_CELLS:
+        if kinds <= _PLAIN_CELLS[out_format]:
             spec.append("%s")
-        elif kinds == _FLOAT_CELLS:
+        elif kinds == _FLOAT_CELLS and (not json_rows or all(map(math.isfinite, column))):
             spec.append("%.17g")
         else:
             spec.append("%s")
-            columns[j] = list(map(_cell_csv, column))
-    return "\n".join([",".join(spec)] * len(rows)) % tuple(chain.from_iterable(zip(*columns)))
+            columns[j] = list(map(_json_scalar if json_rows else _cell_csv, column))
+    cells = tuple(chain.from_iterable(zip(*columns)))
+    if json_rows:
+        return ",\n".join(["        [" + ", ".join(spec) + "]"] * len(rows)) % cells
+    return "\n".join([",".join(spec)] * len(rows)) % cells
 
 
 def _emit(meta: dict, tables: list, out_format: str, path) -> None:
     if out_format == "json":
-        parts = ["{\n  \"meta\": {"]
-        meta_items = [f"\n    {json.dumps(k)}: {_json_scalar(v)}" for k, v in meta.items()]
-        parts.append(",".join(meta_items))
-        parts.append("\n  },\n  \"tables\": {")
-        tparts = []
-        for name, columns, rows in tables:
-            cols = ", ".join(json.dumps(c) for c in columns)
-            rlines = []
-            for row in rows:
-                cells = [_JSON_CELLS.get(type(v), _json_scalar)(v) for v in row]
-                rlines.append("        [" + ", ".join(cells) + "]")
-            body = ",\n".join(rlines)
-            tparts.append(
-                f"\n    {json.dumps(name)}: {{\n      \"columns\": [{cols}],\n"
-                f"      \"rows\": [\n{body}\n      ]\n    }}"
-            )
-        parts.append(",".join(tparts))
-        parts.append("\n  }\n}\n")
-        text = "".join(parts)
+        meta_items = ",".join(f"\n    {json.dumps(k)}: {_json_scalar(v)}" for k, v in meta.items())
+        table_items = ",".join(
+            f"\n    {json.dumps(name)}: {{\n      \"columns\": [{', '.join(map(json.dumps, columns))}],\n"
+            f"      \"rows\": [\n{_rows_text(rows, out_format)}\n      ]\n    }}"
+            for name, columns, rows in tables
+        )
+        text = f"{{\n  \"meta\": {{{meta_items}\n  }},\n  \"tables\": {{{table_items}\n  }}\n}}\n"
     else:
         lines = [f"# {k}={_cell_csv(v)}" for k, v in meta.items()]
         for name, columns, rows in tables:
             lines.append(f"# table={name}")
             lines.append(",".join(columns))
             if rows:
-                lines.append(_csv_rows(rows))
+                lines.append(_rows_text(rows, out_format))
         text = "\n".join(lines) + "\n"
     if path:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -161,7 +153,7 @@ def _parse_word(text: str) -> str:
 
 # ---------------------------------------------------------------- tree
 
-def _cmd_tree_dipole(args) -> int:
+def _cmd_tree_dipole(args) -> tuple:
     x = _parse_word(args.x)
     if x == "":
         raise ValueError("the root carries no dipole; pick a nonempty word")
@@ -173,20 +165,17 @@ def _cmd_tree_dipole(args) -> int:
     labels = list(g.vertices)
     labels[0] = _word_label(g.vertices[0], args.out)  # the origin, the only empty word
     rows = list(zip(labels, column[:, 0].tolist(), defect.tolist()))
-    bad = bool(defect.any())
-    _emit(_meta(args), [("dipole", ["vertex", "value", "defect"], rows)], args.out, args.output)
-    return 1 if bad else 0
+    return [("dipole", ["vertex", "value", "defect"], rows)], bool(defect.any())
 
 
-def _cmd_tree_encode(args) -> int:
+def _cmd_tree_encode(args) -> tuple:
     w = _parse_word(args.word)
     rows = [("nat", tr.encode_nat(w))]
     if w != "":
         rows.append(("int", tr.encode_int(w)))
         rows.append(("int_canonical", _word_label(tr.decode_int(tr.encode_int(w)), args.out)))
     rows.append(("nat_canonical", _word_label(tr.decode_nat(tr.encode_nat(w)), args.out)))
-    _emit(_meta(args), [("encodings", ["quantity", "value"], rows)], args.out, args.output)
-    return 0
+    return [("encodings", ["quantity", "value"], rows)], False
 
 
 # ---------------------------------------------------------------- spectra
@@ -198,7 +187,7 @@ def _parse_words(text: str) -> tuple:
     return words
 
 
-def _cmd_spectra_gram(args) -> int:
+def _cmd_spectra_gram(args) -> tuple:
     words = _parse_words(args.words)
     gs = sp.gram_spectrum(words)
     n = len(words)
@@ -222,12 +211,10 @@ def _cmd_spectra_gram(args) -> int:
         ),
         ("reciprocity", ["lambda", "energy_route", "coefficient_route", "gap"], rec_rows),
     ]
-    _emit(_meta(args), tables, args.out, args.output)
-    worst = max((r[3] for r in rec_rows), default=0.0)
-    return 1 if worst > 1e-9 else 0
+    return tables, max((r[3] for r in rec_rows), default=0.0) > 1e-9
 
 
-def _cmd_spectra_growth(args) -> int:
+def _cmd_spectra_growth(args) -> tuple:
     if args.max_depth < 1:
         raise ValueError("max depth must be at least 1")
     tr._check_depth(args.max_depth)  # refused before the first, cheap depths run
@@ -239,13 +226,7 @@ def _cmd_spectra_growth(args) -> int:
         dev = abs(total - len(words))
         worst = max(worst, dev)
         rows.append([d, len(words), total, dev])
-    _emit(
-        _meta(args),
-        [("growth", ["depth", "set_size", "coefficient_sum_squares", "deviation"], rows)],
-        args.out,
-        args.output,
-    )
-    return 1 if worst > 1e-8 else 0
+    return [("growth", ["depth", "set_size", "coefficient_sum_squares", "deviation"], rows)], worst > 1e-8
 
 
 # ---------------------------------------------------------------- walk
@@ -260,8 +241,8 @@ def _covariance_table(ens, functions, pairs, lags, exact):
     function at step `step` of every path, for a graph walk and a
     solenoid walk alike.  Each is computed once per lag and dropped after
     the last pair of that lag that reads it, so only one lag's arrays are
-    alive at a time.  exact(f1, f2, n) gives the exact value; with exact
-    None the exact and sigmas cells are None and no row is gated.
+    alive at a time.  exact[f1, f2] lists the exact values in lag order;
+    with exact None the exact and sigmas cells are None and no row is gated.
     """
     moments = {}
     for n in lags:
@@ -280,12 +261,12 @@ def _covariance_table(ens, functions, pairs, lags, exact):
     rows = []
     failed = False
     for f1, f2 in pairs:
-        for n in lags:
+        for k, n in enumerate(lags):
             est, se = moments[(f1, f2), n]
             if exact is None:
                 rows.append([f1, f2, n, est, None, se, None])
                 continue
-            row = wk.CheckRow(label="", estimate=est, exact=exact(f1, f2, n), se=se)
+            row = wk.CheckRow(label="", estimate=est, exact=exact[f1, f2][k], se=se)
             failed = failed or not row.passed
             rows.append([f1, f2, n, est, row.exact, se, row.sigmas])
     return ("covariance", ["f1", "f2", "lag", "estimate", "exact", "se", "sigmas"], rows), failed
@@ -297,7 +278,7 @@ def _need_steps(steps: int) -> None:
         raise ValueError(f"--steps {steps}: a covariance row needs at least 1 step")
 
 
-def _cmd_walk_sim(args) -> int:
+def _cmd_walk_sim(args) -> tuple:
     _need_steps(args.steps)
     g = load_graph(args.graph)
     fm = wk.FiniteMarkov.from_graph(g)
@@ -314,11 +295,9 @@ def _cmd_walk_sim(args) -> int:
     }
     lags = [n for n in (0, 1, 4) if n + 1 <= args.steps]
     pairs = [("origin", "origin"), ("origin", "distance"), ("distance", "distance")]
-    exact = lambda f1, f2, n: wk.covariance_exact(fm, vecs[f1], vecs[f2], n)
+    exact = {(f1, f2): [wk.covariance_exact(fm, vecs[f1], vecs[f2], n) for n in lags] for f1, f2 in pairs}
     covariance, failed = _covariance_table(ens, vecs, pairs, lags, exact)
-    tables = [("stationary", ["state", "solve", "conductance", "deviation"], rows_st), covariance]
-    _emit(_meta(args), tables, args.out, args.output)
-    return 1 if failed else 0
+    return [("stationary", ["state", "solve", "conductance", "deviation"], rows_st), covariance], failed
 
 
 # ---------------------------------------------------------------- wavelet
@@ -341,29 +320,26 @@ def _parse_taps(text: str) -> tuple:
     return tuple(taps)
 
 
-def _cmd_wavelet_qmf(args) -> int:
+def _cmd_wavelet_qmf(args) -> tuple:
     rep = ci.qmf_check(_parse_taps(args.coeffs))
     rows = [[f"orthogonality_l={l}", res] for l, res in sorted(rep.orthogonality.items())]
     rows.append(["normalization", rep.normalization])
     rows.append(["passed", rep.passed])
-    _emit(_meta(args), [("qmf", ["condition", "residual"], rows)], args.out, args.output)
-    return 0 if rep.passed else 1
+    return [("qmf", ["condition", "residual"], rows)], not rep.passed
 
 
-def _cmd_wavelet_tightness(args) -> int:
+def _cmd_wavelet_tightness(args) -> tuple:
     if not math.isfinite(args.t):
         raise ValueError(f"--t must be finite, got {args.t!r}")
     defect = ci.tightness_defect(_parse_taps(args.coeffs), args.t, args.K, args.depth)
-    rows = [[args.t, args.K, args.depth, defect]]
-    _emit(_meta(args), [("tightness", ["t", "K", "depth", "defect"], rows)], args.out, args.output)
-    return 0
+    return [("tightness", ["t", "K", "depth", "defect"], [[args.t, args.K, args.depth, defect]])], False
 
 
-def _cmd_wavelet_cantor(args) -> int:
+def _cmd_wavelet_cantor(args) -> tuple:
     w = ci.cantor_filter()
     rows = [[k, w.coefficient(k)] for k in sorted(w.coeffs)]
     tables = [("cantor_coefficients", ["frequency", "coefficient"], rows)]
-    code = 0
+    failed = False
     if args.check:
         one = ci.TrigPoly.constant(1)
         fixes_one = ci.transfer_apply(w, one, 3) == one
@@ -375,9 +351,8 @@ def _cmd_wavelet_cantor(args) -> int:
             ["not_lowpass", "pass" if not lowpass else "fail"],
         ]
         tables.append(("checks", ["check", "status"], checks))
-        code = 0 if all(c[1] == "pass" for c in checks) else 1
-    _emit(_meta(args), tables, args.out, args.output)
-    return code
+        failed = any(c[1] == "fail" for c in checks)
+    return tables, failed
 
 
 # ---------------------------------------------------------------- solenoid
@@ -414,7 +389,7 @@ def _load_filter(path) -> ci.TrigPoly:
     return ci.w_from_filter(tuple(taps))
 
 
-def _cmd_solenoid_walk(args) -> int:
+def _cmd_solenoid_walk(args) -> tuple:
     _need_steps(args.steps)
     if args.w == "haar":
         w, start = ci.w_from_filter(ci.haar_filter()), ci.DyadicAngle(0, 0)
@@ -431,15 +406,13 @@ def _cmd_solenoid_walk(args) -> int:
     exact = None
     # no exact cells for haar from a level or for a filter file yet (README, Known issues)
     if args.w == "half" or (args.w == "haar" and args.start_level is None):
-        by_pair = {(a, b): ci.solenoid_covariance_exact(w, polys[a], polys[b], start, lags) for a, b in pairs}
-        exact = lambda f1, f2, n: by_pair[f1, f2][lags.index(n)]
+        exact = {(a, b): ci.solenoid_covariance_exact(w, polys[a], polys[b], start, lags) for a, b in pairs}
     # cos1 and cos2 are real with real coefficients, so the imaginary part of
     # their values is exactly +0.0 and the product of the real parts is
     # the real part of the complex product bit for bit
     reals = {name: p.real_part for name, p in polys.items()}
     covariance, failed = _covariance_table(ens, reals, pairs, lags, exact)
-    _emit(_meta(args), [covariance], args.out, args.output)
-    return 1 if failed else 0
+    return [covariance], failed
 
 
 # ---------------------------------------------------------------- verify
@@ -650,11 +623,10 @@ def _verify_checks(quick: bool, seed: int):
     return checks
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple:
     checks = _verify_checks(args.quick, args.seed)
     rows = [[name, "pass" if ok else "fail", detail] for name, ok, detail in checks]
-    _emit(_meta(args), [("checks", ["check", "status", "detail"], rows)], args.out, args.output)
-    return 0 if all(ok for _, ok, _ in checks) else 1
+    return [("checks", ["check", "status", "detail"], rows)], not all(ok for _, ok, _ in checks)
 
 
 # ---------------------------------------------------------------- wiring
@@ -753,13 +725,15 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        tables, failed = args.func(args)
+        _emit(_meta(args), tables, args.out, args.output)
     except (GraphError, OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    return 1 if failed else 0
 
 
 def main() -> None:

@@ -158,17 +158,23 @@ def is_irreducible(fm: FiniteMarkov) -> bool:
     return all((_levels(arcs)[0] >= 0).all() for arcs in (positive, positive.T))
 
 
-def is_aperiodic(fm: FiniteMarkov) -> bool:
-    """True when the period of the component of state 0 is 1.
+def _period(fm: FiniteMarkov):
+    """(period, level): the period of the component of state 0 and the breadth-first levels from state 0.
 
-    Assigns breadth-first levels from state 0; the period is the gcd of
-    level[i] + 1 - level[j] over all positive arcs i -> j inside the
-    reached component.  Meaningful for irreducible kernels.
+    The period is the gcd of level[i] + 1 - level[j] over all positive
+    arcs i -> j inside the reached component, and level mod period names
+    the cyclic class of each reached state.  Meaningful for irreducible
+    kernels.
     """
     level, i, j = _levels(fm.kernel > 0)
     # every arc out of a reached state ends at a reached state
     inside = level[i] >= 0
-    return int(np.gcd.reduce(np.abs(level[i[inside]] + 1 - level[j[inside]]))) == 1
+    return int(np.gcd.reduce(np.abs(level[i[inside]] + 1 - level[j[inside]]))), level
+
+
+def is_aperiodic(fm: FiniteMarkov) -> bool:
+    """True when the period of the component of state 0 is 1; meaningful for irreducible kernels."""
+    return _period(fm)[0] == 1
 
 
 def stationary_measure(fm: FiniteMarkov) -> np.ndarray:
@@ -198,11 +204,22 @@ def ergodic_limit(fm: FiniteMarkov, f, max_steps: int = 100000) -> float:
 
     Verifies the averaging limit T^n f -> mu(f) * 1 by direct power
     iteration, to within _ERGODIC_TOL everywhere; raises for chains where
-    the limit does not exist (periodic or reducible kernels).
+    the limit does not exist (reducible kernels, and periodic ones unless
+    f has the same mu-mean on every cyclic class).  On a chain of period
+    d, T^n f on one class tends to f's mu-mean on the class n steps
+    ahead, so a class mean further than _ERGODIC_TOL from mu(f) raises
+    at once instead of after max_steps products.
     """
     mu = stationary_measure(fm)
     vec = fm.as_vector(f)
     target = float(mu @ vec)
+    period, level = _period(fm)
+    if period > 1:
+        cls = level % period
+        means = np.bincount(cls, mu * vec, period) / np.bincount(cls, mu, period)
+        if float(np.max(np.abs(means - target))) > _ERGODIC_TOL:
+            raise ArithmeticError(
+                f"T^n f does not flatten: the chain has period {period} and f's class means differ")
     g = vec.astype(np.float64)
     for _ in range(max_steps):
         if float(np.max(np.abs(g - target))) <= _ERGODIC_TOL:
@@ -233,7 +250,7 @@ class PathEnsemble:
         """The state function f at every path's state at one step; ValueError for a step outside 0..n_steps."""
         if not 0 <= step <= self.n_steps:
             raise ValueError(f"step {step} is outside 0..{self.n_steps}")
-        return self.as_vector(f)[self.trajectories[:, step]]
+        return self.as_vector(f).take(self.trajectories[:, step])
 
 
 def _sparse_rows(kernel: np.ndarray):
@@ -462,7 +479,7 @@ def markov_check(ens: PathEnsemble, fm: FiniteMarkov, f, n: int, min_visits: int
         raise ValueError("need 0 <= n <= n_steps - 1")
     vec = fm.as_vector(f)
     traj = ens.trajectories
-    return _grouped_check(fm.states, traj[:, n], vec[traj[:, n + 1]], fm.kernel @ vec, min_visits)
+    return _grouped_check(fm.states, traj[:, n], vec.take(traj[:, n + 1]), fm.kernel @ vec, min_visits)
 
 
 def harmonic_solve(fm: FiniteMarkov, boundary: dict) -> dict:
@@ -510,7 +527,7 @@ def martingale_check(ens: PathEnsemble, h, min_visits: int = 100) -> CheckReport
         raise ValueError("need n_steps >= 1: the ensemble has no transitions")
     vec = ens.as_vector(h)
     traj = ens.trajectories
-    return _grouped_check(ens.states, traj[:, :-1], vec[traj[:, 1:]], vec, min_visits)
+    return _grouped_check(ens.states, traj[:, :-1], vec.take(traj[:, 1:]), vec, min_visits)
 
 
 def doob_boundary_check(fm: FiniteMarkov, h, N: int, n_paths: int, seed: int) -> CheckReport:
@@ -533,6 +550,6 @@ def doob_boundary_check(fm: FiniteMarkov, h, N: int, n_paths: int, seed: int) ->
         # the clamped CDF of the point mass at i: 0 before i, 1 from i on
         start_cum = (positions >= i).astype(np.float64)
         run_blocks(partial(_simulate_block, cum, targets, start_cum, N, derive_key(seed, i), out), n_paths)
-        est, se = mean_se(vec[out[:, N]])
+        est, se = mean_se(vec.take(out[:, N]))
         rows.append(CheckRow(label=str(x), estimate=est, exact=float(vec[i]), se=se))
     return CheckReport(rows=tuple(rows))

@@ -266,6 +266,22 @@ class TestCascade:
             want = cascade_phihat(haar_filter(), float(t), 12)
             assert abs(complex(grid[i]) - want) < 1e-13
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 1023))
+    def test_ldexp_is_the_division(self, t, j):
+        # t / 2^j is taken by ldexp, with the bits of the division wherever 2^j is a float
+        want = (t / float(1 << j)).hex()
+        assert math.ldexp(t, -j).hex() == want
+        assert float(np.ldexp(np.array([t]), -j)[0]).hex() == want
+
+    def test_depth_past_the_float_range(self):
+        # float(1 << j) overflows from j = 1024; every factor beyond j of about 1074 is m(0)
+        for t in (0.3, -0.4, 1.7):
+            want = complex(np.exp(-1j * np.pi * t) * np.sinc(t))
+            assert abs(cascade_phihat(haar_filter(), t, 1100) - want) <= 1e-12
+            assert abs(pt_cylinder_mass(haar_filter(), t, "1", depth=1500) - abs(want) ** 2) <= 1e-12
+        assert abs(tightness_defect(haar_filter(), 0.3, 512, 1100) - tightness_defect(haar_filter(), 0.3, 512, 80)) <= 1e-15
+
 
 class TestTightness:
     def test_haar_defect_small(self):

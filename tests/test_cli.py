@@ -94,6 +94,12 @@ class TestExitCodes:
         rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
         assert rows and all(r.rsplit(",", 1)[1] == "0" for r in rows)
 
+    def test_cascade_depth_past_the_float_range(self, capsys):
+        # 2^1100 is no float; the cascade scales t by ldexp instead
+        rc, out, err = invoke(capsys, ["wavelet", "tightness", "--coeffs", "1/2,1/2", "--depth", "1100"])
+        assert (rc, err) == (0, "")
+        assert out.splitlines()[-1].startswith("0.29999999999999999,512,1100,")
+
 
 class TestRefusedInputs:
     """Non-finite numbers and over-cap tree depths exit 2, naming the value."""
@@ -173,14 +179,24 @@ class TestCovarianceTable:
         def values(name, step):
             return {"a": ones, "b": spread, "n": np.full(10, np.nan)}[name]
 
-        (_, _, rows), failed = self.table(values, [("a", "a")], [0], lambda f1, f2, n: 1.0)
+        (_, _, rows), failed = self.table(values, [("a", "a")], [0], {("a", "a"): [1.0]})
         assert not failed and rows[0][4:] == [1.0, 0.0, 0.0]
-        (_, _, rows), failed = self.table(values, [("a", "b")], [0], lambda f1, f2, n: -1.0)
+        (_, _, rows), failed = self.table(values, [("a", "b")], [0], {("a", "b"): [-1.0]})
         assert failed and rows[0][6] > 5.0
         # a NaN sigma fails the table, wherever it sits
         for pairs in ([("n", "a"), ("a", "a")], [("a", "a"), ("n", "a")]):
-            (_, _, rows), failed = self.table(values, pairs, [0], lambda f1, f2, n: 1.0)
+            (_, _, rows), failed = self.table(values, pairs, [0], dict.fromkeys(pairs, [1.0]))
             assert failed and any(math.isnan(r[6]) for r in rows)
+
+    def test_exact_values_are_read_in_lag_order(self):
+        # pair-major, lag-minor rows take exact[f1, f2][k] for the k-th lag
+        values = lambda name, step: np.full(4, 2.0)
+        exact = {("a", "a"): [4.0, 3.0, 5.0], ("a", "b"): [4.0, 4.0, 4.0]}
+        (_, _, rows), failed = self.table(values, list(exact), [3, 0, 1], exact)
+        assert [(r[0], r[1], r[2], r[4]) for r in rows] == [
+            ("a", "a", 3, 4.0), ("a", "a", 0, 3.0), ("a", "a", 1, 5.0),
+            ("a", "b", 3, 4.0), ("a", "b", 0, 4.0), ("a", "b", 1, 4.0)]
+        assert failed and [r[6] for r in rows] == [0.0, math.inf, math.inf, 0.0, 0.0, 0.0]
 
 
 class TestVerifyMonteCarloRows:
@@ -385,8 +401,12 @@ class TestCellFormatting:
         cli._emit({"seed": 3, "config": "abc"}, tables, out_format, None)
         fast = capsys.readouterr().out
         # the general formatters, cell by cell
-        monkeypatch.setattr(cli, "_csv_rows", lambda rows: "\n".join(",".join(map(cli._cell_csv, r)) for r in rows))
-        monkeypatch.setattr(cli, "_JSON_CELLS", {})
+        def cell_by_cell(rows, out_format):
+            if out_format == "json":
+                return ",\n".join("        [" + ", ".join(map(cli._json_scalar, r)) + "]" for r in rows)
+            return "\n".join(",".join(map(cli._cell_csv, r)) for r in rows)
+
+        monkeypatch.setattr(cli, "_rows_text", cell_by_cell)
         cli._emit({"seed": 3, "config": "abc"}, tables, out_format, None)
         assert fast == capsys.readouterr().out
 
@@ -399,11 +419,13 @@ class TestCellFormatting:
         # the former per-cell rule, with its own nan and inf branches
         former = "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf") if math.isinf(x) else format(x, ".17g")
         assert cli._fmt_float(x) == former
-        assert cli._csv_rows([[x], [-x]]) == former + "\n" + cli._fmt_float(-x)
+        assert cli._rows_text([[x], [-x]], "csv") == former + "\n" + cli._fmt_float(-x)
+        assert cli._rows_text([[x], [-x]], "json") == f"        [{cli._json_scalar(x)}],\n        [{cli._json_scalar(-x)}]"
 
     def test_ragged_rows_are_refused(self):
-        with pytest.raises(ValueError):
-            cli._csv_rows([[1, 2], [3]])
+        for out_format in ("csv", "json"):
+            with pytest.raises(ValueError):
+                cli._rows_text([[1, 2], [3]], out_format)
 
     @pytest.mark.parametrize("out_format, want", [
         ("csv", "nan,inf,-inf,-0,0.10000000000000001,2.5,-inf"),
@@ -414,3 +436,114 @@ class TestCellFormatting:
         row = [float("nan"), float("inf"), float("-inf"), -0.0, 0.1, np.float64(2.5), np.float64("-inf")]
         cli._emit({}, [("t", [f"c{k}" for k in range(len(row))], [row])], out_format, None)
         assert want in capsys.readouterr().out
+
+
+class Num(str):
+    """A JSON number kept as the text it was written as."""
+
+
+def csv_tables(out):
+    """{name: (columns, rows of cell texts)} from CSV output; only a last column may hold commas."""
+    tables = {}
+    for chunk in out.split("# table=")[1:]:
+        name, header, *rows = chunk.splitlines()
+        columns = header.split(",")
+        tables[name] = (columns, [row.split(",", len(columns) - 1) for row in rows])
+    return tables
+
+
+def csv_cells(v):
+    """The CSV texts a JSON cell may have: numbers as written, nan/inf and Fractions already strings.
+
+    An empty string is also the origin's word label, which CSV prints as "-".
+    """
+    if v is None:
+        return {""}
+    if isinstance(v, bool):
+        return {"true" if v else "false"}
+    assert isinstance(v, str), v
+    return {"", "-"} if v == "" else {str(v)}
+
+
+class TestOneReportPath:
+    """Every command's tables go through _emit once, from run; JSON carries CSV's tables cell for cell."""
+
+    ARGVS = [
+        ["tree", "dipole", "--x", "01", "--depth", "3"],
+        ["tree", "encode", "--word", "101"],
+        ["tree", "encode", "--word", "-"],
+        ["spectra", "gram", "--words", "0,1,00,01,10,11", "--depth", "4"],
+        ["spectra", "growth", "--max-depth", "3"],
+        ["walk", "sim", "--graph", CYCLE4, "--steps", "1", "--paths", "3", "--seed", "5"],
+        ["walk", "sim", "--graph", CYCLE4, "--steps", "5", "--paths", "400"],
+        ["wavelet", "qmf", "--coeffs", "1/2,1/3"],
+        ["wavelet", "qmf", "--coeffs", "0.5,0.5"],
+        ["wavelet", "tightness", "--coeffs", "1/2,1/2", "--K", "8", "--depth", "6"],
+        ["wavelet", "cantor", "--check"],
+        ["solenoid", "walk", "--w", "haar", "--steps", "4", "--paths", "50"],
+        ["solenoid", "walk", "--w", "half", "--steps", "4", "--paths", "50", "--start-level", "3"],
+        ["verify", "all", "--quick"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda a: " ".join(a[:2]) + (" " + a[-1] if len(a) > 2 else ""))
+    def test_json_carries_the_csv_tables(self, capsys, argv):
+        rc_csv, out_csv, _ = invoke(capsys, argv)
+        rc_json, out_json, _ = invoke(capsys, argv + ["--out", "json"])
+        assert rc_csv == rc_json in (0, 1)
+
+        def no_constant(token):
+            raise AssertionError(f"JSON output holds the bare constant {token}")
+
+        doc = json.loads(out_json, parse_constant=no_constant)
+        # the config hash covers --out, so only version and seed agree
+        meta = dict(l[2:].split("=", 1) for l in out_csv.splitlines()[:3])
+        assert list(doc["meta"]) == list(meta)
+        assert [str(doc["meta"][k]) for k in ("version", "seed")] == [meta["version"], meta["seed"]]
+        texts = json.loads(out_json, parse_int=Num, parse_float=Num)["tables"]
+        tables = csv_tables(out_csv)
+        assert list(texts) == list(tables)
+        for name, (columns, rows) in tables.items():
+            assert texts[name]["columns"] == columns
+            assert len(texts[name]["rows"]) == len(rows) > 0
+            for row, want in zip(texts[name]["rows"], rows, strict=True):
+                assert len(row) == len(want) and all(t in csv_cells(v) for v, t in zip(row, want)), (row, want)
+
+    def test_special_cells_are_json_strings(self, capsys):
+        _, out, _ = invoke(capsys, ["walk", "sim", "--graph", CYCLE4, "--steps", "1", "--paths", "3",
+                                    "--seed", "5", "--out", "json"])
+        assert json.loads(out)["tables"]["covariance"]["rows"][2][6] == "inf"
+        _, out, _ = invoke(capsys, ["wavelet", "cantor", "--out", "json"])
+        rows = json.loads(out)["tables"]["cantor_coefficients"]["rows"]
+        assert all(isinstance(k, int) and "/" in c for k, c in rows)
+        assert [Fraction(c) for _, c in rows] == [cli.ci.cantor_filter().coefficient(k) for k, _ in rows]
+
+    @pytest.mark.parametrize("argv, rc, calls", [
+        (["tree", "encode", "--word", "101"], 0, 1),
+        (["wavelet", "qmf", "--coeffs", "1/2,1/3"], 1, 1),
+        (["wavelet", "cantor", "--check", "--out", "json"], 0, 1),
+        (["tree", "encode", "--word", "102"], 2, 0),
+        (["tree", "encode"], 2, 0),
+    ])
+    def test_emit_runs_once_per_run(self, capsys, monkeypatch, argv, rc, calls):
+        seen = []
+        inner = cli._emit
+        monkeypatch.setattr(cli, "_emit", lambda *a: seen.append(a) or inner(*a))
+        assert invoke(capsys, argv)[0] == rc
+        assert len(seen) == calls
+
+    def test_a_failed_verdict_exits_one(self, capsys, monkeypatch):
+        # the parser binds each command when built, so a fresh one picks up the stand-in
+        table = [("t", ["a"], [[1]])]
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        for failed, want in ((True, 1), (False, 0)):
+            monkeypatch.setattr(cli, "_cmd_tree_encode", lambda args, failed=failed: (table, failed))
+            rc, out, _ = invoke(capsys, ["tree", "encode", "--word", "1"])
+            assert rc == want and out.endswith("# table=t\na\n1\n")
+
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    def test_output_into_a_missing_directory_exits_two(self, capsys, tmp_path, out_format):
+        target = tmp_path / "missing" / "out.txt"
+        rc, out, err = invoke(capsys, ["tree", "encode", "--word", "1", "--out", out_format,
+                                       "--output", str(target)])
+        assert (rc, out) == (2, "") and err.startswith("error: ")
+        assert not target.parent.exists()

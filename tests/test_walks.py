@@ -2,6 +2,7 @@
 
 import math
 import os
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -306,6 +307,20 @@ class TestStructure:
         f = np.array([1.0, 0.0, 0.0, 0.0])
         with pytest.raises(ArithmeticError):
             ergodic_limit(fm, f, max_steps=500)
+
+    def test_ergodic_limit_on_a_tree_raises_at_once(self):
+        # every tree walk has period 2; without the class-mean check this ran 100000 kernel products
+        fm = FiniteMarkov.from_graph(tree_graph(8))
+        start = time.perf_counter()
+        with pytest.raises(ArithmeticError, match="period 2"):
+            ergodic_limit(fm, np.arange(len(fm.states), dtype=float))
+        assert time.perf_counter() - start < 1.0
+
+    def test_ergodic_limit_periodic_with_equal_class_means(self):
+        # period 2 with classes {0, 2} and {1, 3}; mu = (5, 3, 5, 7) / 20 and f has mean 2.4 on each class
+        fm = FiniteMarkov.from_graph(cycle4())
+        f = np.array([1.4, 1.0, 3.4, 3.0])
+        assert abs(ergodic_limit(fm, f) - 2.4) <= 1e-10
 
 
 class TestSimulate:
