@@ -16,15 +16,17 @@ duplicates, a type-set test for the conductances) and hands them to one
 array core, WeightedGraph._build, which stores a table of the arcs
 leaving each vertex, in record order, and sums c(x) in int64 when the
 conductances are ints within a checked bound; the constructor then finds
-hop distances by _hop_counts, the package's one breadth-first search, a
-queue over that table (walks and spectra search the table _pattern_arcs
-reads from a boolean matrix).  tree.tree_graph, whose records are valid
-by construction, calls the core directly and reads hop counts off its
-level order.  The dict views edges, adjacency, total and distance are
-built from the arrays on first access: they equal the record-by-record
-construction in value, type and per-vertex order, with distance listed
-in vertex order.  A failed check names the first offending record, found
-by a record-by-record search.
+hop distances by _hop_counts, one source of the package's one
+breadth-first search _search, a queue over that table (walks searches
+its chains' arc tables, and spectra labels the components of the table
+_pattern_arcs reads from a boolean matrix in one pass of _search).
+tree.tree_graph, whose records are valid by construction, calls the
+core directly and reads hop counts off its level order.  The dict views
+edges, adjacency, total and distance are built from the arrays on first
+access: they equal the record-by-record construction in value, type
+and per-vertex order, with distance listed in vertex order.  A failed
+check names the first offending record, found by a record-by-record
+search.
 
 Each public form is one dict loop over the graph's dicts; energy_inner
 and energy_gram share theirs.  The Laplacian and the energy pairing also
@@ -322,23 +324,36 @@ def _first_fault(records, index):
     return None
 
 
-def _hop_counts(targets, starts, source) -> np.ndarray:
-    """Breadth-first hop counts from source over an arc table; -1 where unreached.
+def _search(targets, starts, sources):
+    """Breadth-first searches over an arc table, one from each source that no earlier search reached.
 
-    targets[starts[x]:starts[x + 1]] are the vertices one arc away from x.  The queue is a list read
-    while it grows; a vertex's arcs become Python ints when it is read, so a search costs its component alone.
+    targets[starts[x]:starts[x + 1]] are the vertices one arc away from x.  Returns (hops, queues):
+    hops[x] counts the arcs from the source whose search reached x, -1 where none did, and queues
+    holds each search's visited vertices in visiting order.  All searches share the one hop list, so
+    a vertex is read once however many searches run.  A queue is a list read while it grows; a
+    vertex's arcs become Python ints when it is read, so a search costs its component alone.
     """
     starts = starts.tolist()
     hops = [-1] * (len(starts) - 1)
-    hops[source] = 0
-    queue = [source]
-    for x in queue:
-        level = hops[x] + 1
-        for y in targets[starts[x]:starts[x + 1]].tolist():
-            if hops[y] < 0:
-                hops[y] = level
-                queue.append(y)
-    return np.array(hops, dtype=np.intp)
+    queues = []
+    for source in sources:
+        if hops[source] >= 0:
+            continue
+        hops[source] = 0
+        queue = [source]
+        for x in queue:
+            level = hops[x] + 1
+            for y in targets[starts[x]:starts[x + 1]].tolist():
+                if hops[y] < 0:
+                    hops[y] = level
+                    queue.append(y)
+        queues.append(queue)
+    return hops, queues
+
+
+def _hop_counts(targets, starts, source) -> np.ndarray:
+    """Breadth-first hop counts from source over an arc table; -1 where unreached."""
+    return np.array(_search(targets, starts, (source,))[0], dtype=np.intp)
 
 
 def _pattern_arcs(mask):

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import (WeightedGraph, _energy_core, _hop_counts, _laplacian_core, _pattern_arcs, energy_inner,
+from .graphs import (WeightedGraph, _energy_core, _laplacian_core, _pattern_arcs, _search, energy_inner,
                      laplacian_apply)
 from .tree import _prefix_lengths, check_words, common_prefix_length, tree_graph
 
@@ -110,15 +110,11 @@ def _blocks(a):
 
     a is block diagonal up to a permutation along these sets, so each
     block is solved on its own and its eigenvectors vanish exactly off it.
+    One pass of searches labels every component: each starts at the lowest
+    index no earlier search reached.
     """
     _, cols, starts = _pattern_arcs(a != 0.0)
-    unseen = np.ones(len(a), dtype=bool)
-    blocks = []
-    while unseen.any():
-        members = _hop_counts(cols, starts, int(np.argmax(unseen))) >= 0
-        unseen &= ~members
-        blocks.append(np.flatnonzero(members))
-    return blocks
+    return [np.sort(np.array(queue, dtype=np.intp)) for queue in _search(cols, starts, range(len(a)))[1]]
 
 
 def _tridiagonalize(a):

@@ -7,6 +7,17 @@ counter-based generator in rng.py, so an ensemble is a pure function of
 (kernel, mu0, n_steps, n_paths, seed): same inputs, same bytes, however
 many worker threads run.
 
+The exact side reads the kernel through one arc table per chain, the
+positive entries row by row, built on first use: every T g is a
+fixed-order row sum over the arcs with no BLAS call, and the sampler's
+tables, the reachability searches and the residual checks read the same
+arcs.  The stationary measure and harmonic extensions share one solve:
+an independent set of states is eliminated by its Grassmann-Taksar-Heyman
+pivots, and only the Schur complement on the other states goes to a
+dense LU.  That LU (LAPACK) and the closing mu0 . g dot products (BLAS)
+are the exact-side steps whose last bits may still depend on the BLAS
+build or thread count.
+
 Checks compare Monte Carlo estimates against exact kernel arithmetic and
 report deviations in units of the standard error.  The package has one
 estimator and one gate: every sample mean and its standard error come from
@@ -21,6 +32,7 @@ state function that is not finite.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import ClassVar
@@ -28,7 +40,7 @@ from typing import ClassVar
 import numpy as np
 
 from .graphs import WeightedGraph, _float_edges, _hop_counts, _pattern_arcs
-from .rng import derive_key, path_keys, run_blocks, step_uniforms
+from .rng import _mix_array, derive_key, path_keys, run_blocks, step_uniforms
 
 __all__ = [
     "FiniteMarkov",
@@ -60,10 +72,12 @@ class FiniteMarkov:
 
     kernel[i, j] = p(states[i] -> states[j]); every row must sum to 1
     within 1e-12 with finite nonnegative entries.  mu0 is normalized on
-    input and must be finite too.
+    input and must be finite too.  The exact arithmetic and the sampler
+    read the kernel through an arc table built on first use, so edit a
+    chain by building a new one, not by writing into kernel.
     """
 
-    __slots__ = ("states", "kernel", "mu0", "index")
+    __slots__ = ("states", "kernel", "mu0", "index", "_arc_table")
 
     def __init__(self, states, kernel, mu0):
         states = tuple(states)
@@ -96,6 +110,7 @@ class FiniteMarkov:
         self.kernel = kernel
         self.mu0 = mu0 / total
         self.index = {s: i for i, s in enumerate(states)}
+        self._arc_table = None
 
     @classmethod
     def from_graph(cls, g: WeightedGraph, mu0=None) -> "FiniteMarkov":
@@ -138,24 +153,47 @@ class FiniteMarkov:
         mu0[self.index[x]] = 1.0
         return FiniteMarkov(self.states, self.kernel, mu0)
 
+    def _arcs(self):
+        """(rows, cols, starts, p): the positive kernel entries, row by row in column order.
+
+        Arc a runs rows[a] -> cols[a] with probability p[a] = kernel[rows[a], cols[a]] > 0, and
+        state x's arcs are starts[x]:starts[x + 1].  Built once, from one kernel > 0 pass, on
+        first use; the walks layer reads the kernel through this table only, so edit a chain by
+        building a new one.
+        """
+        if self._arc_table is None:
+            rows, cols, starts = _pattern_arcs(self.kernel > 0)
+            self._arc_table = rows, cols, starts, self.kernel[rows, cols]
+        return self._arc_table
+
+    def _apply(self, g: np.ndarray) -> np.ndarray:
+        """(Pg)(x) = sum_y p(x,y) g(y) for a float array g: one row sum over each state's arcs.
+
+        The sum over a row's arcs runs in a fixed order with no BLAS call, so the bits do not
+        depend on the BLAS build or thread count.  Every row has an arc: its entries sum to 1.
+        """
+        rows, cols, starts, p = self._arcs()
+        return np.add.reduceat(p * g.take(cols), starts[:-1])
+
     def transfer(self, f) -> np.ndarray:
         """(Tf)(x) = sum_y p(x,y) f(y) as an array in state order."""
-        return self.kernel @ self.as_vector(f)
+        return self._apply(self.as_vector(f))
 
     def __len__(self):
         return len(self.states)
 
 
-def _levels(positive):
-    """(level, rows, cols): breadth-first levels from state 0, -1 where unreached, and the pattern's arcs."""
-    rows, cols, starts = _pattern_arcs(positive)
-    return _hop_counts(cols, starts, 0), rows, cols
-
-
 def is_irreducible(fm: FiniteMarkov) -> bool:
-    """True when every state reaches every other along positive-probability arcs."""
-    positive = fm.kernel > 0
-    return all((_levels(arcs)[0] >= 0).all() for arcs in (positive, positive.T))
+    """True when every state reaches every other along positive-probability arcs.
+
+    State 0 must reach every state along the arcs and along the reversed arcs, the
+    table sorted by target (a stable sort keeps each target's sources ascending).
+    """
+    rows, cols, starts, _ = fm._arcs()
+    order = np.argsort(cols, kind="stable")
+    back_starts = np.searchsorted(cols[order], np.arange(len(starts)))
+    tables = ((cols, starts), (rows[order], back_starts))
+    return all((_hop_counts(targets, at, 0) >= 0).all() for targets, at in tables)
 
 
 def _period(fm: FiniteMarkov):
@@ -166,7 +204,8 @@ def _period(fm: FiniteMarkov):
     the cyclic class of each reached state.  Meaningful for irreducible
     kernels.
     """
-    level, i, j = _levels(fm.kernel > 0)
+    i, j, starts, _ = fm._arcs()
+    level = _hop_counts(j, starts, 0)
     # every arc out of a reached state ends at a reached state
     inside = level[i] >= 0
     return int(np.gcd.reduce(np.abs(level[i[inside]] + 1 - level[j[inside]]))), level
@@ -177,23 +216,135 @@ def is_aperiodic(fm: FiniteMarkov) -> bool:
     return _period(fm)[0] == 1
 
 
+def _system(fm: FiniteMarkov, interior=None, h=None):
+    """The sparse linear system A x = b of the stationary measure or of a harmonic extension.
+
+    Returns (r, c, v, diag, pivot, b) over the unknowns: the off-diagonal
+    entries A[r, c] = v, the diagonal, each unknown's GTH pivot and the
+    right side.  With interior None the unknowns are the states and A is
+    I - P^T with its last row replaced by ones, b the last unit vector, so
+    x = mu.  Otherwise the unknowns are the states where the bool mask
+    interior holds, in state order, A is I - P on them, and b = P_IB h
+    carries the boundary values h off the interior: the interior rows of
+    I - P with identity rows on the boundary, once the identity rows are
+    eliminated.
+    The pivot of an unknown is the Grassmann-Taksar-Heyman out-mass
+    sum_{j != k} p(k, j), a sum of positive terms in place of the
+    cancelling 1 - p(k, k); it is 0 where the unknown may not be
+    eliminated: the normalization row's state and states with no arc out.
+    """
+    rows, cols, starts, p = fm._arcs()
+    n = len(fm)
+    loop = rows == cols
+    out_mass = np.add.reduceat(np.where(loop, 0.0, p), starts[:-1])
+    stay = np.zeros(n)
+    stay[rows[loop]] = p[loop]
+    if interior is None:
+        # column x of row y is -p(x, y); the last row is the normalization sum mu(x) = 1
+        keep = ~loop & (cols != n - 1)
+        r = np.concatenate((cols[keep], np.full(n - 1, n - 1)))
+        c = np.concatenate((rows[keep], np.arange(n - 1)))
+        v = np.concatenate((-p[keep], np.ones(n - 1)))
+        diag = np.append(1.0 - stay[:-1], 1.0)
+        pivot = np.append(out_mass[:-1], 0.0)
+        b = np.zeros(n)
+        b[-1] = 1.0
+        return r, c, v, diag, pivot, b
+    at = np.cumsum(interior) - 1
+    inside = interior[rows]
+    keep = inside & interior[cols] & ~loop
+    edge = inside & ~interior[cols]
+    b = np.bincount(at[rows[edge]], p[edge] * h.take(cols[edge]), int(at[-1]) + 1)
+    return at[rows[keep]], at[cols[keep]], -p[keep], 1.0 - stay[interior], out_mass[interior], b
+
+
+def _independent_set(r, c, eligible) -> np.ndarray:
+    """A maximal independent set, as a bool mask, of the eligible unknowns in the symmetrized pattern of (r, c).
+
+    Rounds of local minima: an undecided eligible unknown joins when its
+    key is below every undecided neighbour's, and then its neighbours
+    leave.  Keys order by degree, then by the SplitMix64 mix of the index:
+    low degrees first keep the Schur complement sparse, and the mix breaks
+    the ties of a path or cycle numbered in sequence, where the index alone
+    would admit one state per round.  A path of n states loses about
+    0.43 n of them.
+    """
+    m = len(eligible)
+    # both directions of every entry: the degree counts entries in and out
+    u, w = np.concatenate((r, c)), np.concatenate((c, r))
+    key = np.empty(m, dtype=np.intp)
+    key[np.lexsort((_mix_array(np.arange(m, dtype=np.uint64)), np.bincount(u, minlength=m)))] = np.arange(m)
+    chosen = np.zeros(m, dtype=bool)
+    undecided = eligible.copy()
+    while undecided.any():
+        low = np.full(m, m)
+        np.minimum.at(low, u, np.where(undecided, key, m).take(w))
+        join = undecided & (key < low)
+        chosen |= join
+        undecided &= ~join
+        undecided[w[join[u]]] = False
+    return chosen
+
+
+def _solve(fm: FiniteMarkov, interior=None, h=None) -> np.ndarray:
+    """x with A x = b for _system(fm, interior, h): eliminate an independent set, then a dense LU.
+
+    E, an independent set of unknowns with positive pivots, is censored
+    out (a Schur complement, as in Kron reduction and GTH elimination):
+    for e in E, x_e = (b_e - sum_c A[e, c] x_c) / pivot_e, and each other
+    row r gains -A[r, e] / pivot_e times row e.  E is independent, so row
+    e reads no other unknown of E and the complement on the rest is exact
+    fill: one entry per pair of an entry into e and an entry out of e.
+    The complement goes into a dense matrix for np.linalg.solve, and E is
+    back-substituted.  An unknown that stays has its own diagonal, so a
+    singular system still reaches LAPACK and raises LinAlgError.
+    """
+    r, c, v, diag, pivot, b = _system(fm, interior, h)
+    m = len(b)
+    out = _independent_set(r, c, pivot > 0)
+    keep = ~out
+    at = np.cumsum(keep) - 1
+    k = int(at[-1]) + 1
+    into = keep[r] & out[c]  # A[r, e]: a kept row reads an eliminated unknown
+    from_e = out[r]  # A[e, c]: row e reads kept unknowns only
+    stays = keep[r] & keep[c]
+    e = c[into]
+    scale = v[into] / pivot.take(e)
+    # the entries of the rows of E, grouped by row; pair each entry into e with every entry of row e
+    order = np.argsort(r[from_e], kind="stable")
+    row_e, col_e, val_e = r[from_e][order], c[from_e][order], v[from_e][order]
+    count = np.bincount(row_e, minlength=m)
+    reps = count.take(e)
+    pair = np.repeat(np.arange(len(e)), reps)
+    first = np.cumsum(reps) - reps
+    slot = np.repeat((np.cumsum(count) - count).take(e) - first, reps) + np.arange(int(reps.sum()))
+    # row-major flat positions in the k x k complement: its own entries first, then the fill in order
+    flat = np.concatenate((at[r[stays]] * k + at[c[stays]], np.arange(k) * (k + 1),
+                           at[r[into]].take(pair) * k + at.take(col_e.take(slot))))
+    weights = np.concatenate((v[stays], diag[keep], -scale.take(pair) * val_e.take(slot)))
+    a = np.bincount(flat, weights, k * k).reshape(k, k)
+    x = np.zeros(m)
+    x[keep] = np.linalg.solve(a, b[keep] - np.bincount(at[r[into]], scale * b.take(e), k))
+    x[out] = (b[out] - np.bincount(row_e, val_e * x.take(col_e), m)[out]) / pivot[out]
+    return x
+
+
 def stationary_measure(fm: FiniteMarkov) -> np.ndarray:
     """The unique probability row vector with mu P = mu.
 
-    Solved densely; the chain must be irreducible, otherwise the measure
-    is not unique and this raises instead of guessing.  The residual
-    ||mu P - mu||_inf is checked against 1e-12.
+    Solved by _solve on the sparse system I - P^T with a normalization
+    row: an independent set of states is eliminated by its GTH pivots and
+    the rest goes to a dense LU.  The chain must be irreducible, otherwise
+    the measure is not unique and this raises instead of guessing.  The
+    residual ||mu P - mu||_inf, summed over the arcs, is checked against
+    1e-12.
     """
     if not is_irreducible(fm):
         raise ValueError("kernel is reducible: stationary measure is not unique")
-    n = len(fm.states)
-    a = fm.kernel.T - np.eye(n)
-    a[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    mu = np.linalg.solve(a, b)
+    mu = _solve(fm)
     mu = mu / mu.sum()
-    residual = float(np.max(np.abs(mu @ fm.kernel - mu)))
+    rows, cols, _, p = fm._arcs()
+    residual = float(np.max(np.abs(np.bincount(cols, mu.take(rows) * p, len(mu)) - mu)))
     if residual > 1e-12:
         raise ArithmeticError(f"stationary solve residual {residual:.3e} exceeds 1e-12")
     return mu
@@ -224,7 +375,7 @@ def ergodic_limit(fm: FiniteMarkov, f, max_steps: int = 100000) -> float:
     for _ in range(max_steps):
         if float(np.max(np.abs(g - target))) <= _ERGODIC_TOL:
             return target
-        g = fm.kernel @ g
+        g = fm._apply(g)
     raise ArithmeticError(f"T^n f did not flatten within {max_steps} steps")
 
 
@@ -253,8 +404,8 @@ class PathEnsemble:
         return self.as_vector(f).take(self.trajectories[:, step])
 
 
-def _sparse_rows(kernel: np.ndarray):
-    """Inverse-CDF tables over the positive entries of each kernel row.
+def _sparse_rows(fm: FiniteMarkov):
+    """Inverse-CDF tables over the positive entries of each kernel row, read from the arc table.
 
     Row i of cum holds the running sums of the positive entries of
     kernel[i] in column order, and the flat table targets holds their
@@ -269,15 +420,16 @@ def _sparse_rows(kernel: np.ndarray):
     <= u picks the same state as the dense inverse CDF at every draw where
     that one takes a positive-probability step.
     """
-    rows, cols, starts = _pattern_arcs(kernel > 0)
+    rows, cols, starts, p = fm._arcs()
+    n = len(fm)
     degree = np.diff(starts)
     width = 1 << (int(degree.max()) - 1).bit_length()
     slot = np.arange(len(rows)) - starts[rows]
-    probs = np.zeros((len(kernel), width))
-    probs[rows, slot] = kernel[rows, cols]
+    probs = np.zeros((n, width))
+    probs[rows, slot] = p
     cum = np.cumsum(probs, axis=1)
     cum[np.arange(width) >= degree[:, None]] = np.inf
-    cum[np.arange(len(kernel)), degree - 1] = 1.0
+    cum[np.arange(n), degree - 1] = 1.0
     targets = np.zeros(cum.size, dtype=np.intp)
     targets[rows * width + slot] = cols
     return cum, targets
@@ -319,7 +471,7 @@ def simulate(fm: FiniteMarkov, n_steps: int, n_paths: int, seed: int) -> PathEns
     """
     if n_steps < 0 or n_paths < 1:
         raise ValueError("need n_steps >= 0 and n_paths >= 1")
-    cum, targets = _sparse_rows(fm.kernel)
+    cum, targets = _sparse_rows(fm)
     mu0_cum = np.cumsum(fm.mu0)
     # clamp at the last positive entry: no start lands on a zero-mass state
     mu0_cum[np.flatnonzero(fm.mu0)[-1] :] = 1.0
@@ -345,7 +497,7 @@ def cylinder_mass(fm: FiniteMarkov, sets) -> float:
             masks[k, fm.index[x]] = 1.0
     w = masks[-1]
     for mask in reversed(masks[:-1]):
-        w = mask * (fm.kernel @ w)
+        w = mask * fm._apply(w)
     return float(fm.mu0 @ w)
 
 
@@ -353,9 +505,9 @@ def covariance_exact(fm: FiniteMarkov, f1, f2, n: int) -> float:
     """E[f1(Z_n) f2(Z_{n+1})] by kernel arithmetic: mu0 . T^n(f1 . T f2)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    g = fm.as_vector(f1) * (fm.kernel @ fm.as_vector(f2))
+    g = fm.as_vector(f1) * fm.transfer(f2)
     for _ in range(n):
-        g = fm.kernel @ g
+        g = fm._apply(g)
     return float(fm.mu0 @ g)
 
 
@@ -479,16 +631,21 @@ def markov_check(ens: PathEnsemble, fm: FiniteMarkov, f, n: int, min_visits: int
         raise ValueError("need 0 <= n <= n_steps - 1")
     vec = fm.as_vector(f)
     traj = ens.trajectories
-    return _grouped_check(fm.states, traj[:, n], vec.take(traj[:, n + 1]), fm.kernel @ vec, min_visits)
+    return _grouped_check(fm.states, traj[:, n], vec.take(traj[:, n + 1]), fm._apply(vec), min_visits)
 
 
 def harmonic_solve(fm: FiniteMarkov, boundary: dict) -> dict:
     """Extend boundary values to a function with Th = h off the boundary.
 
-    Solves the linear system (I - P_II) h_I = P_IB b densely and verifies
-    the interior residual against 1e-12.  Raises when the interior block
-    is singular (the boundary does not determine the extension), and
-    for a boundary value that is not finite.
+    Solves the linear system (I - P_II) h_I = P_IB b by _solve: an
+    independent set of interior states is eliminated by its GTH pivots and
+    the rest goes to a dense LU.  The interior residual max |Ph - h| is
+    checked against 1e-12 times the largest |boundary value|: h is linear
+    in the boundary values, so its rounding scales with them.  Below the
+    smallest normal float rounding is absolute, so the bound stops
+    shrinking there.  Raises when
+    the interior block is singular (the boundary does not determine the
+    extension), and for a boundary value that is not finite.
     """
     if not boundary:
         raise ValueError("boundary is empty")
@@ -499,19 +656,16 @@ def harmonic_solve(fm: FiniteMarkov, boundary: dict) -> dict:
         h[fm.index[x]] = float(val)
         if not math.isfinite(h[fm.index[x]]):
             raise ValueError(f"boundary value at {x!r} is not finite: {val!r}")
-    interior = [i for i, s in enumerate(fm.states) if s not in boundary]
-    if interior:
-        a = np.eye(len(interior)) - fm.kernel[np.ix_(interior, interior)]
-        # h is zero on the interior here, so this picks out P_IB @ boundary values
-        b = fm.kernel[interior] @ h
+    interior = np.array([s not in boundary for s in fm.states])
+    if interior.any():
         try:
-            h_int = np.linalg.solve(a, b)
+            h[interior] = _solve(fm, interior, h)
         except np.linalg.LinAlgError as exc:
             raise ValueError("interior system is singular") from exc
-        h[interior] = h_int
-        residual = float(np.max(np.abs((fm.kernel @ h - h)[interior])))
-        if residual > 1e-12:
-            raise ArithmeticError(f"harmonic residual {residual:.3e} exceeds 1e-12")
+        residual = float(np.max(np.abs((fm._apply(h) - h)[interior])))
+        bound = 1e-12 * max(float(np.max(np.abs(h[~interior]))), sys.float_info.min)
+        if residual > bound:
+            raise ArithmeticError(f"harmonic residual {residual:.3e} exceeds {bound:.3e}")
     return {s: float(h[i]) for i, s in enumerate(fm.states)}
 
 
@@ -542,7 +696,7 @@ def doob_boundary_check(fm: FiniteMarkov, h, N: int, n_paths: int, seed: int) ->
     vec = fm.as_vector(h)
     if N < 0 or n_paths < 1:
         raise ValueError("need n_steps >= 0 and n_paths >= 1")
-    cum, targets = _sparse_rows(fm.kernel)
+    cum, targets = _sparse_rows(fm)
     out = np.empty((n_paths, N + 1), dtype=np.int32)
     positions = np.arange(len(fm.states))
     rows = []

@@ -162,3 +162,47 @@ class TestFailures:
         vals, vecs = eigh(np.zeros((4, 4)))
         assert vals.tolist() == [0.0] * 4
         assert np.array_equal(vecs, np.eye(4))
+
+
+def blocks_by_repeated_search(a):
+    """One hop-count search per component, each from the lowest index not yet in a component."""
+    from spectral_walks.graphs import _hop_counts, _pattern_arcs
+
+    _, cols, starts = _pattern_arcs(a != 0.0)
+    unseen = np.ones(len(a), dtype=bool)
+    blocks = []
+    while unseen.any():
+        members = _hop_counts(cols, starts, int(np.argmax(unseen))) >= 0
+        unseen &= ~members
+        blocks.append(np.flatnonzero(members))
+    return blocks
+
+
+@st.composite
+def permuted_block_matrices(draw):
+    """Symmetric matrices on 1-40 indices: random blocks, sparse inside, in a random index order."""
+    n = draw(st.integers(1, 40))
+    labels = draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))
+    a = np.zeros((n, n))
+    for i in range(n):
+        a[i, i] = draw(st.sampled_from([0.0, 1.0, 2.5]))
+        for j in range(i):
+            if labels[i] == labels[j] and draw(st.integers(0, 3)) == 0:
+                a[i, j] = a[j, i] = draw(st.sampled_from([-1.0, 0.5, 3.0]))
+    return a
+
+
+class TestComponents:
+    @settings(max_examples=200, deadline=None)
+    @given(permuted_block_matrices())
+    def test_one_pass_equals_repeated_searches(self, a):
+        got, want = spectra._blocks(a), blocks_by_repeated_search(a)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+    def test_diagonal_matrix_is_one_block_per_index(self):
+        a = np.diag(np.arange(1.0, 1023.0))
+        assert [b.tolist() for b in spectra._blocks(a)] == [[i] for i in range(1022)]
+        vals, vecs = eigh(a)
+        assert vals.tolist() == list(np.arange(1022.0, 0.0, -1.0)) and np.array_equal(vecs, np.eye(1022)[:, ::-1])

@@ -1,0 +1,62 @@
+"""One solve route and one matvec route in walks, read from its source with ast.
+
+walks calls np.linalg.solve from a single function, the elimination
+helper that the stationary and the harmonic solves share, and applies the
+kernel only through the arc table: no `@` product has the kernel as an
+operand.  A second dense solve or a dense kernel product shows up here.
+"""
+
+import ast
+from pathlib import Path
+
+WALKS = Path(__file__).resolve().parents[1] / "src" / "spectral_walks" / "walks.py"
+
+
+def enclosing_functions(tree):
+    """Map each node to the name of the innermost function defined around it (None at module level)."""
+    owner = {}
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else name
+            owner[child] = inner
+            visit(child, inner)
+
+    visit(tree, None)
+    return owner
+
+
+def solve_callers(source):
+    tree = ast.parse(source)
+    owner = enclosing_functions(tree)
+    return [owner[node] for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.linalg.solve", "numpy.linalg.solve")]
+
+
+def kernel_products(source):
+    return [ast.unparse(node) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+            and any("kernel" in ast.unparse(side) for side in (node.left, node.right))]
+
+
+def test_walks_solves_in_one_function():
+    assert solve_callers(WALKS.read_text(encoding="utf-8")) == ["_solve"]
+
+
+def test_walks_has_no_kernel_product():
+    assert kernel_products(WALKS.read_text(encoding="utf-8")) == []
+
+
+def test_readers_see_each_form():
+    source = (
+        "import numpy as np\n"
+        "def a(fm, b):\n"
+        "    x = np.linalg.solve(fm.kernel, b)\n"
+        "    return fm.kernel @ x\n"
+        "def b(fm, g):\n"
+        "    def inner():\n"
+        "        return np.linalg.solve(g, g)\n"
+        "    return g @ fm.kernel.T, fm.mu0 @ g\n"
+    )
+    assert solve_callers(source) == ["a", "inner"]
+    assert kernel_products(source) == ["fm.kernel @ x", "g @ fm.kernel.T"]
