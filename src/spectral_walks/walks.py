@@ -73,8 +73,8 @@ class FiniteMarkov:
     kernel[i, j] = p(states[i] -> states[j]); every row must sum to 1
     within 1e-12 with finite nonnegative entries.  mu0 is normalized on
     input and must be finite too.  The exact arithmetic and the sampler
-    read the kernel through an arc table built on first use, so edit a
-    chain by building a new one, not by writing into kernel.
+    read the kernel through an arc table built on first use, so kernel is
+    read-only: edit a chain by building a new one from a copy.
     """
 
     __slots__ = ("states", "kernel", "mu0", "index", "_arc_table")
@@ -106,6 +106,8 @@ class FiniteMarkov:
         total = float(mu0.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"mu0 does not sum to 1 (got {total!r})")
+        # the arc table is cached from kernel, so a write into it would leave the table stale
+        kernel.flags.writeable = False
         self.states = states
         self.kernel = kernel
         self.mu0 = mu0 / total
@@ -158,8 +160,8 @@ class FiniteMarkov:
 
         Arc a runs rows[a] -> cols[a] with probability p[a] = kernel[rows[a], cols[a]] > 0, and
         state x's arcs are starts[x]:starts[x + 1].  Built once, from one kernel > 0 pass, on
-        first use; the walks layer reads the kernel through this table only, so edit a chain by
-        building a new one.
+        first use; the walks layer reads the kernel through this table only, and kernel is
+        read-only, so the table cannot go stale.
         """
         if self._arc_table is None:
             rows, cols, starts = _pattern_arcs(self.kernel > 0)
@@ -219,43 +221,40 @@ def is_aperiodic(fm: FiniteMarkov) -> bool:
 def _system(fm: FiniteMarkov, interior=None, h=None):
     """The sparse linear system A x = b of the stationary measure or of a harmonic extension.
 
-    Returns (r, c, v, diag, pivot, b) over the unknowns: the off-diagonal
-    entries A[r, c] = v, the diagonal, each unknown's GTH pivot and the
-    right side.  With interior None the unknowns are the states and A is
-    I - P^T with its last row replaced by ones, b the last unit vector, so
-    x = mu.  Otherwise the unknowns are the states where the bool mask
-    interior holds, in state order, A is I - P on them, and b = P_IB h
-    carries the boundary values h off the interior: the interior rows of
-    I - P with identity rows on the boundary, once the identity rows are
-    eliminated.
+    Returns (r, c, v, pivot, b) over the unknowns: A is the entries
+    A[r, c] = v plus each unknown's GTH pivot on its diagonal, and b is the
+    right side.  With interior None the unknowns are the
+    states and A is I - P^T with its last row replaced by ones, b the last
+    unit vector, so x = mu.  Otherwise the unknowns are the states where
+    the bool mask interior holds, in state order, A is I - P on them, and
+    b = P_IB h carries the boundary values h off the interior: the
+    interior rows of I - P with identity rows on the boundary, once the
+    identity rows are eliminated.
     The pivot of an unknown is the Grassmann-Taksar-Heyman out-mass
-    sum_{j != k} p(k, j), a sum of positive terms in place of the
-    cancelling 1 - p(k, k); it is 0 where the unknown may not be
-    eliminated: the normalization row's state and states with no arc out.
+    sum_{j != k} p(k, j), which is 1 - p(k, k) as a sum of positive terms
+    in place of the cancelling difference.  It is 0 where the unknown may
+    not be eliminated: a state with no arc out, and the normalization
+    row's state, whose diagonal 1 is listed with the entries instead.
     """
     rows, cols, starts, p = fm._arcs()
     n = len(fm)
     loop = rows == cols
     out_mass = np.add.reduceat(np.where(loop, 0.0, p), starts[:-1])
-    stay = np.zeros(n)
-    stay[rows[loop]] = p[loop]
     if interior is None:
         # column x of row y is -p(x, y); the last row is the normalization sum mu(x) = 1
         keep = ~loop & (cols != n - 1)
-        r = np.concatenate((cols[keep], np.full(n - 1, n - 1)))
-        c = np.concatenate((rows[keep], np.arange(n - 1)))
-        v = np.concatenate((-p[keep], np.ones(n - 1)))
-        diag = np.append(1.0 - stay[:-1], 1.0)
-        pivot = np.append(out_mass[:-1], 0.0)
+        r = np.concatenate((cols[keep], np.full(n, n - 1)))
+        c = np.concatenate((rows[keep], np.arange(n)))
+        v = np.concatenate((-p[keep], np.ones(n)))
         b = np.zeros(n)
         b[-1] = 1.0
-        return r, c, v, diag, pivot, b
+        return r, c, v, np.append(out_mass[:-1], 0.0), b
     at = np.cumsum(interior) - 1
     inside = interior[rows]
     keep = inside & interior[cols] & ~loop
     edge = inside & ~interior[cols]
     b = np.bincount(at[rows[edge]], p[edge] * h.take(cols[edge]), int(at[-1]) + 1)
-    return at[rows[keep]], at[cols[keep]], -p[keep], 1.0 - stay[interior], out_mass[interior], b
+    return at[rows[keep]], at[cols[keep]], -p[keep], out_mass[interior], b
 
 
 def _independent_set(r, c, eligible) -> np.ndarray:
@@ -296,10 +295,11 @@ def _solve(fm: FiniteMarkov, interior=None, h=None) -> np.ndarray:
     e reads no other unknown of E and the complement on the rest is exact
     fill: one entry per pair of an entry into e and an entry out of e.
     The complement goes into a dense matrix for np.linalg.solve, and E is
-    back-substituted.  An unknown that stays has its own diagonal, so a
-    singular system still reaches LAPACK and raises LinAlgError.
+    back-substituted.  An unknown that stays keeps its pivot on the
+    diagonal, 0 for an absorbing state, so a singular system still reaches
+    LAPACK and raises LinAlgError.
     """
-    r, c, v, diag, pivot, b = _system(fm, interior, h)
+    r, c, v, pivot, b = _system(fm, interior, h)
     m = len(b)
     out = _independent_set(r, c, pivot > 0)
     keep = ~out
@@ -321,7 +321,7 @@ def _solve(fm: FiniteMarkov, interior=None, h=None) -> np.ndarray:
     # row-major flat positions in the k x k complement: its own entries first, then the fill in order
     flat = np.concatenate((at[r[stays]] * k + at[c[stays]], np.arange(k) * (k + 1),
                            at[r[into]].take(pair) * k + at.take(col_e.take(slot))))
-    weights = np.concatenate((v[stays], diag[keep], -scale.take(pair) * val_e.take(slot)))
+    weights = np.concatenate((v[stays], pivot[keep], -scale.take(pair) * val_e.take(slot)))
     a = np.bincount(flat, weights, k * k).reshape(k, k)
     x = np.zeros(m)
     x[keep] = np.linalg.solve(a, b[keep] - np.bincount(at[r[into]], scale * b.take(e), k))

@@ -399,7 +399,12 @@ class TestGroupedEstimator:
         ens = simulate(fm, 8, 500, seed)
         vec = np.array(f[: len(fm)])
         traj = ens.trajectories
-        want = mask_check(fm.states, traj[:, n], traj[:, n + 1], vec, fm.transfer(vec), min_visits)
+        exact = fm.transfer(vec)
+        # an oracle for the exact values that shares no code with them: the dense product, which may
+        # round each row's sum of at most n terms differently, by up to n eps / 2 times max |f| each
+        bound = len(fm) * np.finfo(float).eps * np.max(np.abs(vec))
+        assert np.max(np.abs(exact - fm.kernel @ vec)) <= bound
+        want = mask_check(fm.states, traj[:, n], traj[:, n + 1], vec, exact, min_visits)
         assert markov_check(ens, fm, vec, n, min_visits) == want
         prev, nxt = traj[:, :-1].ravel(), traj[:, 1:].ravel()
         want = mask_check(fm.states, prev, nxt, vec, vec, min_visits)

@@ -87,6 +87,14 @@ class TestFiniteMarkov:
         assert abs(fm.kernel[0, 3] - 4 / 5) < 1e-15
         assert np.allclose(fm.kernel.sum(axis=1), 1.0, atol=1e-15)
 
+    def test_kernel_is_read_only(self):
+        # the arc table is cached from the kernel, so a write must raise rather than leave it stale
+        fm = FiniteMarkov.from_graph(cycle4())
+        fm.transfer(np.ones(len(fm)))
+        with pytest.raises(ValueError, match="read-only"):
+            fm.kernel[0, 1] = 0.5
+        assert fm.with_start(fm.states[0]).kernel is not fm.kernel
+
     def test_default_start_is_conductance_measure(self):
         g = cycle4()
         fm = FiniteMarkov.from_graph(g)
@@ -813,7 +821,7 @@ class TestEliminationSolve:
         systems = [walks._system(fm)]
         if len(fm) > 1:
             systems.append(walks._system(fm, *interiors(fm, data.draw)))
-        for r, c, v, diag, pivot, b in systems:
+        for r, c, v, pivot, b in systems:
             out = walks._independent_set(r, c, pivot > 0)
             assert np.all(pivot[out] > 0)
             # independent: no entry joins two eliminated unknowns; maximal: each eligible one left has an eliminated neighbour
@@ -822,7 +830,7 @@ class TestEliminationSolve:
             touched[np.concatenate((r[out[c]], c[out[r]]))] = True
             assert np.all(out | touched | (pivot <= 0))
         # the normalization row's state is never eligible: its row is the sum of all unknowns, not its own balance
-        assert systems[0][4][-1] == 0.0
+        assert systems[0][3][-1] == 0.0
 
     @pytest.mark.parametrize("kind", ["path", "cycle"])
     def test_sequential_numbering_still_loses_a_third(self, kind):
@@ -838,7 +846,7 @@ class TestEliminationSolve:
         interior = np.ones(n, dtype=bool)
         interior[[0, n // 2]] = False
         for system in (walks._system(fm), walks._system(fm, interior, np.where(interior, 0.0, 1.0))):
-            r, c, _, _, pivot, b = system
+            r, c, _, pivot, b = system
             assert walks._independent_set(r, c, pivot > 0).sum() >= len(b) / 3
         mu = stationary_measure(fm)
         assert np.max(np.abs(mu - np.linalg.solve(*dense_stationary_system(fm)))) <= 1e-12 * np.max(mu)
