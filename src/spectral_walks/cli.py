@@ -283,16 +283,13 @@ def _cmd_walk_sim(args) -> tuple:
     g = load_graph(args.graph)
     fm = wk.FiniteMarkov.from_graph(g)
     mu_solve = wk.stationary_measure(fm)
-    rows_st = []
-    for i, s in enumerate(fm.states):
-        rows_st.append([_word_label(str(s), args.out) if s == "" else s,
-                        float(mu_solve[i]), float(fm.mu0[i]),
-                        abs(float(mu_solve[i]) - float(fm.mu0[i]))])
+    labels = [_word_label(str(s), args.out) if s == "" else s for s in fm.states]
+    rows_st = [list(row) for row in zip(labels, mu_solve.tolist(), fm.mu0.tolist(),
+                                        np.abs(mu_solve - fm.mu0).tolist())]
     ens = wk.simulate(fm, args.steps, args.paths, args.seed)
-    vecs = {
-        "origin": fm.as_vector({v: (1.0 if v == g.origin else 0.0) for v in g.vertices}),
-        "distance": fm.as_vector({v: float(g.distance[v]) for v in g.vertices}),
-    }
+    origin = np.zeros(len(fm))
+    origin[g.index[g.origin]] = 1.0
+    vecs = {"origin": origin, "distance": g._hops.astype(np.float64)}
     lags = [n for n in (0, 1, 4) if n + 1 <= args.steps]
     pairs = [("origin", "origin"), ("origin", "distance"), ("distance", "distance")]
     exact = {(f1, f2): [wk.covariance_exact(fm, vecs[f1], vecs[f2], n) for n in lags] for f1, f2 in pairs}

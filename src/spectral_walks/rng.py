@@ -56,28 +56,45 @@ def derive_key(seed: int, index: int) -> int:
     return mix64(seed + (index + 1) * _GOLDEN)
 
 
-def _mix_array(z: np.ndarray) -> np.ndarray:
-    # uint64 arithmetic wraps, which is exactly the mod-2^64 we want
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
-    return z ^ (z >> np.uint64(31))
+def _mix_in_place(z: np.ndarray) -> np.ndarray:
+    """Apply the SplitMix64 finalizer to every entry of the uint64 array z, writing over z, and return z.
+
+    Each round's shift goes into one temporary, so a call allocates that
+    array alone.  path_keys and step_bits pass arrays they have just
+    built, so no array of their callers is written.  uint64 arithmetic
+    wraps, which is exactly the mod-2^64 we want.
+    """
+    tmp = z >> np.uint64(30)
+    z ^= tmp
+    z *= np.uint64(_M1)
+    np.right_shift(z, np.uint64(27), out=tmp)
+    z ^= tmp
+    z *= np.uint64(_M2)
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
+    return z
 
 
 def path_keys(seed: int, first: int, count: int) -> np.ndarray:
     """Keys for paths first .. first+count-1 as a uint64 array."""
     idx = np.arange(first + 1, first + count + 1, dtype=np.uint64)
-    z = np.uint64(seed & _MASK) + idx * np.uint64(_GOLDEN)
-    return _mix_array(z)
+    idx *= np.uint64(_GOLDEN)
+    idx += np.uint64(seed & _MASK)
+    return _mix_in_place(idx)
 
 
 def step_bits(keys: np.ndarray, step: int) -> np.ndarray:
-    """The raw 64-bit draw per key for the given step index, as uint64."""
-    return _mix_array(keys + np.uint64(((step + 1) * _GOLDEN) & _MASK))
+    """The raw 64-bit draw per key for the given step index, as uint64; keys is not modified."""
+    return _mix_in_place(keys + np.uint64(((step + 1) * _GOLDEN) & _MASK))
 
 
 def step_uniforms(keys: np.ndarray, step: int) -> np.ndarray:
     """One uniform in [0, 1) per key for the given step index: the top 53 bits of step_bits."""
-    return (step_bits(keys, step) >> np.uint64(11)).astype(np.float64) * _SCALE
+    bits = step_bits(keys, step)
+    bits >>= np.uint64(11)
+    u = bits.astype(np.float64)
+    u *= _SCALE
+    return u
 
 
 def uniform(seed: int, path: int, step: int) -> float:

@@ -8,13 +8,16 @@ counter-based generator in rng.py, so an ensemble is a pure function of
 many worker threads run.
 
 The exact side reads the kernel through one arc table per chain, the
-positive entries row by row, built on first use: every T g is a
-fixed-order row sum over the arcs with no BLAS call, and the sampler's
-tables, the reachability searches and the residual checks read the same
-arcs.  The stationary measure and harmonic extensions share one solve:
-an independent set of states is eliminated by its Grassmann-Taksar-Heyman
-pivots, and only the Schur complement on the other states goes to a
-dense LU.  That LU (LAPACK) and the closing mu0 . g dot products (BLAS)
+positive entries row by row.  A graph walk's table is built straight
+from the graph's edges and is the chain's only storage: the dense S x S
+kernel is built from it only when something reads `kernel`.  A chain
+given a dense array reads its table off that array on first use.  Every
+T g is a fixed-order row sum over the arcs with no BLAS call, and the
+sampler's tables, the reachability searches and the residual checks
+read the same arcs.  The stationary measure and harmonic extensions
+share one solve: an independent set of states is eliminated by its
+Grassmann-Taksar-Heyman pivots, and only the Schur complement on the
+other states goes to a dense LU.  That LU (LAPACK) and the closing mu0 . g dot products (BLAS)
 are the exact-side steps whose last bits may still depend on the BLAS
 build or thread count.
 
@@ -40,7 +43,7 @@ from typing import ClassVar
 import numpy as np
 
 from .graphs import WeightedGraph, _float_edges, _hop_counts, _pattern_arcs
-from .rng import _mix_array, derive_key, path_keys, run_blocks, step_uniforms
+from .rng import _mix_in_place, derive_key, path_keys, run_blocks, step_uniforms
 
 __all__ = [
     "FiniteMarkov",
@@ -67,37 +70,58 @@ SIGMA_THRESHOLD = 5.0
 _ERGODIC_TOL = 1e-10
 
 
+def _check_row_sums(sums) -> None:
+    """Refuse a kernel whose row sums are not all within 1e-12 of 1."""
+    rowdev = np.max(np.abs(sums - 1.0))
+    if rowdev > 1e-12:
+        raise ValueError(f"kernel rows are not stochastic (max deviation {rowdev:.3e})")
+
+
 class FiniteMarkov:
     """States, a row-stochastic kernel, and an initial measure.
 
     kernel[i, j] = p(states[i] -> states[j]); every row must sum to 1
     within 1e-12 with finite nonnegative entries.  mu0 is normalized on
-    input and must be finite too.  The exact arithmetic and the sampler
-    read the kernel through an arc table built on first use, so kernel is
-    read-only: edit a chain by building a new one from a copy.
+    input and must be finite too.  The chain's own storage is its arc
+    table, the positive entries row by row: the exact arithmetic and the
+    sampler read nothing else.  A chain built from a dense array keeps
+    that array and reads its arcs off it on first use; from_graph builds
+    the arcs from the graph's edges, and with_start shares them, so those
+    chains hold no S x S array until kernel is read.  kernel is read-only
+    either way: edit a chain by building a new one from a copy.
     """
 
-    __slots__ = ("states", "kernel", "mu0", "index", "_arc_table")
+    __slots__ = ("states", "mu0", "index", "_kernel", "_arc_table")
 
     def __init__(self, states, kernel, mu0):
-        states = tuple(states)
-        if not states:
-            raise ValueError("a chain needs at least one state")
-        if len(set(states)) != len(states):
-            raise ValueError("duplicate state labels")
+        n = self._set_states(states)
         kernel = np.array(kernel, dtype=np.float64)
-        n = len(states)
         if kernel.shape != (n, n):
             raise ValueError("kernel shape does not match the state count")
         if not np.all(np.isfinite(kernel)):
             raise ValueError("kernel has a non-finite entry")
         if np.any(kernel < 0):
             raise ValueError("kernel has a negative entry")
-        rowdev = np.max(np.abs(kernel.sum(axis=1) - 1.0))
-        if rowdev > 1e-12:
-            raise ValueError(f"kernel rows are not stochastic (max deviation {rowdev:.3e})")
+        _check_row_sums(kernel.sum(axis=1))
+        self._set_start(mu0)
+        # the arc table is cached from kernel, so a write into it would leave the table stale
+        kernel.flags.writeable = False
+        self._kernel = kernel
+        self._arc_table = None
+
+    def _set_states(self, states) -> int:
+        states = tuple(states)
+        if not states:
+            raise ValueError("a chain needs at least one state")
+        if len(set(states)) != len(states):
+            raise ValueError("duplicate state labels")
+        self.states = states
+        self.index = {s: i for i, s in enumerate(states)}
+        return len(states)
+
+    def _set_start(self, mu0) -> None:
         mu0 = np.array(mu0, dtype=np.float64)
-        if mu0.shape != (n,):
+        if mu0.shape != (len(self.states),):
             raise ValueError("mu0 length does not match the state count")
         if not np.all(np.isfinite(mu0)):
             raise ValueError("mu0 has a non-finite entry")
@@ -106,28 +130,68 @@ class FiniteMarkov:
         total = float(mu0.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"mu0 does not sum to 1 (got {total!r})")
-        # the arc table is cached from kernel, so a write into it would leave the table stale
-        kernel.flags.writeable = False
-        self.states = states
-        self.kernel = kernel
         self.mu0 = mu0 / total
-        self.index = {s: i for i, s in enumerate(states)}
-        self._arc_table = None
+
+    @classmethod
+    def _from_arcs(cls, states, rows, cols, p, mu0) -> "FiniteMarkov":
+        """The chain whose kernel is p at (rows, cols) and 0 elsewhere, with no dense array.
+
+        The arcs come in (row, column) order, each pair once.  They pass
+        __init__'s checks with its messages: p finite and nonnegative, and
+        every row sum, 0 for a row with no arc, within 1e-12 of 1.  Arcs
+        with p = 0 are then dropped, as the scan kernel > 0 drops them, so
+        the table is the one _arcs reads off the dense kernel.
+        """
+        fm = cls.__new__(cls)
+        n = fm._set_states(states)
+        if not np.all(np.isfinite(p)):
+            raise ValueError("kernel has a non-finite entry")
+        if np.any(p < 0):
+            raise ValueError("kernel has a negative entry")
+        _check_row_sums(np.bincount(rows, p, n))
+        fm._set_start(mu0)
+        positive = p > 0
+        if not positive.all():
+            rows, cols, p = rows[positive], cols[positive], p[positive]
+        fm._kernel = None
+        fm._arc_table = rows, cols, np.searchsorted(rows, np.arange(n + 1)), p
+        return fm
 
     @classmethod
     def from_graph(cls, g: WeightedGraph, mu0=None) -> "FiniteMarkov":
-        """The conductance-driven walk on g; default start is c(x)/sum c."""
+        """The conductance-driven walk on g; default start is c(x)/sum c.
+
+        The arcs are the graph's edges in both directions, sorted by
+        (row, column), with p(x, y) = float(c) / float(c(x)): the entries
+        of the dense kernel, no S x S array built.
+        """
         n = len(g.vertices)
         head, tail, c, total = _float_edges(g)
-        # p(x, y) = float(c) / float(c(x)) for each edge in both directions
-        kernel = np.zeros((n, n))
-        kernel[head, tail] = c / total[head]
-        kernel[tail, head] = c / total[tail]
+        rows = np.concatenate((head, tail))
+        cols = np.concatenate((tail, head))
+        order = np.argsort(rows * n + cols)
+        rows, cols = rows[order], cols[order]
+        p = np.concatenate((c, c))[order] / total[rows]
         if mu0 is None:
             mu0 = total / total.sum()
         else:
             mu0 = cls._as_vector_static(g.vertices, mu0)
-        return cls(g.vertices, kernel, mu0)
+        return cls._from_arcs(g.vertices, rows, cols, p, mu0)
+
+    @property
+    def kernel(self) -> np.ndarray:
+        """The dense S x S kernel, read-only.
+
+        The array given to __init__, or for a chain built from arcs the
+        arcs placed in an array of zeros on first read, and then kept.
+        """
+        if self._kernel is None:
+            rows, cols, _, p = self._arc_table
+            kernel = np.zeros((len(self.states), len(self.states)))
+            kernel[rows, cols] = p
+            kernel.flags.writeable = False
+            self._kernel = kernel
+        return self._kernel
 
     @staticmethod
     def _as_vector_static(states, f) -> np.ndarray:
@@ -148,24 +212,32 @@ class FiniteMarkov:
         return vec
 
     def with_start(self, x) -> "FiniteMarkov":
-        """Same kernel, started deterministically at x; ValueError when x is not a state."""
+        """Same kernel, started deterministically at x; ValueError when x is not a state.
+
+        The new chain shares this one's states, index and arc table.
+        """
         if x not in self.index:
             raise ValueError(f"start state {x!r} is not a chain state")
-        mu0 = np.zeros(len(self.states))
-        mu0[self.index[x]] = 1.0
-        return FiniteMarkov(self.states, self.kernel, mu0)
+        fm = FiniteMarkov.__new__(FiniteMarkov)
+        fm.states, fm.index = self.states, self.index
+        fm.mu0 = np.zeros(len(self.states))
+        fm.mu0[self.index[x]] = 1.0
+        fm._kernel = None
+        fm._arc_table = self._arcs()
+        return fm
 
     def _arcs(self):
         """(rows, cols, starts, p): the positive kernel entries, row by row in column order.
 
         Arc a runs rows[a] -> cols[a] with probability p[a] = kernel[rows[a], cols[a]] > 0, and
-        state x's arcs are starts[x]:starts[x + 1].  Built once, from one kernel > 0 pass, on
-        first use; the walks layer reads the kernel through this table only, and kernel is
-        read-only, so the table cannot go stale.
+        state x's arcs are starts[x]:starts[x + 1].  A chain built from arcs holds the table from
+        the start; a chain built from a dense array reads it off by one kernel > 0 pass on first
+        use.  The walks layer reads the kernel through this table only, and kernel is read-only,
+        so the table cannot go stale.
         """
         if self._arc_table is None:
-            rows, cols, starts = _pattern_arcs(self.kernel > 0)
-            self._arc_table = rows, cols, starts, self.kernel[rows, cols]
+            rows, cols, starts = _pattern_arcs(self._kernel > 0)
+            self._arc_table = rows, cols, starts, self._kernel[rows, cols]
         return self._arc_table
 
     def _apply(self, g: np.ndarray) -> np.ndarray:
@@ -188,14 +260,24 @@ class FiniteMarkov:
 def is_irreducible(fm: FiniteMarkov) -> bool:
     """True when every state reaches every other along positive-probability arcs.
 
-    State 0 must reach every state along the arcs and along the reversed arcs, the
-    table sorted by target (a stable sort keeps each target's sources ascending).
+    State 0 must reach every state along the arcs and along the reversed
+    arcs.  A symmetric pattern, as every graph walk's is, is its own
+    reversal, so the second search runs only for a pattern that is not
+    symmetric.  One sort of the reversed keys col * S + row decides that
+    (they equal the forward keys row * S + col, which the table lists in
+    order, exactly when the pattern is symmetric) and gives the reversed
+    table: the arcs sorted by target, each target's sources ascending.
     """
     rows, cols, starts, _ = fm._arcs()
-    order = np.argsort(cols, kind="stable")
-    back_starts = np.searchsorted(cols[order], np.arange(len(starts)))
-    tables = ((cols, starts), (rows[order], back_starts))
-    return all((_hop_counts(targets, at, 0) >= 0).all() for targets, at in tables)
+    if not (_hop_counts(cols, starts, 0) >= 0).all():
+        return False
+    n = len(fm)
+    back = cols * n + rows
+    order = np.argsort(back)
+    if np.array_equal(back[order], rows * n + cols):
+        return True
+    back_starts = np.searchsorted(cols[order], np.arange(n + 1))
+    return bool((_hop_counts(rows[order], back_starts, 0) >= 0).all())
 
 
 def _period(fm: FiniteMarkov):
@@ -272,7 +354,7 @@ def _independent_set(r, c, eligible) -> np.ndarray:
     # both directions of every entry: the degree counts entries in and out
     u, w = np.concatenate((r, c)), np.concatenate((c, r))
     key = np.empty(m, dtype=np.intp)
-    key[np.lexsort((_mix_array(np.arange(m, dtype=np.uint64)), np.bincount(u, minlength=m)))] = np.arange(m)
+    key[np.lexsort((_mix_in_place(np.arange(m, dtype=np.uint64)), np.bincount(u, minlength=m)))] = np.arange(m)
     chosen = np.zeros(m, dtype=bool)
     undecided = eligible.copy()
     while undecided.any():

@@ -58,9 +58,14 @@ def test_path_keys_chunk_invariance():
 
 def test_step_uniforms_match_scalar():
     ks = path_keys(31337, 0, 16)
+    before = ks.copy()
     for step in (0, 1, 17):
         us = step_uniforms(ks, step)
         assert all(float(us[i]) == uniform(31337, i, step) for i in range(16))
+        # the draws are mixed in place in arrays of their own, never in the caller's keys
+        assert np.array_equal(ks, before)
+        step_bits(ks, step)
+        assert np.array_equal(ks, before)
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,6 +3,7 @@
 import math
 import os
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spectral_walks import walks
+from spectral_walks.graphs import _pattern_arcs
 from spectral_walks.rng import derive_key, mix64
 from spectral_walks import (
     FiniteMarkov,
@@ -131,8 +133,10 @@ class TestFiniteMarkov:
                 FiniteMarkov((0, 1), good, np.array([bad, 0.5]))
 
     def test_with_start(self):
-        fm = FiniteMarkov.from_graph(cycle4()).with_start(2)
+        base = FiniteMarkov.from_graph(cycle4())
+        fm = base.with_start(2)
         assert fm.mu0[2] == 1.0 and fm.mu0.sum() == 1.0
+        assert fm._arcs() is base._arcs() and fm.kernel.tobytes() == base.kernel.tobytes()
 
     def test_with_start_names_an_unknown_state(self):
         with pytest.raises(ValueError, match=r"^start state 9 is not a chain state$"):
@@ -174,6 +178,49 @@ class TestFromGraphProperties:
             want[v, u] = float(c) / float(g.total[v])
         assert fm.kernel.tobytes() == want.tobytes()
         assert fm.states == g.vertices
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs())
+    def test_arc_table_is_the_dense_scan(self, g):
+        # the arcs come from the edges; scanning the dense build for kernel > 0 gives the same table
+        n = len(g.vertices)
+        dense = np.zeros((n, n))
+        for u, v, c in g.edges:
+            dense[u, v] = float(c) / float(g.total[u])
+            dense[v, u] = float(c) / float(g.total[v])
+        rows, cols, starts = _pattern_arcs(dense > 0)
+        fm = FiniteMarkov.from_graph(g)
+        for got, want in zip(fm._arcs(), (rows, cols, starts, dense[rows, cols])):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert fm._kernel is None
+
+    def test_an_edge_whose_probability_underflows_has_no_arc(self):
+        # p(1, 2) = 5e-324 / 1e300 rounds to 0, so the walk never steps from 1 to 2
+        g = load_graph({"vertices": [0, 1, 2], "origin": 0,
+                        "edges": [{"u": 0, "v": 1, "c": 1e300}, {"u": 1, "v": 2, "c": 5e-324}]})
+        fm = FiniteMarkov.from_graph(g)
+        dense = FiniteMarkov(fm.states, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], fm.mu0)
+        assert fm.kernel.tobytes() == dense.kernel.tobytes()
+        for got, want in zip(fm._arcs(), dense._arcs()):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert fm._arcs()[1].tolist() == [1, 0, 1]
+        assert not is_irreducible(fm)
+        with pytest.raises(ValueError, match="reducible"):
+            stationary_measure(fm)
+        assert simulate(fm, 6, 50, 1).trajectories.tobytes() == simulate(dense, 6, 50, 1).trajectories.tobytes()
+        assert fm.transfer([1.0, 2.0, 4.0]).tolist() == [2.0, 1.0, 2.0]
+
+    def test_no_dense_array_on_a_large_graph(self):
+        # on 4095 states one dense kernel is S^2 * 8 bytes = 134 MB; the arc table and the sampler need about 1 MB
+        g = tree_with_chords(11, 1024)
+        tracemalloc.start()
+        try:
+            fm = FiniteMarkov.from_graph(g)
+            simulate(fm, 8, 1000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(fm) == 4095 and peak < len(fm) ** 2 * 8 / 32
 
     @settings(max_examples=100, deadline=None)
     @given(graphs())
@@ -314,6 +361,15 @@ class TestStructure:
     def test_irreducible(self):
         assert is_irreducible(FiniteMarkov.from_graph(cycle4()))
         assert not is_irreducible(ruin_chain())
+
+    def test_reducible_chain_with_a_pattern_that_is_not_symmetric(self):
+        # state 0 reaches 1 and 2, and nothing returns to 0: only the reversed search can see it
+        kernel = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        fm = FiniteMarkov((0, 1, 2), kernel, np.full(3, 1 / 3))
+        assert not is_irreducible(fm)
+        with pytest.raises(ValueError, match="reducible"):
+            stationary_measure(fm)
+        assert is_irreducible(FiniteMarkov((0, 1, 2), np.roll(np.eye(3), 1, axis=1), np.full(3, 1 / 3)))
 
     def test_aperiodic(self):
         # the 4-cycle and every tree are bipartite: period 2
@@ -773,9 +829,22 @@ def dense_stationary_system(fm):
 
 
 def dense_harmonic_system(fm, interior, h):
-    """(I - P_II, P_IB h_B) for the boundary values h off the interior."""
+    """(I - P_II, P_IB h_B, _system's own P_IB h_B, the forming error) for the boundary values h off the interior.
+
+    The right side here is a BLAS dot and _system's is a bincount of the same products in arc order.
+    Row x of either is a sum of m terms p(x, y) h(y), m at most the boundary count, so each lies within
+    gamma_m sum_y |p(x, y)| |h(y)| of the exact value, gamma_m = m u / (1 - m u) with u = eps / 2
+    (Higham, Accuracy and Stability of Numerical Algorithms, section 3.1; an FMA kernel rounds no more).
+    The two therefore differ by at most 2 gamma_m times that sum, which N eps bounds for N, the state
+    count, at least m + 1.  Where the terms cancel, that difference is the whole right side: one
+    interior state with p(x, 5) = 2 p(x, 6), h = -2.5 at 5 and 5 at 6, has b = 0 exactly, which the
+    bincount forms and the dot misses by 2.8e-17 or 5.6e-17.
+    """
     inner = np.flatnonzero(interior)
-    return np.eye(len(inner)) - fm.kernel[np.ix_(inner, inner)], fm.kernel[inner][:, ~interior] @ h[~interior]
+    p_ib = fm.kernel[inner][:, ~interior]
+    forming = len(h) * np.finfo(float).eps * np.max(np.abs(p_ib) @ np.abs(h[~interior]))
+    a = np.eye(len(inner)) - fm.kernel[np.ix_(inner, inner)]
+    return a, p_ib @ h[~interior], walks._system(fm, interior, h)[4], forming
 
 
 def interiors(fm, draw):
@@ -790,18 +859,23 @@ def interiors(fm, draw):
     return interior, h
 
 
-def assert_agrees_with_the_dense_solve(x, a, b):
-    """x solves a x = b to a backward error of n eps, and is within 1e-12 relative of np.linalg.solve(a, b).
+def assert_agrees_with_the_dense_solve(x, a, b, formed=None, forming=0.0):
+    """x solves a x = b to n eps plus b's forming error, and is within 1e-12 relative of np.linalg.solve(a, formed).
 
-    Both solves are backward stable, so they may differ by n eps times the condition number of a; a drifting
+    formed is the right side that _system formed and x solves (b when None: the stationary b is
+    exact); it differs from b by at most forming (see dense_harmonic_system), so the residual against
+    b may exceed the backward-error bound by that much.  The dense solve is given formed, the same
+    right side, since where b's terms cancel to 0 one side may be 0 and the other not.  Both solves
+    are backward stable, so they may differ by n eps times the condition number of a; a drifting
     path is that ill conditioned (its measure spans decades), and there the bound widens to that
     forward-error bound.  Against the rational solution, on 30 paths and cycles of 30-60 states, the
     elimination was off by at most 4.3e-12 relative and np.linalg.solve by 1.1e-11.
     """
     n, eps = len(b), np.finfo(float).eps
     scale = np.max(np.abs(x))
-    assert np.max(np.abs(a @ x - b)) <= n * eps * (np.max(np.abs(a).sum(axis=1)) * scale + np.max(np.abs(b)))
-    want = np.linalg.solve(a, b)
+    bound = n * eps * (np.max(np.abs(a).sum(axis=1)) * scale + np.max(np.abs(b))) + forming
+    assert np.max(np.abs(a @ x - b)) <= bound
+    want = np.linalg.solve(a, b if formed is None else formed)
     assert np.max(np.abs(x - want)) <= max(1e-12, n * eps * np.linalg.cond(a, np.inf)) * np.max(np.abs(want))
 
 
@@ -814,6 +888,17 @@ class TestEliminationSolve:
             interior, h = interiors(fm, data.draw)
             assume(np.any(h != 0.0))
             assert_agrees_with_the_dense_solve(walks._solve(fm, interior, h), *dense_harmonic_system(fm, interior, h))
+
+    def test_right_side_that_cancels_to_zero(self):
+        # b = p(2, 5) h(5) + p(2, 6) h(6) is exactly 0; the elimination forms 0, the dense dot a few 1e-17
+        weights = np.eye(7, k=1) + np.eye(7, k=-6)
+        weights[2] = [1, 0, 0, 3, 0, 2, 1]
+        fm = FiniteMarkov(tuple(range(7)), weights / weights.sum(axis=1, keepdims=True), np.full(7, 1 / 7))
+        interior = np.arange(7) == 2
+        h = np.array([0, 0, 0, 0, 0, -2.5, 5.0])
+        x = walks._solve(fm, interior, h)
+        assert x.tolist() == [0.0]
+        assert_agrees_with_the_dense_solve(x, *dense_harmonic_system(fm, interior, h))
 
     @settings(max_examples=150, deadline=None)
     @given(fm=solve_chains(), data=st.data())
