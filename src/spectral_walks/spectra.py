@@ -88,6 +88,13 @@ def eigh(matrix):
     rows = np.zeros((n, n))  # row j is the eigenvector for vals[j]
     start = 0
     for block in _blocks(a):
+        if block.size == 1:
+            # what the QL loop gives a 1 x 1 block: its entry plus the zero shift, so -0.0 becomes +0.0
+            (i,) = block.tolist()
+            vals[start] = a[i, i] + 0.0
+            rows[start, i] = 1.0
+            start += 1
+            continue
         d, e, z = _tridiagonalize(a[np.ix_(block, block)])
         _implicit_ql(d, e, z)
         stop = start + block.size
@@ -96,13 +103,12 @@ def eigh(matrix):
         start = stop
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
-    vecs = rows[order].T.copy()
-    for j in range(n):
-        col = vecs[:, j]
-        lead = np.nonzero(np.abs(col) > 1e-12)[0]
-        if lead.size and col[lead[0]] < 0.0:
-            vecs[:, j] = -col
-    return vals, vecs
+    rows = rows[order]
+    # negate each eigenvector whose first component of magnitude > 1e-12 is negative
+    big = np.abs(rows) > 1e-12
+    flip = big.any(axis=1) & (rows[np.arange(n), big.argmax(axis=1)] < 0.0)
+    rows[flip] = -rows[flip]
+    return vals, rows.T.copy()
 
 
 def _blocks(a):

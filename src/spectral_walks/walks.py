@@ -23,13 +23,15 @@ build or thread count.
 
 Checks compare Monte Carlo estimates against exact kernel arithmetic and
 report deviations in units of the standard error.  The package has one
-estimator and one gate: every sample mean and its standard error come from
-`mean_se`, which refuses fewer than 2 samples, and every verdict from
-`CheckRow.passed`, which holds at most SIGMA_THRESHOLD = 5 SE and fails a
-NaN sigma.  The covariance and grouped checks here and the solenoid and
-CLI checks elsewhere all go through these two.  covariance_mc serves both
-walks through their ensembles' evaluate(f, step); as_vector refuses a
-state function that is not finite.
+estimator per shape of sample and one gate: the mean and standard error
+of a column of samples come from `mean_se`, which refuses fewer than 2
+samples, the conditional means grouped by state from `_grouped_check`,
+which reads transition counts, and every verdict from `CheckRow.passed`,
+which holds at most SIGMA_THRESHOLD = 5 SE and fails a NaN sigma.  The
+covariance, Doob and grouped checks here and the solenoid and CLI checks
+elsewhere all go through these.  covariance_mc serves both walks through
+their ensembles' evaluate(f, step); as_vector refuses a state function
+that is not finite.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import partial
+from itertools import compress
 from typing import ClassVar
 
 import numpy as np
@@ -463,7 +466,12 @@ def ergodic_limit(fm: FiniteMarkov, f, max_steps: int = 100000) -> float:
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """Simulated trajectories: row p, column k holds the state index of Z_k on path p."""
+    """Simulated trajectories: row p, column k holds the state index of Z_k on path p.
+
+    simulate stores one contiguous int32 row per step and passes its
+    transpose, so trajectories is a (paths, steps + 1) view whose step
+    columns, what evaluate and the checks read, are contiguous in memory.
+    """
 
     states: tuple
     seed: int
@@ -494,7 +502,9 @@ def _sparse_rows(fm: FiniteMarkov):
     columns: targets[i * width + m] is the column of the m-th one.  The
     width is the largest out-degree rounded up to a power of two, so a
     binary search over a row takes exactly log2(width) halvings; cum is
-    inf past each row's degree.  The sums equal the dense
+    inf past each row's degree.  targets holds each column times width,
+    the flat offset of that state's row, so a step reads the next row's
+    offset with no multiply.  The sums equal the dense
     np.cumsum(kernel[i]) at those columns bit for bit: the dense sum only
     adds +0.0 in between, which leaves a sum >= 0 unchanged.  The last
     positive entry of each row is clamped to 1.0, so no draw u < 1 can
@@ -513,26 +523,29 @@ def _sparse_rows(fm: FiniteMarkov):
     cum[np.arange(width) >= degree[:, None]] = np.inf
     cum[np.arange(n), degree - 1] = 1.0
     targets = np.zeros(cum.size, dtype=np.intp)
-    targets[rows * width + slot] = cols
+    targets[rows * width + slot] = cols * width
     return cum, targets
 
 
 def _simulate_block(cum, targets, mu0_cum, n_steps, seed, out, first, count):
+    """Paths first .. first + count - 1, written into columns of out, which holds one row per step."""
     keys = path_keys(seed, first, count)
     u = step_uniforms(keys, 0)
     state = np.searchsorted(mu0_cum, u, side="right")
-    out[first : first + count, 0] = state
+    out[0, first : first + count] = state
     width = cum.shape[1]
+    shift = width.bit_length() - 1
     flat = cum.ravel()
     # round r asks whether the entry at pos + half - 1 is <= u: a view that starts half - 1 in saves the add
     rounds = [(flat[half - 1 :], half) for half in (width >> r for r in range(1, width.bit_length()))]
+    pos = state * width
     for k in range(n_steps):
         u = step_uniforms(keys, k + 1)
-        pos = state * width
         for shifted, half in rounds:
             pos += (shifted.take(pos) <= u) * half
-        state = targets.take(pos)
-        out[first : first + count, k + 1] = state
+        # the next state's row offset is carried to the next step; the state itself is written out
+        pos = targets.take(pos)
+        np.right_shift(pos, shift, out=out[k + 1, first : first + count], casting="unsafe")
 
 
 def simulate(fm: FiniteMarkov, n_steps: int, n_paths: int, seed: int) -> PathEnsemble:
@@ -547,9 +560,11 @@ def simulate(fm: FiniteMarkov, n_steps: int, n_paths: int, seed: int) -> PathEns
     state * width + that count.  The entries <= u always form a prefix of
     the row: the sums before the clamp are nondecreasing, and the clamped
     1.0 and the inf padding lie above every draw u < 1, so the search
-    counts exactly the entries <= u.  Path p consumes only the stream
-    keyed by (seed, p), so the ensemble is bit-identical no matter how the
-    work is chunked.
+    counts exactly the entries <= u.  The target table holds row offsets,
+    so the search carries state * width from step to step and shifts it
+    back to a state only to write one contiguous row per step.  Path p
+    consumes only the stream keyed by (seed, p), so the ensemble is
+    bit-identical no matter how the work is chunked.
     """
     if n_steps < 0 or n_paths < 1:
         raise ValueError("need n_steps >= 0 and n_paths >= 1")
@@ -557,9 +572,9 @@ def simulate(fm: FiniteMarkov, n_steps: int, n_paths: int, seed: int) -> PathEns
     mu0_cum = np.cumsum(fm.mu0)
     # clamp at the last positive entry: no start lands on a zero-mass state
     mu0_cum[np.flatnonzero(fm.mu0)[-1] :] = 1.0
-    out = np.empty((n_paths, n_steps + 1), dtype=np.int32)
+    out = np.empty((n_steps + 1, n_paths), dtype=np.int32)
     run_blocks(partial(_simulate_block, cum, targets, mu0_cum, n_steps, seed, out), n_paths)
-    return PathEnsemble(states=fm.states, seed=seed, trajectories=out)
+    return PathEnsemble(states=fm.states, seed=seed, trajectories=out.T)
 
 
 def cylinder_mass(fm: FiniteMarkov, sets) -> float:
@@ -665,42 +680,67 @@ class CheckReport:
         return all(r.passed for r in self.rows)
 
 
-def _grouped_check(states, here, values, exact, min_visits) -> CheckReport:
-    """Test E[values | here = i] = exact[i] for every state i.
+def _grouped_check(states, here, there, vec, exact, min_visits) -> CheckReport:
+    """Test E[vec[there] | here = x] = exact[x] for every state x, from the transition counts.
 
-    here (state indices) and values (samples) share one shape, 1-D or 2-D, read in C order.
+    here and there are state indices of one shape: the samples are the
+    transitions here -> there, and the sample for one is vec[there].  The
+    counts N_xy of the distinct transitions hold every sample, so one
+    sorted np.unique over the packed keys here * S + there (uint32 when
+    S^2 <= 2^32, uint64 otherwise) replaces the samples.  Per state x with
+    N_x = sum_y N_xy visits, shifted by f0 = vec[y0] at its most visited
+    successor y0 (the shifted data of Chan, Golub and LeVeque, 1983):
 
-    One sort groups the samples by conditioning state, keeping each group
-    in its original order; states with fewer than min_visits samples are
-    reported in `skipped` rather than tested.  The sort keys pack each
-    sample's label above its position, label << b | position with b the
-    bits of the largest position, as uint32 when label and position fit
-    in 32 bits together and as uint64 otherwise.  The keys are distinct,
-    so any sort orders them as a stable sort of the labels would, and the
-    position bits of the sorted keys are that permutation.  min_visits
-    below 2 is refused: a single visit has no standard error.
+        mean = f0 + sum_y N_xy (vec[y] - f0) / N_x
+        se   = sqrt(sum_y N_xy (vec[y] - mean)^2 / (N_x - 1)) / sqrt(N_x)
+
+    so a state whose successors share one value returns that value with
+    se = 0, and the largest share of the samples adds no rounding.  The
+    shifted sum is formed with one rounding by Rump's extraction (Rump,
+    Ogita and Oishi, 2008): each term splits exactly into a multiple of
+    ulp(sigma) / 2 for a power of two sigma, and those add exactly, and a
+    small rest.  The mean is then within ulp(mean) + 2 eps times
+    sum_y (N_xy / N_x) |vec[y] - f0| of the exact sample mean.  States
+    with fewer than min_visits visits are reported in `skipped` rather
+    than tested; min_visits below 2 is refused, as a single visit has no
+    standard error.
     """
     if min_visits < 2:
         raise ValueError(f"min_visits must be at least 2 for a standard error, got {min_visits}")
-    shift = (here.size - 1).bit_length()
-    dtype = np.uint32 if shift + (len(states) - 1).bit_length() <= 32 else np.uint64
-    # astype copies into C order, so this ravel is a view
-    keys = here.astype(dtype).ravel()
-    keys <<= shift
-    keys |= np.arange(here.size, dtype=dtype)
-    keys.sort()
-    values = values.ravel()[keys & ((1 << shift) - 1)]
-    bounds = [*np.searchsorted(keys, np.arange(len(states), dtype=dtype) << shift).tolist(), here.size]
-    rows = []
-    skipped = []
-    for i, x in enumerate(states):
-        samples = values[bounds[i] : bounds[i + 1]]
-        if len(samples) < min_visits:
-            skipped.append(x)
-            continue
-        est, se = mean_se(samples)
-        rows.append(CheckRow(label=str(x), estimate=est, exact=float(exact[i]), se=se))
-    return CheckReport(rows=tuple(rows), skipped=tuple(skipped))
+    n = len(states)
+    dtype = np.uint32 if n * n <= 1 << 32 else np.uint64
+    keys = here.astype(dtype)
+    keys *= n
+    np.add(keys, there, out=keys, dtype=dtype, casting="unsafe")
+    pairs, counts = np.unique(keys, return_counts=True)
+    x = (pairs // n).astype(np.intp)
+    f = vec.take((pairs % n).astype(np.intp))
+    # the pairs are sorted by state, so each state's successors form one run
+    new = np.concatenate(([True], x[1:] != x[:-1]))
+    first = np.flatnonzero(new)
+    group = np.cumsum(new) - 1
+    visits = np.add.reduceat(counts, first)
+    # the shift: the value at each state's most visited successor, the first such on a tie
+    most = np.flatnonzero(counts == np.maximum.reduceat(counts, first).take(group))
+    f0 = f.take(most.take(np.searchsorted(most, first)))
+    terms = counts * (f - f0.take(group))
+    # sigma >= 2 * 2^ceil(log2 N_x) * 2^ceil(log2 max |term|), and N_x is at least the number of terms: the
+    # high parts and all their partial sums are multiples of ulp(sigma) / 2 below sigma / 2, so they add exactly
+    top = np.maximum.reduceat(np.abs(terms), first)
+    sigma = np.ldexp(1.0, np.frexp(top)[1] + np.frexp(visits)[1] + 1).take(group)
+    high = (sigma + terms) - sigma
+    shifted = np.add.reduceat(high, first) + np.add.reduceat(terms - high, first)
+    mean = f0 + shifted / visits
+    dev = f - mean.take(group)
+    square = np.add.reduceat(counts * (dev * dev), first)
+    tested = visits >= min_visits
+    se = np.sqrt(square[tested] / (visits[tested] - 1)) / np.sqrt(visits[tested])
+    labels = x.take(first)
+    rows = tuple(CheckRow(label=str(states[i]), estimate=est, exact=float(exact[i]), se=s)
+                 for i, est, s in zip(labels[tested].tolist(), mean[tested].tolist(), se.tolist()))
+    skipped = np.ones(n, dtype=bool)
+    skipped[labels[tested]] = False
+    return CheckReport(rows=rows, skipped=tuple(compress(states, skipped.tolist())))
 
 
 def markov_check(ens: PathEnsemble, fm: FiniteMarkov, f, n: int, min_visits: int = 100) -> CheckReport:
@@ -713,7 +753,7 @@ def markov_check(ens: PathEnsemble, fm: FiniteMarkov, f, n: int, min_visits: int
         raise ValueError("need 0 <= n <= n_steps - 1")
     vec = fm.as_vector(f)
     traj = ens.trajectories
-    return _grouped_check(fm.states, traj[:, n], vec.take(traj[:, n + 1]), fm._apply(vec), min_visits)
+    return _grouped_check(fm.states, traj[:, n], traj[:, n + 1], vec, fm._apply(vec), min_visits)
 
 
 def harmonic_solve(fm: FiniteMarkov, boundary: dict) -> dict:
@@ -762,8 +802,9 @@ def martingale_check(ens: PathEnsemble, h, min_visits: int = 100) -> CheckReport
     if ens.n_steps < 1:
         raise ValueError("need n_steps >= 1: the ensemble has no transitions")
     vec = ens.as_vector(h)
-    traj = ens.trajectories
-    return _grouped_check(ens.states, traj[:, :-1], vec.take(traj[:, 1:]), vec, min_visits)
+    # step-major: one row per step, so the transitions out of steps 0 .. n - 1 are two contiguous blocks
+    steps = ens.trajectories.T
+    return _grouped_check(ens.states, steps[:-1], steps[1:], vec, vec, min_visits)
 
 
 def doob_boundary_check(fm: FiniteMarkov, h, N: int, n_paths: int, seed: int) -> CheckReport:
@@ -779,13 +820,13 @@ def doob_boundary_check(fm: FiniteMarkov, h, N: int, n_paths: int, seed: int) ->
     if N < 0 or n_paths < 1:
         raise ValueError("need n_steps >= 0 and n_paths >= 1")
     cum, targets = _sparse_rows(fm)
-    out = np.empty((n_paths, N + 1), dtype=np.int32)
+    out = np.empty((N + 1, n_paths), dtype=np.int32)
     positions = np.arange(len(fm.states))
     rows = []
     for i, x in enumerate(fm.states):
         # the clamped CDF of the point mass at i: 0 before i, 1 from i on
         start_cum = (positions >= i).astype(np.float64)
         run_blocks(partial(_simulate_block, cum, targets, start_cum, N, derive_key(seed, i), out), n_paths)
-        est, se = mean_se(vec.take(out[:, N]))
+        est, se = mean_se(vec.take(out[N]))
         rows.append(CheckRow(label=str(x), estimate=est, exact=float(vec[i]), se=se))
     return CheckReport(rows=tuple(rows))

@@ -1,9 +1,13 @@
-"""One solve route and one matvec route in walks, read from its source with ast.
+"""One solve route, one matvec route and one grouped estimator in walks, read from its source with ast.
 
 walks calls np.linalg.solve from a single function, the elimination
 helper that the stationary and the harmonic solves share, and applies the
 kernel only through the arc table: no `@` product has the kernel as an
-operand.  A second dense solve or a dense kernel product shows up here.
+operand.  The grouped checks read transition counts: np.unique is called
+only by _grouped_check, and mean_se only by the two estimates over whole
+columns, covariance_mc and doob_boundary_check, so a per-state sample
+loop cannot come back beside the counts.  A second dense solve, a dense
+kernel product or a second grouping route shows up here.
 """
 
 import ast
@@ -26,11 +30,15 @@ def enclosing_functions(tree):
     return owner
 
 
-def solve_callers(source):
+def callers(source, names):
+    """The enclosing function of every call to one of names, in ast.walk order."""
     tree = ast.parse(source)
     owner = enclosing_functions(tree)
-    return [owner[node] for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.linalg.solve", "numpy.linalg.solve")]
+    return [owner[node] for node in ast.walk(tree) if isinstance(node, ast.Call) and ast.unparse(node.func) in names]
+
+
+def solve_callers(source):
+    return callers(source, ("np.linalg.solve", "numpy.linalg.solve"))
 
 
 def kernel_products(source):
@@ -41,6 +49,12 @@ def kernel_products(source):
 
 def test_walks_solves_in_one_function():
     assert solve_callers(WALKS.read_text(encoding="utf-8")) == ["_solve"]
+
+
+def test_walks_groups_samples_in_one_function():
+    source = WALKS.read_text(encoding="utf-8")
+    assert callers(source, ("np.unique", "numpy.unique")) == ["_grouped_check"]
+    assert sorted(callers(source, ("mean_se",))) == ["covariance_mc", "doob_boundary_check"]
 
 
 def test_walks_has_no_kernel_product():
@@ -59,4 +73,6 @@ def test_readers_see_each_form():
         "    return g @ fm.kernel.T, fm.mu0 @ g\n"
     )
     assert solve_callers(source) == ["a", "inner"]
+    assert callers("import numpy as np\ndef a(x):\n    return np.unique(x), mean_se(x)\n",
+                   ("np.unique", "mean_se")) == ["a", "a"]
     assert kernel_products(source) == ["fm.kernel @ x", "g @ fm.kernel.T"]

@@ -1,19 +1,23 @@
-"""Sparse-row transition sampling and the grouped estimator against dense oracles.
+"""Sparse-row transition sampling and the grouped estimator against dense and exact oracles.
 
-The oracles below are the formulations the sampler and the checks
-replace: the inverse CDF over the whole cumulative row (clamped at its
-last column), the row-indexed step over unpadded sparse tables, and one
-full-length mask per conditioning state.  The sampler must pick the
+The sampler's oracles are the formulations it replaces: the inverse CDF
+over the whole cumulative row (clamped at its last column) and the
+row-indexed step over unpadded sparse tables.  The sampler must pick the
 dense oracle's state at every draw where that one takes a
 positive-probability step and the row-indexed oracle's state at every
-draw, and the checks must return reports that compare == to the masked
-ones.
+draw.  The checks' oracle reads every raw sample and keeps the mean and
+sample variance of each state's samples as exact fractions; a report
+must match its labels and skipped states exactly and its estimates and
+standard errors within the stated rounding bounds.
 """
 
 import contextlib
 import hashlib
 import io
 import itertools
+import math
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -83,36 +87,69 @@ def last_positive(kernel):
     return np.array([np.flatnonzero(row)[-1] for row in kernel])
 
 
-def mask_check(states, here, nxt, vec, exact, min_visits):
-    rows = []
-    skipped = []
-    for i, x in enumerate(states):
-        mask = here == i
-        count = int(mask.sum())
-        if count < min_visits:
-            skipped.append(x)
-            continue
-        samples = vec[nxt[mask]]
-        se = float(samples.std(ddof=1) / np.sqrt(count))
-        rows.append(CheckRow(label=str(x), estimate=float(samples.mean()), exact=float(exact[i]), se=se))
-    return CheckReport(rows=tuple(rows), skipped=tuple(skipped))
+def exact_oracle(states, here, nxt, vec, min_visits):
+    """The grouped check's statistics from the raw samples vec[nxt], grouped by here, with no rounding.
 
-
-def argsort_check(states, here, nxt, vec, exact, min_visits):
-    """The grouping by a stable argsort of the labels, bounds from searchsorted on the sorted labels."""
+    Returns (tested, skipped): tested lists (state index, visits, exact
+    mean, exact sample variance, spread, distinct successors) for each
+    state with at least min_visits samples, in state order, and skipped
+    the other states.  The means and variances are Fractions: every
+    sample is an integer multiple of the smallest power of two among the
+    values of vec, so the sums are Python integers.  spread is the sample
+    mean of |sample - vec[y0]| (a float), y0 the most visited successor
+    (the smallest index on a tie), which bounds the rounding of a mean
+    shifted by vec[y0].
+    """
+    here, nxt = np.ravel(here), np.ravel(nxt)
+    ratios = [float(v).as_integer_ratio() for v in vec]
+    scale = max(den for _, den in ratios)
+    ints = [num * (scale // den) for num, den in ratios]
     order = np.argsort(here, kind="stable")
-    values = vec[nxt[order]]
-    bounds = np.searchsorted(here[order], np.arange(len(states) + 1))
-    rows = []
-    skipped = []
+    bounds = np.searchsorted(here[order], np.arange(len(states) + 1)).tolist()
+    tested, skipped = [], []
     for i, x in enumerate(states):
-        samples = values[bounds[i] : bounds[i + 1]]
-        if len(samples) < min_visits:
+        succ = nxt[order[bounds[i] : bounds[i + 1]]]
+        n = len(succ)
+        if n < min_visits:
             skipped.append(x)
             continue
-        est, se = mean_se(samples)
-        rows.append(CheckRow(label=str(x), estimate=est, exact=float(exact[i]), se=se))
-    return CheckReport(rows=tuple(rows), skipped=tuple(skipped))
+        ys, counts = np.unique(succ, return_counts=True)
+        s1 = sum(c * ints[y] for y, c in zip(ys.tolist(), counts.tolist()))
+        s2 = sum(c * ints[y] ** 2 for y, c in zip(ys.tolist(), counts.tolist()))
+        mean = Fraction(s1, n * scale)
+        var = Fraction(n * s2 - s1 * s1, n * (n - 1) * scale * scale)
+        spread = float(np.sum(counts * np.abs(vec[ys] - vec[ys[np.argmax(counts)]]))) / n
+        tested.append((i, n, mean, var, spread, len(ys)))
+    return tested, tuple(skipped)
+
+
+EPS = np.finfo(float).eps
+
+
+def assert_matches_oracle(report, states, here, nxt, vec, exact, min_visits, ulps=None):
+    """report against exact_oracle: labels, skipped and exact values equal; estimates and SEs within their bounds.
+
+    The estimate must be within ulp(mean) + 2.01 eps * spread of the exact
+    mean, the rounding of the shifted form, or within `ulps` ulp of it
+    when ulps is given.  The SE must be within (k + 8) eps, relative, of
+    the exact sample deviation about the reported estimate over sqrt(N),
+    k the number of distinct successors, plus sqrt(smallest normal float)
+    absolute for squares that round below the normal range.
+    """
+    tested, skipped = exact_oracle(states, here, nxt, vec, min_visits)
+    assert report.skipped == skipped
+    assert [r.label for r in report.rows] == [str(states[i]) for i, *_ in tested]
+    for row, (i, n, mean, var, spread, k) in zip(report.rows, tested):
+        assert row.exact == float(exact[i])
+        err = abs(Fraction(row.estimate) - mean)
+        if ulps is None:
+            assert err <= Fraction(math.ulp(float(mean))) + Fraction(2.01 * EPS * spread), (row, float(mean))
+        else:
+            assert err <= ulps * Fraction(math.ulp(float(mean))), (row, float(mean))
+        # the deviation about the estimate: var plus n (estimate - mean)^2 / (n - 1)
+        about = var + n * (Fraction(row.estimate) - mean) ** 2 / (n - 1)
+        want = math.sqrt(float(about / n))
+        assert abs(row.se - want) <= (k + 8) * EPS * want + math.sqrt(sys.float_info.min), (row, want)
 
 
 # ---------------------------------------------------------------- crafted draws
@@ -203,13 +240,18 @@ class TestPaddedStep:
         assert width & (width - 1) == 0 and width >= degree > width // 2
         assert cum.shape == (len(fm), width) and targets.shape == (cum.size,)
         assert cum[:, :degree].tobytes() == want_cum.tobytes() and np.all(cum[:, degree:] == np.inf)
-        assert np.array_equal(targets.reshape(cum.shape)[:, :degree][want_cum < np.inf], want_targets[want_cum < np.inf])
+        # the target table holds each column's row offset, column * width
+        assert np.array_equal(targets.reshape(cum.shape)[:, :degree][want_cum < np.inf],
+                              want_targets[want_cum < np.inf] * width)
         traj = simulate(fm, n_steps, 300, seed).trajectories
         assert np.array_equal(traj, row_indexed_walk(fm, n_steps, 300, seed))
 
 
 def dense_sparse_rows(kernel):
-    """The sampler tables built from the dense kernel: its np.nonzero pairs, gathered from the S x S array."""
+    """The sampler tables built from the dense kernel: its np.nonzero pairs, gathered from the S x S array.
+
+    As in the sampler, targets holds the row offset column * width of each target.
+    """
     rows, cols = np.nonzero(kernel > 0)
     starts = np.searchsorted(rows, np.arange(len(kernel) + 1))
     degree = np.diff(starts)
@@ -221,7 +263,7 @@ def dense_sparse_rows(kernel):
     cum[np.arange(width) >= degree[:, None]] = np.inf
     cum[np.arange(len(kernel)), degree - 1] = 1.0
     targets = np.zeros(cum.size, dtype=np.intp)
-    targets[rows * width + slot] = cols
+    targets[rows * width + slot] = cols * width
     return cum, targets
 
 
@@ -392,10 +434,12 @@ class TestClamp:
 # ---------------------------------------------------------------- grouped estimator
 
 class TestGroupedEstimator:
+    """The counts route against exact_oracle, which reads every raw sample."""
+
     @SETTINGS
     @given(fm=chains(), seed=st.integers(0, _MASK), n=st.integers(0, 6), min_visits=st.integers(2, 60),
            f=st.lists(st.floats(-10, 10, allow_nan=False), min_size=9, max_size=9))
-    def test_reports_equal_mask_oracle(self, fm, seed, n, min_visits, f):
+    def test_reports_match_the_exact_oracle(self, fm, seed, n, min_visits, f):
         ens = simulate(fm, 8, 500, seed)
         vec = np.array(f[: len(fm)])
         traj = ens.trajectories
@@ -404,41 +448,42 @@ class TestGroupedEstimator:
         # round each row's sum of at most n terms differently, by up to n eps / 2 times max |f| each
         bound = len(fm) * np.finfo(float).eps * np.max(np.abs(vec))
         assert np.max(np.abs(exact - fm.kernel @ vec)) <= bound
-        want = mask_check(fm.states, traj[:, n], traj[:, n + 1], vec, exact, min_visits)
-        assert markov_check(ens, fm, vec, n, min_visits) == want
-        prev, nxt = traj[:, :-1].ravel(), traj[:, 1:].ravel()
-        want = mask_check(fm.states, prev, nxt, vec, vec, min_visits)
-        assert martingale_check(ens, vec, min_visits) == want
+        # signed values may cancel against the shift, so the bound is the shifted form's, not 2 ulp
+        assert_matches_oracle(markov_check(ens, fm, vec, n, min_visits), fm.states, traj[:, n], traj[:, n + 1],
+                              vec, exact, min_visits)
+        assert_matches_oracle(martingale_check(ens, vec, min_visits), fm.states, traj[:, :-1], traj[:, 1:],
+                              vec, vec, min_visits)
 
     @SETTINGS
     @given(fm=chains(), seed=st.integers(0, _MASK), n_steps=st.integers(1, 9), n_paths=st.integers(2, 400),
            min_visits=st.integers(2, 60), f=st.lists(st.floats(-10, 10, allow_nan=False), min_size=9, max_size=9))
     def test_martingale_reads_the_trajectory_views_as_raveled_copies(self, fm, seed, n_steps, n_paths, min_visits, f):
-        # the check hands the 2-D views to the estimator; raveled copies of them are the 1-D reading
+        # the check hands the step-major blocks to the estimator; raveled copies of the views are the 1-D reading
         ens = simulate(fm, n_steps, n_paths, seed)
         vec = np.array(f[: len(fm)])
         traj = ens.trajectories
-        want = walks._grouped_check(fm.states, traj[:, :-1].ravel(), vec[traj[:, 1:].ravel()], vec, min_visits)
+        want = walks._grouped_check(fm.states, traj[:, :-1].ravel(), traj[:, 1:].ravel(), vec, vec, min_visits)
         assert martingale_check(ens, vec, min_visits) == want
-        assert want == mask_check(fm.states, traj[:, :-1].ravel(), traj[:, 1:].ravel(), vec, vec, min_visits)
 
     @pytest.mark.parametrize("n_states", [2, 255, 256, 257, 65536, 65537])
     def test_labels_at_the_narrow_type_edges(self, n_states):
-        # labels run up to the largest state index, where a type one size too narrow would wrap them to 0
+        # labels run up to the largest state index, where a key one size too narrow would wrap: 65536^2 is
+        # the last S^2 that fits uint32 keys, and 65537 states need uint64
         rs = np.random.default_rng(n_states)
         here = np.concatenate([rs.integers(max(0, n_states - 3), n_states, 3000), rs.integers(0, 2, 3000)])
         nxt = rs.integers(0, n_states, len(here))
         vec, exact = rs.random(n_states), rs.random(n_states)
         states = tuple(range(n_states))
-        assert walks._grouped_check(states, here, vec[nxt], exact, 50) == mask_check(states, here, nxt, vec, exact, 50)
+        report = walks._grouped_check(states, here, nxt, vec, exact, 50)
+        assert_matches_oracle(report, states, here, nxt, vec, exact, 50, ulps=2)
 
     @SETTINGS
     @given(seed=st.integers(0, _MASK), wide=st.booleans(), hot=st.integers(1, 8), min_visits=st.integers(2, 40))
-    def test_packed_keys_equal_stable_argsort_oracle(self, seed, wide, hot, min_visits):
-        # 2^16 positions and 70000 labels take 16 + 17 bits, past uint32; the narrow draws fit in 21
+    def test_packed_keys_match_the_exact_oracle(self, seed, wide, hot, min_visits):
+        # 70000 states take 70000^2 > 2^32 keys, uint64; the narrow draws fit uint32
         rs = np.random.default_rng(seed)
         n_states, n = (70000, 1 << 16) if wide else (int(rs.integers(2, 300)), int(rs.integers(400, 3000)))
-        assert ((n - 1).bit_length() + (n_states - 1).bit_length() > 32) == wide
+        assert (n_states**2 > 1 << 32) == wide
         # four fifths of the samples go round the hot labels, at least 40 each, and the rest spread
         # thin below the last label: some states are tested, some fall short of min_visits, and
         # the last is never visited
@@ -449,21 +494,54 @@ class TestGroupedEstimator:
         nxt = rs.integers(0, n_states, n).astype(np.int32)
         vec, exact = rs.random(n_states), rs.random(n_states)
         states = tuple(range(n_states))
-        want = argsort_check(states, here, nxt, vec, exact, min_visits)
-        assert walks._grouped_check(states, here, vec[nxt], exact, min_visits) == want
-        assert want.rows and want.skipped[-1] == n_states - 1
+        report = walks._grouped_check(states, here, nxt, vec, exact, min_visits)
+        assert_matches_oracle(report, states, here, nxt, vec, exact, min_visits, ulps=2)
+        assert report.rows and report.skipped[-1] == n_states - 1
 
     def test_more_than_65536_states_sort_wide_labels(self):
         rs = np.random.default_rng(7)
         here, nxt = rs.integers(0, 40, 3000), rs.integers(0, 40, 3000)
         vec, exact = rs.random(70000), rs.random(70000)
-        narrow = walks._grouped_check(tuple(range(40)), here, vec[nxt], exact, 50)
-        wide = walks._grouped_check(tuple(range(70000)), here, vec[nxt], exact, 50)
+        narrow = walks._grouped_check(tuple(range(40)), here, nxt, vec, exact, 50)
+        wide = walks._grouped_check(tuple(range(70000)), here, nxt, vec, exact, 50)
         assert wide.rows == narrow.rows and wide.skipped == narrow.skipped + tuple(range(40, 70000))
-        # labels from 65500 up: in 16 bits the ones past 65535 would wrap and sort first
+        # labels from 65500 up: keys past 2^32 would wrap in uint32 and land on low labels
         high = here + 65500
-        want = mask_check(tuple(range(70000)), high, nxt, vec, exact, 50)
-        assert walks._grouped_check(tuple(range(70000)), high, vec[nxt], exact, 50) == want
+        report = walks._grouped_check(tuple(range(70000)), high, nxt, vec, exact, 50)
+        assert_matches_oracle(report, tuple(range(70000)), high, nxt, vec, exact, 50, ulps=2)
+
+    def test_successors_of_one_value_return_it_exactly(self):
+        # state i moves only among states 10 i .. 10 i + 9, where vec is one value: N copies of it averaged
+        # by summing would round (0.1 * 3 / 3 is not 0.1), the shifted mean adds nothing to it
+        rs = np.random.default_rng(3)
+        values = np.array([0.1, 1 / 3, -7.3, 2.0**-1074, 1e300])
+        here = rs.integers(0, 5, 20000)
+        nxt = 10 * here + rs.integers(0, 10, len(here))
+        vec = np.repeat(values, 10)
+        states = tuple(range(50))
+        report = walks._grouped_check(states, here, nxt, vec, vec, 2)
+        assert [r.label for r in report.rows] == ["0", "1", "2", "3", "4"]
+        assert [r.estimate for r in report.rows] == values.tolist()
+        assert all(r.se == 0.0 for r in report.rows)
+        assert mean_se(np.full(3, 0.1))[0] != 0.1
+
+    def test_an_estimate_four_ulp_off_fails_the_oracle(self):
+        rs = np.random.default_rng(257)
+        here = np.concatenate([rs.integers(254, 257, 3000), rs.integers(0, 2, 3000)])
+        nxt = rs.integers(0, 257, len(here))
+        vec, exact = rs.random(257), rs.random(257)
+        states = tuple(range(257))
+        report = walks._grouped_check(states, here, nxt, vec, exact, 50)
+        assert_matches_oracle(report, states, here, nxt, vec, exact, 50, ulps=2)
+        for k in range(len(report.rows)):
+            row = report.rows[k]
+            off = row.estimate
+            for _ in range(4):
+                off = float(np.nextafter(off, np.inf))
+            mutant = CheckReport(rows=report.rows[:k] + (CheckRow(row.label, off, row.exact, row.se),)
+                                 + report.rows[k + 1 :], skipped=report.skipped)
+            with pytest.raises(AssertionError):
+                assert_matches_oracle(mutant, states, here, nxt, vec, exact, 50, ulps=2)
 
 
 # ---------------------------------------------------------------- block plan
@@ -596,10 +674,12 @@ def test_golden_trajectories(threads, split_blocks):
 # tuple, on dyadic_chords() with an arbitrary state function; recorded with the take-and-popcount
 # step and np.mean / np.std in mean_se, so the sampler and the estimator are pinned bit for bit.
 # markov_check re-recorded when Tf became a row sum over the arc table: 56 of its 235 exact values
-# moved, by at most 2 ulp, and no label, estimate, se or skipped state did
+# moved, by at most 2 ulp, and no label, estimate, se or skipped state did.  Both grouped checks
+# re-recorded when they began to read transition counts: estimates and se moved by rounding (the
+# shifted mean against the pairwise one), and no label, exact value or skipped state moved
 GOLDEN_REPORTS = {
-    "markov_check": "3cb8905f53334c83ced72e71568fe676822c62acca2a097a179f6ce2b97aae38",
-    "martingale_check": "b51d5ccdc345cfe0b405b4de7b6e1b9ea535dab1a12072606085626f948ba9d6",
+    "markov_check": "7319784b6de421ad2824d7448ceab6a0d6b8ab8a91d8459479487a508fa2c768",
+    "martingale_check": "84aff8332bea303e8156ad389a25a62fbaa3dbf8903fddec31cb8bf46ab7eeff",
     "doob_boundary_check": "d0f0a11c34f13841768f3521d7b4abb92d53017ffcb09efee774ec4bf18a62bd",
 }
 
