@@ -332,21 +332,22 @@ def _cmd_wavelet_tightness(args) -> tuple:
     return [("tightness", ["t", "K", "depth", "defect"], [[args.t, args.K, args.depth, defect]])], False
 
 
+def _cantor_identities() -> tuple:
+    """The Cantor weight's defining identities, exactly: T_W 1 = 1, W(0) = 2/3, and W is not low-pass."""
+    w = ci.cantor_filter()
+    one = ci.TrigPoly.constant(1)
+    # e_k(0) = 1, so W(0) is the exact sum of the coefficients
+    return ci.transfer_apply(w, one, 3) == one, sum(w.coeffs.values()) == Fraction(2, 3), not ci.lowpass_check(w, 3)
+
+
 def _cmd_wavelet_cantor(args) -> tuple:
     w = ci.cantor_filter()
     rows = [[k, w.coefficient(k)] for k in sorted(w.coeffs)]
     tables = [("cantor_coefficients", ["frequency", "coefficient"], rows)]
     failed = False
     if args.check:
-        one = ci.TrigPoly.constant(1)
-        fixes_one = ci.transfer_apply(w, one, 3) == one
-        lowpass = ci.lowpass_check(w, 3)
-        checks = [
-            ["transfer_fixes_constants", "pass" if fixes_one else "fail"],
-            # e_k(0) = 1, so W(0) is the exact sum of the coefficients
-            ["w_at_zero_is_two_thirds", "pass" if sum(w.coeffs.values()) == Fraction(2, 3) else "fail"],
-            ["not_lowpass", "pass" if not lowpass else "fail"],
-        ]
+        names = ("transfer_fixes_constants", "w_at_zero_is_two_thirds", "not_lowpass")
+        checks = [[name, "pass" if ok else "fail"] for name, ok in zip(names, _cantor_identities())]
         tables.append(("checks", ["check", "status"], checks))
         failed = any(c[1] == "fail" for c in checks)
     return tables, failed
@@ -527,11 +528,9 @@ def _verify_checks(quick: bool, seed: int):
     # circle calculus
     add("qmf_haar", ci.qmf_check(ci.haar_filter()).passed)
     add("qmf_four_tap", ci.qmf_check(ci.four_tap_filter()).passed)
-    wf = ci.cantor_filter()
-    one = ci.TrigPoly.constant(1)
-    add("cantor_transfer_fixes_constants", ci.transfer_apply(wf, one, 3) == one)
-    add("cantor_w_zero", sum(wf.coeffs.values()) == Fraction(2, 3))
-    add("cantor_not_lowpass", not ci.lowpass_check(wf, 3))
+    for name, ok in zip(("cantor_transfer_fixes_constants", "cantor_w_zero", "cantor_not_lowpass"),
+                        _cantor_identities()):
+        add(name, ok)
     wh = ci.w_from_filter(ci.haar_filter())
     add("haar_lowpass", ci.lowpass_check(wh, 2))
     t = 0.3

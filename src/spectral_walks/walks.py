@@ -7,19 +7,18 @@ counter-based generator in rng.py, so an ensemble is a pure function of
 (kernel, mu0, n_steps, n_paths, seed): same inputs, same bytes, however
 many worker threads run.
 
-The exact side reads the kernel through one arc table per chain, the
-positive entries row by row.  A graph walk's table is built straight
-from the graph's edges and is the chain's only storage: the dense S x S
-kernel is built from it only when something reads `kernel`.  A chain
-given a dense array reads its table off that array on first use.  Every
-T g is a fixed-order row sum over the arcs with no BLAS call, and the
-sampler's tables, the reachability searches and the residual checks
-read the same arcs.  The stationary measure and harmonic extensions
-share one solve: an independent set of states is eliminated by its
-Grassmann-Taksar-Heyman pivots, and only the Schur complement on the
-other states goes to a dense LU.  That LU (LAPACK) and the closing mu0 . g dot products (BLAS)
-are the exact-side steps whose last bits may still depend on the BLAS
-build or thread count.
+A chain's one storage is its arc table, the positive entries row by
+row, built by every constructor: from a graph's edges, or by one
+kernel > 0 pass over a dense array given to FiniteMarkov.  Every T g is a
+fixed-order row sum over the arcs and every mu0 . g a fixed-order numpy
+sum, with no BLAS call, and the reachability searches, the residual
+checks and the sampler's tables, built once per arc table, read the
+same arcs; every walk over a chain runs through simulate.  The stationary
+measure and harmonic extensions share one solve: an independent set of
+states is eliminated by its Grassmann-Taksar-Heyman pivots, and only the
+Schur complement on the other states goes to a dense LU.  That LU
+(LAPACK) is the one exact-side step whose last bits may still depend on
+the BLAS build or thread count.
 
 Checks compare Monte Carlo estimates against exact kernel arithmetic and
 report deviations in units of the standard error.  The package has one
@@ -73,11 +72,48 @@ SIGMA_THRESHOLD = 5.0
 _ERGODIC_TOL = 1e-10
 
 
-def _check_row_sums(sums) -> None:
-    """Refuse a kernel whose row sums are not all within 1e-12 of 1."""
-    rowdev = np.max(np.abs(sums - 1.0))
+def _checked_states(states):
+    """(states, index): the labels as a tuple and each label's position; ValueError for none or a repeat."""
+    states = tuple(states)
+    if not states:
+        raise ValueError("a chain needs at least one state")
+    if len(set(states)) != len(states):
+        raise ValueError("duplicate state labels")
+    return states, {s: i for i, s in enumerate(states)}
+
+
+def _arc_table(n: int, rows, cols, p):
+    """The validated arc table (rows, cols, starts, p) of the arcs rows[a] -> cols[a] with probability p[a].
+
+    The arcs come in (row, column) order, each pair once.  p must be
+    finite and nonnegative, and every row sum, 0 for a row with no arc,
+    within 1e-12 of 1.  Arcs with p = 0 are then dropped, as the scan
+    kernel > 0 drops them, so a chain's table does not depend on how its
+    kernel was given.  state x's arcs are starts[x]:starts[x + 1].
+    """
+    if not np.all(np.isfinite(p)):
+        raise ValueError("kernel has a non-finite entry")
+    if np.any(p < 0):
+        raise ValueError("kernel has a negative entry")
+    rowdev = np.max(np.abs(np.bincount(rows, p, n) - 1.0))
     if rowdev > 1e-12:
         raise ValueError(f"kernel rows are not stochastic (max deviation {rowdev:.3e})")
+    positive = p > 0
+    if not positive.all():
+        rows, cols, p = rows[positive], cols[positive], p[positive]
+    return rows, cols, np.searchsorted(rows, np.arange(n + 1)), p
+
+
+def _state_array(states, f) -> np.ndarray:
+    """A state function, a dict keyed by states or an array in state order, as a float array in state order."""
+    if isinstance(f, dict):
+        if set(f) != set(states):
+            raise ValueError("function does not match the state set")
+        return np.array([float(f[s]) for s in states])
+    arr = np.array(f, dtype=np.float64)
+    if arr.shape != (len(states),):
+        raise ValueError("function length does not match the state count")
+    return arr
 
 
 class FiniteMarkov:
@@ -85,46 +121,43 @@ class FiniteMarkov:
 
     kernel[i, j] = p(states[i] -> states[j]); every row must sum to 1
     within 1e-12 with finite nonnegative entries.  mu0 is normalized on
-    input and must be finite too.  The chain's own storage is its arc
-    table, the positive entries row by row: the exact arithmetic and the
-    sampler read nothing else.  A chain built from a dense array keeps
-    that array and reads its arcs off it on first use; from_graph builds
-    the arcs from the graph's edges, and with_start shares them, so those
-    chains hold no S x S array until kernel is read.  kernel is read-only
-    either way: edit a chain by building a new one from a copy.
+    input and must be finite too.  The chain's one storage is its arc
+    table, the positive entries row by row, held from construction on:
+    __init__ reads it off the dense array by one kernel > 0 pass,
+    from_graph builds it from the graph's edges, and with_start shares
+    it.  The exact arithmetic and the sampler read nothing else, and the
+    sampler's tables are built from it once and shared by with_start
+    chains.  kernel is a read-only dense view: the array given to
+    __init__, or the arcs placed in an array of zeros on first read.
+    Edit a chain by building a new one from a copy.
     """
 
-    __slots__ = ("states", "mu0", "index", "_kernel", "_arc_table")
+    __slots__ = ("states", "mu0", "index", "_kernel", "_arc_table", "_sampler")
 
     def __init__(self, states, kernel, mu0):
-        n = self._set_states(states)
+        states, index = _checked_states(states)
+        n = len(states)
         kernel = np.array(kernel, dtype=np.float64)
         if kernel.shape != (n, n):
             raise ValueError("kernel shape does not match the state count")
+        # over the whole array: the scan kernel > 0 would pass over a NaN or a negative entry
         if not np.all(np.isfinite(kernel)):
             raise ValueError("kernel has a non-finite entry")
         if np.any(kernel < 0):
             raise ValueError("kernel has a negative entry")
-        _check_row_sums(kernel.sum(axis=1))
-        self._set_start(mu0)
-        # the arc table is cached from kernel, so a write into it would leave the table stale
+        # kernel stays as the cache behind the kernel property, so a write into it would leave the table stale
         kernel.flags.writeable = False
-        self._kernel = kernel
-        self._arc_table = None
+        rows, cols, _ = _pattern_arcs(kernel > 0)
+        self._init(states, index, _arc_table(n, rows, cols, kernel[rows, cols]), mu0, kernel)
 
-    def _set_states(self, states) -> int:
-        states = tuple(states)
-        if not states:
-            raise ValueError("a chain needs at least one state")
-        if len(set(states)) != len(states):
-            raise ValueError("duplicate state labels")
-        self.states = states
-        self.index = {s: i for i, s in enumerate(states)}
-        return len(states)
+    def _init(self, states, index, arcs, mu0, kernel=None, sampler=None) -> None:
+        """Every constructor's one initializer: checked states and index, an arc table, and mu0, checked here.
 
-    def _set_start(self, mu0) -> None:
+        kernel is the dense cache, None until kernel is read, and sampler
+        the sampler's tables, None until a walk needs them.
+        """
         mu0 = np.array(mu0, dtype=np.float64)
-        if mu0.shape != (len(self.states),):
+        if mu0.shape != (len(states),):
             raise ValueError("mu0 length does not match the state count")
         if not np.all(np.isfinite(mu0)):
             raise ValueError("mu0 has a non-finite entry")
@@ -133,32 +166,8 @@ class FiniteMarkov:
         total = float(mu0.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"mu0 does not sum to 1 (got {total!r})")
-        self.mu0 = mu0 / total
-
-    @classmethod
-    def _from_arcs(cls, states, rows, cols, p, mu0) -> "FiniteMarkov":
-        """The chain whose kernel is p at (rows, cols) and 0 elsewhere, with no dense array.
-
-        The arcs come in (row, column) order, each pair once.  They pass
-        __init__'s checks with its messages: p finite and nonnegative, and
-        every row sum, 0 for a row with no arc, within 1e-12 of 1.  Arcs
-        with p = 0 are then dropped, as the scan kernel > 0 drops them, so
-        the table is the one _arcs reads off the dense kernel.
-        """
-        fm = cls.__new__(cls)
-        n = fm._set_states(states)
-        if not np.all(np.isfinite(p)):
-            raise ValueError("kernel has a non-finite entry")
-        if np.any(p < 0):
-            raise ValueError("kernel has a negative entry")
-        _check_row_sums(np.bincount(rows, p, n))
-        fm._set_start(mu0)
-        positive = p > 0
-        if not positive.all():
-            rows, cols, p = rows[positive], cols[positive], p[positive]
-        fm._kernel = None
-        fm._arc_table = rows, cols, np.searchsorted(rows, np.arange(n + 1)), p
-        return fm
+        self.states, self.index, self.mu0 = states, index, mu0 / total
+        self._arc_table, self._kernel, self._sampler = arcs, kernel, sampler
 
     @classmethod
     def from_graph(cls, g: WeightedGraph, mu0=None) -> "FiniteMarkov":
@@ -175,18 +184,17 @@ class FiniteMarkov:
         order = np.argsort(rows * n + cols)
         rows, cols = rows[order], cols[order]
         p = np.concatenate((c, c))[order] / total[rows]
-        if mu0 is None:
-            mu0 = total / total.sum()
-        else:
-            mu0 = cls._as_vector_static(g.vertices, mu0)
-        return cls._from_arcs(g.vertices, rows, cols, p, mu0)
+        mu0 = total / total.sum() if mu0 is None else _state_array(g.vertices, mu0)
+        fm = cls.__new__(cls)
+        fm._init(*_checked_states(g.vertices), _arc_table(n, rows, cols, p), mu0)
+        return fm
 
     @property
     def kernel(self) -> np.ndarray:
         """The dense S x S kernel, read-only.
 
-        The array given to __init__, or for a chain built from arcs the
-        arcs placed in an array of zeros on first read, and then kept.
+        The array given to __init__, or for any other chain the arcs
+        placed in an array of zeros on first read, and then kept.
         """
         if self._kernel is None:
             rows, cols, _, p = self._arc_table
@@ -196,20 +204,9 @@ class FiniteMarkov:
             self._kernel = kernel
         return self._kernel
 
-    @staticmethod
-    def _as_vector_static(states, f) -> np.ndarray:
-        if isinstance(f, dict):
-            if set(f) != set(states):
-                raise ValueError("function does not match the state set")
-            return np.array([float(f[s]) for s in states])
-        arr = np.array(f, dtype=np.float64)
-        if arr.shape != (len(states),):
-            raise ValueError("function length does not match the state count")
-        return arr
-
     def as_vector(self, f) -> np.ndarray:
         """A state function (dict keyed by states, or array in state order) as an array; ValueError if not finite."""
-        vec = FiniteMarkov._as_vector_static(self.states, f)
+        vec = _state_array(self.states, f)
         if not np.isfinite(vec).all():
             raise ValueError("state function has a non-finite value")
         return vec
@@ -217,31 +214,31 @@ class FiniteMarkov:
     def with_start(self, x) -> "FiniteMarkov":
         """Same kernel, started deterministically at x; ValueError when x is not a state.
 
-        The new chain shares this one's states, index and arc table.
+        The new chain shares this one's states, index, arc table and
+        sampler tables, which this call builds if no walk has yet.
         """
         if x not in self.index:
             raise ValueError(f"start state {x!r} is not a chain state")
+        mu0 = np.zeros(len(self.states))
+        mu0[self.index[x]] = 1.0
         fm = FiniteMarkov.__new__(FiniteMarkov)
-        fm.states, fm.index = self.states, self.index
-        fm.mu0 = np.zeros(len(self.states))
-        fm.mu0[self.index[x]] = 1.0
-        fm._kernel = None
-        fm._arc_table = self._arcs()
+        fm._init(self.states, self.index, self._arc_table, mu0, sampler=self._sampler_tables())
         return fm
 
     def _arcs(self):
         """(rows, cols, starts, p): the positive kernel entries, row by row in column order.
 
         Arc a runs rows[a] -> cols[a] with probability p[a] = kernel[rows[a], cols[a]] > 0, and
-        state x's arcs are starts[x]:starts[x + 1].  A chain built from arcs holds the table from
-        the start; a chain built from a dense array reads it off by one kernel > 0 pass on first
-        use.  The walks layer reads the kernel through this table only, and kernel is read-only,
-        so the table cannot go stale.
+        state x's arcs are starts[x]:starts[x + 1].  Every constructor builds the table, and
+        the walks layer reads the kernel through it only.
         """
-        if self._arc_table is None:
-            rows, cols, starts = _pattern_arcs(self._kernel > 0)
-            self._arc_table = rows, cols, starts, self._kernel[rows, cols]
         return self._arc_table
+
+    def _sampler_tables(self):
+        """(cum, targets): the sampler's inverse-CDF tables from _sparse_rows, built on first use and kept."""
+        if self._sampler is None:
+            self._sampler = _sparse_rows(self)
+        return self._sampler
 
     def _apply(self, g: np.ndarray) -> np.ndarray:
         """(Pg)(x) = sum_y p(x,y) g(y) for a float array g: one row sum over each state's arcs.
@@ -448,7 +445,7 @@ def ergodic_limit(fm: FiniteMarkov, f, max_steps: int = 100000) -> float:
     """
     mu = stationary_measure(fm)
     vec = fm.as_vector(f)
-    target = float(mu @ vec)
+    target = float(np.add.reduce(mu * vec))
     period, level = _period(fm)
     if period > 1:
         cls = level % period
@@ -517,9 +514,10 @@ def _sparse_rows(fm: FiniteMarkov):
     degree = np.diff(starts)
     width = 1 << (int(degree.max()) - 1).bit_length()
     slot = np.arange(len(rows)) - starts[rows]
-    probs = np.zeros((n, width))
-    probs[rows, slot] = p
-    cum = np.cumsum(probs, axis=1)
+    # the running sums are formed in place: a second n x width array would raise the peak by half
+    cum = np.zeros((n, width))
+    cum[rows, slot] = p
+    np.cumsum(cum, axis=1, out=cum)
     cum[np.arange(width) >= degree[:, None]] = np.inf
     cum[np.arange(n), degree - 1] = 1.0
     targets = np.zeros(cum.size, dtype=np.intp)
@@ -568,7 +566,7 @@ def simulate(fm: FiniteMarkov, n_steps: int, n_paths: int, seed: int) -> PathEns
     """
     if n_steps < 0 or n_paths < 1:
         raise ValueError("need n_steps >= 0 and n_paths >= 1")
-    cum, targets = _sparse_rows(fm)
+    cum, targets = fm._sampler_tables()
     mu0_cum = np.cumsum(fm.mu0)
     # clamp at the last positive entry: no start lands on a zero-mass state
     mu0_cum[np.flatnonzero(fm.mu0)[-1] :] = 1.0
@@ -595,7 +593,7 @@ def cylinder_mass(fm: FiniteMarkov, sets) -> float:
     w = masks[-1]
     for mask in reversed(masks[:-1]):
         w = mask * fm._apply(w)
-    return float(fm.mu0 @ w)
+    return float(np.add.reduce(fm.mu0 * w))
 
 
 def covariance_exact(fm: FiniteMarkov, f1, f2, n: int) -> float:
@@ -605,7 +603,7 @@ def covariance_exact(fm: FiniteMarkov, f1, f2, n: int) -> float:
     g = fm.as_vector(f1) * fm.transfer(f2)
     for _ in range(n):
         g = fm._apply(g)
-    return float(fm.mu0 @ g)
+    return float(np.add.reduce(fm.mu0 * g))
 
 
 def covariance_mc(ens, f1, f2, n: int):
@@ -810,23 +808,15 @@ def martingale_check(ens: PathEnsemble, h, min_visits: int = 100) -> CheckReport
 def doob_boundary_check(fm: FiniteMarkov, h, N: int, n_paths: int, seed: int) -> CheckReport:
     """Conservation of a bounded harmonic function: E_x[h(Z_N)] = h(x) per start.
 
-    Each start state runs its own ensemble on a stream derived from
-    (seed, state index), so the whole report is reproducible from seed.
-    The ensemble from x is simulate(fm.with_start(x), N, n_paths, key)
-    draw for draw: the sampler table is built once for all starts, and
-    each start's point-mass CDF puts step 0 at x whatever its draw.
+    Each start state x runs its own ensemble, simulate(fm.with_start(x),
+    N, n_paths, key) on a key derived from (seed, state index), so the
+    whole report is reproducible from seed.  Every start shares the
+    chain's one sampler table.
     """
     vec = fm.as_vector(h)
-    if N < 0 or n_paths < 1:
-        raise ValueError("need n_steps >= 0 and n_paths >= 1")
-    cum, targets = _sparse_rows(fm)
-    out = np.empty((N + 1, n_paths), dtype=np.int32)
-    positions = np.arange(len(fm.states))
     rows = []
     for i, x in enumerate(fm.states):
-        # the clamped CDF of the point mass at i: 0 before i, 1 from i on
-        start_cum = (positions >= i).astype(np.float64)
-        run_blocks(partial(_simulate_block, cum, targets, start_cum, N, derive_key(seed, i), out), n_paths)
-        est, se = mean_se(vec.take(out[N]))
+        ens = simulate(fm.with_start(x), N, n_paths, derive_key(seed, i))
+        est, se = mean_se(vec.take(ens.trajectories[:, N]))
         rows.append(CheckRow(label=str(x), estimate=est, exact=float(vec[i]), se=se))
     return CheckReport(rows=tuple(rows))

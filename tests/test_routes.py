@@ -1,13 +1,16 @@
-"""One solve route, one matvec route and one grouped estimator in walks, read from its source with ast.
+"""One solve route, one matvec route, one sampler and one grouped estimator in walks, read from its source with ast.
 
 walks calls np.linalg.solve from a single function, the elimination
-helper that the stationary and the harmonic solves share, and applies the
-kernel only through the arc table: no `@` product has the kernel as an
-operand.  The grouped checks read transition counts: np.unique is called
-only by _grouped_check, and mean_se only by the two estimates over whole
-columns, covariance_mc and doob_boundary_check, so a per-state sample
-loop cannot come back beside the counts.  A second dense solve, a dense
-kernel product or a second grouping route shows up here.
+helper that the stationary and the harmonic solves share, and has no `@`
+product at all: the kernel is applied through the arc table and mu0 . g
+is a numpy sum, so the LU is its one BLAS/LAPACK step.  Every walk runs
+through simulate: run_blocks is called only there, and _sparse_rows only
+by the chain's one table accessor.  The grouped checks read transition
+counts: np.unique is called only by _grouped_check, and mean_se only by
+the two estimates over whole columns, covariance_mc and
+doob_boundary_check, so a per-state sample loop cannot come back beside
+the counts.  A second dense solve, a matrix product, a second sampler
+loop or a second grouping route shows up here.
 """
 
 import ast
@@ -41,10 +44,9 @@ def solve_callers(source):
     return callers(source, ("np.linalg.solve", "numpy.linalg.solve"))
 
 
-def kernel_products(source):
+def products(source):
     return [ast.unparse(node) for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
-            and any("kernel" in ast.unparse(side) for side in (node.left, node.right))]
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)]
 
 
 def test_walks_solves_in_one_function():
@@ -57,8 +59,14 @@ def test_walks_groups_samples_in_one_function():
     assert sorted(callers(source, ("mean_se",))) == ["covariance_mc", "doob_boundary_check"]
 
 
-def test_walks_has_no_kernel_product():
-    assert kernel_products(WALKS.read_text(encoding="utf-8")) == []
+def test_walks_samples_in_one_function():
+    source = WALKS.read_text(encoding="utf-8")
+    assert callers(source, ("run_blocks",)) == ["simulate"]
+    assert callers(source, ("_sparse_rows",)) == ["_sampler_tables"]
+
+
+def test_walks_has_no_matrix_product():
+    assert products(WALKS.read_text(encoding="utf-8")) == []
 
 
 def test_readers_see_each_form():
@@ -75,4 +83,4 @@ def test_readers_see_each_form():
     assert solve_callers(source) == ["a", "inner"]
     assert callers("import numpy as np\ndef a(x):\n    return np.unique(x), mean_se(x)\n",
                    ("np.unique", "mean_se")) == ["a", "a"]
-    assert kernel_products(source) == ["fm.kernel @ x", "g @ fm.kernel.T"]
+    assert products(source) == ["fm.kernel @ x", "g @ fm.kernel.T", "fm.mu0 @ g"]

@@ -17,6 +17,7 @@ import io
 import itertools
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -291,6 +292,20 @@ class TestArcTableTables:
         rows, cols, starts, p = table
         assert np.array_equal(rows, np.repeat(np.arange(len(fm)), np.diff(starts)))
         assert np.array_equal(p, fm.kernel[rows, cols]) and np.array_equal(p, fm.kernel[fm.kernel > 0])
+
+    def test_star_peaks_at_two_tables(self):
+        # a hub pads every row to its degree; the running sums are formed in place, so cum and targets are the peak
+        leaves = 1000
+        fm = FiniteMarkov.from_graph(load_graph({"vertices": list(range(leaves + 1)), "origin": 0,
+                                                 "edges": [{"u": 0, "v": v, "c": 1} for v in range(1, leaves + 1)]}))
+        tracemalloc.start()
+        try:
+            cum, targets = walks._sparse_rows(fm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cum.shape == (leaves + 1, 1024) and targets.nbytes == cum.nbytes
+        assert peak < 2.25 * cum.nbytes
 
 
 def degree_chain(max_degree, s=40):

@@ -138,6 +138,23 @@ class TestFiniteMarkov:
         assert fm.mu0[2] == 1.0 and fm.mu0.sum() == 1.0
         assert fm._arcs() is base._arcs() and fm.kernel.tobytes() == base.kernel.tobytes()
 
+    def test_one_sampler_table_per_chain(self, monkeypatch):
+        built = []
+        inner = walks._sparse_rows
+        monkeypatch.setattr(walks, "_sparse_rows", lambda chain: built.append(chain) or inner(chain))
+        base = FiniteMarkov.from_graph(cycle4())
+        simulate(base, 5, 20, 3)
+        fm = base.with_start(2)
+        assert fm._sampler_tables() is base._sampler_tables()
+        assert fm.with_start(1)._sampler_tables() is base._sampler_tables()
+        # with_start chains share the tables of the chain they came from: simulating on them builds none
+        simulate(fm, 5, 20, 3)
+        simulate(base, 5, 20, 4)
+        other = FiniteMarkov.from_graph(cycle4())
+        simulate(other.with_start(0), 5, 20, 3)
+        simulate(other, 5, 20, 3)
+        assert built == [base, other]
+
     def test_with_start_names_an_unknown_state(self):
         with pytest.raises(ValueError, match=r"^start state 9 is not a chain state$"):
             ruin_chain().with_start(9)
@@ -190,8 +207,10 @@ class TestFromGraphProperties:
             dense[v, u] = float(c) / float(g.total[v])
         rows, cols, starts = _pattern_arcs(dense > 0)
         fm = FiniteMarkov.from_graph(g)
-        for got, want in zip(fm._arcs(), (rows, cols, starts, dense[rows, cols])):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        # both constructors hold the table on return, before anything reads it
+        for chain in (fm, FiniteMarkov(g.vertices, dense, fm.mu0)):
+            for got, want in zip(chain._arc_table, (rows, cols, starts, dense[rows, cols])):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert fm._kernel is None
 
     def test_an_edge_whose_probability_underflows_has_no_arc(self):
@@ -200,9 +219,9 @@ class TestFromGraphProperties:
                         "edges": [{"u": 0, "v": 1, "c": 1e300}, {"u": 1, "v": 2, "c": 5e-324}]})
         fm = FiniteMarkov.from_graph(g)
         dense = FiniteMarkov(fm.states, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], fm.mu0)
-        assert fm.kernel.tobytes() == dense.kernel.tobytes()
-        for got, want in zip(fm._arcs(), dense._arcs()):
+        for got, want in zip(fm._arc_table, dense._arc_table):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert fm.kernel.tobytes() == dense.kernel.tobytes()
         assert fm._arcs()[1].tolist() == [1, 0, 1]
         assert not is_irreducible(fm)
         with pytest.raises(ValueError, match="reducible"):
@@ -786,7 +805,8 @@ class TestMartingale:
             return inner(chain)
 
         monkeypatch.setattr(walks, "_sparse_rows", counted)
-        rep = doob_boundary_check(fm, h, n_steps, n_paths, seed)
+        # the reference loop filled fm's sampler table, so count the builds on a fresh chain
+        rep = doob_boundary_check(FiniteMarkov.from_graph(tree_graph(8)), h, n_steps, n_paths, seed)
         assert [(r.label, r.estimate.hex(), r.exact.hex(), r.se.hex()) for r in rep.rows] == want
         assert len(tables) == 1
 
