@@ -190,16 +190,11 @@ def _parse_words(text: str) -> tuple:
 def _cmd_spectra_gram(args) -> tuple:
     words = _parse_words(args.words)
     gs = sp.gram_spectrum(words)
-    n = len(words)
-    gram_rows = [
-        [words[i]] + [int(gs.matrix[i, j]) for j in range(n)] for i in range(n)
+    gram_rows = [[w] + row for w, row in zip(words, gs.matrix.tolist())]
+    eig_rows = [
+        [j, lam, gs.coefficient_sum(j), r] + vec
+        for j, ((lam, r), vec) in enumerate(zip(sp.r_function(gs), gs.eigenvectors.T.tolist()))
     ]
-    rf = sp.r_function(gs)
-    eig_rows = []
-    for j in range(n):
-        row = [j, float(gs.eigenvalues[j]), gs.coefficient_sum(j), rf[j][1]]
-        row.extend(float(gs.eigenvectors[i, j]) for i in range(n))
-        eig_rows.append(row)
     pairs = sp.reciprocity_spectrum(gs, args.depth)
     rec_rows = [[lam, er, cr, abs(er - cr)] for lam, er, cr in pairs]
     tables = [

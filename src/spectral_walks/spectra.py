@@ -24,6 +24,7 @@ Fraction c exactly.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,16 +63,19 @@ def eigh(matrix):
     Returns (eigenvalues, eigenvectors) with eigenvalues descending and
     eigenvectors as orthonormal columns.  The matrix is split into the
     connected components of its nonzero pattern, so an eigenvector is
-    exactly zero off its component.  Each component is reduced to
-    tridiagonal form by Householder reflections, and the tridiagonal
-    matrix is diagonalized by implicit-shift QL sweeps with the rotations
-    accumulated into the eigenvectors (the EISPACK tred2/tql2 scheme).  An
+    exactly zero off its component, and blocks with the same bytes (the
+    two subtrees of a complete word set) are solved once.  Each block is
+    reduced to tridiagonal form by Householder reflections, and the
+    tridiagonal matrix is diagonalized by implicit-shift QL sweeps (the
+    EISPACK tred2/tql2 scheme); the sweeps' rotations are recorded and
+    then applied to the eigenvectors one wavefront level at a time.  An
     off-diagonal entry counts as zero once it is at most 2^-52 times the
     largest |d_k| + |e_k| met so far.  Every step is an element-wise numpy
     operation or a numpy reduction in a fixed order, with no BLAS or
     LAPACK call, so the result is reproducible to the bit whatever the
     BLAS build or thread count.  Each eigenvector's sign is pinned by
-    making its first component of magnitude > 1e-12 positive.
+    making its first component of magnitude > 1e-12 positive.  A float64
+    overflow, in (a + a^T) / 2 or in the solve, raises ArithmeticError.
     """
     a = np.array(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -81,11 +85,36 @@ def eigh(matrix):
         return np.zeros(0), np.zeros((0, 0))
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
-    if np.max(np.abs(a - a.T)) > 1e-12:
-        raise ValueError("matrix is not symmetric within 1e-12")
-    a = (a + a.T) / 2.0
+    with np.errstate(over="ignore"):  # entries of opposite sign near the float limit are not symmetric
+        if np.max(np.abs(a - a.T)) > 1e-12:
+            raise ValueError("matrix is not symmetric within 1e-12")
+    try:
+        with np.errstate(over="raise"):
+            a = (a + a.T) / 2.0
+            vals, rows = _solve_blocks(a)
+    except FloatingPointError as exc:
+        raise ArithmeticError(f"eigh: float64 overflow ({exc})") from None
+    order = np.argsort(-vals, kind="stable")
+    vals = vals[order]
+    rows = rows[order]
+    # negate each eigenvector whose first component of magnitude > 1e-12 is negative
+    big = np.abs(rows) > 1e-12
+    flip = big.any(axis=1) & (rows[np.arange(n), big.argmax(axis=1)] < 0.0)
+    rows[flip] = -rows[flip]
+    return vals, rows.T.copy()
+
+
+def _solve_blocks(a):
+    """Eigenvalues and eigenvector rows of the symmetric a, block by block, unsorted.
+
+    Row j of rows is the eigenvector for vals[j].  Blocks with the same
+    bytes are solved once.  An eigenvalue that is not finite raises
+    ArithmeticError.
+    """
+    n = a.shape[0]
     vals = np.empty(n)
-    rows = np.zeros((n, n))  # row j is the eigenvector for vals[j]
+    rows = np.zeros((n, n))
+    solved = {}  # block bytes -> (eigenvalues, eigenvector rows)
     start = 0
     for block in _blocks(a):
         if block.size == 1:
@@ -95,20 +124,20 @@ def eigh(matrix):
             rows[start, i] = 1.0
             start += 1
             continue
-        d, e, z = _tridiagonalize(a[np.ix_(block, block)])
-        _implicit_ql(d, e, z)
+        sub = a[np.ix_(block, block)]
+        key = sub.tobytes()
+        if key not in solved:
+            d, e, z = _tridiagonalize(sub)
+            _implicit_ql(d, e, z)
+            solved[key] = d, z
+        d, z = solved[key]
         stop = start + block.size
         vals[start:stop] = d
         rows[start:stop, block] = z
         start = stop
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    rows = rows[order]
-    # negate each eigenvector whose first component of magnitude > 1e-12 is negative
-    big = np.abs(rows) > 1e-12
-    flip = big.any(axis=1) & (rows[np.arange(n), big.argmax(axis=1)] < 0.0)
-    rows[flip] = -rows[flip]
-    return vals, rows.T.copy()
+    if not np.isfinite(vals).all():
+        raise ArithmeticError("eigh: an eigenvalue overflows float64")
+    return vals, rows
 
 
 def _blocks(a):
@@ -164,16 +193,25 @@ def _tridiagonalize(a):
 def _implicit_ql(d, e, z):
     """Diagonalize the tridiagonal (d, e) in place by implicit-shift QL.
 
-    On return d holds the eigenvalues, unsorted, and each rotation has
-    been applied to a pair of rows of z, so row j of z is the eigenvector
-    for d[j].  Raises RuntimeError when an eigenvalue needs more than
-    _QL_ITERATIONS sweeps.
+    On return d holds the eigenvalues, unsorted, and row j of z is the
+    eigenvector for d[j].  The scalar (d, e) recurrence never reads z, so
+    each rotation is only recorded, as its row i, c, s and a level, and
+    _rotate_levels applies them all at the end.  A rotation's level is one
+    more than the level of the last rotation that wrote row i or row i+1,
+    so the rotations of one level touch disjoint row pairs and every row
+    meets its rotations in recording order.  Raises RuntimeError when an
+    eigenvalue needs more than _QL_ITERATIONS sweeps, and ArithmeticError
+    when the deflation tolerance overflows.
     """
     n = len(d)
+    rows, cs, ss, levels = array("i"), array("d"), array("d"), array("i")
+    last = [0] * n  # level of the last rotation that wrote each row
     shift = 0.0
     tst1 = 0.0
     for l in range(n):
         tst1 = max(tst1, abs(d[l]) + abs(e[l]))
+        if tst1 == math.inf:  # the deflation tolerance would be infinite
+            raise ArithmeticError("eigh: |d_k| + |e_k| overflows float64")
         tol = 2.0 ** -52 * tst1
         m = l
         while m < n - 1 and abs(e[m]) > tol:
@@ -199,8 +237,8 @@ def _implicit_ql(d, e, z):
             c = c2 = c3 = 1.0
             el1 = e[l + 1]
             s = s2 = 0.0
-            # carry is row i+1 of z as rotated so far; row i+1 is final once rotation i is applied
-            carry = z[m].copy()
+            # rotation i mixes rows i and i+1, where row i+1 holds what rotation i+1 carried down
+            level = last[m]
             for i in range(m - 1, l - 1, -1):
                 c3 = c2
                 c2 = c
@@ -213,15 +251,66 @@ def _implicit_ql(d, e, z):
                 c = p / r
                 p = c * d[i] - s * g
                 d[i + 1] = h + s * (c * g + s * d[i])
-                zi = z[i]
-                z[i + 1] = s * zi + c * carry
-                carry = c * zi - s * carry
-            z[l] = carry
+                if last[i] > level:
+                    level = last[i]
+                level += 1
+                last[i + 1] = level
+                rows.append(i)
+                cs.append(c)
+                ss.append(s)
+                levels.append(level)
+            last[l] = level
             p = -s * s2 * c3 * el1 * e[l] / dl1
             e[l] = s * p
             d[l] = c * p
         d[l] += shift
         e[l] = 0.0
+    _rotate_levels(z, rows, cs, ss, levels)
+
+
+def _rotate_levels(z, rows, cs, ss, levels):
+    """Apply the recorded rotations to z in place, one level at a time.
+
+    Rotation k replaces rows i = rows[k] and i+1 of z by c z_i - s z_{i+1}
+    and s z_i + c z_{i+1}, with c = cs[k] and s = ss[k].  A level is one
+    gather of the rows [i; i; i+1; i+1], one product with [c; s; -s; c],
+    one sum of the two halves and one scatter to [i; i+1]: each row gets
+    the products and the sum of a rotation applied on its own, to the bit.
+    """
+    if not rows:
+        return
+    levels = np.frombuffer(levels, dtype=np.intc)
+    counts = np.bincount(levels)[1:]  # levels start at 1
+    ends = np.cumsum(counts)
+    # the level of k rotations that starts at rotation f gathers 4k rows from 4f; its p-th rotation
+    # sits at 4f + p + (0, 1, 2, 3) k, and the middle half, [i; i+1], is where its rows go back
+    order = np.argsort(levels, kind="stable")
+    at = np.empty(len(levels), dtype=np.intp)
+    at[order] = np.repeat(3 * (ends - counts), counts) + np.arange(len(levels))
+    del order  # the plan's temporaries go as soon as they are used: at n = 511 each is 85,481 long
+    k = counts[levels - 1]
+    i = np.frombuffer(rows, dtype=np.intc)
+    c = np.frombuffer(cs)
+    s = np.frombuffer(ss)
+    gather = np.empty(4 * len(levels), dtype=np.intp)
+    coef = np.empty((4 * len(levels), 1))
+    below = i + 1
+    for row, x in ((i, c), (i, s), (below, -s), (below, c)):
+        gather[at] = row
+        coef[at, 0] = x
+        at += k
+    del k, at, below
+    buf = np.empty((4 * int(counts.max()), z.shape[1]))
+    start = 0
+    for stop in ends.tolist():
+        k = stop - start
+        g = gather[4 * start:4 * stop]
+        # mode="clip" changes nothing for indices in range, and spares take the copy it makes of out= to raise
+        pair = z.take(g, axis=0, out=buf[:4 * k], mode="clip")
+        np.multiply(pair, coef[4 * start:4 * stop], out=pair)
+        np.add(pair[:2 * k], pair[2 * k:], out=pair[:2 * k])
+        z[g[k:3 * k]] = pair[:2 * k]
+        start = stop
 
 
 def _check_words(words):

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spectral_walks import eigh, gram_matrix, spectra, words_up_to
+from spectral_walks.spectra import _QL_ITERATIONS
 from spectral_walks.tree import common_prefix_length
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -163,6 +164,31 @@ class TestFailures:
         assert vals.tolist() == [0.0] * 4
         assert np.array_equal(vecs, np.eye(4))
 
+    @pytest.mark.parametrize("m", [
+        [[0.0, 1e308], [1e308, 0.0]],  # eigenvalues +-1e308, but a + a^T overflows
+        [[1e308, 1e308], [1e308, 1e308]],
+        np.full((3, 3), 0.8e308),  # the Householder scale overflows
+        [[0.0, 0.89e308, 0.3e308], [0.89e308, 0.0, 0.3e308], [0.3e308, 0.3e308, 0.0]],  # an eigenvalue overflows
+    ])
+    def test_overflow_raises(self, m):
+        # a RuntimeWarning would fail the test too: the overflow raises and warns of nothing
+        with pytest.raises(ArithmeticError, match="overflow"):
+            eigh(m)
+
+    def test_infinite_deflation_tolerance_raises(self):
+        # |d_0| + |e_0| = 2e308: an infinite tolerance would deflate at once and keep the diagonal
+        with pytest.raises(ArithmeticError, match="overflow"):
+            spectra._implicit_ql([1e308, 1e308], [1e308, 0.0], np.eye(2))
+
+    def test_large_entries_below_the_limit(self):
+        vals, vecs = eigh([[1e300, 1e300], [1e300, 1e300]])
+        assert vals.tolist() == pytest.approx([2e300, 0.0], rel=1e-15, abs=1e285)
+        check_against_lapack(np.array([[1.0, 1.0], [1.0, 1.0]]), vals / 1e300, vecs)
+
+    def test_opposite_signs_near_the_limit_are_not_symmetric(self):
+        with pytest.raises(ValueError, match="not symmetric"):
+            eigh([[0.0, 1e308], [-1e308, 0.0]])
+
 
 def blocks_by_repeated_search(a):
     """One hop-count search per component, each from the lowest index not yet in a component."""
@@ -206,3 +232,186 @@ class TestComponents:
         assert [b.tolist() for b in spectra._blocks(a)] == [[i] for i in range(1022)]
         vals, vecs = eigh(a)
         assert vals.tolist() == list(np.arange(1022.0, 0.0, -1.0)) and np.array_equal(vecs, np.eye(1022)[:, ::-1])
+
+
+def reference_ql(d, e, z):
+    """Implicit QL with each rotation applied to its pair of rows of z at once, as a carry.
+
+    The recurrence of spectra._implicit_ql, with the eigenvector update of
+    EISPACK tql2: one rotation at a time, row i+1 of z held as the carry.
+    """
+    n = len(d)
+    shift = 0.0
+    tst1 = 0.0
+    for l in range(n):
+        tst1 = max(tst1, abs(d[l]) + abs(e[l]))
+        tol = 2.0 ** -52 * tst1
+        m = l
+        while m < n - 1 and abs(e[m]) > tol:
+            m += 1
+        sweeps = 0
+        while m > l and abs(e[l]) > tol:
+            assert sweeps < _QL_ITERATIONS
+            sweeps += 1
+            g = d[l]
+            p = (d[l + 1] - g) / (2.0 * e[l])
+            r = math.hypot(p, 1.0)
+            if p < 0.0:
+                r = -r
+            d[l] = e[l] / (p + r)
+            d[l + 1] = e[l] * (p + r)
+            dl1 = d[l + 1]
+            h = g - d[l]
+            for i in range(l + 2, n):
+                d[i] -= h
+            shift += h
+            p = d[m]
+            c = c2 = c3 = 1.0
+            el1 = e[l + 1]
+            s = s2 = 0.0
+            carry = z[m].copy()
+            for i in range(m - 1, l - 1, -1):
+                c3 = c2
+                c2 = c
+                s2 = s
+                g = c * e[i]
+                h = c * p
+                r = math.hypot(p, e[i])
+                e[i + 1] = s * r
+                s = e[i] / r
+                c = p / r
+                p = c * d[i] - s * g
+                d[i + 1] = h + s * (c * g + s * d[i])
+                zi = z[i]
+                z[i + 1] = s * zi + c * carry
+                carry = c * zi - s * carry
+            z[l] = carry
+            p = -s * s2 * c3 * el1 * e[l] / dl1
+            e[l] = s * p
+            d[l] = c * p
+        d[l] += shift
+        e[l] = 0.0
+
+
+@st.composite
+def symmetric_blocks(draw):
+    """Symmetric matrices of size 1-40: dense, sparse, banded, integer, with repeated eigenvalues or nearly diagonal.
+
+    Some zero entries are -0.0, placed symmetrically.
+    """
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["dense", "sparse", "banded", "integer", "twin", "constant", "diagonal"]))
+    a = rng.standard_normal((n, n))
+    if kind == "sparse":
+        a *= rng.random((n, n)) < 0.15
+    elif kind == "banded":
+        width = draw(st.integers(1, 3))
+        a = np.triu(np.tril(a, width), -width)
+    elif kind == "integer":
+        a = np.round(2.0 * a)
+    elif kind == "twin":
+        # two copies of one block, so each of its eigenvalues is double (and a zero row when n is odd)
+        half = n // 2
+        twin = np.kron(np.eye(2), a[:half, :half])
+        a = np.zeros((n, n))
+        a[:2 * half, :2 * half] = twin
+    elif kind == "constant":
+        a = np.full((n, n), 1.5)  # eigenvalue 0 with multiplicity n - 1
+    elif kind == "diagonal":
+        # tridiagonal with most off-diagonals zero, so QL deflates at once
+        a = np.diag(np.diag(a)) + np.diag(np.diag(a, 1) * (rng.random(n - 1) < 0.2), 1)
+    lower = np.tril_indices(n, -1)
+    a[lower] = a.T[lower]
+    zeros = (a == 0.0) & (rng.random((n, n)) < 0.5)
+    zeros &= zeros.T
+    a[zeros] = -0.0
+    return a
+
+
+class TestRotationSchedule:
+    """The level-by-level rotations of _implicit_ql give the bits of one rotation at a time."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(symmetric_blocks())
+    def test_levels_equal_one_rotation_at_a_time(self, a):
+        d, e, z = spectra._tridiagonalize(a)
+        want_d, want_e, want_z = list(d), list(e), z.copy()
+        reference_ql(want_d, want_e, want_z)
+        spectra._implicit_ql(d, e, z)
+        assert np.array(d).tobytes() == np.array(want_d).tobytes()
+        assert z.tobytes() == want_z.tobytes()
+
+
+def count_solves(monkeypatch):
+    """Count the _tridiagonalize calls, one per block that eigh solves."""
+    calls = []
+    tridiagonalize = spectra._tridiagonalize
+
+    def counted(a):
+        calls.append(a.shape[0])
+        return tridiagonalize(a)
+
+    monkeypatch.setattr(spectra, "_tridiagonalize", counted)
+    return calls
+
+
+def path_block(corner):
+    """A connected 3 x 3 block whose corner entries, zero, are the given zero."""
+    return np.array([[1.0, 1.0, corner], [1.0, 2.0, 1.0], [corner, 1.0, 3.0]])
+
+
+def two_blocks(first, second):
+    a = np.zeros((6, 6))
+    a[:3, :3] = first
+    a[3:, 3:] = second
+    return a
+
+
+class TestBlockReuse:
+    @pytest.mark.parametrize("depth", range(2, 8))
+    def test_complete_sets_solve_one_block(self, monkeypatch, depth):
+        m = gram_matrix(words_up_to(depth)).astype(float)
+        blocks = [b for b in spectra._blocks(m) if b.size > 1]
+        assert len(blocks) == 2 and len({m[np.ix_(b, b)].tobytes() for b in blocks}) == 1
+        calls = count_solves(monkeypatch)
+        eigh(m)
+        assert calls == [blocks[0].size]
+
+    @pytest.mark.parametrize("second", [
+        path_block(-0.0),
+        path_block(0.0) + np.diag([0.0, 0.0, np.spacing(3.0)]),  # one ulp at the last diagonal entry
+    ])
+    def test_blocks_that_differ_in_any_bit_are_solved_apart(self, monkeypatch, second):
+        calls = count_solves(monkeypatch)
+        eigh(two_blocks(path_block(0.0), second))
+        assert calls == [3, 3]
+        calls.clear()
+        eigh(two_blocks(path_block(0.0), path_block(0.0)))
+        assert calls == [3]
+
+    @pytest.mark.parametrize("depth", [3, 6])
+    def test_reused_block_equals_its_own_solve(self, depth):
+        a = gram_matrix(words_up_to(depth)).astype(float)
+        vals, rows = spectra._solve_blocks(a)
+        start = 0
+        for block in spectra._blocks(a):
+            d, e, z = spectra._tridiagonalize(a[np.ix_(block, block)])
+            spectra._implicit_ql(d, e, z)
+            stop = start + block.size
+            assert vals[start:stop].tobytes() == np.array(d).tobytes()
+            assert rows[start:stop, block].tobytes() == z.tobytes()
+            assert not np.delete(rows[start:stop], block, axis=1).any()
+            start = stop
+        assert start == len(a)
+
+
+# sha256 of eigh's eigenvalue bytes then eigenvector bytes for words_up_to(8), recorded with
+# the solver that applied one rotation at a time to each block
+PINNED_EIGH_SHA256_DEPTH_8 = "2f5ad7d629d6e2b3f15e27c727b05880bbe599dd84869e91a18308d9d4271202"
+
+
+def test_complete_set_eigensystem_is_pinned():
+    _, m, vals, vecs = complete_spectrum(8)
+    digest = hashlib.sha256(vals.tobytes() + vecs.tobytes()).hexdigest()
+    assert digest == PINNED_EIGH_SHA256_DEPTH_8

@@ -1,4 +1,5 @@
-"""One solve route, one matvec route, one sampler and one grouped estimator in walks, read from its source with ast.
+"""One solve route, one matvec route, one sampler and one grouped estimator in walks, and a BLAS-free eigh in
+spectra, read from their source with ast.
 
 walks calls np.linalg.solve from a single function, the elimination
 helper that the stationary and the harmonic solves share, and has no `@`
@@ -11,12 +12,19 @@ the two estimates over whole columns, covariance_mc and
 doob_boundary_check, so a per-state sample loop cannot come back beside
 the counts.  A second dense solve, a matrix product, a second sampler
 loop or a second grouping route shows up here.
+
+spectra.eigh and the helpers it runs make no BLAS or LAPACK call: no
+`@`, no dot or matmul and nothing from np.linalg, and they call no
+function of spectra outside that set, so such a call cannot hide in a new
+helper either.
 """
 
 import ast
 from pathlib import Path
 
 WALKS = Path(__file__).resolve().parents[1] / "src" / "spectral_walks" / "walks.py"
+SPECTRA = WALKS.with_name("spectra.py")
+EIGH_FUNCTIONS = ("eigh", "_solve_blocks", "_blocks", "_tridiagonalize", "_implicit_ql", "_rotate_levels")
 
 
 def enclosing_functions(tree):
@@ -47,6 +55,31 @@ def solve_callers(source):
 def products(source):
     return [ast.unparse(node) for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)]
+
+
+def blas_uses(node):
+    """Every `@`, dot or matmul call and np.linalg reference under node."""
+    found = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.MatMult):
+            found.append(ast.unparse(sub))
+        elif isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute) and sub.func.attr in ("dot", "matmul"):
+            found.append(ast.unparse(sub))
+        elif isinstance(sub, ast.Attribute) and sub.attr == "linalg":
+            found.append(ast.unparse(sub))
+    return found
+
+
+def module_functions(source):
+    return {node.name: node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+
+
+def test_eigh_makes_no_blas_call():
+    functions = module_functions(SPECTRA.read_text(encoding="utf-8"))
+    for name in EIGH_FUNCTIONS:
+        assert blas_uses(functions[name]) == [], name
+        called = {ast.unparse(node.func) for node in ast.walk(functions[name]) if isinstance(node, ast.Call)}
+        assert called & functions.keys() <= set(EIGH_FUNCTIONS), name
 
 
 def test_walks_solves_in_one_function():
@@ -84,3 +117,8 @@ def test_readers_see_each_form():
     assert callers("import numpy as np\ndef a(x):\n    return np.unique(x), mean_se(x)\n",
                    ("np.unique", "mean_se")) == ["a", "a"]
     assert products(source) == ["fm.kernel @ x", "g @ fm.kernel.T", "fm.mu0 @ g"]
+    blas = ("import numpy as np\n"
+            "def f(a, b):\n"
+            "    return a @ b, np.dot(a, b), a.dot(b), np.matmul(a, b), np.linalg.norm(a), numpy.linalg.eigh(a)\n")
+    assert blas_uses(module_functions(blas)["f"]) == [
+        "a @ b", "np.dot(a, b)", "a.dot(b)", "np.matmul(a, b)", "np.linalg", "numpy.linalg"]
