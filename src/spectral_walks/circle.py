@@ -87,10 +87,6 @@ class TrigPoly:
     def coefficient(self, k: int):
         return self.coeffs.get(k, 0)
 
-    @property
-    def degree(self) -> int:
-        return max((abs(k) for k in self.coeffs), default=0)
-
     def __add__(self, other):
         if not isinstance(other, TrigPoly):
             return NotImplemented

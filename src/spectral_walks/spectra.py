@@ -74,8 +74,10 @@ def eigh(matrix):
     operation or a numpy reduction in a fixed order, with no BLAS or
     LAPACK call, so the result is reproducible to the bit whatever the
     BLAS build or thread count.  Each eigenvector's sign is pinned by
-    making its first component of magnitude > 1e-12 positive.  A float64
-    overflow, in (a + a^T) / 2 or in the solve, raises ArithmeticError.
+    making its first component of magnitude > 1e-12 positive.  A matrix
+    that is not exactly symmetric, or has a -0.0 entry, is replaced by
+    (a + a^T) / 2 first.  A float64 overflow, there or in the solve, raises
+    ArithmeticError.
     """
     a = np.array(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -86,11 +88,15 @@ def eigh(matrix):
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     with np.errstate(over="ignore"):  # entries of opposite sign near the float limit are not symmetric
-        if np.max(np.abs(a - a.T)) > 1e-12:
-            raise ValueError("matrix is not symmetric within 1e-12")
+        asymmetry = float(np.max(np.abs(a - a.T)))
+    if asymmetry > 1e-12:
+        raise ValueError("matrix is not symmetric within 1e-12")
     try:
         with np.errstate(over="raise"):
-            a = (a + a.T) / 2.0
+            # on an exactly symmetric a with no -0.0 (+0.0 facing -0.0 would become +0.0), (a + a^T) / 2
+            # gives back a bit for bit or overflows past half the float limit: skip it
+            if asymmetry != 0.0 or (np.signbit(a) & (a == 0.0)).any():
+                a = (a + a.T) / 2.0
             vals, rows = _solve_blocks(a)
     except FloatingPointError as exc:
         raise ArithmeticError(f"eigh: float64 overflow ({exc})") from None
@@ -161,6 +167,7 @@ def _tridiagonalize(a):
     n = a.shape[0]
     e = [0.0] * n
     reflections = []
+    scratch = np.empty((n - 1) * (n - 1))  # the i x i products of each step, in its leading i * i entries
     for i in range(n - 1, 0, -1):
         # zero row i left of the subdiagonal with P = I - u u^T / h on the leading i x i block
         row = a[i, :i]
@@ -176,17 +183,19 @@ def _tridiagonalize(a):
         h -= f * g
         u[-1] = f - g
         block = a[:i, :i]
-        p = (block * u).sum(axis=1) / h
+        t = scratch[: i * i].reshape(i, i)
+        p = np.multiply(block, u, out=t).sum(axis=1) / h
         q = p - (float((u * p).sum()) / (h + h)) * u
-        block -= np.multiply.outer(u, q)
-        block -= np.multiply.outer(q, u)
+        block -= np.multiply.outer(u, q, out=t)
+        block -= np.multiply.outer(q, u, out=t)
         reflections.append((i, u, h))
     d = np.diag(a).tolist()
     # Q = P_{n-1} ... P_2; each P_i touches only the leading i rows and columns
     z = np.eye(n)
     for i, u, h in reversed(reflections):
         block = z[:i, :i]
-        block -= np.multiply.outer((block * u).sum(axis=1), u / h)
+        t = scratch[: i * i].reshape(i, i)
+        block -= np.multiply.outer(np.multiply(block, u, out=t).sum(axis=1), u / h, out=t)
     return d, e, z
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spectral_walks import cli, walks
+from spectral_walks import cli, graphs, walks
+from spectral_walks.tree import MAX_DEPTH, words_up_to
 from spectral_walks.cli import run
 from spectral_walks import (
     decode_int,
@@ -215,6 +217,42 @@ class TestVerifyMonteCarloRows:
         rc, out, _ = invoke(capsys, ["verify", "all", "--seed", "2"])
         failing = [line.split(",")[0] for line in out.splitlines() if line.split(",")[1:2] == ["fail"]]
         assert (rc, failing) == (1, [check])
+
+
+def commonprefix_table(words):
+    return [[len(os.path.commonprefix((x, y))) for y in words] for x in words]
+
+
+class TestVerifyGramOracle:
+    """gram_energy_route_exact compares the dipole Gram with common prefixes read off binary numerals."""
+
+    def test_every_pair_up_to_length_eight(self):
+        words = words_up_to(8)
+        table = cli._common_prefix_oracle(words)
+        assert table.dtype == np.int64
+        assert table.tolist() == commonprefix_table(words)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text("01", max_size=MAX_DEPTH), max_size=40))
+    @example(["1" * 64, "1" * 63, "1" * 63 + "0", "0" * 64, "0", ""])
+    def test_random_words(self, words):
+        assert cli._common_prefix_oracle(words).tolist() == commonprefix_table(words)
+
+    @pytest.mark.parametrize("quick", [True, False])
+    @pytest.mark.parametrize("entry", [(0, 0), (3, 7), (-1, -2)])
+    def test_one_gram_entry_off_by_one_fails_the_check(self, capsys, monkeypatch, quick, entry):
+        inner = graphs._energy_core
+
+        def off_by_one(g, left, right):
+            out = inner(g, left, right)
+            if left is right:  # the dipole Gram, not the Laplacian pairing
+                out[entry] += 1
+            return out
+
+        monkeypatch.setattr(graphs, "_energy_core", off_by_one)
+        rc, out, _ = invoke(capsys, ["verify", "all"] + ["--quick"] * quick)
+        failing = [line.split(",")[0] for line in out.splitlines() if line.split(",")[1:2] == ["fail"]]
+        assert (rc, failing) == (1, ["gram_energy_route_exact"])
 
 
 class TestParserReuse:

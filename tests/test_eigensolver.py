@@ -165,7 +165,7 @@ class TestFailures:
         assert np.array_equal(vecs, np.eye(4))
 
     @pytest.mark.parametrize("m", [
-        [[0.0, 1e308], [1e308, 0.0]],  # eigenvalues +-1e308, but a + a^T overflows
+        [[0.0, 1e308], [1e308, 0.0]],  # eigenvalues +-1e308, but the deflation tolerance overflows
         [[1e308, 1e308], [1e308, 1e308]],
         np.full((3, 3), 0.8e308),  # the Householder scale overflows
         [[0.0, 0.89e308, 0.3e308], [0.89e308, 0.0, 0.3e308], [0.3e308, 0.3e308, 0.0]],  # an eigenvalue overflows
@@ -179,6 +179,25 @@ class TestFailures:
         # |d_0| + |e_0| = 2e308: an infinite tolerance would deflate at once and keep the diagonal
         with pytest.raises(ArithmeticError, match="overflow"):
             spectra._implicit_ql([1e308, 1e308], [1e308, 0.0], np.eye(2))
+
+    @pytest.mark.parametrize("m, want", [
+        ([[1e308, 0.0], [0.0, 1.0]], [1e308, 1.0]),
+        (np.diag([1e308, 1e308]), [1e308, 1e308]),
+    ])
+    def test_entries_past_half_the_limit_in_a_symmetric_matrix(self, m, want):
+        # (a + a^T) / 2 would overflow here; an exactly symmetric matrix is solved as it is
+        vals, vecs = eigh(m)
+        assert vals.tolist() == want
+        assert vecs.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+    def test_signed_zeros_facing_each_other_are_averaged(self):
+        # -0.0 opposite +0.0 is symmetric but not bit-symmetric: the mean is +0.0, and solving the
+        # matrix as it is would change bits of this eigensystem
+        m = np.array([[2.0, -2.0, 2.0, 2.0], [-2.0, -2.0, 2.0, -1.0], [2.0, 2.0, -2.0, 0.0], [2.0, -1.0, -0.0, 1.0]])
+        vals, vecs = eigh(m)
+        want_vals, want_vecs = eigh(m + 0.0)  # -0.0 + 0.0 is +0.0
+        assert vals.tobytes() == want_vals.tobytes()
+        assert vecs.tobytes() == want_vecs.tobytes()
 
     def test_large_entries_below_the_limit(self):
         vals, vecs = eigh([[1e300, 1e300], [1e300, 1e300]])

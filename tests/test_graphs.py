@@ -167,6 +167,27 @@ class TestOperators:
         f = {0: 3, 1: Fraction(-1, 2), 2: 0, 3: 10}
         assert conductance_mean(g, transfer_apply(g, f)) == conductance_mean(g, f)
 
+    def test_transfer_with_float_conductance_is_fsum_over_total(self):
+        g = load_graph(
+            {"vertices": [0, 1, 2], "edges": [{"u": 0, "v": 1, "c": 0.1}, {"u": 1, "v": 2, "c": 0.2}], "origin": 0}
+        )
+        f = {0: 0.3, 1: 0.7, 2: 1.1}
+        by_hand = {
+            0: math.fsum([0.1 * 0.7]) / math.fsum([0.1]),
+            1: math.fsum([0.1 * 0.3, 0.2 * 1.1]) / math.fsum([0.1, 0.2]),
+            2: math.fsum([0.2 * 0.7]) / math.fsum([0.2]),
+        }
+        out = transfer_apply(g, f)
+        assert {x: v.hex() for x, v in out.items()} == {x: v.hex() for x, v in by_hand.items()}
+
+    def test_conductance_mean_of_float_data_is_fsum_over_total(self):
+        g = load_graph(
+            {"vertices": [0, 1, 2], "edges": [{"u": 0, "v": 1, "c": 2}, {"u": 1, "v": 2, "c": 3}], "origin": 0}
+        )
+        f = {0: 0.1, 1: 0.2, 2: 0.7}
+        by_hand = math.fsum([2 * 0.1, 5 * 0.2, 3 * 0.7]) / (2 + 5 + 3)
+        assert conductance_mean(g, f).hex() == by_hand.hex()
+
     def test_l2_self_adjointness_exact(self):
         g = square()
         u = {0: 1, 1: Fraction(-2, 5), 2: 0, 3: 4}
