@@ -458,6 +458,9 @@ class SolenoidEnsemble:
 
         _at_dyadics decides on the whole column, not one of the walk's
         blocks, whether f sees the occupied range instead: the same bits.
+        A column on one numerator (every step of a walk from a fixed
+        point) calls f on that one point and fills the column with
+        np.full.
         """
         level = self.level(step)
         return _at_dyadics(f, self.numerators[:, step], level)
@@ -467,28 +470,52 @@ class SolenoidEnsemble:
         return DyadicAngle(int(self.numerators[path, step]), level)
 
 
-def _at_dyadics(fn, nums, level):
-    """fn at nums / 2^level, once per integer of the occupied range [lo, hi] when that range is the smaller.
+def _dyadic_values(fn, nums, level):
+    """fn at nums / 2^level: one numpy scalar when every entry of nums is one integer, else an array like nums.
 
-    The range is the smaller when it holds at most half as many integers
-    as nums has entries; inside the walk nums is one block of the plan
-    (at most rng.BLOCK paths), so the choice is made per block.  fn must
-    act pointwise; numpy's elementwise ufuncs do not depend on where a
-    value sits in its array, and the range is converted from uint64 like
-    the numerators themselves (the same integer gives the same float,
-    above 2^53 too), so the gathered values are the direct ones bit for
-    bit.
+    One scan finds the occupied range [lo, hi].  When lo == hi, fn is
+    called on that one point and its value returned as it is, without a
+    per-entry subtract, astype or gather.  Otherwise fn is called once
+    per integer of the range, and its values gathered, when the range
+    holds at most half as many integers as nums has entries, and once
+    on every entry when it does not.  Inside the walk nums is one block
+    of the plan (at most rng.BLOCK paths), so the choice is made per
+    block.  fn must act pointwise; numpy's elementwise ufuncs do not
+    depend on where a value sits in its array, and the range is
+    converted from uint64 like the numerators themselves (the same
+    integer gives the same float, above 2^53 too), so the one value and
+    the gathered values are the direct ones bit for bit.  The one-value
+    case serves the walks from the default fixed-point start
+    DyadicAngle(0, 0); if that default moves to a level start, it is to
+    be re-measured together with the range grid, and deleted if no
+    workload still gains from it.
     """
     denom = float(1 << level)
     lo, hi = int(nums.min()), int(nums.max())
-    if hi - lo < nums.size // 2:
-        grid = np.arange(lo, hi + 1, dtype=np.uint64).astype(np.float64) / denom
-        return fn(grid)[(nums - np.uint64(lo)).astype(np.intp)]
+    if lo == hi or hi - lo < nums.size // 2:
+        values = fn(np.arange(lo, hi + 1, dtype=np.uint64).astype(np.float64) / denom)
+        return values[0] if lo == hi else values[(nums - np.uint64(lo)).astype(np.intp)]
     return fn(nums.astype(np.float64) / denom)
 
 
+def _at_dyadics(fn, nums, level):
+    """fn at nums / 2^level as an array like nums: _dyadic_values, with one value filled out by np.full.
+
+    The one value has fn's dtype, so the filled column has the bytes of
+    direct evaluation: complex for a TrigPoly, float for its real_part.
+    """
+    values = _dyadic_values(fn, nums, level)
+    return np.full(nums.shape, values) if np.ndim(values) == 0 else values
+
+
 def _solenoid_block(w, n_steps, start_level, start_num, seed, out, first, count):
-    # out is step-major: row k holds every path's numerator at step k
+    """Walk paths first .. first+count-1 into out, which is step-major: row k holds every numerator at step k.
+
+    Each step scans the block's numerators once, in _dyadic_values.  On
+    one numerator (every step from the default DyadicAngle(0, 0) of the
+    Haar and four-tap walks) p_low is one scalar, which the bounds
+    check, the certain-low skip and the draw comparison read directly.
+    """
     keys = path_keys(seed, first, count)
     if start_num is None:
         # uniform start: the top start_level bits of the step-0 draw name a cell of the level grid
@@ -500,10 +527,10 @@ def _solenoid_block(w, n_steps, start_level, start_num, seed, out, first, count)
     for k in range(n_steps):
         level = start_level + k
         # the low branch of nums / 2^level is nums / 2^(level+1)
-        p_low = _at_dyadics(w.real_part, nums, level + 1)
-        lowest = p_low.min()
+        p_low = _dyadic_values(w.real_part, nums, level + 1)
+        lowest, highest = (p_low, p_low) if np.ndim(p_low) == 0 else (p_low.min(), p_low.max())
         # p_low > 1 means the complementary branch weight is negative; NaN fails both bounds
-        if not (lowest >= -1e-12 and p_low.max() <= 1.0 + 1e-12):
+        if not (lowest >= -1e-12 and highest <= 1.0 + 1e-12):
             raise ValueError("negative W sample along the walk")
         # nums < 2^level, so bit `level` is clear and the high branch sets it.  A draw
         # u in [0, 1 - 2^-53] goes high iff u >= p_low, so a step where every path
@@ -540,7 +567,10 @@ def solenoid_walk(w: TrigPoly, n_steps: int, n_paths: int, seed: int, start=Dyad
     as many integers as the block has paths, and draws no uniforms when
     every path of the block goes low for certain (all p_low >= 1); draws
     are keyed by (path, step), so neither the plan nor these shortcuts
-    move a numerator.
+    move a numerator.  When the block sits on one numerator, as every
+    step of the walks from the default DyadicAngle(0, 0) start does, W
+    is evaluated at that one point and the bounds check, the skip and
+    the draw compare against the one value: no per-path p_low is built.
     """
     if n_steps < 0 or n_paths < 1:
         raise ValueError("need n_steps >= 0 and n_paths >= 1")

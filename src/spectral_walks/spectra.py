@@ -87,8 +87,7 @@ def eigh(matrix):
         return np.zeros(0), np.zeros((0, 0))
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
-    with np.errstate(over="ignore"):  # entries of opposite sign near the float limit are not symmetric
-        asymmetry = float(np.max(np.abs(a - a.T)))
+    asymmetry = _asymmetry(a)
     if asymmetry > 1e-12:
         raise ValueError("matrix is not symmetric within 1e-12")
     try:
@@ -108,6 +107,23 @@ def eigh(matrix):
     flip = big.any(axis=1) & (rows[np.arange(n), big.argmax(axis=1)] < 0.0)
     rows[flip] = -rows[flip]
     return vals, rows.T.copy()
+
+
+def _asymmetry(a):
+    """max |a_ij - a_ji| over strips of 128 rows that cover the upper triangle.
+
+    x - y is -(y - x) in IEEE arithmetic, so this is the maximum over the
+    whole matrix.  Each strip pairs rows i0:i1 from column i0 on with
+    columns i0:i1 from row i0 down, so a.T is read a strip's width of
+    contiguous entries at a time instead of one entry per row.
+    """
+    n = a.shape[0]
+    worst = 0.0
+    with np.errstate(over="ignore"):  # entries of opposite sign near the float limit are not symmetric
+        for i0 in range(0, n, 128):
+            i1 = min(i0 + 128, n)
+            worst = max(worst, float(np.max(np.abs(a[i0:i1, i0:] - a[i0:, i0:i1].T))))
+    return worst
 
 
 def _solve_blocks(a):

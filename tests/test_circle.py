@@ -398,6 +398,17 @@ class TestSolenoid:
         with pytest.raises(ValueError, match="negative W"):
             solenoid_walk(w, 6, 2000, 3, start=4)
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_negative_weight_caught_on_a_one_value_step(self, threads, split_blocks):
+        # the same W has W(0) = 3/2: from the fixed point every path of a block sits on
+        # numerator 0, so the first step's one value already fails the bound
+        w = TrigPoly({0: Fraction(1, 2), 1: Fraction(1, 2), -1: Fraction(1, 2)})
+        assert w.real_part(0.0) == 1.5
+        split_blocks(threads)
+        for start in (4, DyadicAngle(0, 0)):
+            with pytest.raises(ValueError, match="^negative W sample along the walk$"):
+                solenoid_walk(w, 6, 3000, 3, start=start)
+
     def test_level_cap(self):
         w = TrigPoly.constant(Fraction(1, 2))
         with pytest.raises(ValueError):

@@ -208,6 +208,28 @@ class TestFailures:
         with pytest.raises(ValueError, match="not symmetric"):
             eigh([[0.0, 1e308], [-1e308, 0.0]])
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 300), st.integers(0, 2**32))
+    def test_strip_asymmetry_is_the_whole_matrix_maximum(self, n, seed):
+        # up to 300 rows: one to three 128-row strips, the last one partial
+        a = np.random.default_rng(seed).standard_normal((n, n))
+        for m in (a, a + a.T, np.round(a + a.T, 1) + np.triu(a, 3) * 1e-13):
+            assert spectra._asymmetry(m) == float(np.max(np.abs(m - m.T)))
+
+    @pytest.mark.parametrize("i, j, v, want", [(299, 5, 5e-13, 1e-12), (5, 299, 1e-12, 2e-12),
+                                               (257, 129, 1e308, math.inf)])
+    def test_asymmetry_in_a_later_strip(self, i, j, v, want):
+        # 300 rows are three 128-row strips; v facing -v differs by 2v, which overflows to inf
+        # without a warning near the float limit
+        m = np.eye(300)
+        m[i, j], m[j, i] = v, -v
+        assert spectra._asymmetry(m) == want
+        if want > 1e-12:
+            with pytest.raises(ValueError, match="not symmetric"):
+                eigh(m)
+        else:
+            assert eigh(m)[0].size == 300
+
 
 def blocks_by_repeated_search(a):
     """One hop-count search per component, each from the lowest index not yet in a component."""

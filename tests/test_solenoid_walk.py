@@ -3,10 +3,17 @@
 The walk stores its numerators step-major, sets the high-branch bit with
 an OR, evaluates W once per integer of the occupied numerator range and
 draws nothing on a step whose branches are all certain; the CLI
-evaluates the real part of each (f, step) pair once.  None of this may
-move a drawn value or an output byte, so the oracles below are the
+evaluates the real part of each (f, step) pair once.  A block or column
+on one numerator, as every step of the Haar and four-tap walks from the
+default DyadicAngle(0, 0) is, evaluates W or f on that one point: the
+walk compares its draws with the one value as a scalar, and
+SolenoidEnsemble.evaluate fills the column with np.full.  None of this
+may move a drawn value or an output byte, so the oracles below are the
 path-major np.where walk, direct evaluation, walks.covariance_mc and
-sha256 pins recorded before any of it, compared bit for bit.
+sha256 pins recorded before any of it, compared bit for bit.  The
+one-value case serves the default fixed-point starts; if the default
+moves to a level start, it is re-measured with the range grid and its
+tests go with it if no workload still gains.
 """
 
 import contextlib
@@ -36,7 +43,7 @@ from spectral_walks import (
     w_from_filter,
 )
 from spectral_walks import circle, rng, spectra, tree
-from spectral_walks.circle import _at_dyadics
+from spectral_walks.circle import _at_dyadics, _dyadic_values
 from spectral_walks.rng import path_keys, step_bits, step_uniforms
 
 SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -235,6 +242,141 @@ class TestCertainSteps:
         solenoid_walk(HALF, 5, 3000, 1, start=3)
         assert plans.all_split()
         assert sorted(steps) == sorted(list(range(1, 6)) * len(plans[-1][1]))
+
+
+def counting(w):
+    """W with the same coefficients, and the list its real_part appends the size of every argument to."""
+    sizes = []
+
+    class Counted(TrigPoly):
+        def real_part(self, t):
+            sizes.append(np.size(t))
+            return super().real_part(t)
+
+    return Counted(w.coeffs), sizes
+
+
+def rule_sizes(ens, blocks):
+    """The size of each W evaluation the walk makes: one point, the occupied range or the block, per block and step."""
+    sizes = []
+    for first, count in blocks:
+        for k in range(ens.n_steps):
+            col = ens.numerators[first : first + count, k]
+            lo, hi = int(col.min()), int(col.max())
+            sizes.append(1 if lo == hi else hi - lo + 1 if hi - lo < count // 2 else count)
+    return sorted(sizes)
+
+
+class TestOneValueSteps:
+    """A block on one numerator evaluates W at that one point, and its numerators keep their bits."""
+
+    # ANTI_HAAR sends every path from 0 to 1/2, where W(1/4) is about 1/2: one numerator for two steps only
+    @pytest.mark.parametrize("w, n_steps", [(HAAR, 40), (FOUR_TAP, 40), (ANTI_HAAR, 2)], ids=["haar", "four_tap", "anti_haar"])
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_fixed_point_walks_evaluate_one_point_per_step_and_block(self, w, n_steps, threads, split_blocks,
+                                                                     monkeypatch):
+        compared = self.record_comparisons(monkeypatch)
+        counted, sizes = counting(w)
+        plans = split_blocks(threads)
+        ens = solenoid_walk(counted, n_steps, 3000, 7)
+        (_, blocks), = plans
+        assert sizes == [1] * (n_steps * len(blocks))
+        # Haar draws nothing; the others compare every block's draws with the one value
+        assert compared == [()] * (0 if w is HAAR else n_steps * len(blocks))
+        assert ens.numerators.tobytes() == path_major_walk(w, n_steps, 3000, 7, 0, 0).tobytes()
+
+    @staticmethod
+    def record_comparisons(monkeypatch):
+        """Make the walk's draws record the shape of the p_low they are compared with; return that list."""
+        compared = []
+        inner = circle.step_uniforms
+
+        class Draws(np.ndarray):
+            def __ge__(self, other):
+                compared.append(np.shape(other))
+                return np.asarray(self) >= other
+
+        monkeypatch.setattr(circle, "step_uniforms", lambda keys, step: inner(keys, step).view(Draws))
+        return compared
+
+    def test_haar_default_size_builds_no_per_path_weights(self, monkeypatch):
+        monkeypatch.delenv("SPECTRAL_WALKS_THREADS", raising=False)
+        counted, sizes = counting(HAAR)
+        ens = solenoid_walk(counted, 40, 40000, 1)
+        assert sizes == [1] * 40
+        assert not ens.numerators.any()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_half_leaves_one_numerator_after_its_first_step(self, threads, split_blocks, monkeypatch):
+        compared = self.record_comparisons(monkeypatch)
+        counted, sizes = counting(HALF)
+        plans = split_blocks(threads)
+        ens = solenoid_walk(counted, 6, 3000, 11, start=DyadicAngle(3, 5))
+        (_, blocks), = plans
+        assert sorted(sizes) == rule_sizes(ens, blocks)
+        # step 0 only: from step 1 on, 3 and 3 + 32 are both occupied
+        assert sizes.count(1) == len(blocks)
+        assert sorted(compared) == sorted([()] * len(blocks) + [(count,) for _, count in blocks] * 5)
+        assert ens.numerators.tobytes() == path_major_walk(HALF, 6, 3000, 11, 5, 3).tobytes()
+
+    @SETTINGS
+    @given(weights, st.integers(1, 12), st.integers(0, 20), st.integers(1, 3000), st.integers(0, (1 << 64) - 1),
+           st.sampled_from(["1", "2"]))
+    def test_weights_from_a_point_follow_the_rule(self, w, n_steps, level, n_paths, seed, threads):
+        start = DyadicAngle(seed % (1 << level), level)
+        counted, sizes = counting(w)
+        plans = []
+        plan = rng.block_plan
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rng, "block_plan", lambda n: plans.append(plan(n)) or plans[-1])
+            mp.setattr(rng, "BLOCK", 1000)
+            mp.setenv("SPECTRAL_WALKS_THREADS", threads)
+            ens = solenoid_walk(counted, n_steps, n_paths, seed, start=start)
+        (_, blocks), = plans
+        assert sorted(sizes) == rule_sizes(ens, blocks)
+        assert sizes.count(1) >= len(blocks)  # every block starts on one numerator
+        want = path_major_walk(w, n_steps, n_paths, seed, level, start.numerator)
+        assert ens.numerators.tobytes() == want.tobytes()
+
+
+class TestOneValueColumns:
+    """SolenoidEnsemble.evaluate calls f once, on one point, for a column on one numerator."""
+
+    @SETTINGS
+    @given(st.dictionaries(st.integers(-6, 6), st.complex_numbers(max_magnitude=4, allow_nan=False), max_size=5),
+           st.integers(0, 62), st.integers(1, 3000), st.integers(0, 2**32))
+    def test_one_numerator_gives_one_scalar(self, coeffs, level, size, seed):
+        f = TrigPoly(coeffs)
+        n = int(np.random.default_rng(seed).integers(0, 1 << level, dtype=np.uint64))
+        nums = np.full(size, n, dtype=np.uint64)
+        for fn in (f, f.real_part):
+            one = _dyadic_values(fn, nums, level)
+            want = fn(nums.astype(np.float64) / float(1 << level))
+            assert np.ndim(one) == 0
+            assert np.full(size, one).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("start, steps", [(DyadicAngle(0, 0), range(13)), (DyadicAngle(5, 4), [0]),
+                                              (DyadicAngle((1 << 60) - 1, 60), [0, 1, 2])])
+    @pytest.mark.parametrize("g", [COS1, FOUR_TAP, TrigPoly({-2: 1.5 - 0.25j, 3: -0.5, 1: 2j})],
+                             ids=["cos1", "four_tap", "complex"])
+    def test_one_numerator_columns_are_the_direct_values(self, start, steps, g):
+        # Haar from 0 stays at 0; from the other points every path shares step 0 only, and from
+        # (2^60 - 1) / 2^60 Haar's W is 0 at the low branch, so every path goes high for certain
+        ens = solenoid_walk(HAAR, 2 if start.level == 60 else 12, 3000, 5, start=start)
+        for k in steps:
+            assert len(set(ens.numerators[:, k].tolist())) == 1
+            for f in (g, g.real_part):
+                sizes = []
+
+                def counted(t):
+                    sizes.append(np.size(t))
+                    return f(t)
+
+                got = ens.evaluate(counted, k)
+                want = f(ens.angles(k))
+                assert (got.shape, got.dtype) == (want.shape, want.dtype)
+                assert got.tobytes() == want.tobytes()
+                assert sizes == [1]
 
 
 class TestNonFiniteWeights:
