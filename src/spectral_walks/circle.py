@@ -32,7 +32,7 @@ from functools import partial
 
 import numpy as np
 
-from .rng import path_keys, run_blocks, step_bits, step_uniforms
+from .rng import _bits_threshold, path_keys, run_blocks, step_bits, step_uniforms
 from .tree import encode_int
 
 __all__ = [
@@ -511,10 +511,16 @@ def _at_dyadics(fn, nums, level):
 def _solenoid_block(w, n_steps, start_level, start_num, seed, out, first, count):
     """Walk paths first .. first+count-1 into out, which is step-major: row k holds every numerator at step k.
 
-    Each step scans the block's numerators once, in _dyadic_values.  On
+    A flat W (no coefficient but the constant) has one value at every
+    angle, read once per block from one real_part call.  Otherwise each
+    step scans the block's numerators once, in _dyadic_values, and on
     one numerator (every step from the default DyadicAngle(0, 0) of the
-    Haar and four-tap walks) p_low is one scalar, which the bounds
-    check, the certain-low skip and the draw comparison read directly.
+    Haar and four-tap walks) p_low is again one scalar.  The bounds
+    check and the certain-low skip read a scalar p_low directly, and
+    its draws are the raw words of step_bits compared with one integer
+    threshold, rng._bits_threshold; an array p_low is compared with
+    step_uniforms.  Each step is written into its row of out in place,
+    and a step where no path goes high copies the row before it.
     """
     keys = path_keys(seed, first, count)
     if start_num is None:
@@ -524,21 +530,28 @@ def _solenoid_block(w, n_steps, start_level, start_num, seed, out, first, count)
     else:
         nums = np.full(count, start_num, dtype=np.uint64)
     out[0, first : first + count] = nums
+    flat = w.real_part(0.0) if w.coeffs.keys() <= {0} else None
     for k in range(n_steps):
         level = start_level + k
         # the low branch of nums / 2^level is nums / 2^(level+1)
-        p_low = _dyadic_values(w.real_part, nums, level + 1)
+        p_low = flat if flat is not None else _dyadic_values(w.real_part, nums, level + 1)
         lowest, highest = (p_low, p_low) if np.ndim(p_low) == 0 else (p_low.min(), p_low.max())
         # p_low > 1 means the complementary branch weight is negative; NaN fails both bounds
         if not (lowest >= -1e-12 and highest <= 1.0 + 1e-12):
             raise ValueError("negative W sample along the walk")
+        row = out[k + 1, first : first + count]
+        row[...] = nums
         # nums < 2^level, so bit `level` is clear and the high branch sets it.  A draw
         # u in [0, 1 - 2^-53] goes high iff u >= p_low, so a step where every path
         # goes low for certain draws nothing; draws are keyed by step, so no other draw moves
         if lowest < 1.0:
-            u = step_uniforms(keys, k + 1)
-            nums = nums | ((u >= p_low).astype(np.uint64) << np.uint64(level))
-        out[k + 1, first : first + count] = nums
+            if np.ndim(p_low) == 0:
+                high = step_bits(keys, k + 1) >= _bits_threshold(p_low)
+            else:
+                high = step_uniforms(keys, k + 1) >= p_low
+            if high.any():
+                row |= high.astype(np.uint64) << np.uint64(level)
+        nums = row
 
 
 def _read_start(start):
@@ -567,10 +580,14 @@ def solenoid_walk(w: TrigPoly, n_steps: int, n_paths: int, seed: int, start=Dyad
     as many integers as the block has paths, and draws no uniforms when
     every path of the block goes low for certain (all p_low >= 1); draws
     are keyed by (path, step), so neither the plan nor these shortcuts
-    move a numerator.  When the block sits on one numerator, as every
-    step of the walks from the default DyadicAngle(0, 0) start does, W
-    is evaluated at that one point and the bounds check, the skip and
-    the draw compare against the one value: no per-path p_low is built.
+    move a numerator.  A flat W (only a constant term, as W = 1/2) is
+    evaluated once per block, from any start, and when the block sits on
+    one numerator, as every step of the walks from the default
+    DyadicAngle(0, 0) start does, W is evaluated at that one point.
+    Either way the bounds check, the skip and the draw read the one value
+    and no per-path p_low is built: the raw 64-bit draws are compared
+    with one integer threshold that splits them exactly as their
+    uniforms split at the value.
     """
     if n_steps < 0 or n_paths < 1:
         raise ValueError("need n_steps >= 0 and n_paths >= 1")

@@ -10,17 +10,21 @@ Both simulators split their paths by one block plan and run the blocks
 through run_blocks; because streams are keyed by path, the plan changes
 wall time only, never the drawn values.  A run of n paths becomes
 contiguous, near-equal blocks of at most BLOCK paths, as many as the
-smallest multiple of the worker count that keeps them that small.  BLOCK
-sits at the measured 1-vs-2-thread crossover: on 2 CPUs the median ratio
-of 1-thread to 2-thread wall time, over the half walk, the four-tap walk
-and simulate on 511 states, was 0.35-0.63 at 5000 paths, 0.81-1.12 at
-40000, 1.05-1.49 at 80000 and 1.89-1.97 at 320000.  So a run of at most
-BLOCK paths stays on the calling thread, and a larger one runs in blocks
-whose working set stays near the cache instead of one block per worker.
+smallest multiple of the worker count that keeps them that small, so a
+run of at most BLOCK paths stays on the calling thread.  BLOCK is not
+a measured crossover.  On a shared 2-vCPU host the ratio of 1-thread to
+2-thread wall time of solenoid_walk at 320000 paths (6 blocks, 20 steps
+from level 10) read 0.96 for the half walk and 0.97 for the four-tap
+walk in one set of runs, and 0.95-1.31 and 1.47-1.77 in a later one
+(medians of 5 runs, three alternations each), while at 40000 paths, one
+block on the calling thread either way, it read 0.97-1.25.  So what two
+threads buy depends on the load of the host more than on the run size,
+and BLOCK only caps a block's working set.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -28,7 +32,7 @@ import numpy as np
 
 __all__ = ["mix64", "derive_key", "path_keys", "step_bits", "step_uniforms", "uniform", "block_plan", "run_blocks"]
 
-# the most paths in one block; see the module docstring for the crossover it comes from
+# the most paths in one block; see the module docstring for what was measured about it
 BLOCK = 1 << 16
 
 _MASK = (1 << 64) - 1
@@ -95,6 +99,19 @@ def step_uniforms(keys: np.ndarray, step: int) -> np.ndarray:
     u = bits.astype(np.float64)
     u *= _SCALE
     return u
+
+
+def _bits_threshold(p: float) -> np.uint64:
+    """The least raw word whose draw reaches p < 1: step_bits >= it exactly when step_uniforms >= p.
+
+    A draw is (bits >> 11) * 2^-53, and p * 2^53 is exact, so the draw
+    reaches p exactly when bits >> 11 >= ceil(p * 2^53), that is when
+    bits >= ceil(p * 2^53) * 2^11; every word reaches p <= 0 (-0.0 too).
+    A float below 1 is at most 1 - 2^-53, so the threshold is at most
+    2^64 - 2^11 and fits in uint64.  Comparing the raw words with it
+    skips step_uniforms' shift, conversion and scaling passes.
+    """
+    return np.uint64(math.ceil(p * (1 << 53)) << 11 if p > 0 else 0)
 
 
 def uniform(seed: int, path: int, step: int) -> float:

@@ -4,9 +4,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_walks.rng import derive_key, mix64, path_keys, step_bits, step_uniforms, uniform
+from spectral_walks.rng import _bits_threshold, derive_key, mix64, path_keys, step_bits, step_uniforms, uniform
 
 MASK = (1 << 64) - 1
+GOLDEN = 0x9E3779B97F4A7C15
 
 
 def reference_stream(seed, count):
@@ -78,6 +79,41 @@ def test_vector_routes_match_scalar(seed, first, count, step):
     for i in range(count):
         assert int(bits[i]) == mix64(derive_key(seed, first + i) + (step + 1) * 0x9E3779B97F4A7C15)
         assert float(us[i]) == uniform(seed, first + i, step) == (int(bits[i]) >> 11) * 2.0**-53
+
+
+def unmix64(z):
+    """The input whose SplitMix64 finalizer is z: each xorshift and odd multiply undone in reverse order."""
+
+    def unshift(z, s):
+        x = z
+        for _ in range(64 // s + 1):  # x = z ^ (x >> s) gains s correct top bits per round
+            x = z ^ (x >> s)
+        return x
+
+    z = unshift(z, 31)
+    z = z * pow(0x94D049BB133111EB, -1, 1 << 64) & MASK
+    z = unshift(z, 27)
+    z = z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & MASK
+    return unshift(z, 30)
+
+
+# the bounds the walk admits (-1e-12), both zeros, the least subnormal, one draw step,
+# and the float four-tap's W(0) = 1 - 2^-52 and the largest float below 1
+EDGE_P = [-1e-12, -0.0, 0.0, 5e-324, 2.0**-53, 0.5, 1.0 - 2.0**-52, 1.0 - 2.0**-53]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.sampled_from(EDGE_P), st.floats(-1.0, 1.0, exclude_max=True)),
+       st.lists(st.integers(0, MASK), max_size=16), st.integers(0, 1 << 20))
+def test_bits_threshold_splits_the_words_as_step_uniforms_splits_the_draws(p, words, step):
+    t = _bits_threshold(p)
+    assert isinstance(t, np.uint64)
+    words = words + [w for w in (int(t) - 1, int(t), int(t) + 1) if 0 <= w <= MASK]
+    # keys whose step_bits at this step are exactly the chosen words
+    keys = np.array([(unmix64(w) - (step + 1) * GOLDEN) & MASK for w in words], dtype=np.uint64)
+    bits = step_bits(keys, step)
+    assert bits.tolist() == words
+    assert np.array_equal(bits >= t, step_uniforms(keys, step) >= p)
 
 
 def test_uniform_range():

@@ -5,9 +5,10 @@ an OR, evaluates W once per integer of the occupied numerator range and
 draws nothing on a step whose branches are all certain; the CLI
 evaluates the real part of each (f, step) pair once.  A block or column
 on one numerator, as every step of the Haar and four-tap walks from the
-default DyadicAngle(0, 0) is, evaluates W or f on that one point: the
-walk compares its draws with the one value as a scalar, and
-SolenoidEnsemble.evaluate fills the column with np.full.  None of this
+default DyadicAngle(0, 0) is, evaluates W or f on that one point, and a
+flat W is evaluated once per block: the walk compares its raw draws with
+one integer threshold, and SolenoidEnsemble.evaluate fills the column
+with np.full.  None of this
 may move a drawn value or an output byte, so the oracles below are the
 path-major np.where walk, direct evaluation, walks.covariance_mc and
 sha256 pins recorded before any of it, compared bit for bit.  The
@@ -53,6 +54,9 @@ HAAR = w_from_filter(haar_filter())
 FOUR_TAP = w_from_filter(four_tap_filter())
 COS1 = TrigPoly({1: Fraction(1, 2), -1: Fraction(1, 2)})
 COS2 = TrigPoly({2: Fraction(1, 2), -2: Fraction(1, 2)})
+# not flat, so the walk reads it where it goes, yet 1/2 + 2e-30 cos(2 pi t) rounds to 1/2 at
+# every angle; the odd frequency cancels across the branches, so T_W 1 = 1 holds
+NEAR_HALF = TrigPoly({0: Fraction(1, 2), 1: 1e-30, -1: 1e-30})
 
 
 def path_major_walk(w, n_steps, n_paths, seed, start_level, start_num):
@@ -95,6 +99,7 @@ class TestStepMajorWalk:
     @SETTINGS
     @given(st.one_of(weights, certain_at_zero), st.integers(0, 12), st.integers(0, 20), st.integers(1, 3000),
            st.integers(0, (1 << 64) - 1), st.sampled_from(["1", "2"]), st.sampled_from(["uniform", "point", "zero"]))
+    @example(HALF, 9, 4, 2500, 3, "2", "uniform")  # the flat W, read once per block, over several blocks
     def test_bits_equal_the_path_major_walk(self, w, n_steps, start_level, n_paths, seed, threads, start_kind):
         if start_kind == "uniform":
             start = start_level
@@ -207,17 +212,14 @@ class TestOneCovarianceEstimator:
         assert [x.hex() for x in got] == [x.hex() for x in removed] == [x.hex() for x in direct]
 
 class TestCertainSteps:
-    """A step where every path goes low for certain draws no uniforms; the others draw once per block."""
+    """A step where every path goes low for certain draws nothing; the others draw once per block."""
 
     def drawn_steps(self, monkeypatch, w, n_steps, start=DyadicAngle(0, 0)):
+        """The step index of every draw the walk makes, raw words (step_bits) and uniforms alike."""
         steps = []
-        inner = circle.step_uniforms
-
-        def counted(keys, step):
-            steps.append(step)
-            return inner(keys, step)
-
-        monkeypatch.setattr(circle, "step_uniforms", counted)
+        for name in ("step_bits", "step_uniforms"):
+            inner = getattr(circle, name)
+            monkeypatch.setattr(circle, name, lambda keys, step, inner=inner: steps.append(step) or inner(keys, step))
         monkeypatch.setenv("SPECTRAL_WALKS_THREADS", "1")
         ens = solenoid_walk(w, n_steps, 3000, 1, start=start)
         return steps, ens
@@ -234,14 +236,15 @@ class TestCertainSteps:
         assert steps == list(range(1, 41))
 
     def test_each_block_draws_once_per_uncertain_step(self, monkeypatch, split_blocks):
+        # step 0 is the uniform start's draw
         steps, _ = self.drawn_steps(monkeypatch, HALF, 5, start=3)
-        assert steps == list(range(1, 6))
+        assert steps == list(range(6))
         plans = split_blocks()
         steps.clear()
         solenoid_walk(HAAR, 5, 3000, 1)
         solenoid_walk(HALF, 5, 3000, 1, start=3)
         assert plans.all_split()
-        assert sorted(steps) == sorted(list(range(1, 6)) * len(plans[-1][1]))
+        assert sorted(steps) == sorted(list(range(6)) * len(plans[-1][1]))
 
 
 def counting(w):
@@ -256,8 +259,14 @@ def counting(w):
     return Counted(w.coeffs), sizes
 
 
-def rule_sizes(ens, blocks):
-    """The size of each W evaluation the walk makes: one point, the occupied range or the block, per block and step."""
+def rule_sizes(ens, blocks, w):
+    """The size of each W evaluation the walk makes.
+
+    A flat W is evaluated at one point once per block; any other W at one
+    point, the occupied range or the block, per block and step.
+    """
+    if w.coeffs.keys() <= {0}:
+        return [1] * len(blocks)
     sizes = []
     for first, count in blocks:
         for k in range(ens.n_steps):
@@ -268,7 +277,12 @@ def rule_sizes(ens, blocks):
 
 
 class TestOneValueSteps:
-    """A block on one numerator evaluates W at that one point, and its numerators keep their bits."""
+    """A block on one numerator, or under a flat W, evaluates W at one point, and its numerators keep their bits.
+
+    record_comparisons notes what each step's draws are compared with:
+    ((), "u") is one integer threshold against raw words, ((count,), "f")
+    a per-path p_low against uniforms.
+    """
 
     # ANTI_HAAR sends every path from 0 to 1/2, where W(1/4) is about 1/2: one numerator for two steps only
     @pytest.mark.parametrize("w, n_steps", [(HAAR, 40), (FOUR_TAP, 40), (ANTI_HAAR, 2)], ids=["haar", "four_tap", "anti_haar"])
@@ -281,22 +295,23 @@ class TestOneValueSteps:
         ens = solenoid_walk(counted, n_steps, 3000, 7)
         (_, blocks), = plans
         assert sizes == [1] * (n_steps * len(blocks))
-        # Haar draws nothing; the others compare every block's draws with the one value
-        assert compared == [()] * (0 if w is HAAR else n_steps * len(blocks))
+        # Haar draws nothing; the others compare every block's raw words with one integer
+        assert compared == [((), "u")] * (0 if w is HAAR else n_steps * len(blocks))
         assert ens.numerators.tobytes() == path_major_walk(w, n_steps, 3000, 7, 0, 0).tobytes()
 
     @staticmethod
     def record_comparisons(monkeypatch):
-        """Make the walk's draws record the shape of the p_low they are compared with; return that list."""
+        """Make the walk's draws record the shape and dtype kind of what they are compared with; return that list."""
         compared = []
-        inner = circle.step_uniforms
 
         class Draws(np.ndarray):
             def __ge__(self, other):
-                compared.append(np.shape(other))
+                compared.append((np.shape(other), np.asarray(other).dtype.kind))
                 return np.asarray(self) >= other
 
-        monkeypatch.setattr(circle, "step_uniforms", lambda keys, step: inner(keys, step).view(Draws))
+        for name in ("step_bits", "step_uniforms"):
+            inner = getattr(circle, name)
+            monkeypatch.setattr(circle, name, lambda keys, step, inner=inner: inner(keys, step).view(Draws))
         return compared
 
     def test_haar_default_size_builds_no_per_path_weights(self, monkeypatch):
@@ -309,15 +324,26 @@ class TestOneValueSteps:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_half_leaves_one_numerator_after_its_first_step(self, threads, split_blocks, monkeypatch):
         compared = self.record_comparisons(monkeypatch)
+        want = path_major_walk(HALF, 6, 3000, 11, 5, 3).tobytes()
+        # the flat W is evaluated once per block and every step compares one integer
         counted, sizes = counting(HALF)
         plans = split_blocks(threads)
         ens = solenoid_walk(counted, 6, 3000, 11, start=DyadicAngle(3, 5))
         (_, blocks), = plans
-        assert sorted(sizes) == rule_sizes(ens, blocks)
-        # step 0 only: from step 1 on, 3 and 3 + 32 are both occupied
+        assert sizes == rule_sizes(ens, blocks, HALF) == [1] * len(blocks)
+        assert compared == [((), "u")] * (6 * len(blocks))
+        assert ens.numerators.tobytes() == want
+        # NEAR_HALF is not flat but reads 1/2 everywhere: the one-numerator rule holds at step 0
+        # only, since from step 1 on 3 and 3 + 32 are both occupied
+        compared.clear()
+        counted, sizes = counting(NEAR_HALF)
+        plans = split_blocks(threads)
+        ens = solenoid_walk(counted, 6, 3000, 11, start=DyadicAngle(3, 5))
+        (_, blocks), = plans
+        assert sorted(sizes) == rule_sizes(ens, blocks, NEAR_HALF)
         assert sizes.count(1) == len(blocks)
-        assert sorted(compared) == sorted([()] * len(blocks) + [(count,) for _, count in blocks] * 5)
-        assert ens.numerators.tobytes() == path_major_walk(HALF, 6, 3000, 11, 5, 3).tobytes()
+        assert sorted(compared) == sorted([((), "u")] * len(blocks) + [((count,), "f") for _, count in blocks] * 5)
+        assert ens.numerators.tobytes() == want
 
     @SETTINGS
     @given(weights, st.integers(1, 12), st.integers(0, 20), st.integers(1, 3000), st.integers(0, (1 << 64) - 1),
@@ -333,7 +359,7 @@ class TestOneValueSteps:
             mp.setenv("SPECTRAL_WALKS_THREADS", threads)
             ens = solenoid_walk(counted, n_steps, n_paths, seed, start=start)
         (_, blocks), = plans
-        assert sorted(sizes) == rule_sizes(ens, blocks)
+        assert sorted(sizes) == rule_sizes(ens, blocks, w)
         assert sizes.count(1) >= len(blocks)  # every block starts on one numerator
         want = path_major_walk(w, n_steps, n_paths, seed, level, start.numerator)
         assert ens.numerators.tobytes() == want.tobytes()
@@ -388,7 +414,9 @@ class TestNonFiniteWeights:
                 t = np.asarray(t, dtype=np.float64)
                 return np.where((t * 2048.0) % 1.0 == 0.0, 0.5, np.nan)
 
-        w = NanOffGrid({0: Fraction(1, 2)})
+        # the coefficients of NEAR_HALF, not of the flat HALF: the walk reads a flat W at one
+        # point only, so only a W that is not flat is read where the walk goes
+        w = NanOffGrid(NEAR_HALF.coeffs)
         assert solenoid_walk(w, 3, 100, 1, start=8).n_steps == 3
         with pytest.raises(ValueError, match="negative W"):
             solenoid_walk(w, 3, 100, 1, start=12)
