@@ -26,6 +26,7 @@ both walks; the walk and those rows evaluate through TrigPoly.real_part.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -276,17 +277,32 @@ def w_from_filter(a) -> TrigPoly:
     return m.conjugate() * m
 
 
+def _branch_sums(w: dict, f: dict, degree: int) -> dict:
+    """{k: degree * (W f)_{degree k}} from coefficient dicts, zeros dropped: the one branch-sum loop.
+
+    Only the products that land on multiples of degree are formed: f's
+    terms are grouped by k2 mod degree, in f's order, and each k1 of w
+    meets only the group with k1 + k2 = 0 mod degree.  So the products
+    are added in the order w * f adds them, each frequency first appears
+    where it does in w * f, float coefficients keep the bits of the full
+    product and int coefficients stay ints.
+    """
+    groups = {}
+    for k2, c2 in f.items():
+        groups.setdefault(k2 % degree, []).append((k2, c2))
+    out = {}
+    for k1, c1 in w.items():
+        for k2, c2 in groups.get(-k1 % degree, ()):
+            k = (k1 + k2) // degree
+            out[k] = out.get(k, 0) + c1 * c2
+    return {k: v for k, c in out.items() if (v := degree * c) != 0}
+
+
 def transfer_apply(w: TrigPoly, f: TrigPoly, degree: int) -> TrigPoly:
     """(T_W f)_k = degree * (W f)_{degree k}: the branch sum in coefficients."""
     if degree < 2:
         raise ValueError("scaling degree must be at least 2")
-    out = {}  # only the products that land on multiples of degree, added as w * f adds them
-    for k1, c1 in w.coeffs.items():
-        for k2, c2 in f.coeffs.items():
-            k, r = divmod(k1 + k2, degree)
-            if not r:
-                out[k] = out.get(k, 0) + c1 * c2
-    return TrigPoly({k: degree * c for k, c in out.items()})
+    return TrigPoly(_branch_sums(w.coeffs, f.coeffs, degree))
 
 
 def cantor_filter() -> TrigPoly:
@@ -402,12 +418,22 @@ def v_adjoint_check(m: TrigPoly, f: TrigPoly, g: TrigPoly, degree: int = 2) -> f
 
 @dataclass(frozen=True)
 class DyadicAngle:
-    """An exact point numerator / 2^level of the circle, in [0, 1)."""
+    """An exact point numerator / 2^level of the circle, in [0, 1).
+
+    Both fields are read through operator.index and stored as int, so a
+    numpy integer is accepted; a bool, a float or a Fraction is a
+    TypeError even when its value is integral.
+    """
 
     numerator: int
     level: int
 
     def __post_init__(self):
+        for name in ("numerator", "level"):
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise TypeError(f"DyadicAngle {name} must be an integer, not bool")
+            object.__setattr__(self, name, operator.index(value))
         if self.level < 0:
             raise ValueError("level must be nonnegative")
         if not 0 <= self.numerator < (1 << self.level):
@@ -605,6 +631,12 @@ def solenoid_walk(w: TrigPoly, n_steps: int, n_paths: int, seed: int, start=Dyad
     return SolenoidEnsemble(seed=seed, start_level=start_level, numerators=out.T)
 
 
+def _integer_numerators(coeffs: dict) -> tuple:
+    """(numerators, d) with coeffs[k] == numerators[k] / d for int and Fraction coefficients; d is the lcm of their denominators."""
+    d = math.lcm(*(c.denominator for c in coeffs.values()))
+    return {k: c.numerator * (d // c.denominator) for k, c in coeffs.items()}, d
+
+
 def solenoid_covariance_exact(w: TrigPoly, f1: TrigPoly, f2: TrigPoly, start, lags) -> list:
     """E[f1(Z_n) f2(Z_{n+1})] for each lag n of solenoid_walk(w, ..., start=start).
 
@@ -613,6 +645,14 @@ def solenoid_covariance_exact(w: TrigPoly, f1: TrigPoly, f2: TrigPoly, start, la
     it: a DyadicAngle is a point mass, one evaluation; on the level-L grid
     e_k averages to 1 if 2^L divides k and to 0 otherwise, so a level L
     gives the exact sum of the coefficients at multiples of 2^L.
+
+    When every coefficient of W and of f1 T_W f2 is an int or a Fraction,
+    each is scaled once to an integer numerator over one common
+    denominator; a step is then integer branch sums, and the chain's
+    denominator gains W's, with no gcd.  Fractions are formed only at the
+    lags read, so the values are those of a Fraction chain bit for bit.
+    Other coefficients step as they are, in the order transfer_apply adds
+    them, so they keep its bits.
     """
     lags = list(lags)
     if any(n < 0 for n in lags):
@@ -620,10 +660,18 @@ def solenoid_covariance_exact(w: TrigPoly, f1: TrigPoly, f2: TrigPoly, start, la
     level, numerator = _read_start(start)
     cells = 1 << level
     if numerator is None:
-        law = lambda g: complex(sum(c for k, c in g.coeffs.items() if k % cells == 0)).real
+        law = lambda g: complex(sum(c for k, c in g.items() if k % cells == 0)).real
     else:
-        law = lambda g: g.real_part(numerator / cells)
-    chain = [f1 * transfer_apply(w, f2, 2)]
-    for _ in range(max(lags, default=0)):
-        chain.append(transfer_apply(w, chain[-1], 2))
-    return [law(chain[n]) for n in lags]
+        law = lambda g: TrigPoly(g).real_part(numerator / cells)
+    wc, g = w.coeffs, (f1 * transfer_apply(w, f2, 2)).coeffs
+    exact = all(isinstance(c, (int, Fraction)) for c in (*wc.values(), *g.values()))
+    w_denom = denom = 1
+    if exact:
+        (wc, w_denom), (g, denom) = _integer_numerators(wc), _integer_numerators(g)
+    values = {}
+    for n in range(max(lags, default=0) + 1):
+        if n:
+            g, denom = _branch_sums(wc, g, 2), denom * w_denom
+        if n in lags:
+            values[n] = law({k: Fraction(c, denom) for k, c in g.items()} if exact else g)
+    return [values[n] for n in lags]

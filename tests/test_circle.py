@@ -31,6 +31,12 @@ from spectral_walks import (
 from spectral_walks.circle import _phihat_grid
 
 STRETCHED = (Fraction(1, 2), 0, Fraction(1, 2))  # doubles the Haar frequencies
+EXACT = st.fractions(-1000, 1000, max_denominator=60)
+
+
+def _qmf_taps(c, s):
+    """The rational QMF ((1+c+s)/4, (1+s-c)/4, (1-c-s)/4, (1-s+c)/4) of a Pythagorean pair c^2 + s^2 = 1."""
+    return ((1 + c + s) / 4, (1 + s - c) / 4, (1 - c - s) / 4, (1 - s + c) / 4)
 
 
 def enumerated_covariance(w, f1, f2, start, n):
@@ -171,12 +177,13 @@ class TestTransfer:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        st.dictionaries(st.integers(-6, 6), st.floats(-1e3, 1e3) | st.integers(-3, 3), max_size=7),
-        st.dictionaries(st.integers(-9, 9), st.floats(-1e3, 1e3) | st.integers(-3, 3), max_size=7),
+        st.dictionaries(st.integers(-6, 6), st.floats(-1e3, 1e3) | st.integers(-3, 3) | EXACT, max_size=7),
+        st.dictionaries(st.integers(-9, 9), st.floats(-1e3, 1e3) | st.integers(-3, 3) | EXACT, max_size=7),
         st.integers(2, 4),
     )
     def test_same_coefficients_as_the_full_product(self, wc, fc, degree):
-        # every coefficient in the same order with the same bits as restricting w * f
+        # every coefficient in the same order with the same bits and type as restricting w * f,
+        # for float, int, Fraction and mixed operands
         full = TrigPoly(wc) * TrigPoly(fc)
         want = TrigPoly({k // degree: degree * c for k, c in full.coeffs.items() if k % degree == 0})
         got = circle_transfer_apply(TrigPoly(wc), TrigPoly(fc), degree)
@@ -322,6 +329,22 @@ class TestSolenoid:
         with pytest.raises(ValueError):
             DyadicAngle(-1, 2)
 
+    @pytest.mark.parametrize("numerator, level", [(0.5, 1), (1.0, 1), (Fraction(1), 1), (1, True), (True, 1),
+                                                  (0, 0.0), (np.float64(1), 1)],
+                             ids=["half", "float_one", "fraction_one", "bool_level", "bool_numerator",
+                                  "float_level", "numpy_float"])
+    def test_dyadic_angle_refuses_non_integers(self, numerator, level):
+        # 0.5 / 2^1 would read 0.25 as a value, yet walk from numerator 0 and fail as_fraction
+        with pytest.raises(TypeError):
+            DyadicAngle(numerator, level)
+
+    def test_dyadic_angle_stores_numpy_integers_as_int(self):
+        a = DyadicAngle(np.int64(5), np.uint8(4))
+        assert (a.numerator, a.level) == (5, 4)
+        assert type(a.numerator) is int and type(a.level) is int
+        assert a.as_fraction() == Fraction(5, 16)
+        assert not np.any(solenoid_walk(w_from_filter(haar_filter()), 0, 3, 1, start=a).numerators - 5)
+
     def test_haar_from_origin_is_frozen(self):
         w = w_from_filter(haar_filter())
         ens = solenoid_walk(w, 8, 200, 5)
@@ -376,6 +399,28 @@ class TestSolenoid:
                     got = solenoid_covariance_exact(w, cos[f1], cos[f2], start, lags)
                     want = [enumerated_covariance(w, cos[f1], cos[f2], start, n) for n in lags]
                     assert np.max(np.abs(np.subtract(got, want))) <= 1e-12, (level, start, f1, f2)
+
+    @pytest.mark.parametrize("name", ["haar", "half", "qmf", "four_tap"])
+    @pytest.mark.parametrize("start", [DyadicAngle(0, 0), DyadicAngle(5, 4), 0, 10], ids=repr)
+    def test_chain_has_the_bits_of_one_transfer_apply_per_step(self, name, start):
+        # the reference chain: f1 * T_W f2 as TrigPoly arithmetic, then one transfer_apply per
+        # lag, read by the same start law; the values must agree to the last bit at lags 0-61
+        w = {"haar": w_from_filter(haar_filter()), "half": TrigPoly.constant(Fraction(1, 2)),
+             "qmf": w_from_filter(_qmf_taps(Fraction(3, 5), Fraction(4, 5))),
+             "four_tap": w_from_filter(four_tap_filter())}[name]
+        if isinstance(start, DyadicAngle):
+            law = lambda g: g.real_part(start.numerator / (1 << start.level))
+        else:
+            law = lambda g: complex(sum(c for k, c in g.coeffs.items() if k % (1 << start) == 0)).real
+        cos = {j: TrigPoly({j: Fraction(1, 2), -j: Fraction(1, 2)}) for j in (1, 2)}
+        lags = list(range(61, -1, -1))
+        for f1, f2 in ((1, 1), (1, 2), (2, 2)):
+            chain = [cos[f1] * circle_transfer_apply(w, cos[f2], 2)]
+            for _ in range(61):
+                chain.append(circle_transfer_apply(w, chain[-1], 2))
+            want = [law(chain[n]).hex() for n in lags]
+            got = [v.hex() for v in solenoid_covariance_exact(w, cos[f1], cos[f2], start, lags)]
+            assert got == want, (f1, f2)
 
     def test_negative_lag_is_refused(self):
         w, e1 = TrigPoly.constant(Fraction(1, 2)), TrigPoly.basis(1)
