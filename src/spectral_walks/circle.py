@@ -581,12 +581,20 @@ def _solenoid_block(w, n_steps, start_level, start_num, seed, out, first, count)
 
 
 def _read_start(start):
-    """(level, numerator) of a DyadicAngle start; (L, None) for uniform on the level-L grid."""
+    """(level, numerator) of a DyadicAngle start; (L, None) for uniform on the level-L grid.
+
+    A level is read through operator.index, as DyadicAngle reads its
+    fields: a numpy integer is accepted, and a bool, a float, a Fraction
+    or a string is a TypeError.
+    """
     if isinstance(start, DyadicAngle):
         return start.level, start.numerator
-    if int(start) < 0:
+    if isinstance(start, bool):
+        raise TypeError("start level must be an integer, not bool")
+    level = operator.index(start)
+    if level < 0:
         raise ValueError("start level must be nonnegative")
-    return int(start), None
+    return level, None
 
 
 def solenoid_walk(w: TrigPoly, n_steps: int, n_paths: int, seed: int, start=DyadicAngle(0, 0)) -> SolenoidEnsemble:

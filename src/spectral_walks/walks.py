@@ -12,13 +12,13 @@ row, built by every constructor: from a graph's edges, or by one
 kernel > 0 pass over a dense array given to FiniteMarkov.  Every T g is a
 fixed-order row sum over the arcs and every mu0 . g a fixed-order numpy
 sum, with no BLAS call, and the reachability searches, the residual
-checks and the sampler's tables, built once per arc table, read the
-same arcs; every walk over a chain runs through simulate.  The stationary
-measure and harmonic extensions share one solve: an independent set of
-states is eliminated by its Grassmann-Taksar-Heyman pivots, and only the
-Schur complement on the other states goes to a dense LU.  That LU
-(LAPACK) is the one exact-side step whose last bits may still depend on
-the BLAS build or thread count.
+checks and the sampler's running sums, built with the arc table, read
+the same arcs; every walk over a chain runs through simulate.  The
+stationary measure and harmonic extensions share one solve: an
+independent set of states is eliminated by its Grassmann-Taksar-Heyman
+pivots, and only the Schur complement on the other states goes to a
+dense LU.  That LU (LAPACK) is the one exact-side step whose last bits
+may still depend on the BLAS build or thread count.
 
 Checks compare Monte Carlo estimates against exact kernel arithmetic and
 report deviations in units of the standard error.  The package has one
@@ -83,13 +83,21 @@ def _checked_states(states):
 
 
 def _arc_table(n: int, rows, cols, p):
-    """The validated arc table (rows, cols, starts, p) of the arcs rows[a] -> cols[a] with probability p[a].
+    """The validated arc table (rows, cols, starts, p, cum) of the arcs rows[a] -> cols[a] with probability p[a].
 
     The arcs come in (row, column) order, each pair once.  p must be
     finite and nonnegative, and every row sum, 0 for a row with no arc,
     within 1e-12 of 1.  Arcs with p = 0 are then dropped, as the scan
     kernel > 0 drops them, so a chain's table does not depend on how its
     kernel was given.  state x's arcs are starts[x]:starts[x + 1].
+
+    cum holds the sampler's running sums, one per arc: each row's
+    entries added in column order, as np.cumsum adds a row, so each sum
+    equals the dense np.cumsum(kernel[x]) at its column bit for bit (the
+    dense sum only adds +0.0 in between, which leaves a sum >= 0
+    unchanged).  The rows of one out-degree are summed as one block.
+    Each row's last sum is clamped to 1.0, so no draw u < 1 falls past
+    it onto a zero-probability column.
     """
     if not np.all(np.isfinite(p)):
         raise ValueError("kernel has a non-finite entry")
@@ -101,7 +109,15 @@ def _arc_table(n: int, rows, cols, p):
     positive = p > 0
     if not positive.all():
         rows, cols, p = rows[positive], cols[positive], p[positive]
-    return rows, cols, np.searchsorted(rows, np.arange(n + 1)), p
+    starts = np.searchsorted(rows, np.arange(n + 1))
+    # every row has an arc (its entries sum to 1), so its last arc is starts[x + 1] - 1
+    degree = np.diff(starts)
+    cum = np.empty(len(p))
+    for d in np.flatnonzero(np.bincount(degree)).tolist():
+        arcs = starts[:-1][degree == d, None] + np.arange(d)
+        cum[arcs] = np.cumsum(p[arcs], axis=1)
+    cum[starts[1:] - 1] = 1.0
+    return rows, cols, starts, p, cum
 
 
 def _state_array(states, f) -> np.ndarray:
@@ -125,14 +141,14 @@ class FiniteMarkov:
     table, the positive entries row by row, held from construction on:
     __init__ reads it off the dense array by one kernel > 0 pass,
     from_graph builds it from the graph's edges, and with_start shares
-    it.  The exact arithmetic and the sampler read nothing else, and the
-    sampler's tables are built from it once and shared by with_start
-    chains.  kernel is a read-only dense view: the array given to
+    it.  The exact arithmetic and the sampler read nothing else; the
+    table holds the sampler's running sums, so with_start chains share
+    those too.  kernel is a read-only dense view: the array given to
     __init__, or the arcs placed in an array of zeros on first read.
     Edit a chain by building a new one from a copy.
     """
 
-    __slots__ = ("states", "mu0", "index", "_kernel", "_arc_table", "_sampler")
+    __slots__ = ("states", "mu0", "index", "_kernel", "_arc_table")
 
     def __init__(self, states, kernel, mu0):
         states, index = _checked_states(states)
@@ -150,11 +166,10 @@ class FiniteMarkov:
         rows, cols, _ = _pattern_arcs(kernel > 0)
         self._init(states, index, _arc_table(n, rows, cols, kernel[rows, cols]), mu0, kernel)
 
-    def _init(self, states, index, arcs, mu0, kernel=None, sampler=None) -> None:
+    def _init(self, states, index, arcs, mu0, kernel=None) -> None:
         """Every constructor's one initializer: checked states and index, an arc table, and mu0, checked here.
 
-        kernel is the dense cache, None until kernel is read, and sampler
-        the sampler's tables, None until a walk needs them.
+        kernel is the dense cache, None until kernel is read.
         """
         mu0 = np.array(mu0, dtype=np.float64)
         if mu0.shape != (len(states),):
@@ -167,7 +182,7 @@ class FiniteMarkov:
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"mu0 does not sum to 1 (got {total!r})")
         self.states, self.index, self.mu0 = states, index, mu0 / total
-        self._arc_table, self._kernel, self._sampler = arcs, kernel, sampler
+        self._arc_table, self._kernel = arcs, kernel
 
     @classmethod
     def from_graph(cls, g: WeightedGraph, mu0=None) -> "FiniteMarkov":
@@ -197,7 +212,7 @@ class FiniteMarkov:
         placed in an array of zeros on first read, and then kept.
         """
         if self._kernel is None:
-            rows, cols, _, p = self._arc_table
+            rows, cols, _, p, _ = self._arc_table
             kernel = np.zeros((len(self.states), len(self.states)))
             kernel[rows, cols] = p
             kernel.flags.writeable = False
@@ -214,31 +229,26 @@ class FiniteMarkov:
     def with_start(self, x) -> "FiniteMarkov":
         """Same kernel, started deterministically at x; ValueError when x is not a state.
 
-        The new chain shares this one's states, index, arc table and
-        sampler tables, which this call builds if no walk has yet.
+        The new chain shares this one's states, index and arc table, the
+        sampler's running sums included.
         """
         if x not in self.index:
             raise ValueError(f"start state {x!r} is not a chain state")
         mu0 = np.zeros(len(self.states))
         mu0[self.index[x]] = 1.0
         fm = FiniteMarkov.__new__(FiniteMarkov)
-        fm._init(self.states, self.index, self._arc_table, mu0, sampler=self._sampler_tables())
+        fm._init(self.states, self.index, self._arc_table, mu0)
         return fm
 
     def _arcs(self):
-        """(rows, cols, starts, p): the positive kernel entries, row by row in column order.
+        """(rows, cols, starts, p, cum): the positive kernel entries, row by row in column order.
 
         Arc a runs rows[a] -> cols[a] with probability p[a] = kernel[rows[a], cols[a]] > 0, and
-        state x's arcs are starts[x]:starts[x + 1].  Every constructor builds the table, and
-        the walks layer reads the kernel through it only.
+        state x's arcs are starts[x]:starts[x + 1]; cum[a] is the running sum of x's entries up
+        to arc a, clamped to 1.0 at x's last arc.  Every constructor builds the table, and the
+        walks layer reads the kernel through it only.
         """
         return self._arc_table
-
-    def _sampler_tables(self):
-        """(cum, targets): the sampler's inverse-CDF tables from _sparse_rows, built on first use and kept."""
-        if self._sampler is None:
-            self._sampler = _sparse_rows(self)
-        return self._sampler
 
     def _apply(self, g: np.ndarray) -> np.ndarray:
         """(Pg)(x) = sum_y p(x,y) g(y) for a float array g: one row sum over each state's arcs.
@@ -246,7 +256,7 @@ class FiniteMarkov:
         The sum over a row's arcs runs in a fixed order with no BLAS call, so the bits do not
         depend on the BLAS build or thread count.  Every row has an arc: its entries sum to 1.
         """
-        rows, cols, starts, p = self._arcs()
+        _, cols, starts, p, _ = self._arcs()
         return np.add.reduceat(p * g.take(cols), starts[:-1])
 
     def transfer(self, f) -> np.ndarray:
@@ -268,7 +278,7 @@ def is_irreducible(fm: FiniteMarkov) -> bool:
     order, exactly when the pattern is symmetric) and gives the reversed
     table: the arcs sorted by target, each target's sources ascending.
     """
-    rows, cols, starts, _ = fm._arcs()
+    rows, cols, starts, _, _ = fm._arcs()
     if not (_hop_counts(cols, starts, 0) >= 0).all():
         return False
     n = len(fm)
@@ -288,7 +298,7 @@ def _period(fm: FiniteMarkov):
     the cyclic class of each reached state.  Meaningful for irreducible
     kernels.
     """
-    i, j, starts, _ = fm._arcs()
+    i, j, starts, _, _ = fm._arcs()
     level = _hop_counts(j, starts, 0)
     # every arc out of a reached state ends at a reached state
     inside = level[i] >= 0
@@ -318,7 +328,7 @@ def _system(fm: FiniteMarkov, interior=None, h=None):
     not be eliminated: a state with no arc out, and the normalization
     row's state, whose diagonal 1 is listed with the entries instead.
     """
-    rows, cols, starts, p = fm._arcs()
+    rows, cols, starts, p, _ = fm._arcs()
     n = len(fm)
     loop = rows == cols
     out_mass = np.add.reduceat(np.where(loop, 0.0, p), starts[:-1])
@@ -425,7 +435,7 @@ def stationary_measure(fm: FiniteMarkov) -> np.ndarray:
         raise ValueError("kernel is reducible: stationary measure is not unique")
     mu = _solve(fm)
     mu = mu / mu.sum()
-    rows, cols, _, p = fm._arcs()
+    rows, cols, _, p, _ = fm._arcs()
     residual = float(np.max(np.abs(np.bincount(cols, mu.take(rows) * p, len(mu)) - mu)))
     if residual > 1e-12:
         raise ArithmeticError(f"stationary solve residual {residual:.3e} exceeds 1e-12")
@@ -491,59 +501,21 @@ class PathEnsemble:
         return self.as_vector(f).take(self.trajectories[:, step])
 
 
-def _sparse_rows(fm: FiniteMarkov):
-    """Inverse-CDF tables over the positive entries of each kernel row, read from the arc table.
-
-    Row i of cum holds the running sums of the positive entries of
-    kernel[i] in column order, and the flat table targets holds their
-    columns: targets[i * width + m] is the column of the m-th one.  The
-    width is the largest out-degree rounded up to a power of two, so a
-    binary search over a row takes exactly log2(width) halvings; cum is
-    inf past each row's degree.  targets holds each column times width,
-    the flat offset of that state's row, so a step reads the next row's
-    offset with no multiply.  The sums equal the dense
-    np.cumsum(kernel[i]) at those columns bit for bit: the dense sum only
-    adds +0.0 in between, which leaves a sum >= 0 unchanged.  The last
-    positive entry of each row is clamped to 1.0, so no draw u < 1 can
-    fall past it onto a zero-probability column.  Counting the entries
-    <= u picks the same state as the dense inverse CDF at every draw where
-    that one takes a positive-probability step.
-    """
-    rows, cols, starts, p = fm._arcs()
-    n = len(fm)
-    degree = np.diff(starts)
-    width = 1 << (int(degree.max()) - 1).bit_length()
-    slot = np.arange(len(rows)) - starts[rows]
-    # the running sums are formed in place: a second n x width array would raise the peak by half
-    cum = np.zeros((n, width))
-    cum[rows, slot] = p
-    np.cumsum(cum, axis=1, out=cum)
-    cum[np.arange(width) >= degree[:, None]] = np.inf
-    cum[np.arange(n), degree - 1] = 1.0
-    targets = np.zeros(cum.size, dtype=np.intp)
-    targets[rows * width + slot] = cols * width
-    return cum, targets
-
-
-def _simulate_block(cum, targets, mu0_cum, n_steps, seed, out, first, count):
+def _simulate_block(cols, cum, row_first, row_last, halves, mu0_cum, n_steps, seed, out, first, count):
     """Paths first .. first + count - 1, written into columns of out, which holds one row per step."""
     keys = path_keys(seed, first, count)
     u = step_uniforms(keys, 0)
     state = np.searchsorted(mu0_cum, u, side="right")
     out[0, first : first + count] = state
-    width = cum.shape[1]
-    shift = width.bit_length() - 1
-    flat = cum.ravel()
-    # round r asks whether the entry at pos + half - 1 is <= u: a view that starts half - 1 in saves the add
-    rounds = [(flat[half - 1 :], half) for half in (width >> r for r in range(1, width.bit_length()))]
-    pos = state * width
     for k in range(n_steps):
         u = step_uniforms(keys, k + 1)
-        for shifted, half in rounds:
-            pos += (shifted.take(pos) <= u) * half
-        # the next state's row offset is carried to the next step; the state itself is written out
-        pos = targets.take(pos)
-        np.right_shift(pos, shift, out=out[k + 1, first : first + count], casting="unsafe")
+        pos, last = row_first.take(state), row_last.take(state)
+        for half in halves:
+            # pos never passes last, so only a probe half - 1 > 0 ahead can leave the row
+            probe = np.minimum(pos + (half - 1), last) if half > 1 else pos
+            pos += (cum.take(probe) <= u) * half
+        state = cols.take(pos)
+        out[k + 1, first : first + count] = state
 
 
 def simulate(fm: FiniteMarkov, n_steps: int, n_paths: int, seed: int) -> PathEnsemble:
@@ -552,26 +524,29 @@ def simulate(fm: FiniteMarkov, n_steps: int, n_paths: int, seed: int) -> PathEns
     Z_0 ~ mu0 and each step draws from the kernel row of the current
     state by the inverse CDF over that row's positive entries, so a step
     costs O(log2 max out-degree) rather than O(states).  A step finds how
-    many of the path's row of cumulative sums are <= its draw by a
-    branchless binary search, log2(width) rounds of one `take` and one
-    compare each, and reads the next state from the flat target table at
-    state * width + that count.  The entries <= u always form a prefix of
-    the row: the sums before the clamp are nondecreasing, and the clamped
-    1.0 and the inf padding lie above every draw u < 1, so the search
-    counts exactly the entries <= u.  The target table holds row offsets,
-    so the search carries state * width from step to step and shifts it
-    back to a state only to write one contiguous row per step.  Path p
-    consumes only the stream keyed by (seed, p), so the ensemble is
-    bit-identical no matter how the work is chunked.
+    many of the row's running sums, cum[starts[x]:starts[x + 1]] in the
+    arc table, are <= its draw by a branchless binary search: log2(width)
+    rounds, width the largest out-degree rounded up to a power of two,
+    each of one `take` and one compare, with every probe clipped to the
+    row's last arc.  The entries <= u always form a prefix of the row:
+    the sums before the clamp are nondecreasing, and the clamped 1.0 at
+    the last arc lies above every draw u < 1, so a clipped probe compares
+    false and the search counts exactly the entries <= u.  The next state
+    is the column of the arc that count lands on.  Path p consumes only
+    the stream keyed by (seed, p), so the ensemble is bit-identical no
+    matter how the work is chunked.
     """
     if n_steps < 0 or n_paths < 1:
         raise ValueError("need n_steps >= 0 and n_paths >= 1")
-    cum, targets = fm._sampler_tables()
+    _, cols, starts, _, cum = fm._arcs()
+    width = 1 << (int(np.diff(starts).max()) - 1).bit_length()
+    halves = [width >> r for r in range(1, width.bit_length())]
     mu0_cum = np.cumsum(fm.mu0)
     # clamp at the last positive entry: no start lands on a zero-mass state
     mu0_cum[np.flatnonzero(fm.mu0)[-1] :] = 1.0
     out = np.empty((n_steps + 1, n_paths), dtype=np.int32)
-    run_blocks(partial(_simulate_block, cum, targets, mu0_cum, n_steps, seed, out), n_paths)
+    block = partial(_simulate_block, cols, cum, starts[:-1], starts[1:] - 1, halves, mu0_cum, n_steps, seed, out)
+    run_blocks(block, n_paths)
     return PathEnsemble(states=fm.states, seed=seed, trajectories=out.T)
 
 
@@ -811,7 +786,7 @@ def doob_boundary_check(fm: FiniteMarkov, h, N: int, n_paths: int, seed: int) ->
     Each start state x runs its own ensemble, simulate(fm.with_start(x),
     N, n_paths, key) on a key derived from (seed, state index), so the
     whole report is reproducible from seed.  Every start shares the
-    chain's one sampler table.
+    chain's arc table, the sampler's running sums included.
     """
     vec = fm.as_vector(h)
     rows = []

@@ -5,12 +5,12 @@ walks calls np.linalg.solve from a single function, the elimination
 helper that the stationary and the harmonic solves share, and has no `@`
 product at all: the kernel is applied through the arc table and mu0 . g
 is a numpy sum, so the LU is its one BLAS/LAPACK step.  Every walk runs
-through simulate: run_blocks is called only there, and _sparse_rows only
-by the chain's one table accessor.  The grouped checks read transition
-counts: np.unique is called only by _grouped_check, and mean_se only by
-the two estimates over whole columns, covariance_mc and
-doob_boundary_check, so a per-state sample loop cannot come back beside
-the counts.  A second dense solve, a matrix product, a second sampler
+through simulate: run_blocks is called only there, and the sampler's
+running sums are built only with the arc table and searched only by the
+block step.  The grouped checks read transition counts: np.unique is
+called only by _grouped_check, and mean_se only by the two estimates over
+whole columns, covariance_mc and doob_boundary_check, so a per-state
+sample loop cannot come back beside the counts.  A second dense solve, a matrix product, a second sampler
 loop or a second grouping route shows up here.
 
 spectra.eigh and the helpers it runs make no BLAS or LAPACK call: no
@@ -95,7 +95,16 @@ def test_walks_groups_samples_in_one_function():
 def test_walks_samples_in_one_function():
     source = WALKS.read_text(encoding="utf-8")
     assert callers(source, ("run_blocks",)) == ["simulate"]
-    assert callers(source, ("_sparse_rows",)) == ["_sampler_tables"]
+    # the running sums: the one row-wise cumsum and every write into cum are in _arc_table, the one search in
+    # _simulate_block
+    tree = ast.parse(source)
+    owner = enclosing_functions(tree)
+    nodes = list(ast.walk(tree))
+    assert [owner[node] for node in nodes if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.cumsum"
+            and any(k.arg == "axis" for k in node.keywords)] == ["_arc_table"]
+    assert {owner[node] for node in nodes if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+            and ast.unparse(node.value) == "cum"} == {"_arc_table"}
+    assert callers(source, ("cum.take",)) == ["_simulate_block"]
 
 
 def test_walks_has_no_matrix_product():

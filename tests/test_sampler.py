@@ -229,83 +229,65 @@ def wide_chains(draw):
     return FiniteMarkov(tuple(range(s)), kernel, mu_w / mu_w.sum())
 
 
-class TestPaddedStep:
+def arc_sums(fm):
+    """row_tables(fm.kernel)'s running sums at each arc of fm, in arc order."""
+    rows, _, starts, _, _ = fm._arcs()
+    cum, _ = row_tables(fm.kernel)
+    return cum[rows, np.arange(len(rows)) - starts[rows]]
+
+
+def star(leaves):
+    """A star graph: a hub 0 joined to each leaf 1 .. leaves with conductance 1."""
+    return load_graph({"vertices": list(range(leaves + 1)), "origin": 0,
+                       "edges": [{"u": 0, "v": v, "c": 1} for v in range(1, leaves + 1)]})
+
+
+class TestRunningSums:
+    """The arc table's running sums against row_tables bit for bit, and the search over them against row_indexed_walk."""
+
     @SETTINGS
     @given(fm=st.one_of(chains(), wide_chains()), seed=st.integers(0, _MASK), n_steps=st.integers(1, 12))
-    def test_matches_row_indexed_step(self, fm, seed, n_steps):
-        cum, targets = walks._sparse_rows(fm)
-        want_cum, want_targets = row_tables(fm.kernel)
-        degree = want_cum.shape[1]
-        # the smallest power of two >= the largest out-degree, so the search halves it down to 1
-        width = cum.shape[1]
-        assert width & (width - 1) == 0 and width >= degree > width // 2
-        assert cum.shape == (len(fm), width) and targets.shape == (cum.size,)
-        assert cum[:, :degree].tobytes() == want_cum.tobytes() and np.all(cum[:, degree:] == np.inf)
-        # the target table holds each column's row offset, column * width
-        assert np.array_equal(targets.reshape(cum.shape)[:, :degree][want_cum < np.inf],
-                              want_targets[want_cum < np.inf] * width)
+    def test_match_the_row_indexed_step(self, fm, seed, n_steps):
+        assert fm._arcs()[4].tobytes() == arc_sums(fm).tobytes()
         traj = simulate(fm, n_steps, 300, seed).trajectories
         assert np.array_equal(traj, row_indexed_walk(fm, n_steps, 300, seed))
 
-
-def dense_sparse_rows(kernel):
-    """The sampler tables built from the dense kernel: its np.nonzero pairs, gathered from the S x S array.
-
-    As in the sampler, targets holds the row offset column * width of each target.
-    """
-    rows, cols = np.nonzero(kernel > 0)
-    starts = np.searchsorted(rows, np.arange(len(kernel) + 1))
-    degree = np.diff(starts)
-    width = 1 << (int(degree.max()) - 1).bit_length()
-    slot = np.arange(len(rows)) - starts[rows]
-    probs = np.zeros((len(kernel), width))
-    probs[rows, slot] = kernel[rows, cols]
-    cum = np.cumsum(probs, axis=1)
-    cum[np.arange(width) >= degree[:, None]] = np.inf
-    cum[np.arange(len(kernel)), degree - 1] = 1.0
-    targets = np.zeros(cum.size, dtype=np.intp)
-    targets[rows * width + slot] = cols * width
-    return cum, targets
-
-
-class TestArcTableTables:
-    @SETTINGS
-    @given(fm=st.one_of(chains(), wide_chains()))
-    def test_equal_the_dense_build_bit_for_bit(self, fm):
-        cum, targets = walks._sparse_rows(fm)
-        want_cum, want_targets = dense_sparse_rows(fm.kernel)
-        assert cum.tobytes() == want_cum.tobytes()
-        assert targets.dtype == want_targets.dtype and np.array_equal(targets, want_targets)
-
     def test_equal_on_the_golden_graph(self):
         fm = FiniteMarkov.from_graph(load_graph(dyadic_chords()))
-        cum, targets = walks._sparse_rows(fm)
-        want_cum, want_targets = dense_sparse_rows(fm.kernel)
-        assert cum.tobytes() == want_cum.tobytes() and np.array_equal(targets, want_targets)
+        assert fm._arcs()[4].tobytes() == arc_sums(fm).tobytes()
 
     def test_arc_table_is_built_once(self):
         fm = FiniteMarkov.from_graph(load_graph(dyadic_chords()))
         table = fm._arcs()
         fm.transfer(np.ones(len(fm)))
-        walks._sparse_rows(fm)
-        assert all(a is b for a, b in zip(fm._arcs(), table))
-        rows, cols, starts, p = table
+        simulate(fm, 4, 100, 1)
+        assert fm._arcs() is table
+        rows, cols, starts, p, _ = table
         assert np.array_equal(rows, np.repeat(np.arange(len(fm)), np.diff(starts)))
         assert np.array_equal(p, fm.kernel[rows, cols]) and np.array_equal(p, fm.kernel[fm.kernel > 0])
 
-    def test_star_peaks_at_two_tables(self):
-        # a hub pads every row to its degree; the running sums are formed in place, so cum and targets are the peak
-        leaves = 1000
-        fm = FiniteMarkov.from_graph(load_graph({"vertices": list(range(leaves + 1)), "origin": 0,
-                                                 "edges": [{"u": 0, "v": v, "c": 1} for v in range(1, leaves + 1)]}))
+    def test_star_walks_in_a_few_arc_tables(self):
+        # padded to the hub's degree rounded up to 16384, each of two sampler tables would take 10001 * 16384 * 8
+        # bytes, about 1.3 GB; the arc table is 5 arrays of at most 2 * 10^4 + 1 entries, 0.72 MB, and building
+        # the chain plus a short walk peaked at 2.8 times that
+        g = star(10**4)
         tracemalloc.start()
         try:
-            cum, targets = walks._sparse_rows(fm)
+            fm = FiniteMarkov.from_graph(g)
+            traj = simulate(fm, 8, 1000, 1).trajectories
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert cum.shape == (leaves + 1, 1024) and targets.nbytes == cum.nbytes
-        assert peak < 2.25 * cum.nbytes
+        table = sum(a.nbytes for a in fm._arcs())
+        assert table < 1 << 20 and peak < 4 * table
+        assert np.all((traj[:, :-1] == 0) != (traj[:, 1:] == 0))
+
+    def test_star_matches_the_row_indexed_step(self):
+        fm = FiniteMarkov.from_graph(star(2000))
+        assert np.diff(fm._arcs()[2]).max() == 2000
+        assert fm._arcs()[4].tobytes() == arc_sums(fm).tobytes()
+        for seed in (0, 1, 2**63 + 5):
+            assert np.array_equal(simulate(fm, 6, 300, seed).trajectories, row_indexed_walk(fm, 6, 300, seed))
 
 
 def degree_chain(max_degree, s=40):
@@ -332,8 +314,8 @@ class TestSearchEdges:
     @pytest.mark.parametrize("max_degree", [1, 8, 9, 16, 17, 32, 33])
     def test_max_out_degree(self, max_degree):
         fm = degree_chain(max_degree)
-        cum, _ = walks._sparse_rows(fm)
-        assert cum.shape[1] == 1 << (max_degree - 1).bit_length()
+        assert np.diff(fm._arcs()[2]).max() == max_degree
+        assert fm._arcs()[4].tobytes() == arc_sums(fm).tobytes()
         for seed in (0, 1, 2**63 + 5):
             traj = simulate(fm, 6, 2000, seed).trajectories
             assert np.array_equal(traj, row_indexed_walk(fm, 6, 2000, seed))
@@ -341,8 +323,8 @@ class TestSearchEdges:
     def test_running_sum_past_one_before_the_clamp(self):
         fm = overshoot_chain()
         assert np.cumsum(fm.kernel[0])[1] > 1.0
-        cum, _ = walks._sparse_rows(fm)
-        assert cum[0].tolist() == [0.6, np.cumsum(fm.kernel[0])[1], 1.0, np.inf]
+        _, _, starts, _, cum = fm._arcs()
+        assert cum[: starts[1]].tolist() == [0.6, np.cumsum(fm.kernel[0])[1], 1.0]
         for seed in (0, 1, 2**63 + 5):
             traj = simulate(fm, 8, 2000, seed).trajectories
             assert np.array_equal(traj, row_indexed_walk(fm, 8, 2000, seed))

@@ -405,6 +405,33 @@ class TestOneValueColumns:
                 assert sizes == [1]
 
 
+class TestStartLevel:
+    """A start level is read through operator.index, as DyadicAngle reads its fields."""
+
+    @pytest.mark.parametrize("start", [2.7, 2.0, Fraction(5, 2), Fraction(4, 2), True, False, "3", None])
+    def test_a_level_that_is_not_an_integer_is_refused(self, start):
+        with pytest.raises(TypeError):
+            solenoid_walk(HALF, 3, 4, 0, start=start)
+        with pytest.raises(TypeError):
+            circle.solenoid_covariance_exact(HALF, COS1, COS1, start, [0, 1])
+
+    def test_a_negative_level_is_refused(self):
+        with pytest.raises(ValueError, match="start level must be nonnegative"):
+            solenoid_walk(HALF, 3, 4, 0, start=np.int64(-1))
+        with pytest.raises(ValueError, match="start level must be nonnegative"):
+            circle.solenoid_covariance_exact(HALF, COS1, COS1, -1, [0])
+
+    @pytest.mark.parametrize("kind", [np.int8, np.int64, np.uint64])
+    def test_a_numpy_integer_reads_as_the_int(self, kind):
+        for w in (HALF, FOUR_TAP):
+            got = solenoid_walk(w, 5, 300, 7, start=kind(3))
+            want = solenoid_walk(w, 5, 300, 7, start=3)
+            assert type(got.start_level) is int and got.start_level == 3
+            assert got.numerators.tobytes() == want.numerators.tobytes()
+            exact = circle.solenoid_covariance_exact(w, COS1, COS2, kind(3), [0, 2])
+            assert [v.hex() for v in exact] == [v.hex() for v in circle.solenoid_covariance_exact(w, COS1, COS2, 3, [0, 2])]
+
+
 class TestNonFiniteWeights:
     def test_nan_off_the_partition_grid_is_caught_in_the_walk(self):
         class NanOffGrid(TrigPoly):

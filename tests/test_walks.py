@@ -139,21 +139,19 @@ class TestFiniteMarkov:
         assert fm._arcs() is base._arcs() and fm.kernel.tobytes() == base.kernel.tobytes()
 
     def test_one_sampler_table_per_chain(self, monkeypatch):
-        built = []
-        inner = walks._sparse_rows
-        monkeypatch.setattr(walks, "_sparse_rows", lambda chain: built.append(chain) or inner(chain))
+        # the sampler's running sums are the arc table's last field: with_start chains share them, and a walk
+        # on any chain builds no table
         base = FiniteMarkov.from_graph(cycle4())
-        simulate(base, 5, 20, 3)
+        built = []
+        inner = walks._arc_table
+        monkeypatch.setattr(walks, "_arc_table", lambda *table: built.append(table) or inner(*table))
         fm = base.with_start(2)
-        assert fm._sampler_tables() is base._sampler_tables()
-        assert fm.with_start(1)._sampler_tables() is base._sampler_tables()
-        # with_start chains share the tables of the chain they came from: simulating on them builds none
+        assert fm._arcs() is base._arcs() and fm.with_start(1)._arcs() is base._arcs()
+        assert fm._arcs()[4] is base._arcs()[4]
         simulate(fm, 5, 20, 3)
         simulate(base, 5, 20, 4)
-        other = FiniteMarkov.from_graph(cycle4())
-        simulate(other.with_start(0), 5, 20, 3)
-        simulate(other, 5, 20, 3)
-        assert built == [base, other]
+        simulate(fm.with_start(0), 5, 20, 3)
+        assert built == []
 
     def test_with_start_names_an_unknown_state(self):
         with pytest.raises(ValueError, match=r"^start state 9 is not a chain state$"):
@@ -797,18 +795,13 @@ class TestMartingale:
             ends = vec[simulate(fm.with_start(x), n_steps, n_paths, derive_key(seed, i)).trajectories[:, n_steps]]
             se = float(ends.std(ddof=1) / math.sqrt(n_paths))
             want.append((str(x), float(ends.mean()).hex(), float(vec[i]).hex(), se.hex()))
+        # every start's chain shares fm's arc table, running sums included, so the check builds no table
         tables = []
-        inner = walks._sparse_rows
-
-        def counted(chain):
-            tables.append(chain)
-            return inner(chain)
-
-        monkeypatch.setattr(walks, "_sparse_rows", counted)
-        # the reference loop filled fm's sampler table, so count the builds on a fresh chain
-        rep = doob_boundary_check(FiniteMarkov.from_graph(tree_graph(8)), h, n_steps, n_paths, seed)
+        inner = walks._arc_table
+        monkeypatch.setattr(walks, "_arc_table", lambda *table: tables.append(table) or inner(*table))
+        rep = doob_boundary_check(fm, h, n_steps, n_paths, seed)
         assert [(r.label, r.estimate.hex(), r.exact.hex(), r.se.hex()) for r in rep.rows] == want
-        assert len(tables) == 1
+        assert tables == []
 
 
 # ---------------------------------------------------------------- the elimination solve
