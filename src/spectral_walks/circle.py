@@ -61,6 +61,10 @@ __all__ = [
 
 _REAL_TOL = 1e-12  # |c_{-k} - conj(c_k)| of a real TrigPoly; |W(0) - 1| and |W(j/d)| of a low-pass W
 _IDENTITY_TOL = 1e-10  # a QMF residual; the l1 norm of the coefficients of T_W 1 - 1 of a solenoid W
+# the deepest cascade: a finite |t| is below 2^1024, so ldexp(t, -j) is 0 from j = 2099 and each
+# further factor is m(0)
+_MAX_CASCADE_DEPTH = 2100
+_MAX_LATTICE_K = 1 << 12  # the widest tightness lattice, 2K + 1 = 8193 points
 
 
 class TrigPoly:
@@ -336,6 +340,11 @@ def _phihat_grid(a, ts: np.ndarray, depth: int) -> np.ndarray:
     return acc
 
 
+def _check_cascade_depth(depth: int) -> None:
+    if not 1 <= depth <= _MAX_CASCADE_DEPTH:
+        raise ValueError(f"cascade depth {depth} is outside 1 .. {_MAX_CASCADE_DEPTH}")
+
+
 def cascade_phihat(a, t: float, depth: int) -> complex:
     """Depth-J cascade approximation to the Fourier transform of the scaler.
 
@@ -349,10 +358,9 @@ def cascade_phihat(a, t: float, depth: int) -> complex:
     left-multiplied Python-complex accumulation below builds the same
     product tree a caller composing those two expressions would.  t/2^j
     is ldexp(t, -j), the bits of the division without the float 2^j,
-    which overflows from j = 1024.
+    which overflows from j = 1024.  depth runs from 1 to _MAX_CASCADE_DEPTH.
     """
-    if depth < 1:
-        raise ValueError("cascade depth must be at least 1")
+    _check_cascade_depth(depth)
     mp = modulation(a)
     tf = float(t)
     acc = complex(1.0)
@@ -366,10 +374,12 @@ def tightness_defect(a, t: float, K: int, depth: int) -> float:
 
     Near 0 exactly when the integer translates of the scaler are an
     orthonormal family; always >= -eps by the Bessel bound, and can reach
-    1 when mass escapes the lattice entirely (stretched filters).
+    1 when mass escapes the lattice entirely (stretched filters).  K runs
+    from 1 to _MAX_LATTICE_K and depth from 1 to _MAX_CASCADE_DEPTH.
     """
-    if K < 1 or depth < 1:
-        raise ValueError("need K >= 1 and depth >= 1")
+    if not 1 <= K <= _MAX_LATTICE_K:
+        raise ValueError(f"lattice half-width K = {K} is outside 1 .. {_MAX_LATTICE_K}")
+    _check_cascade_depth(depth)
     ts = float(t) + np.arange(-K, K + 1, dtype=np.float64)
     vals = _phihat_grid(a, ts, depth)
     return float(1.0 - np.sum(np.abs(vals) ** 2))

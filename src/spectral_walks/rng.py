@@ -35,7 +35,7 @@ __all__ = ["mix64", "derive_key", "path_keys", "step_bits", "step_uniforms", "un
 # the most paths in one block; see the module docstring for what was measured about it
 BLOCK = 1 << 16
 
-_MASK = (1 << 64) - 1
+_MASK = (1 << 64) - 1  # also the largest seed: a wider one would alias a seed of the range modulo 2^64
 _GOLDEN = 0x9E3779B97F4A7C15
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
@@ -52,12 +52,19 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _check_seed(seed: int) -> int:
+    """seed itself when 0 <= seed < 2^64; ValueError naming it otherwise."""
+    if not 0 <= seed <= _MASK:
+        raise ValueError(f"seed {seed!r} is outside 0 <= seed < 2^64")
+    return seed
+
+
 def derive_key(seed: int, index: int) -> int:
-    """Key for stream number `index` under `seed`.
+    """Key for stream number `index` under `seed`, 0 <= seed < 2^64.
 
     Equals the (index+1)-th output of SplitMix64 seeded with `seed`.
     """
-    return mix64(seed + (index + 1) * _GOLDEN)
+    return mix64(_check_seed(seed) + (index + 1) * _GOLDEN)
 
 
 def _mix_in_place(z: np.ndarray) -> np.ndarray:
@@ -80,10 +87,11 @@ def _mix_in_place(z: np.ndarray) -> np.ndarray:
 
 
 def path_keys(seed: int, first: int, count: int) -> np.ndarray:
-    """Keys for paths first .. first+count-1 as a uint64 array."""
+    """Keys for paths first .. first+count-1 under seed, 0 <= seed < 2^64, as a uint64 array."""
+    seed = np.uint64(_check_seed(seed))
     idx = np.arange(first + 1, first + count + 1, dtype=np.uint64)
     idx *= np.uint64(_GOLDEN)
-    idx += np.uint64(seed & _MASK)
+    idx += seed
     return _mix_in_place(idx)
 
 

@@ -77,8 +77,10 @@ def eigh(matrix):
     making its first component of magnitude > 1e-12 positive.  A matrix
     that is not exactly symmetric, or has a -0.0 entry, is replaced by
     (a + a^T) / 2 first.  A float64 overflow, there or in the solve, raises
-    ArithmeticError.
+    ArithmeticError.  A complex matrix raises TypeError.
     """
+    if np.iscomplexobj(matrix):
+        raise TypeError("eigh needs a real matrix; the cast to float64 would drop the imaginary parts")
     a = np.array(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("eigh needs a square matrix")
@@ -87,7 +89,8 @@ def eigh(matrix):
         return np.zeros(0), np.zeros((0, 0))
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
-    asymmetry = _asymmetry(a)
+    with np.errstate(over="ignore"):  # entries of opposite sign near the float limit are not symmetric
+        asymmetry = float(np.max(np.abs(a - a.T)))
     if asymmetry > 1e-12:
         raise ValueError("matrix is not symmetric within 1e-12")
     try:
@@ -109,23 +112,6 @@ def eigh(matrix):
     return vals, rows.T.copy()
 
 
-def _asymmetry(a):
-    """max |a_ij - a_ji| over strips of 128 rows that cover the upper triangle.
-
-    x - y is -(y - x) in IEEE arithmetic, so this is the maximum over the
-    whole matrix.  Each strip pairs rows i0:i1 from column i0 on with
-    columns i0:i1 from row i0 down, so a.T is read a strip's width of
-    contiguous entries at a time instead of one entry per row.
-    """
-    n = a.shape[0]
-    worst = 0.0
-    with np.errstate(over="ignore"):  # entries of opposite sign near the float limit are not symmetric
-        for i0 in range(0, n, 128):
-            i1 = min(i0 + 128, n)
-            worst = max(worst, float(np.max(np.abs(a[i0:i1, i0:] - a[i0:, i0:i1].T))))
-    return worst
-
-
 def _solve_blocks(a):
     """Eigenvalues and eigenvector rows of the symmetric a, block by block, unsorted.
 
@@ -139,13 +125,6 @@ def _solve_blocks(a):
     solved = {}  # block bytes -> (eigenvalues, eigenvector rows)
     start = 0
     for block in _blocks(a):
-        if block.size == 1:
-            # what the QL loop gives a 1 x 1 block: its entry plus the zero shift, so -0.0 becomes +0.0
-            (i,) = block.tolist()
-            vals[start] = a[i, i] + 0.0
-            rows[start, i] = 1.0
-            start += 1
-            continue
         sub = a[np.ix_(block, block)]
         key = sub.tobytes()
         if key not in solved:
@@ -183,7 +162,6 @@ def _tridiagonalize(a):
     n = a.shape[0]
     e = [0.0] * n
     reflections = []
-    scratch = np.empty((n - 1) * (n - 1))  # the i x i products of each step, in its leading i * i entries
     for i in range(n - 1, 0, -1):
         # zero row i left of the subdiagonal with P = I - u u^T / h on the leading i x i block
         row = a[i, :i]
@@ -199,19 +177,17 @@ def _tridiagonalize(a):
         h -= f * g
         u[-1] = f - g
         block = a[:i, :i]
-        t = scratch[: i * i].reshape(i, i)
-        p = np.multiply(block, u, out=t).sum(axis=1) / h
+        p = (block * u).sum(axis=1) / h
         q = p - (float((u * p).sum()) / (h + h)) * u
-        block -= np.multiply.outer(u, q, out=t)
-        block -= np.multiply.outer(q, u, out=t)
+        block -= np.multiply.outer(u, q)
+        block -= np.multiply.outer(q, u)
         reflections.append((i, u, h))
     d = np.diag(a).tolist()
     # Q = P_{n-1} ... P_2; each P_i touches only the leading i rows and columns
     z = np.eye(n)
     for i, u, h in reversed(reflections):
         block = z[:i, :i]
-        t = scratch[: i * i].reshape(i, i)
-        block -= np.multiply.outer(np.multiply(block, u, out=t).sum(axis=1), u / h, out=t)
+        block -= np.multiply.outer((block * u).sum(axis=1), u / h)
     return d, e, z
 
 

@@ -289,6 +289,17 @@ class TestCascade:
             assert abs(pt_cylinder_mass(haar_filter(), t, "1", depth=1500) - abs(want) ** 2) <= 1e-12
         assert abs(tightness_defect(haar_filter(), 0.3, 512, 1100) - tightness_defect(haar_filter(), 0.3, 512, 80)) <= 1e-15
 
+    def test_depth_and_width_caps(self):
+        assert cascade_phihat(haar_filter(), 0.3, 2100) == cascade_phihat(haar_filter(), 0.3, 1100)
+        assert tightness_defect(haar_filter(), 0.3, 4096, 20) >= -1e-6
+        for call in (lambda: cascade_phihat(haar_filter(), 0.3, 2101),
+                     lambda: pt_cylinder_mass(haar_filter(), 0.3, "1", depth=2101),
+                     lambda: tightness_defect(haar_filter(), 0.3, 512, 2101)):
+            with pytest.raises(ValueError, match="cascade depth 2101 is outside 1 .. 2100"):
+                call()
+        with pytest.raises(ValueError, match="K = 4097 is outside 1 .. 4096"):
+            tightness_defect(haar_filter(), 0.3, 4097, 20)
+
 
 class TestTightness:
     def test_haar_defect_small(self):

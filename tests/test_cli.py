@@ -123,11 +123,28 @@ class TestRefusedInputs:
         (["solenoid", "walk", "--w", "half", "--paths", "1"], "at least 2 samples"),
         (["walk", "sim", "--graph", CYCLE4, "--steps", "0"], "--steps 0"),
         (["solenoid", "walk", "--w", "half", "--steps", "0"], "--steps 0"),
+        (["wavelet", "tightness", "--coeffs", "0.5,0.5", "--depth", "1000000000"], "depth 1000000000"),
+        (["wavelet", "tightness", "--coeffs", "0.5,0.5", "--K", "100000000000"], "K = 100000000000"),
     ])
     def test_exit_two_naming_the_value(self, capsys, argv, named):
         rc, out, err = invoke(capsys, argv)
         assert (rc, out) == (2, "")
         assert err.startswith("error:") and named in err
+
+    # masked to 64 bits, each of these seeds would print the tables of a seed in the range
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64), str(1 << 70)])
+    @pytest.mark.parametrize("argv", [["walk", "sim", "--graph", CYCLE4, "--steps", "3", "--paths", "50"],
+                                      ["solenoid", "walk", "--w", "half", "--steps", "3", "--paths", "50"],
+                                      ["verify", "all", "--quick"], ["tree", "encode", "--word", "1"]])
+    def test_seed_outside_the_range(self, capsys, argv, seed):
+        rc, out, err = invoke(capsys, argv + [f"--seed={seed}"])
+        assert (rc, out) == (2, "")
+        assert f"argument --seed: seed {seed} is outside 0 <= seed < 2^64" in err
+
+    def test_largest_seed_runs_every_check(self, capsys):
+        # the checks run on the seed plus 1, 7, 11, 13 and 17, wrapped into the range
+        rc, out, _ = invoke(capsys, ["verify", "all", "--seed", str((1 << 64) - 1)])
+        assert rc == 0 and "\ndoob_conservation,pass," in out
 
     # 10 paths are one block, so the variable is read even where no thread could start
     @pytest.mark.parametrize("argv", [["walk", "sim", "--graph", CYCLE4, "--steps", "2", "--paths", "10"],

@@ -208,27 +208,24 @@ class TestFailures:
         with pytest.raises(ValueError, match="not symmetric"):
             eigh([[0.0, 1e308], [-1e308, 0.0]])
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 300), st.integers(0, 2**32))
-    def test_strip_asymmetry_is_the_whole_matrix_maximum(self, n, seed):
-        # up to 300 rows: one to three 128-row strips, the last one partial
-        a = np.random.default_rng(seed).standard_normal((n, n))
-        for m in (a, a + a.T, np.round(a + a.T, 1) + np.triu(a, 3) * 1e-13):
-            assert spectra._asymmetry(m) == float(np.max(np.abs(m - m.T)))
-
-    @pytest.mark.parametrize("i, j, v, want", [(299, 5, 5e-13, 1e-12), (5, 299, 1e-12, 2e-12),
-                                               (257, 129, 1e308, math.inf)])
-    def test_asymmetry_in_a_later_strip(self, i, j, v, want):
-        # 300 rows are three 128-row strips; v facing -v differs by 2v, which overflows to inf
-        # without a warning near the float limit
+    @pytest.mark.parametrize("i, j, v, raises", [(299, 5, 5e-13, False), (5, 299, 1e-12, True),
+                                                 (257, 129, 1e308, True)])
+    def test_asymmetry_anywhere_in_the_matrix(self, i, j, v, raises):
+        # v facing -v differs by 2v: 1e-12 at the tolerance passes, 2e-12 is refused, and near the
+        # float limit 2v overflows to inf without a warning and is refused
         m = np.eye(300)
         m[i, j], m[j, i] = v, -v
-        assert spectra._asymmetry(m) == want
-        if want > 1e-12:
+        if raises:
             with pytest.raises(ValueError, match="not symmetric"):
                 eigh(m)
         else:
             assert eigh(m)[0].size == 300
+
+    @pytest.mark.parametrize("m", [np.array([[1, 1j], [-1j, 1]]), [[1, 1j], [-1j, 1]], np.eye(2, dtype=complex)])
+    def test_rejects_complex(self, m):
+        # the cast to float64 would drop the imaginary parts: [[1, i], [-i, 1]] has eigenvalues 0 and 2, not 1 and 1
+        with pytest.raises(TypeError, match="real matrix"):
+            eigh(m)
 
 
 def blocks_by_repeated_search(a):
@@ -273,6 +270,17 @@ class TestComponents:
         assert [b.tolist() for b in spectra._blocks(a)] == [[i] for i in range(1022)]
         vals, vecs = eigh(a)
         assert vals.tolist() == list(np.arange(1022.0, 0.0, -1.0)) and np.array_equal(vecs, np.eye(1022)[:, ::-1])
+
+    @pytest.mark.parametrize("m, want_vals, want_vecs", [
+        # a -0.0 entry comes back +0.0: the QL loop adds its zero shift to every eigenvalue
+        (np.diag([-0.0, 3.0, -0.0]), [3.0, 0.0, 0.0], [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+        (np.diag([2.0, 2.0]), [2.0, 2.0], [[1.0, 0.0], [0.0, 1.0]]),
+        (gram_matrix(("0", "111")), [3.0, 1.0], [[0.0, 1.0], [1.0, 0.0]]),
+    ])
+    def test_one_element_blocks_are_pinned(self, m, want_vals, want_vecs):
+        vals, vecs = eigh(m)
+        assert vals.tobytes() == np.array(want_vals).tobytes()
+        assert vecs.tobytes() == np.array(want_vecs).tobytes()
 
 
 def reference_ql(d, e, z):

@@ -2,8 +2,9 @@
 
 Each module's intra-package imports are read from its source with ast,
 function-level imports included, so a new dependency between layers
-shows up here.  circle reaches the sampled estimators through the
-ensembles' evaluate method, not by importing walks.
+shows up here.  cli checks --seed by rng's one range rule.  circle
+reaches the sampled estimators through the ensembles' evaluate method,
+not by importing walks.
 """
 
 import ast
@@ -17,7 +18,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spectral_walks"
 IMPORTS = {
     "__init__": {"circle", "graphs", "rng", "spectra", "tree", "walks"},
     "circle": {"rng", "tree"},
-    "cli": {"__init__", "circle", "graphs", "spectra", "tree", "walks"},
+    "cli": {"__init__", "circle", "graphs", "rng", "spectra", "tree", "walks"},
     "graphs": set(),
     "rng": set(),
     "spectra": {"graphs", "tree"},

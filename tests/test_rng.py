@@ -1,6 +1,7 @@
 """Counter-based generator: reference vectors and vector/scalar agreement."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -129,3 +130,15 @@ def test_distinct_steps_decorrelate():
     a = step_uniforms(ks, 0)
     b = step_uniforms(ks, 1)
     assert abs(float(np.corrcoef(a, b)[0, 1])) < 0.05
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64, 1 << 70])
+def test_seed_outside_the_range_raises(seed):
+    # masked to 64 bits, these would alias the keys of seeds 2^64 - 1, 0 and 0
+    for draw in (lambda: path_keys(seed, 0, 4), lambda: derive_key(seed, 0), lambda: uniform(seed, 0, 0)):
+        with pytest.raises(ValueError, match=f"seed {seed} is outside"):
+            draw()
+
+
+def test_largest_seed_is_in_the_range():
+    assert int(path_keys(MASK, 0, 1)[0]) == derive_key(MASK, 0) == reference_stream(MASK, 1)[0]

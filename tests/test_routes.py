@@ -24,7 +24,7 @@ from pathlib import Path
 
 WALKS = Path(__file__).resolve().parents[1] / "src" / "spectral_walks" / "walks.py"
 SPECTRA = WALKS.with_name("spectra.py")
-EIGH_FUNCTIONS = ("eigh", "_asymmetry", "_solve_blocks", "_blocks", "_tridiagonalize", "_implicit_ql", "_rotate_levels")
+EIGH_FUNCTIONS = ("eigh", "_solve_blocks", "_blocks", "_tridiagonalize", "_implicit_ql", "_rotate_levels")
 
 
 def enclosing_functions(tree):

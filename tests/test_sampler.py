@@ -601,6 +601,18 @@ class TestBlockPlan:
             assert solenoid_walk(FOUR_TAP, 6, n_paths, seed, start=3).numerators.tobytes() == walk.tobytes()
             assert simulate(fm, 6, n_paths, seed).trajectories.tobytes() == traj.tobytes()
 
+    # masked to 64 bits, each of these seeds would draw the streams of a seed in the range
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, 1 << 70])
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_seed_outside_the_range_raises(self, monkeypatch, seed, threads):
+        monkeypatch.setenv("SPECTRAL_WALKS_THREADS", threads)
+        cycle4 = Path(__file__).resolve().parents[1] / "examples_data" / "cycle4.json"
+        fm = FiniteMarkov.from_graph(load_graph(str(cycle4)))
+        for run in (lambda: simulate(fm, 3, 200000, seed), lambda: solenoid_walk(FOUR_TAP, 3, 200000, seed),
+                    lambda: walks.doob_boundary_check(fm, {s: 1.0 for s in fm.states}, 3, 50, seed)):
+            with pytest.raises(ValueError, match=rf"^seed {seed} is outside 0 <= seed < 2\^64$"):
+                run()
+
 
 # ---------------------------------------------------------------- golden output
 
