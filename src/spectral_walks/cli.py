@@ -281,11 +281,13 @@ def _cmd_walk_sim(args) -> tuple:
     labels = [_word_label(str(s), args.out) if s == "" else s for s in fm.states]
     rows_st = [list(row) for row in zip(labels, mu_solve.tolist(), fm.mu0.tolist(),
                                         np.abs(mu_solve - fm.mu0).tolist())]
-    ens = wk.simulate(fm, args.steps, args.paths, args.seed)
+    lags = [n for n in (0, 1, 4) if n + 1 <= args.steps]
+    # the table reads steps n and n + 1 of each lag n; a step depends only on the steps before it and
+    # its own draws, so stopping after the last step read moves no byte
+    ens = wk.simulate(fm, lags[-1] + 1, args.paths, args.seed)
     origin = np.zeros(len(fm))
     origin[g.index[g.origin]] = 1.0
     vecs = {"origin": origin, "distance": g._hops.astype(np.float64)}
-    lags = [n for n in (0, 1, 4) if n + 1 <= args.steps]
     pairs = [("origin", "origin"), ("origin", "distance"), ("distance", "distance")]
     exact = {(f1, f2): [wk.covariance_exact(fm, vecs[f1], vecs[f2], n) for n in lags] for f1, f2 in pairs}
     covariance, failed = _covariance_table(ens, vecs, pairs, lags, exact)
@@ -597,7 +599,8 @@ def _verify_checks(quick: bool, seed: int):
     add("harmonic_solve_linear", all(abs(hs[k] - k / 4) <= 1e-12 for k in range(5)))
 
     if not quick:
-        ens = wk.simulate(fm, 8, 20000, seed)
+        # reads steps 0 .. 2 (lags 0 and 1)
+        ens = wk.simulate(fm, 2, 20000, seed)
         f1, f2 = {0: 1.0, 1: 0.0, 2: 0.0, 3: 0.0}, {0: 0.0, 1: 1.0, 2: 2.0, 3: 3.0}
         ok = True
         for n in (0, 1):
@@ -616,12 +619,14 @@ def _verify_checks(quick: bool, seed: int):
         add("martingale_negative_control_fails", not neg.passed, f"max {neg.max_sigmas:.2f} SE")
         tree15 = tr.tree_graph(3)
         tfm = wk.FiniteMarkov.from_graph(tree15)
-        tens = wk.simulate(tfm, 6, 20000, offset(11))
+        # reads step 2 -> 3
+        tens = wk.simulate(tfm, 3, 20000, offset(11))
         dist = {v: float(len(v)) for v in tree15.vertices}
         mrep = wk.markov_check(tens, tfm, dist, 2)
         add("markov_conditional_means", mrep.passed, f"max {mrep.max_sigmas:.2f} SE")
         whalf = ci.TrigPoly.constant(Fraction(1, 2))
-        sens = ci.solenoid_walk(whalf, 12, 20000, offset(13), start=10)
+        # reads steps 3 and 4 (lag 3)
+        sens = ci.solenoid_walk(whalf, 4, 20000, offset(13), start=10)
         f1 = _cos_poly(1)
         est, se = wk.covariance_mc(sens, f1.real_part, f1.real_part, 3)
         (exact,) = ci.solenoid_covariance_exact(whalf, f1, f1, 10, [3])

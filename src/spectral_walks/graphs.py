@@ -330,10 +330,12 @@ def _search(targets, starts, sources):
     targets[starts[x]:starts[x + 1]] are the vertices one arc away from x.  Returns (hops, queues):
     hops[x] counts the arcs from the source whose search reached x, -1 where none did, and queues
     holds each search's visited vertices in visiting order.  All searches share the one hop list, so
-    a vertex is read once however many searches run.  A queue is a list read while it grows; a
-    vertex's arcs become Python ints when it is read, so a search costs its component alone.
+    a vertex is read once however many searches run.  A queue is a list read while it grows.  A
+    vertex's arcs are read through a memoryview of targets: slicing one costs no numpy call and no
+    copy, and iterating it yields Python ints, so a search costs its component alone and no list of
+    every arc is built (at |F| = 1022 a Gram pattern has about half a million arcs).
     """
-    starts = starts.tolist()
+    targets, starts = memoryview(targets), starts.tolist()
     hops = [-1] * (len(starts) - 1)
     queues = []
     for source in sources:
@@ -343,7 +345,7 @@ def _search(targets, starts, sources):
         queue = [source]
         for x in queue:
             level = hops[x] + 1
-            for y in targets[starts[x]:starts[x + 1]].tolist():
+            for y in targets[starts[x]:starts[x + 1]]:
                 if hops[y] < 0:
                     hops[y] = level
                     queue.append(y)

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from spectral_walks import cli, graphs, walks
 from spectral_walks.tree import MAX_DEPTH, words_up_to
 from spectral_walks.cli import run
+from test_sampler import dyadic_chords
 from spectral_walks import (
     decode_int,
     decode_nat,
@@ -74,10 +75,11 @@ class TestExitCodes:
          ["spectra", "gram", "--words", "1,11"]),
         ("spectral_walks.walks.stationary_measure", ArithmeticError("stationary solve residual 1e-03 exceeds 1e-12"),
          ["walk", "sim", "--graph", CYCLE4, "--paths", "10"]),
-        # raised by the stand-in, never allocated: an overcommitting host would kill the process instead
+        # raised by the stand-in, never allocated: an overcommitting host would kill the process instead.
+        # K stays inside the 1 .. 4096 cap, so the argv is one the real program runs (in about 10 ms)
         ("spectral_walks.circle.tightness_defect",
          MemoryError("Unable to allocate 1.46 TiB for an array with shape (200000000001,) and data type float64"),
-         ["wavelet", "tightness", "--coeffs", "0.5,0.5", "--K", "100000000000"]),
+         ["wavelet", "tightness", "--coeffs", "0.5,0.5", "--K", "4096"]),
     ])
     def test_solver_failure_is_three(self, capsys, monkeypatch, target, exc, argv):
         def give_up(*args, **kwargs):
@@ -409,6 +411,31 @@ class TestStatisticalCommands:
         )
         assert rc == 0
         assert "# table=stationary" in out and "# table=covariance" in out
+
+    def test_walk_sim_stops_at_the_last_step_read(self, capsys, monkeypatch):
+        # lags 0, 1 and 4 read steps n and n + 1; --steps N keeps a lag n when n + 1 <= N
+        asked = []
+        real = walks.simulate
+
+        def spy(fm, n_steps, n_paths, seed):
+            asked.append(n_steps)
+            return real(fm, n_steps, n_paths, seed)
+
+        monkeypatch.setattr(walks, "simulate", spy)
+        for steps in (1, 2, 5, 32, 64):
+            rc, _, _ = invoke(capsys, ["walk", "sim", "--graph", CYCLE4, "--steps", str(steps), "--paths", "100"])
+            assert rc in (0, 1)
+        assert asked == [1, 2, 5, 5, 5]
+
+    def test_walk_sim_tables_do_not_depend_on_unread_steps(self, capsys, tmp_path):
+        graph = tmp_path / "chords.json"
+        graph.write_text(json.dumps(dyadic_chords()))
+        outs = []
+        for steps in ("5", "32", "64"):
+            _, out, _ = invoke(capsys, ["walk", "sim", "--graph", str(graph), "--steps", steps, "--paths", "5000"])
+            assert "# table=stationary" in out and "# table=covariance" in out
+            outs.append([line for line in out.splitlines() if not line.startswith("# config=")])
+        assert outs[0] == outs[1] == outs[2]
 
     def test_solenoid_half_matches_lebesgue(self, capsys):
         rc, out, _ = invoke(

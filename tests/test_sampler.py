@@ -26,8 +26,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from spectral_walks import (FiniteMarkov, CheckReport, CheckRow, cli, load_graph, markov_check, martingale_check,
-                            mean_se, simulate)
+from spectral_walks import (DyadicAngle, FiniteMarkov, CheckReport, CheckRow, cli, load_graph, markov_check,
+                            martingale_check, mean_se, simulate)
 from spectral_walks import rng, walks
 from spectral_walks.circle import four_tap_filter, solenoid_walk, w_from_filter
 from spectral_walks.rng import block_plan, mix64, path_keys, step_uniforms, uniform
@@ -714,4 +714,22 @@ def test_golden_reports(threads, split_blocks):
         "doob_boundary_check": report_digest(walks.doob_boundary_check(fm, vec, 3, 2100, 7)),
     }
     assert got == GOLDEN_REPORTS
+    assert plans.all_split() == (threads == "2")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_shorter_walks_are_prefixes(threads, split_blocks):
+    # step k reads only the steps before it and the draws keyed by (path, k), so the walk of m steps is
+    # the first m + 1 columns of the walk of n > m steps: a caller may stop at the last step it reads
+    plans = split_blocks(threads)
+    paths = 2500  # above the 1000-path BLOCK of the two-thread runs, so their blocks split
+    fm = FiniteMarkov.from_graph(load_graph(dyadic_chords()))
+    longest = simulate(fm, 12, paths, 3).trajectories
+    for m in (0, 1, 2, 5, 11):
+        assert np.array_equal(simulate(fm, m, paths, 3).trajectories, longest[:, : m + 1])
+    # from 1/2 the four-tap walk spreads over 16 numerators, so its steps draw; level 6 starts on a grid
+    for start in (DyadicAngle(1, 1), 6):
+        longest = solenoid_walk(FOUR_TAP, 12, paths, 3, start=start).numerators
+        for m in (0, 1, 3, 4, 11):
+            assert np.array_equal(solenoid_walk(FOUR_TAP, m, paths, 3, start=start).numerators, longest[:, : m + 1])
     assert plans.all_split() == (threads == "2")
