@@ -701,7 +701,8 @@ def build_parser() -> argparse.ArgumentParser:
     wsub = walk.add_subparsers(dest="action", required=True)
     ws = wsub.add_parser("sim", help="simulate and compare against exact kernel arithmetic")
     ws.add_argument("--graph", required=True, help="graph JSON file")
-    ws.add_argument("--steps", type=int, default=64)
+    ws.add_argument("--steps", type=int, default=64, help="only bounds the lags 0, 1 and 4 (a lag n is kept when "
+                    "n + 1 <= steps); the walk stops at step lags[-1] + 1")
     ws.add_argument("--paths", type=int, default=100000)
     _add_common(ws)
     ws.set_defaults(func=_cmd_walk_sim)

@@ -14,11 +14,9 @@ The eigensolver is Householder tridiagonalization followed by
 implicit-shift QL, written with element-wise numpy operations and
 reductions only (no BLAS or LAPACK call), so repeated runs are
 bit-stable whatever the BLAS build or thread count.  The Gram matrix
-and every vertex x word table of prefix lengths come from tree's one
-int64 prefix-length kernel, exactly.  Every dipole sum sum_x c(x) v_x on
-tree vertices reads one such table, built once per call with each word
-and each vertex validated once; float64 c sums in float64, int and
-Fraction c exactly.
+comes from tree's int64 prefix-length kernel, exactly.  Every dipole sum
+sum_x c(x) v_x, M xi among them, is two passes over the prefix tree of F
+in _dipole_sums, with no BLAS call and no vertex x word table.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ import numpy as np
 
 from .graphs import (WeightedGraph, _energy_core, _laplacian_core, _pattern_arcs, _search, energy_inner,
                      laplacian_apply)
-from .tree import _prefix_lengths, check_words, common_prefix_length, tree_graph
+from .tree import ORIGIN, _prefix_lengths, check_words, common_prefix_length, tree_graph
 
 __all__ = [
     "GramSpectrum",
@@ -391,52 +389,62 @@ def kl_vectors(gs: GramSpectrum, normalized: bool = False) -> list:
     ]
 
 
-def _prefix_table(words, vertices) -> np.ndarray:
-    """table[i, k] = v_{words[k]}(vertices[i]).
+def _dipole_sums(words, vertices, coefficients) -> np.ndarray:
+    """sums[i] = sum_k coefficients[k] * v_{words[k]}(vertices[i]), by two passes over the words' prefix tree.
 
-    The first row comes from common_prefix_length, which validates every
-    word; the later vertices are validated in one pass, and the
-    prefix-length kernel fills the other rows without validating the
-    words again.
+    v_x(y) counts the nonempty prefixes x and y share, so the sum at y is
+    P(u) = sum_{w <= u} S(w), u the deepest prefix of y among the words'
+    prefixes and S(w) the sum of the coefficients of the words below w.  Up,
+    deepest level first: S(w) = c(w) + S(w0) + S(w1), c = 0 off the words
+    and absent children skipped.  Down: P(w) = P(parent) + S(w) from
+    P(root) = 0.  This order, which the word order does not enter, is the
+    bit contract of every float sum.  coefficients is a number, or a row for
+    one column per vector, per word: a float64 array sums in float64, others
+    as Python objects, so int and Fraction sums are exact, of the type of
+    0 + sum_k coefficients[k] * 0.  A coefficient that is not finite raises
+    ValueError naming its index.
     """
-    first, *rest = vertices
-    table = np.empty((len(vertices), len(words)), dtype=np.int64)
-    table[0] = [common_prefix_length(x, first) for x in words]
-    table[1:] = _prefix_lengths(check_words(rest), words)
-    return table
-
-
-def _combine(table, coefficients) -> np.ndarray:
-    """Row-wise sum_k table[:, k] * coefficients[k], added in word order from the int 0.
-
-    coefficients[k] is one number per word, for one vector, or one row per
-    word, for one column per vector; every element gets the same products
-    and additions either way.  A float64 array sums in float64; other
-    coefficients sum as Python objects, so int and Fraction sums stay
-    exact at any magnitude.
-    """
-    if not (isinstance(coefficients, np.ndarray) and coefficients.dtype == np.float64):
-        table = table.astype(object)
-    acc = term = None
-    for xi, column in zip(coefficients, table.T):
-        if acc is None:
-            term = np.multiply.outer(column, xi)
-            # zeros of the term's dtype: 0 + (-0.0) is +0.0, as from the int 0
-            acc = np.zeros_like(term)
-        else:
-            np.multiply.outer(column, xi, out=term)
-        acc += term
-    return acc
+    for x in words:  # validates the words, and the first vertex; the later vertices in one pass
+        common_prefix_length(x, vertices[0])
+    check_words(vertices[1:])
+    exact = not (isinstance(coefficients, np.ndarray) and coefficients.dtype == np.float64)
+    c = np.array(list(coefficients), dtype=object) if exact else coefficients
+    rows = c.reshape(len(c), -1)
+    finite = [all(map(_is_finite, row)) for row in rows] if exact else np.isfinite(rows).all(axis=1).tolist()
+    if not all(finite):
+        raise ValueError(f"coefficient {finite.index(False)} is not finite")
+    # the closure, root first and then level by level, sorted: u0 comes right before u1
+    nodes, levels = [ORIGIN], []
+    for k in range(1, max(map(len, words)) + 1):
+        level = sorted({x[:k] for x in words if len(x) >= k})
+        levels.append((len(nodes), len(nodes) + len(level)))
+        nodes += level
+    index = dict(zip(nodes, range(len(nodes))))
+    parent = np.array([0] + [index[u[:-1]] for u in nodes[1:]], dtype=np.intp)
+    s = np.zeros((len(nodes), *c.shape[1:]), dtype=c.dtype)
+    np.add.at(s, [index[x] for x in words], c)
+    for start, stop in reversed(levels):
+        np.add.at(s, parent[start:stop], s[start:stop])  # unbuffered, in node order: S(u0) first
+    p = np.full_like(s, sum(0 * c))  # P(root): +0.0 in float64, else the zero of the exact sum's type
+    for start, stop in levels:
+        p[start:stop] = p[parent[start:stop]] + s[start:stop]
+    at = []
+    for y in vertices:
+        k = min(len(y), len(levels))
+        while y[:k] not in index:
+            k -= 1
+        at.append(index[y[:k]])
+    return p[at]
 
 
 def kl_value(vec: KLVector, y: str) -> float:
     """Evaluate the KL vector at a tree vertex."""
-    return vec.scale * _combine(_prefix_table(vec.words, (y,)), vec.coefficients)[0]
+    return vec.scale * _dipole_sums(vec.words, (y,), vec.coefficients)[0]
 
 
 def kl_vertex_function(vec: KLVector, g: WeightedGraph) -> dict:
     """Sample a KL vector on the vertex set of a truncated tree."""
-    values = vec.scale * _combine(_prefix_table(vec.words, g.vertices), vec.coefficients)
+    values = vec.scale * _dipole_sums(vec.words, g.vertices, vec.coefficients)
     return dict(zip(g.vertices, values.tolist()))
 
 
@@ -445,16 +453,14 @@ def dipole_combination(g: WeightedGraph, words, coefficients) -> dict:
     words = _check_words(words)
     if len(words) != len(coefficients):
         raise ValueError("one coefficient per word required")
-    return dict(zip(g.vertices, _combine(_prefix_table(words, g.vertices), coefficients).tolist()))
+    return dict(zip(g.vertices, _dipole_sums(words, g.vertices, coefficients).tolist()))
 
 
 def _tree_for(words, depth=None) -> WeightedGraph:
-    need = max(len(w) for w in words)
-    if depth is None:
-        depth = need
-    if depth < need:
+    need = max(map(len, words))
+    if depth is not None and depth < need:
         raise ValueError(f"truncation depth {depth} is below the longest word ({need})")
-    return tree_graph(depth)
+    return tree_graph(need if depth is None else depth)
 
 
 def kl_gram_check(gs: GramSpectrum, depth: int | None = None, normalized: bool = False) -> np.ndarray:
@@ -466,9 +472,8 @@ def kl_gram_check(gs: GramSpectrum, depth: int | None = None, normalized: bool =
     the u_k.
     """
     g = _tree_for(gs.words, depth)
-    vecs = kl_vectors(gs, normalized=normalized)
-    columns = _combine(_prefix_table(gs.words, g.vertices), gs.eigenvectors).T
-    sampled = np.array([v.scale * col for v, col in zip(vecs, columns)]).reshape(columns.shape)
+    columns = _dipole_sums(gs.words, g.vertices, gs.eigenvectors).T
+    sampled = np.array([v.scale * col for v, col in zip(kl_vectors(gs, normalized), columns)]).reshape(columns.shape)
     return _energy_core(g, sampled, sampled)
 
 
@@ -521,26 +526,20 @@ def reciprocity_spectrum(words, depth: int | None = None):
     gs = words if isinstance(words, GramSpectrum) else gram_spectrum(words)
     words = gs.words
     g = _tree_for(words, depth)
-    table = _prefix_table(words, g.vertices)
-    matrix = gs.matrix.astype(float)  # one cast, not one per eigenvector
-    n = len(words)
-    kept = []
-    for j in range(n):
-        # the mean of each contiguous copy: a column mean of the matrix sums in another order
-        xi = gs.eigenvectors[:, j].copy()
-        xi -= np.mean(xi)
-        if float(np.linalg.norm(xi)) > 1e-12:
-            kept.append((j, xi))
-    coefficients = np.array([xi for _, xi in kept]).reshape(len(kept), n).T  # a column per kept vector
-    columns = _combine(table, coefficients).T
+    # the mean of each eigenvector's contiguous copy: a column mean of the matrix sums in another order
+    kept = [(j, xi - np.mean(xi)) for j, xi in enumerate(gs.eigenvectors.T.copy())]
+    kept = [(j, xi) for j, xi in kept if float(np.linalg.norm(xi)) > 1e-12]
+    coefficients = np.array([xi for _, xi in kept]).reshape(len(kept), len(words)).T  # a column per kept vector
+    columns = _dipole_sums(words, g.vertices, coefficients).T
+    # M[x, y] = v_y(x) and every word is a vertex of g, so M xi is the dipole sum read at the words
+    at_words = [g.index[x] for x in words]
     # rayleigh_energy on each column, through the float cores: the same sums, to the bit
     images = _laplacian_core(g, columns)
     rows = []
     for (j, xi), col, image in zip(kept, columns, images):
         den, num = _energy_core(g, col[None], np.array([col, image]))[0].tolist()
-        energy_route = _quotient(num, den)
-        coeff_route = float(xi @ xi) / float(xi @ (matrix @ xi))
-        rows.append((float(gs.eigenvalues[j]), energy_route, coeff_route))
+        coeff_route = float(np.add.reduce(xi * xi)) / float(np.add.reduce(xi * col[at_words]))
+        rows.append((float(gs.eigenvalues[j]), _quotient(num, den), coeff_route))
     return rows
 
 

@@ -10,8 +10,8 @@ input.
 The dipole at a vertex x is the function v_x(y) = length of the common
 prefix of x and y.  It reproduces point evaluations against the energy
 form and its Laplacian is delta_x plus a charge at the root.  Every table
-of these lengths (a dipole on a tree, the Gram matrix, spectra's vertex x
-word tables) comes from one int64 kernel over the words' character codes.
+of these lengths (a dipole column, the Gram matrix) comes from one int64
+kernel over the words' character codes; spectra sums dipoles without one.
 """
 
 from __future__ import annotations

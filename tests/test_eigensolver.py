@@ -14,6 +14,7 @@ import functools
 import hashlib
 import math
 import os
+import platform
 import subprocess
 import sys
 
@@ -24,6 +25,11 @@ from hypothesis import given, settings, strategies as st
 from spectral_walks import eigh, gram_matrix, spectra, words_up_to
 from spectral_walks.spectra import _QL_ITERATIONS
 from spectral_walks.tree import common_prefix_length
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__ as _cpu_features
+except ImportError:  # a numpy that does not expose its CPU dispatch table
+    _cpu_features = {}
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -140,6 +146,20 @@ class TestBitStability:
             assert out.count(b"\n") > 254
             digests.append(hashlib.sha256(out).hexdigest())
         assert digests[0] == digests[1]
+
+    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64") or not _cpu_features.get("AVX2"),
+                        reason="OpenBLAS's Prescott and Haswell kernels need an x86-64 CPU with AVX2")
+    def test_gram_bytes_do_not_depend_on_openblas_settings(self, tmp_path):
+        # spectra gram makes no BLAS call, so no OpenBLAS thread count or kernel choice moves a byte
+        argv = [sys.executable, "-m", "spectral_walks.cli", "spectra", "gram", "--words", ",".join(words_up_to(8))]
+        digests = set()
+        for setting in ({"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"},
+                        {"OPENBLAS_CORETYPE": "Prescott"}, {"OPENBLAS_CORETYPE": "Haswell"}):
+            env = dict(os.environ, **setting, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+            out = tmp_path / "out.txt"
+            rc = subprocess.run(argv + ["--output", str(out)], env=env, capture_output=True, timeout=300).returncode
+            digests.add(hashlib.sha256(f"{rc}\n".encode() + out.read_bytes()).hexdigest())
+        assert len(digests) == 1
 
 
 class TestFailures:

@@ -16,7 +16,12 @@ loop or a second grouping route shows up here.
 spectra.eigh and the helpers it runs make no BLAS or LAPACK call: no
 `@`, no dot or matmul and nothing from np.linalg, and they call no
 function of spectra outside that set, so such a call cannot hide in a new
-helper either.
+helper either.  Every dipole sum in spectra reads one kernel,
+_dipole_sums, the one function that runs the passes over the prefix tree;
+neither it nor reciprocity_spectrum has a `@`, dot or matmul, and
+reciprocity_spectrum uses np.linalg only for the norm threshold.  The
+prefix-length tables of tree are built in spectra only for the Gram
+matrix and the independence check.
 """
 
 import ast
@@ -25,6 +30,7 @@ from pathlib import Path
 WALKS = Path(__file__).resolve().parents[1] / "src" / "spectral_walks" / "walks.py"
 SPECTRA = WALKS.with_name("spectra.py")
 EIGH_FUNCTIONS = ("eigh", "_solve_blocks", "_blocks", "_tridiagonalize", "_implicit_ql", "_rotate_levels")
+DIPOLE_SUMS = ("dipole_combination", "kl_gram_check", "kl_value", "kl_vertex_function", "reciprocity_spectrum")
 
 
 def enclosing_functions(tree):
@@ -80,6 +86,34 @@ def test_eigh_makes_no_blas_call():
         assert blas_uses(functions[name]) == [], name
         called = {ast.unparse(node.func) for node in ast.walk(functions[name]) if isinstance(node, ast.Call)}
         assert called & functions.keys() <= set(EIGH_FUNCTIONS), name
+
+
+def test_spectra_sums_dipoles_in_one_kernel():
+    source = SPECTRA.read_text(encoding="utf-8")
+    assert sorted(callers(source, ("_dipole_sums",))) == list(DIPOLE_SUMS)
+    # the passes: the loops over the prefix tree's levels and the unbuffered adds; no outer product per word
+    tree = ast.parse(source)
+    owner = enclosing_functions(tree)
+    assert {owner[node] for node in ast.walk(tree)
+            if isinstance(node, ast.For) and "levels" in ast.unparse(node.iter)} == {"_dipole_sums"}
+    assert set(callers(source, ("np.add.at",))) == {"_dipole_sums"}
+    assert set(callers(source, ("np.multiply.outer",))) <= set(EIGH_FUNCTIONS)
+
+
+def test_dipole_sums_make_no_blas_call():
+    functions = module_functions(SPECTRA.read_text(encoding="utf-8"))
+    assert blas_uses(functions["_dipole_sums"]) == []
+    reciprocity = functions["reciprocity_spectrum"]
+    assert blas_uses(reciprocity) == ["np.linalg"]
+    assert [ast.unparse(node.func) for node in ast.walk(reciprocity)
+            if isinstance(node, ast.Call) and "linalg" in ast.unparse(node.func)] == ["np.linalg.norm"]
+    # M xi is read from the dipole sums: no float copy of M
+    assert not {"astype", "matrix"} & {node.attr for node in ast.walk(reciprocity) if isinstance(node, ast.Attribute)}
+
+
+def test_spectra_builds_prefix_length_tables_for_two_functions():
+    source = SPECTRA.read_text(encoding="utf-8")
+    assert sorted(callers(source, ("_prefix_lengths",))) == ["gram_matrix", "linear_independence_check"]
 
 
 def test_walks_solves_in_one_function():

@@ -21,7 +21,6 @@ import contextlib
 import hashlib
 import io
 import json
-import math
 import os
 import tempfile
 from fractions import Fraction
@@ -43,7 +42,7 @@ from spectral_walks import (
     solenoid_walk,
     w_from_filter,
 )
-from spectral_walks import circle, rng, spectra, tree
+from spectral_walks import circle, rng, tree
 from spectral_walks.circle import _at_dyadics, _dyadic_values
 from spectral_walks.rng import path_keys, step_bits, step_uniforms
 
@@ -731,18 +730,3 @@ class TestDipoleReuse:
         rc, out, _ = run_cli(["tree", "dipole", "--x", "101", "--depth", "5"])
         assert rc == 0
         assert calls == [(list(tree.tree_graph(5).vertices), ["101"])]
-
-
-class TestCombineAccumulator:
-    @pytest.mark.parametrize("coefficients", [np.array([-0.5, -1.5]), [-0.5, -1.5]])
-    def test_all_negative_coefficients_keep_a_positive_zero(self, coefficients):
-        # the root shares no prefix with any word: every product is -0.0, the sum from 0 is +0.0
-        g = tree.tree_graph(3)
-        root = spectra.dipole_combination(g, ["1", "01"], coefficients)[""]
-        assert root == 0.0 and math.copysign(1.0, root) == 1.0
-
-    def test_fraction_columns_sum_exactly(self):
-        table = np.array([[1, 2], [0, 3]], dtype=np.int64)
-        got = spectra._combine(table, [[Fraction(1, 3), 1], [Fraction(-1, 7), 2]])
-        assert got.tolist() == [[Fraction(1, 3) - Fraction(2, 7), 5], [Fraction(-3, 7), 6]]
-        assert type(got[1, 1]) is int

@@ -6,6 +6,7 @@ import io
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -239,13 +240,44 @@ def test_spectral_growth_matches_set_size():
 
 # ---------------------------------------------------------------- dipole kernel
 
-def dipole_oracle(vertices, words, coefficients):
-    """The scalar loop: sum_k coefficients[k] * common_prefix_length(words[k], y), from the int 0."""
+def word_order_sum(vertices, words, coefficients):
+    """The scalar loop in word order: sum_k coefficients[k] * common_prefix_length(words[k], y), from the int 0."""
     out = {}
     for y in vertices:
         acc = 0
         for xi, x in zip(coefficients, words):
             acc += xi * common_prefix_length(x, y)
+        out[y] = acc
+    return out
+
+
+def dipole_oracle(vertices, words, coefficients):
+    """The scalar loop in the prefix order of the dipole kernel.
+
+    S(u) = c(u) (0 off the words) + S(u0) + S(u1) over the nonempty
+    prefixes u of the words, children outside them skipped; the sum at y
+    adds S(u) for u = y[:1], y[:2], ... while u is such a prefix, starting
+    from the zero 0 + sum_k coefficients[k] * 0.
+    """
+    coef = dict(zip(words, coefficients))
+    prefixes = {x[:k] for x in words for k in range(1, len(x) + 1)}
+
+    def subtree(u):
+        acc = 0 + coef.get(u, 0)
+        for child in (u + "0", u + "1"):
+            if child in prefixes:
+                acc += subtree(child)
+        return acc
+
+    sums = {u: subtree(u) for u in prefixes}
+    zero = sum(0 * c for c in coefficients)
+    out = {}
+    for y in vertices:
+        acc = zero
+        for k in range(1, len(y) + 1):
+            if y[:k] not in sums:
+                break
+            acc += sums[y[:k]]
         out[y] = acc
     return out
 
@@ -279,14 +311,36 @@ class TestDipoleKernel:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), case=word_sets())
     def test_exact_coefficients_stay_exact(self, data, case):
+        # the prefix order changes no exact sum: values and types are those of the word-order loop
         words, g = case
         n = len(words)
         for coeff in (st.integers(-2 ** 70, 2 ** 70), st.fractions(max_denominator=60)):
             xi = data.draw(st.lists(coeff, min_size=n, max_size=n))
             got = dipole_combination(g, words, xi)
-            want = dipole_oracle(g.vertices, words, xi)
+            want = word_order_sum(g.vertices, words, xi)
             assert got == want
             assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), case=word_sets())
+    def test_sums_at_the_words_are_the_gram_product(self, data, case):
+        # M[x, y] = v_y(x), so the kernel read at the words is M xi, exactly for int xi
+        words, _ = case
+        xi = data.draw(st.lists(st.integers(-1000, 1000), min_size=len(words), max_size=len(words)))
+        got = spectra._dipole_sums(words, words, xi)
+        assert got.tolist() == (gram_matrix(words) @ np.array(xi, dtype=np.int64)).tolist()
+
+    @pytest.mark.parametrize("coefficients", [np.array([-0.5, -1.5]), [-0.5, -1.5]])
+    def test_all_negative_coefficients_keep_a_positive_zero(self, coefficients):
+        # the root shares no prefix with any word: its sum is the zero it starts from, +0.0
+        root = dipole_combination(tree_graph(3), ["1", "01"], coefficients)[""]
+        assert root == 0.0 and math.copysign(1.0, root) == 1.0
+
+    def test_fraction_columns_sum_exactly(self):
+        # a row of coefficients per word gives a column per vector, each exact and of its own type
+        got = spectra._dipole_sums(("1", "011"), ("10", "0111"), [[Fraction(1, 3), 1], [Fraction(-1, 7), 2]])
+        assert got.tolist() == [[Fraction(1, 3), 1], [Fraction(-3, 7), 6]]
+        assert [type(v) for v in got[1]] == [Fraction, int]
 
     def test_no_int64_wrap(self):
         got = dipole_combination(tree_graph(3), ("11", "111"), [2 ** 62, 2 ** 62])["111"]
@@ -310,6 +364,11 @@ class TestDipoleKernel:
             dipole_combination(tree_graph(2), ("1", "10"), [1])
         with pytest.raises(ValueError):
             dipole_combination(tree_graph(2), ("", "1"), [1, 1])
+        # refused where it enters, before 0 * inf forms a nan or a numpy warning
+        for bad, k in (([math.nan, 1.0], 0), ([math.inf, 1.0], 0), (np.array([1.0, -math.inf]), 1),
+                       ([1, Fraction(1, 2), complex(1.0, math.nan)], 2)):
+            with pytest.raises(ValueError, match=f"^coefficient {k} is not finite$"):
+                dipole_combination(tree_graph(2), ("1", "10", "0")[:len(bad)], bad)
 
     @pytest.mark.parametrize("vertices", [["", "1", "12"], ["12", "1", ""], ["1", "x", "", "2"], ["1", 0, ""]])
     def test_bad_vertex_raises_like_the_per_entry_table(self, vertices):
@@ -322,9 +381,9 @@ class TestDipoleKernel:
             dipole_combination(g, words, [1, 2])
 
     @pytest.mark.parametrize("depth", [None, 6])
-    def test_one_table_per_call(self, depth, monkeypatch):
-        # the first row validates the words through common_prefix_length; one kernel call fills the rest
-        calls = {"checked": 0, "kernel": 0}
+    def test_one_kernel_pass_per_call(self, depth, monkeypatch):
+        # the first vertex validates the words through common_prefix_length; no prefix-length table is built
+        calls = {"checked": 0, "kernel": 0, "table": 0}
 
         def counting(kind, inner):
             def counted(*args):
@@ -335,12 +394,26 @@ class TestDipoleKernel:
         monkeypatch.setattr(spectra, "common_prefix_length", counting("checked", spectra.common_prefix_length))
         words = tuple(words_up_to(4))
         gs = gram_spectrum(words)
-        monkeypatch.setattr(spectra, "_prefix_lengths", counting("kernel", spectra._prefix_lengths))
+        monkeypatch.setattr(spectra, "_dipole_sums", counting("kernel", spectra._dipole_sums))
+        monkeypatch.setattr(spectra, "_prefix_lengths", counting("table", spectra._prefix_lengths))
         spectra.reciprocity_spectrum(gs, depth)
-        assert calls == {"checked": len(words), "kernel": 1}
+        assert calls == {"checked": len(words), "kernel": 1, "table": 0}
         calls.update(checked=0, kernel=0)
         kl_gram_check(gs, depth)
-        assert calls == {"checked": len(words), "kernel": 1}
+        assert calls == {"checked": len(words), "kernel": 1, "table": 0}
+
+    def test_builds_no_vertex_by_word_table(self):
+        # such a table would take 8191 x 2046 int64 = 134 MB; the prefix tree of the words has 2047 nodes
+        g = tree_graph(12)
+        words = words_up_to(10)
+        xi = np.linspace(-1.0, 1.0, len(words))
+        tracemalloc.start()
+        try:
+            dipole_combination(g, words, xi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 # ---------------------------------------------------------------- the pair loops behind energy_gram
@@ -369,9 +442,8 @@ def dipole_gram_loop(words, g):
 
 
 def reciprocity_loop(words, g):
-    """Reference: reciprocity_spectrum with one dipole sum per eigenvector."""
+    """Reference: reciprocity_spectrum with one scalar dipole sum per eigenvector, read at the words for M xi."""
     gs = gram_spectrum(words)
-    matrix = gs.matrix.astype(float)
     rows = []
     for j in range(len(words)):
         xi = gs.eigenvectors[:, j].copy()
@@ -379,8 +451,9 @@ def reciprocity_loop(words, g):
         if float(np.linalg.norm(xi)) <= 1e-12:
             continue
         u = dipole_oracle(g.vertices, words, xi)
+        m_xi = np.array([u[x] for x in words])
         rows.append((float(gs.eigenvalues[j]), float(rayleigh_energy(g, u)),
-                     float(xi @ xi) / float(xi @ (matrix @ xi))))
+                     float(np.add.reduce(xi * xi)) / float(np.add.reduce(xi * m_xi))))
     return rows
 
 
@@ -466,19 +539,21 @@ def forty_words(salt):
 
 
 # sha256 of "<exit code>\n" + output bytes, recorded with the per-vertex dipole loops
+# (spectra gram re-recorded when dipole sums moved to the prefix-tree order and M xi off BLAS: only
+# the reciprocity table's energy_route, coefficient_route and gap cells moved, by at most 4e-15 relative)
 GOLDEN_CLI = [
     (["spectra", "gram", "--words", ",".join(forty_words(1))],
-     "bbdbfdc127bb81ae9bab7dc8595454d8a0e626e95a94a4a5b87783b8541176c3"),
+     "ed3593c6370f5a49d4aec460d9ec54e661be77d507cd935207db699749d59613"),
     (["spectra", "gram", "--words", ",".join(forty_words(1)), "--out", "json"],
-     "a02d8cdd1b49dfca36071b00546bf79f959c497a2b84cf74095147d482444bfc"),
+     "7341026192449668514f0efe94e96c6b7b73c255d9ba110e76058f5157f9f5ef"),
     (["spectra", "gram", "--words", ",".join(forty_words(2)), "--depth", "8"],
-     "3b80409ed68ec2cc83e252420c0ce5f1b7b893991e1dc896499655d68b3e0e48"),
+     "973b898ae740953141455f7f75a2879dce3041d9be300ada64b9415f95e030a8"),
     (["spectra", "gram", "--words", ",".join(forty_words(2)), "--depth", "8", "--out", "json"],
-     "82bc1240ab1a219e50dd2d827c453f6f6c365cfdf3b64536ff1fb4ba7a9e56ea"),
+     "bec8d5afe208e817147f561b981823f9daa7df6f961d71ef6d34c10bb5e90092"),
     (["spectra", "gram", "--words", ",".join(words_up_to(5))],
-     "fcfae8e28823e0f97b77cf23bedc2555a6d2c05482c7768ac3a7c8944919cd4b"),
+     "3755da40b3224716b6f27d4d5989f3fcf4005290e2270e2984ea757822dd6ca6"),
     (["spectra", "gram", "--words", ",".join(words_up_to(5)), "--out", "json"],
-     "36eba50b21177f020f3d69fcedf88277b0d3c834c15619c8eec1de4d7ee0f673"),
+     "7271738a9e3ecf3a4442494d87a6c81361e55c75829339ac0f13b7ea940979ac"),
     (["tree", "dipole", "--x", "101101", "--depth", "9", "--out", "json"],
      "d64f073f0ab605183f0bb8e040fd5fc4a6d470d10c491cd5ce6451404ca9d3dc"),
     (["tree", "dipole", "--x", "101101", "--depth", "12"],
@@ -492,10 +567,10 @@ GOLDEN_CLI = [
     (["verify", "all", "--seed", "1", "--out", "json"],
      "b404984ffd08209fa52728e4366e5a0387c1aaced47a9ac18c77ee80d4a612e1"),
     (["spectra", "gram", "--words", ",".join(words_up_to(6))],
-     "af8a9f1524f68fa4c69171fe873e1a8c221887493d41431faf68a9885c757a10"),
+     "b2a46ec32f68bec7f27a73996e0f7983b8310c8c30ed567640b4f01f23751bac"),
     # 254 words: the float Rayleigh quotients at a size beyond the 62-word sets above
     (["spectra", "gram", "--words", ",".join(words_up_to(7)), "--depth", "7"],
-     "8b0beb4197908c6d6beae87ae6e45649e57b10c0738bebf48bc5fb854447b81d"),
+     "4cf9e621fe3fb9375978d03e48e591b548a5b1fd2dc12c7d748ca821db9c116c"),
 ]
 
 
@@ -519,18 +594,19 @@ def exact_forms_inputs(seed):
 
 
 # sha256 of "<exit code>\n" + output bytes, recorded with the per-cell prefix loops, by seed of the inputs
+# (spectra gram re-recorded as GOLDEN_CLI's, for the same reason)
 GOLDEN_TABLE_CLI = {
     1: ("59be23c4a6af4cd8f5b46212543ed541fd2aa411f92ce53d7b492b1e0ec2ee2d",
-        "fd60bf8c56753a98f5c74e2699e4d183ef6dda92683c7f52fc21693ed8734a33",
-        "aea7be1e34e3fd673af3d5625247f91f2a5d06f16dd1dcf2c9ba213658e33411",
+        "21b131bdd16d686950e3e02f7c9f7fb051e2d853485e65f8169758e35aab8d02",
+        "1ef1909e0132626847bd8ce4741b05b52ea3497d0b1aa67815be3295ccb44143",
         "de7d8b02ce5651e9ab2cea83b494c4c60b656fed0637e9e52337a0aab190166c"),
     2: ("64217612f8cb1457261cc66d753c570a7e9595f108a000418528f64c3301c605",
-        "1890bd7b0f58d26f39dabb09c66f24fc250e75ac7b17eedde903a6e488dc1202",
-        "d632c45ab718bd7786b7b7d72c820626989043403ff3108609344c716e4b44d4",
+        "200c0d8ed0fd239b28b9ab7fb5ea0f4d6a4384a028e01ef0ccd6da49f0cc3704",
+        "04cabe417c35346d13fc633a72c36de9573dfd6930f476f38d6052690c2340d2",
         "4148eea5a0adf8d04bb2d323427ad0c16f8421b0feda4e118b0d6805d1c5a51a"),
     3: ("9d2dc8287767ecdc44a9293edec0c0a2e3dc4305280542a56000d0573d740de1",
-        "9d5014a51ce5c4cd269efdcc3fb455bc606678526738d8861f39107707543d43",
-        "86d6653920b52b10024c9e91f89cbc5be2ac403d68cec9f5f2331a17adaec270",
+        "5a385280612302376c8a8f0fc4daaf9dbab1e75cbe4ca15587de942e644fc702",
+        "df66a4888195bf2fb1029e6978c14af1bfe112b867fc58f6df0623d5b4e69961",
         "ed1c7358294366f82826f74f433ca504101af64d8e66779376527cea2fa26cc0"),
 }
 
